@@ -46,6 +46,7 @@ from .spectral import (
     full_spectrum,
     matrix_rho,
     rho_f,
+    spectral_radii,
     spectral_radius,
 )
 from .transforms import TransformError, TransformOutcome, kelmans, pendant_shift

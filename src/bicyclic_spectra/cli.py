@@ -3,7 +3,7 @@
 Subcommands mirror the campaign API: `tables`, `extremal`, `kelmans`,
 `theorem41`, `enumerate`, `spectral`.  Reports are printed as JSON (optionally
 written to files, with CSV alongside); the exit code is 0 exactly when every
-asserted case passed.  Thread count is taken from BICYCLIC_SPECTRA_THREADS.
+asserted case passed.
 """
 
 from __future__ import annotations

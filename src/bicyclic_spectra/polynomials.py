@@ -422,7 +422,30 @@ def max_real_root(p: Polynomial, lo=None, hi=None) -> float:
     bound = 1 + max(abs(Fraction(c) if p.is_exact() else float(c)) for c in p.coeffs) / lead
     lo = -bound if lo is None else lo
     hi = bound if hi is None else hi
-    roots = real_roots(p, lo, hi)
-    if not roots:
+    if not p.is_exact():
+        roots = real_roots(p, lo, hi)
+        if not roots:
+            raise PolynomialError("no real roots in bracket")
+        return roots[-1]
+    # halve towards the upper half while it holds a root, then refine the top root alone
+    q = _squarefree_part(p)
+    seq = sturm_sequence(q)
+    a, b = Fraction(lo), Fraction(hi)
+    if q(b) == 0:
+        return float(b)
+    v_b = _variations_at(seq, b)
+    k = _variations_at(seq, a) - v_b  # roots in (a, b]
+    if k == 0:
+        if q(a) == 0:
+            return float(a)
         raise PolynomialError("no real roots in bracket")
-    return roots[-1]
+    while k > 1 or q(a) == 0:
+        mid = (a + b) / 2
+        v_mid = _variations_at(seq, mid)
+        if v_mid > v_b:
+            a, k = mid, v_mid - v_b
+        elif q(mid) == 0:
+            return float(mid)
+        else:
+            b, v_b = mid, v_mid
+    return float(_refine_bracket(q, a, b, Fraction(1, 10 ** 14)))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,12 +31,7 @@ class WeightedMatrix:
 
 def build_matrix(g: Graph, f: WeightFunction) -> WeightedMatrix:
     """A_f(G): entry (i,j) is f(d_i,d_j) on edges, 0 elsewhere."""
-    deg = g.degrees()
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        w = evaluate(f, deg[u], deg[v])
-        a[u, v] = w
-        a[v, u] = w
+    a = _stacked_matrices([g], f, g.n)[0]
     a.setflags(write=False)
     return WeightedMatrix(a, g, f)
 
@@ -88,28 +83,34 @@ def spectral_radius(m, tol: float = 1e-10, with_spectrum: bool = False) -> Spect
         return SpectralResult(0.0, perron, 0.0, np.zeros(n) if with_spectrum else None)
     if not np.array_equal(a, a.T):
         raise SpectralError("matrix is not symmetric")
+    rho, vals, (v,), residual = _dominant_eigenpairs(a[None], tol)
+    nz = np.flatnonzero(np.abs(v) > 1e-12)
+    if nz.size and v[nz[0]] < 0:
+        v = -v
+    return SpectralResult(float(rho[0]), v, float(residual[0]), vals[0] if with_spectrum else None)
+
+
+def _dominant_eigenpairs(a: np.ndarray, tol: float):
+    """(rho, eigenvalues, dominant eigenvectors, residuals) of stacked symmetric matrices."""
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"symmetric eigensolver did not converge: {exc}") from exc
-    rho = float(max(vals[-1], -vals[0]))
+    top, bottom = vals[:, -1], -vals[:, 0]
+    rho = np.where(bottom > top, bottom, top)
+    scale = np.maximum(1.0, rho)
     # bipartite spectra tie at +-rho up to roundoff; the Perron vector always
     # belongs to the top eigenvalue, so prefer it unless the bottom one
     # genuinely dominates (possible only with negative entries)
-    if vals[-1] >= -vals[0] - 1e-9 * max(1.0, rho):
-        k = len(vals) - 1
-    else:
-        k = 0
-    v = vecs[:, k]
-    nz = np.flatnonzero(np.abs(v) > 1e-12)
-    if nz.size and v[nz[0]] < 0:
-        v = -v
-    residual = float(np.max(np.abs(a @ v - vals[k] * v)))
-    if residual > tol * max(1.0, rho):
+    b, k = np.arange(len(a)), np.where(top >= bottom - 1e-9 * scale, a.shape[-1] - 1, 0)
+    v = vecs[b, :, k]
+    residual = np.abs(np.matmul(a, v[..., None])[..., 0] - vals[b, k, None] * v).max(axis=1)
+    i = int(np.argmax(residual / scale))
+    if residual[i] > tol * scale[i]:
         raise SpectralError(
-            f"residual {residual:.3e} exceeds tolerance {tol:.1e} at rho={rho:.6g}"
+            f"residual {residual[i]:.3e} exceeds tolerance {tol:.1e} at rho={rho[i]:.6g}"
         )
-    return SpectralResult(rho, v, residual, vals if with_spectrum else None)
+    return rho, vals, v, residual
 
 
 def full_spectrum(m) -> np.ndarray:
@@ -125,9 +126,41 @@ def full_spectrum(m) -> np.ndarray:
         raise SpectralError(f"symmetric eigensolver did not converge: {exc}") from exc
 
 
+EIGH_CHUNK = 64  # matrices per batched eigensolve; bounds the stacked arrays' memory
+
+
+def spectral_radii(graphs: Sequence[Graph], f: WeightFunction) -> np.ndarray:
+    """Spectral radii of A_f(G) for graphs of one order, in input order.
+
+    Each equals spectral_radius(build_matrix(g, f)).rho; one eigensolve call per EIGH_CHUNK graphs.
+    """
+    graphs = list(graphs)
+    n = graphs[0].n if graphs else 0
+    if any(g.n != n for g in graphs):
+        raise ValueError("spectral_radii needs graphs of one order")
+    rho = np.zeros(len(graphs))
+    for start in range(0, len(graphs) if n else 0, EIGH_CHUNK):
+        a = _stacked_matrices(graphs[start:start + EIGH_CHUNK], f, n)
+        rho[start:start + EIGH_CHUNK] = _dominant_eigenpairs(a, 1e-10)[0]
+    return rho
+
+
+def _stacked_matrices(graphs: list[Graph], f: WeightFunction, n: int) -> np.ndarray:
+    """A_f(G) for each graph, with one weight evaluation per distinct degree pair."""
+    # edge endpoints as rows of the stacked (len(graphs) * n, n) array
+    e = np.array([i * n + x for i, g in enumerate(graphs) for edge in g.edges for x in edge],
+                 dtype=np.intp).reshape(-1, 2)
+    deg = np.bincount(e.ravel(), minlength=len(graphs) * n)
+    keys = (deg[e[:, 0]] * n + deg[e[:, 1]]).tolist()
+    weight = {key: evaluate(f, key // n, key % n) for key in set(keys)}
+    a = np.zeros((len(graphs) * n, n))
+    a[e, e[:, ::-1] % n] = np.array([weight[key] for key in keys])[:, None]  # (u, v) and (v, u)
+    return a.reshape(len(graphs), n, n)
+
+
 def rho_f(g: Graph, f: WeightFunction) -> float:
     """Convenience: spectral radius of A_f(G)."""
-    return spectral_radius(build_matrix(g, f)).rho
+    return float(spectral_radii([g], f)[0])
 
 
 def matrix_rho(m) -> float:

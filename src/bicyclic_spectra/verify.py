@@ -17,20 +17,18 @@ import heapq
 import io
 import json
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .enumeration import (canonical_form, enumerate_bicyclic, targeted_max_degree_family)
 from .graphs import Graph, base_graph, graph_g1, graph_g2, graph_g3, graph_g4
-from .spectral import rho_f
+from .spectral import rho_f, spectral_radii
 from .transforms import kelmans, pendant_shift
 from .weights import WeightFunction, check_pstar, parse_weight
-
-THREADS_ENV = "BICYCLIC_SPECTRA_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +105,6 @@ class VerificationReport:
                 "" if c.expected is None else json.dumps(c.expected, sort_keys=True),
             ])
         return buf.getvalue()
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _run_cases(jobs: Sequence[Callable]) -> list:
-    """Run independent case jobs, in order, on the configured thread count."""
-    workers = _thread_count()
-    if workers == 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: job(), jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +278,7 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
         raise ValueError("mode must be 'exhaustive' or 'candidate'")
     t0 = time.time()
     report = VerificationReport(f"extremal/{mode}/rank={rank}")
-    jobs: list[Callable[[], CaseRecord]] = []
+    cases: list[CaseRecord] = []  # follow every not-applicable record
     for f in fs:
         pstar = check_pstar(f, d_max=max(max(n_range), 8))
         if not pstar.passes:
@@ -308,21 +290,21 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
                 note="weight lacks property P*; campaign not applicable",
             ))
             continue
-        for n in n_range:
-            if mode == "exhaustive":
-                jobs.append(lambda n=n, f=f: _exhaustive_case(n, f, rank, min_gap))
-            else:
-                jobs.append(lambda n=n, f=f: _candidate_case(n, f, rank))
-    report.cases.extend(_run_cases(jobs))
+        cases += [_exhaustive_case(n, f, rank, min_gap) if mode == "exhaustive"
+                  else _candidate_case(n, f, rank) for n in n_range]
+    report.cases.extend(cases)
     report.runtime_seconds = time.time() - t0
     return report
 
 
 def _exhaustive_case(n: int, f: WeightFunction, rank: str, min_gap: float) -> CaseRecord:
     rep = enumerate_bicyclic(n, "constructive")
-    scored = sorted(((rho_f(g, f), canonical_form(g), g) for g in rep.graphs), reverse=True)
+    rhos = spectral_radii(rep.graphs, f).tolist()
+    scored = sorted(zip(rhos, map(canonical_form, rep.graphs), rep.graphs), reverse=True)
     named = {tag: canonical_form(_FAMILY[tag](n)) if _valid_order(tag, n) else None
              for tag in ("G1", "G2", "G3", "G4")}
+    case_id = f"extremal/{rank}/{f.label()}/n={n}"
+    inputs = {"n": n, "weight": f.label(), "classes": rep.count}
     top_rho, top_cert, _ = scored[0]
     gap = top_rho - scored[1][0] if len(scored) > 1 else float("inf")
     if rank == "first":
@@ -334,12 +316,12 @@ def _exhaustive_case(n: int, f: WeightFunction, rank: str, min_gap: float) -> Ca
         # infinity-base classes, G1 the theta-base classes
         family_best = {}
         for rho, cert, g in scored:
-            kind = base_graph(g).kind
-            if kind not in family_best:
-                family_best[kind] = cert
+            family_best.setdefault(base_graph(g).kind, cert)
+            if len(family_best) == 2:
+                break
         return CaseRecord(
-            case_id=f"extremal/first/{f.label()}/n={n}",
-            inputs={"n": n, "weight": f.label(), "classes": rep.count},
+            case_id=case_id,
+            inputs=inputs,
             computed={"winner_is_g1": top_cert == named["G1"], "rho_max": top_rho,
                       "gap_to_second": gap,
                       "infinity_base_winner_is_g2":
@@ -350,11 +332,13 @@ def _exhaustive_case(n: int, f: WeightFunction, rank: str, min_gap: float) -> Ca
             passed=ok,
             note=note,
         )
-    second_cert = scored[1][1] if len(scored) > 1 else None
-    second_tag = next((t for t in ("G2", "G3", "G4") if named[t] == second_cert), None)
+    if len(scored) < 2:
+        return CaseRecord(case_id, inputs, {}, passed=None,
+                          note="only one bicyclic class at this order; no second class exists")
+    second_tag = next((t for t in ("G2", "G3", "G4") if named[t] == scored[1][1]), None)
     return CaseRecord(
-        case_id=f"extremal/second/{f.label()}/n={n}",
-        inputs={"n": n, "weight": f.label(), "classes": rep.count},
+        case_id=case_id,
+        inputs=inputs,
         computed={"second_class": second_tag or "other", "rho_second": scored[1][0]},
         expected={"second_in": ["G2", "G3", "G4"]},
         passed=second_tag is not None,
@@ -489,7 +473,7 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
             used += 1
             if out.disconnects:
                 disconnected += 1
-            delta = rho_f(out.result, f) - rho_f(g, f)
+            delta = float(np.subtract(*spectral_radii([out.result, g], f)))
             worst = min(worst, delta)
             if delta <= -slack:
                 violations += 1
@@ -502,7 +486,7 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
             if canonical_form(shifted) == canonical_form(g):
                 continue
             shift_used += 1
-            delta = rho_f(shifted, f) - rho_f(g, f)
+            delta = float(np.subtract(*spectral_radii([shifted, g], f)))
             worst = min(worst, delta)
             if delta <= -slack:
                 shift_violations += 1
@@ -543,8 +527,7 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
 
     def cases_for(n: int) -> list[CaseRecord]:
         out = []
-        rho1 = rho_f(graph_g1(n), ext)
-        rho2 = rho_f(graph_g2(n), ext)
+        rho1, rho2 = spectral_radii([graph_g1(n), graph_g2(n)], ext).tolist()
         b1, b2 = bound(n, 3.8), bound(n, 5.0)
         out.append(CaseRecord(
             case_id=f"theorem41/chain/n={n}",
@@ -555,7 +538,7 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
             passed=rho1 > b1 > rho2 > b2,
         ))
         family = targeted_max_degree_family(n)
-        worst = max(rho_f(d, ext) for d in family)
+        worst = max(spectral_radii(family, ext).tolist())
         out.append(CaseRecord(
             case_id=f"theorem41/max_degree_n2/n={n}",
             inputs={"n": n, "classes": len(family)},
@@ -575,7 +558,7 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
             ))
         return out
 
-    for batch in _run_cases([lambda n=n: cases_for(n) for n in n_range]):
-        report.cases.extend(batch)
+    for n in n_range:
+        report.cases.extend(cases_for(n))
     report.runtime_seconds = time.time() - t0
     return report

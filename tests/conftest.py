@@ -2,9 +2,10 @@ import itertools
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from bicyclic_spectra import Graph, WeightFunction
+from bicyclic_spectra import Graph, WeightFunction, evaluate
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -28,6 +29,24 @@ def brute_force_bicyclic_classes(n: int) -> list[Graph]:
         if not any(nx.is_isomorphic(gn, to_networkx(r)) for r in reps):
             reps.append(g)
     return reps
+
+
+def loop_matrix(g: Graph, f) -> np.ndarray:
+    """Reference A_f(G), one weight evaluation per edge."""
+    deg = g.degrees()
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = evaluate(f, deg[u], deg[v])
+    return a
+
+
+def per_graph_radii(graphs, f) -> np.ndarray:
+    """Reference scorer: one matrix and one eigensolve per graph."""
+    out = []
+    for g in graphs:
+        vals = np.linalg.eigh(loop_matrix(g, f))[0]
+        out.append(max(vals[-1], -vals[0]) if g.n else 0.0)
+    return np.array(out, dtype=float)
 
 
 @pytest.fixture(scope="session")

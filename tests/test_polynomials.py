@@ -14,9 +14,25 @@ from bicyclic_spectra import (
     descartes_bounds,
     eval_at_sqrt,
     max_real_root,
+    family_quotient,
+    rational_pstar_functions,
     real_roots,
     sign_at_sqrt,
 )
+
+
+def cauchy_bound(p: Polynomial) -> Fraction:
+    return 1 + max(abs(Fraction(c)) for c in p.coeffs) / abs(p.coeffs[-1])
+
+
+def top_root_reference(p: Polynomial, lo, hi) -> float:
+    """Largest root by isolating every root in the bracket."""
+    return real_roots(p, lo, hi)[-1]
+
+
+def close_roots(a: float, b: float) -> bool:
+    # both are midpoints of brackets narrower than 1e-14 around the same root
+    return math.isclose(a, b, rel_tol=1e-15, abs_tol=1e-14)
 
 
 class TestPolynomialBasics:
@@ -166,6 +182,49 @@ class TestRealRoots:
         scale = max(1.0, max(abs(float(c)) for c in p.coeffs))
         for r in set(real_roots(p, -50, 50)):
             assert abs(p(r)) <= 1e-6 * scale * (1 + abs(r)) ** p.degree
+
+
+class TestMaxRealRoot:
+    def test_family_quotient_polynomials(self):
+        polys = [char_poly(family_quotient(tag, n, f).b)
+                 for f in rational_pstar_functions()
+                 for tag in ("G2", "G3", "G4") for n in range(6, 15)]
+        assert len(polys) == 162
+        for p in polys:
+            b = cauchy_bound(p)
+            assert close_roots(max_real_root(p), top_root_reference(p, -b, b)), p
+
+    def test_repeated_top_root(self):
+        # (x - 2)^3 (x + 1)
+        p = Polynomial([-8, 4, 6, -5, 1])
+        b = cauchy_bound(p)
+        assert close_roots(max_real_root(p), top_root_reference(p, -b, b))
+        assert max_real_root(p) == pytest.approx(2, abs=1e-14)
+
+    def test_root_on_bracket_ends(self):
+        p = Polynomial([3, -4, 1])  # (x - 1)(x - 3)
+        assert max_real_root(p, 0, 3) == 3.0 == top_root_reference(p, 0, 3)
+        assert max_real_root(p, 1, 2) == 1.0 == top_root_reference(p, 1, 2)
+
+    def test_no_real_roots(self):
+        with pytest.raises(PolynomialError, match="no real roots"):
+            max_real_root(Polynomial([1, 0, 1]))
+        with pytest.raises(PolynomialError, match="no real roots"):
+            max_real_root(Polynomial([3, -4, 1]), 4, 5)
+
+    @given(st.lists(st.integers(-6, 6), min_size=3, max_size=7))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_full_isolation(self, coeffs):
+        p = Polynomial([Fraction(c) for c in coeffs])
+        if p.degree < 1:
+            return
+        b = cauchy_bound(p)
+        roots = real_roots(p, -b, b)
+        if not roots:
+            with pytest.raises(PolynomialError):
+                max_real_root(p)
+            return
+        assert close_roots(max_real_root(p), roots[-1])
 
 
 class TestSqrtEvaluation:

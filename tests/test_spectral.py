@@ -11,11 +11,16 @@ from bicyclic_spectra import (
     graph_g2,
     graph_g3,
     graph_g4,
+    enumerate_bicyclic,
     make_theta,
+    parse_weight,
     rho_f,
+    spectral_radii,
     spectral_radius,
 )
+from bicyclic_spectra import spectral
 from bicyclic_spectra.verify import random_connected_graph
+from conftest import loop_matrix, per_graph_radii
 
 
 def cycle(n):
@@ -180,3 +185,44 @@ class TestPerronFrobenius:
             assert np.all(res.perron > 0)
             if g.n > 1:
                 assert res.spectrum[-1] > res.spectrum[-2]
+
+
+class TestSpectralRadii:
+    @pytest.mark.parametrize("label", ["zagreb1", "forgotten", "extended", "custom:x*y+x+y"])
+    def test_equals_per_graph_path_on_every_class_n8(self, label):
+        f = parse_weight(label)
+        graphs = enumerate_bicyclic(8, "constructive").graphs
+        assert len(graphs) > spectral.EIGH_CHUNK
+        assert spectral_radii(graphs, f).tolist() == per_graph_radii(graphs, f).tolist()
+        for g in graphs:
+            assert np.array_equal(build_matrix(g, f).entries, loop_matrix(g, f))
+
+    def test_batch_of_several_chunks(self, weight_hyper, rng):
+        graphs = [random_connected_graph(rng, 9) for _ in range(2 * spectral.EIGH_CHUNK + 5)]
+        expected = per_graph_radii(graphs, weight_hyper).tolist()
+        assert spectral_radii(graphs, weight_hyper).tolist() == expected
+
+    def test_rho_f_is_the_one_graph_case(self, weight_forgotten):
+        g = graph_g3(9)
+        assert rho_f(g, weight_forgotten) == spectral_radius(build_matrix(g, weight_forgotten)).rho
+
+    def test_edgeless_single_vertex(self, weight_zagreb1):
+        assert spectral_radii([Graph.from_edges(1, [])], weight_zagreb1).tolist() == [0.0]
+
+    def test_empty_batch(self, weight_zagreb1):
+        assert spectral_radii([], weight_zagreb1).shape == (0,)
+
+    def test_mixed_orders_raise(self, weight_zagreb1):
+        with pytest.raises(ValueError, match="one order"):
+            spectral_radii([graph_g2(6), graph_g2(7)], weight_zagreb1)
+
+    def test_residual_check_raises(self, weight_zagreb1, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def skewed(a):
+            vals, vecs = eigh(a)
+            return vals + 1e-3, vecs
+
+        monkeypatch.setattr(spectral.np.linalg, "eigh", skewed)
+        with pytest.raises(SpectralError, match="residual"):
+            spectral_radii([graph_g2(6), graph_g4(6)], weight_zagreb1)

@@ -8,18 +8,26 @@ from bicyclic_spectra import (
     CaseRecord,
     VerificationReport,
     WeightFunction,
+    base_graph,
     canonical_form,
+    enumerate_bicyclic,
     graph6_decode,
+    graph_g1,
     graph_g2,
+    parse_weight,
+    rho_f,
     run_table,
     verify_extremal,
     verify_kelmans,
     verify_theorem41,
 )
+from bicyclic_spectra import verify
 from bicyclic_spectra.cli import main, parse_graph_argument
 from bicyclic_spectra.verify import printed_tolerance
+from conftest import per_graph_radii
 
 Z1 = WeightFunction("zagreb1")
+WEIGHTS = [Z1, WeightFunction("hyper_zagreb"), WeightFunction("forgotten")]
 ERRATA_CELLS = {
     ("appendix_n6", "G2", "1"),
     ("appendix_n6", "G4", "(x+y)^3"),
@@ -166,18 +174,47 @@ class TestNearTiePolicy:
         assert "near-tie" in case.note and "certificates" in case.note
 
 
-class TestThreadEnvVar:
-    def test_parallel_run_matches_serial(self, monkeypatch):
-        serial = verify_theorem41(range(12, 16)).to_dict()
-        monkeypatch.setenv("BICYCLIC_SPECTRA_THREADS", "4")
-        parallel = verify_theorem41(range(12, 16)).to_dict()
-        serial["summary"].pop("runtime_seconds")
-        parallel["summary"].pop("runtime_seconds")
-        assert serial == parallel
+def timeless(report) -> dict:
+    d = report.to_dict()
+    d["summary"].pop("runtime_seconds")
+    return d
 
-    def test_garbage_env_value_ignored(self, monkeypatch):
-        monkeypatch.setenv("BICYCLIC_SPECTRA_THREADS", "lots")
-        assert verify_theorem41(range(12, 13)).ok
+
+CAMPAIGNS = {
+    "extremal_first": lambda: verify_extremal(range(4, 9), WEIGHTS, rank="first"),
+    "extremal_second": lambda: verify_extremal(range(4, 9), WEIGHTS, rank="second"),
+    "kelmans": lambda: verify_kelmans(60, range(4, 8), WEIGHTS, rng_seed=3),
+    "theorem41": lambda: verify_theorem41(range(12, 16)),
+}
+
+
+class TestBatchedScoring:
+    @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+    def test_report_matches_per_graph_scoring(self, name, monkeypatch):
+        batched = timeless(CAMPAIGNS[name]())
+        monkeypatch.setattr(verify, "spectral_radii", per_graph_radii)
+        assert batched == timeless(CAMPAIGNS[name]())
+
+    def test_base_family_winners_match_full_scan(self):
+        rep = verify_extremal(range(4, 9), WEIGHTS, rank="first")
+        for case in rep.cases:
+            n, f = case.inputs["n"], parse_weight(case.inputs["weight"])
+            best = {}
+            for g in sorted(enumerate_bicyclic(n, "constructive").graphs,
+                            key=lambda g: (rho_f(g, f), canonical_form(g)), reverse=True):
+                best.setdefault(base_graph(g).kind, canonical_form(g))
+            g2 = canonical_form(graph_g2(n)) if n >= 5 else None
+            assert case.computed["infinity_base_winner_is_g2"] == (best.get("infinity") == g2)
+            assert case.computed["theta_base_winner_is_g1"] == (
+                best.get("theta") == canonical_form(graph_g1(n)))
+
+    def test_second_rank_with_a_single_class(self):
+        rep = verify_extremal([4], [Z1], rank="second")
+        (case,) = rep.cases
+        assert case.passed is None
+        assert case.inputs["classes"] == 1
+        assert "no second class" in case.note
+        assert rep.ok
 
 
 class TestKelmansCampaign:
