@@ -8,10 +8,11 @@ verification campaigns (see the `verify` module and the CLI).
 """
 
 from .graphs import (
+    FAMILIES,
     BaseGraph,
+    Family,
     Graph,
     GraphError,
-    NamedFamily,
     attach_pendants,
     base_graph,
     from_edge_text,
@@ -23,8 +24,8 @@ from .graphs import (
     graph_g4,
     graph_h_n3_2,
     make_infinity,
-    make_named,
     make_theta,
+    refine_partition,
     to_edge_text,
 )
 from .weights import (
@@ -78,10 +79,6 @@ from .quotient import (
     evaluate_sign_ledger,
     family_quotient,
     named_polynomial,
-    partition_g1,
-    partition_g2,
-    partition_g3,
-    partition_g4,
     phi1_sign_holds,
     quotient_matrix,
 )

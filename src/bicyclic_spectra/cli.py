@@ -2,8 +2,12 @@
 
 Subcommands mirror the campaign API: `tables`, `extremal`, `kelmans`,
 `theorem41`, `enumerate`, `spectral`.  Reports are printed as JSON (optionally
-written to files, with CSV alongside); the exit code is 0 exactly when every
-asserted case passed.
+written to files, with CSV alongside).
+
+Exit codes: 0 when every asserted case passed, 1 when an asserted case
+failed, 2 when the input is outside the supported domain (a bad argument, an
+order beyond a bound, a malformed weight); the last prints one line,
+`bicyclic-spectra: error: <message>`, on stderr.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ import argparse
 import json
 import sys
 
-from .enumeration import canonical_form, enumerate_bicyclic, enumerate_with_max_degree
-from .graphs import Graph, GraphError, graph6_decode, graph6_encode, make_infinity, make_theta
-from .graphs import graph_g1, graph_g2, graph_g3, graph_g4
+from .enumeration import SIZE_BOUND, canonical_form, enumerate_bicyclic, enumerate_with_max_degree
+from .graphs import (FAMILIES, Graph, GraphError, graph6_decode, graph6_encode, make_infinity,
+                     make_theta)
 from .spectral import build_matrix, full_spectrum, spectral_radius
 from .verify import VerificationReport, run_table, verify_extremal, verify_kelmans, verify_theorem41
 from .weights import parse_weight
@@ -38,9 +42,8 @@ def _parse_weights(text: str):
 def parse_graph_argument(text: str) -> Graph:
     """Named graphs ('G1:10', 'B:3,1,3', 'P:2,1,2') or a raw graph6 string."""
     head, _, rest = text.partition(":")
-    named = {"G1": graph_g1, "G2": graph_g2, "G3": graph_g3, "G4": graph_g4}
-    if head in named:
-        return named[head](int(rest))
+    if head in FAMILIES:
+        return FAMILIES[head].build(int(rest))
     if head in ("B", "infinity"):
         p, l, q = (int(x) for x in rest.split(","))
         return make_infinity(p, l, q)
@@ -113,7 +116,14 @@ def main(argv=None) -> int:
     p_spec.add_argument("--full-spectrum", action="store_true")
 
     args = ap.parse_args(argv)
+    try:
+        return _run(args)
+    except ValueError as exc:
+        print(f"{ap.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     if args.command == "tables":
         return _emit(run_table(args.table), args)
     if args.command == "extremal":
@@ -145,7 +155,7 @@ def main(argv=None) -> int:
             "rho": res.rho,
             "residual": res.residual,
             "perron": [float(x) for x in res.perron],
-            "certificate": canonical_form(args.graph).hex() if args.graph.n <= 16 else None,
+            "certificate": canonical_form(args.graph).hex() if args.graph.n <= SIZE_BOUND else None,
         }
         if args.full_spectrum:
             payload["spectrum"] = [float(x) for x in full_spectrum(m)]

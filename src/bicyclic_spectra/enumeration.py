@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .graphs import Graph, attach_pendants, make_infinity, make_theta
+from .graphs import Graph, attach_pendants, make_infinity, make_theta, refine_partition
 
 SIZE_BOUND = 16
 
@@ -35,33 +35,17 @@ class EnumerationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _refine(masks: list[int], parts: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement of an ordered partition by neighbor counts."""
-    parts = [list(p) for p in parts]
-    while True:
+def _neighbor_counts(masks: list[int]):
+    """refine_partition signatures: neighbor counts into each current cell."""
+    def signatures(parts: list[list[int]]):
         cell_masks = []
         for cell in parts:
             m = 0
             for v in cell:
                 m |= 1 << v
             cell_masks.append(m)
-        new_parts: list[list[int]] = []
-        changed = False
-        for cell in parts:
-            if len(cell) == 1:
-                new_parts.append(cell)
-                continue
-            sigs: dict[tuple, list[int]] = {}
-            for v in cell:
-                sig = tuple(bin(masks[v] & cm).count("1") for cm in cell_masks)
-                sigs.setdefault(sig, []).append(v)
-            if len(sigs) > 1:
-                changed = True
-            for key in sorted(sigs):
-                new_parts.append(sigs[key])
-        parts = new_parts
-        if not changed:
-            return parts
+        return lambda v: tuple((masks[v] & cm).bit_count() for cm in cell_masks)
+    return signatures
 
 
 def _all_twins(masks: list[int], cell: list[int]) -> bool:
@@ -94,7 +78,8 @@ def canonical_form(g: Graph, size_bound: int = SIZE_BOUND) -> bytes:
     seed: dict[int, list[int]] = {}
     for v in range(n):
         seed.setdefault(deg[v], []).append(v)
-    start = _refine(masks, [seed[d] for d in sorted(seed)])
+    signatures = _neighbor_counts(masks)
+    start = refine_partition([seed[d] for d in sorted(seed)], signatures)
     best: Optional[int] = None
 
     def descend(parts: list[list[int]]) -> None:
@@ -110,7 +95,7 @@ def canonical_form(g: Graph, size_bound: int = SIZE_BOUND) -> bytes:
         for v in branch:
             rest = [u for u in cell if u != v]
             child = parts[:target] + [[v], rest] + parts[target + 1 :]
-            descend(_refine(masks, child))
+            descend(refine_partition(child, signatures))
 
     descend(start)
     nbits = n * (n - 1) // 2

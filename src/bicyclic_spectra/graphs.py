@@ -1,4 +1,5 @@
-"""Simple undirected graphs, the named bicyclic families, and graph6 I/O.
+"""Simple undirected graphs, the named-family registry, equitable refinement
+and graph6 I/O.
 
 Vertices are 0-indexed contiguous integers.  Constructors put base vertices
 first and attachment vertices last, so tests can address e.g. "the hub" by a
@@ -8,7 +9,7 @@ fixed index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable
 
 
 class GraphError(ValueError):
@@ -192,31 +193,32 @@ def attach_pendants(g: Graph, v: int, k: int) -> Graph:
     return Graph.from_edges(g.n + k, edges)
 
 
+def _check_order(tag: str, n: int) -> None:
+    if n < FAMILIES[tag].min_n:
+        raise GraphError(f"{tag} requires n >= {FAMILIES[tag].min_n}")
+
+
 def graph_g1(n: int) -> Graph:
     """P(2,1,2) with n-4 pendants on hub 0 (degree n-1)."""
-    if n < 4:
-        raise GraphError("G1 requires n >= 4")
+    _check_order("G1", n)
     return attach_pendants(make_theta(2, 1, 2), 0, n - 4)
 
 
 def graph_g2(n: int) -> Graph:
     """B(3,1,3) with n-5 pendants on the degree-4 center (vertex 0)."""
-    if n < 5:
-        raise GraphError("G2 requires n >= 5")
+    _check_order("G2", n)
     return attach_pendants(make_infinity(3, 1, 3), 0, n - 5)
 
 
 def graph_g3(n: int) -> Graph:
     """P(2,1,2) with n-4 pendants on a degree-2 vertex (vertex 2)."""
-    if n < 5:
-        raise GraphError("G3 requires n >= 5")
+    _check_order("G3", n)
     return attach_pendants(make_theta(2, 1, 2), 2, n - 4)
 
 
 def graph_g4(n: int) -> Graph:
     """P(2,1,2) with n-5 pendants on hub 0 and one pendant on hub 1."""
-    if n < 6:
-        raise GraphError("G4 requires n >= 6")
+    _check_order("G4", n)
     return attach_pendants(attach_pendants(make_theta(2, 1, 2), 0, n - 5), 1, 1)
 
 
@@ -232,38 +234,63 @@ def graph_h_n3_2(n: int) -> Graph:
 
 
 @dataclass(frozen=True)
-class NamedFamily:
-    """A named graph family: tag plus order and/or (p,l,q) parameters."""
+class Family:
+    """A named family: smallest order, builder, and an equitable partition
+    of the built graph (block order fixed; the pendant block is dropped
+    while empty)."""
 
-    tag: str  # G1 | G2 | G3 | G4 | infinity | theta
-    n: Optional[int] = None
-    params: Optional[tuple[int, int, int]] = None
+    min_n: int
+    build: Callable[[int], Graph]
+    partition: Callable[[int], list[list[int]]]
 
 
-_FAMILY_BUILDERS = {
-    "G1": graph_g1,
-    "G2": graph_g2,
-    "G3": graph_g3,
-    "G4": graph_g4,
+def _blocks(*blocks: list[int]) -> list[list[int]]:
+    return [b for b in blocks if b]
+
+
+FAMILIES = {
+    # hub (deg n-1), other hub (deg 3), two deg-2 vertices, pendants
+    "G1": Family(4, graph_g1, lambda n: _blocks([0], [1], [2, 3], list(range(4, n)))),
+    # center (deg n-1), four cycle vertices (deg 2), pendants
+    "G2": Family(5, graph_g2, lambda n: _blocks([0], [1, 2, 3, 4], list(range(5, n)))),
+    # pendant-loaded deg-2 vertex, the two adjacent deg-3 hubs, the other
+    # deg-2 vertex, pendants
+    "G3": Family(5, graph_g3, lambda n: _blocks([2], [0, 1], [3], list(range(4, n)))),
+    # big hub, two deg-2 vertices, deg-4 hub, its single pendant, hub pendants
+    "G4": Family(6, graph_g4, lambda n: _blocks([0], [2, 3], [1], [n - 1],
+                                                list(range(4, n - 1)))),
 }
 
 
-def make_named(family: NamedFamily) -> Graph:
-    if family.tag in _FAMILY_BUILDERS:
-        if family.n is None:
-            raise GraphError(f"{family.tag} requires a target order n")
-        return _FAMILY_BUILDERS[family.tag](family.n)
-    if family.tag == "infinity":
-        if family.params is None:
-            raise GraphError("infinity base requires (p,l,q)")
-        p, l, q = family.params
-        return make_infinity(p, l, q)
-    if family.tag == "theta":
-        if family.params is None:
-            raise GraphError("theta base requires (p,l,q)")
-        p, l, q = family.params
-        return make_theta(p, l, q)
-    raise GraphError(f"unknown family tag {family.tag!r}")
+# ---------------------------------------------------------------------------
+# Equitable refinement
+# ---------------------------------------------------------------------------
+
+
+def refine_partition(parts: list[list[int]],
+                     signatures: Callable[[list[list[int]]], Callable[[int], tuple]]
+                     ) -> list[list[int]]:
+    """Coarsest equitable refinement of an ordered partition (McKay 1981).
+
+    `signatures(parts)` returns v -> the tuple of v's row sums into the cells
+    of `parts`.  Each cell splits by signature, sub-cells in sorted-signature
+    order, until no cell splits; the result is label-invariant whenever the
+    signatures are.
+    """
+    while True:
+        sig = signatures(parts)
+        refined: list[list[int]] = []
+        for cell in parts:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            split: dict[tuple, list[int]] = {}
+            for v in cell:
+                split.setdefault(sig(v), []).append(v)
+            refined.extend(split[key] for key in sorted(split))
+        if len(refined) == len(parts):
+            return refined
+        parts = refined
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, graph_g1, graph_g2, graph_g3, graph_g4
+from .graphs import FAMILIES, Graph, refine_partition
 from .polynomials import Polynomial, sign_at_sqrt
 from .spectral import build_matrix, build_matrix_exact
 from .weights import WeightFunction, evaluate, evaluate_exact
@@ -65,31 +65,20 @@ def _weight_rows(g: Graph, f: WeightFunction):
 def equitable_refine(g: Graph, f: WeightFunction, seed: Optional[Partition] = None) -> Partition:
     """Coarsest refinement of the seed that is equitable for A_f(G).
 
-    Blocks are split by their row-sum signature into the current blocks until
-    a fixed point; block order is signature-sorted, hence label-invariant.
+    Blocks split by their weighted row sums into the current blocks
+    (`graphs.refine_partition`); block order is label-invariant.
     """
     rows, exact = _weight_rows(g, f)
     blocks = [list(b) for b in (seed if seed is not None else degree_partition(g))]
     validate_partition(blocks, g.n)
 
-    def rowsum(v: int, block: list[int]):
-        total = sum(rows[v][u] for u in block)
-        return total if exact else round(total, 9)
+    def row_sums(parts: Partition):
+        def sig(v: int) -> tuple:
+            sums = (sum(rows[v][u] for u in b) for b in parts)
+            return tuple(sums) if exact else tuple(round(s, 9) for s in sums)
+        return sig
 
-    while True:
-        new_blocks: list[list[int]] = []
-        changed = False
-        for block in blocks:
-            sigs: dict[tuple, list[int]] = {}
-            for v in block:
-                sigs.setdefault(tuple(rowsum(v, b) for b in blocks), []).append(v)
-            if len(sigs) > 1:
-                changed = True
-            for key in sorted(sigs):
-                new_blocks.append(sigs[key])
-        blocks = new_blocks
-        if not changed:
-            return blocks
+    return refine_partition(blocks, row_sums)
 
 
 @dataclass
@@ -130,43 +119,9 @@ def quotient_matrix(g: Graph, f: WeightFunction, p: Partition) -> QuotientMatrix
     return QuotientMatrix(b, [list(x) for x in p], equitable, exact)
 
 
-# ---------------------------------------------------------------------------
-# Canonical partitions for the named families (block order fixed for tests)
-# ---------------------------------------------------------------------------
-
-
-def partition_g1(n: int) -> Partition:
-    # hub (deg n-1), other hub (deg 3), two deg-2 vertices, pendants
-    return [[0], [1], [2, 3], list(range(4, n))]
-
-
-def partition_g2(n: int) -> Partition:
-    # center (deg n-1), four cycle vertices (deg 2), pendants
-    return [[0], [1, 2, 3, 4], list(range(5, n))]
-
-
-def partition_g3(n: int) -> Partition:
-    # pendant-loaded deg-2 vertex, the two adjacent deg-3 hubs, the other
-    # deg-2 vertex, pendants
-    return [[2], [0, 1], [3], list(range(4, n))]
-
-
-def partition_g4(n: int) -> Partition:
-    # big hub, two deg-2 vertices, deg-4 hub, its single pendant, hub pendants
-    return [[0], [2, 3], [1], [n - 1], list(range(4, n - 1))]
-
-
-FAMILY_PARTITIONS = {
-    "G1": (graph_g1, partition_g1),
-    "G2": (graph_g2, partition_g2),
-    "G3": (graph_g3, partition_g3),
-    "G4": (graph_g4, partition_g4),
-}
-
-
 def family_quotient(tag: str, n: int, f: WeightFunction) -> QuotientMatrix:
-    builder, part = FAMILY_PARTITIONS[tag]
-    return quotient_matrix(builder(n), f, part(n))
+    family = FAMILIES[tag]
+    return quotient_matrix(family.build(n), f, family.partition(n))
 
 
 # ---------------------------------------------------------------------------

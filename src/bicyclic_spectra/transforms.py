@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import canonical_form
+from .enumeration import SIZE_BOUND, canonical_form
 from .graphs import Graph
 from .spectral import build_matrix, full_spectrum
 from .weights import WeightFunction
 
-ISO_CHECK_BOUND = 12
 _ONE = WeightFunction("constant_one")
 
 
@@ -27,7 +26,7 @@ class TransformError(ValueError):
 @dataclass(frozen=True)
 class TransformOutcome:
     """changed means the result is not isomorphic to the input; when the
-    isomorphism check fell back to invariants (n > 12), probable is set."""
+    isomorphism check fell back to invariants (n > SIZE_BOUND = 16), probable is set."""
 
     result: Graph
     changed: bool
@@ -40,7 +39,7 @@ def _changed_flag(before: Graph, after: Graph) -> tuple[bool, bool]:
     """(changed, probable): certain via certificates when small enough."""
     if before.edges == after.edges:
         return False, False
-    if before.n <= ISO_CHECK_BOUND:
+    if before.n <= SIZE_BOUND:
         return canonical_form(before) != canonical_form(after), False
     # fast path: degree sequence plus rounded spectrum
     if before.degree_sequence() != after.degree_sequence():

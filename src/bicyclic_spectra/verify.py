@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .enumeration import (canonical_form, enumerate_bicyclic, targeted_max_degree_family)
-from .graphs import Graph, base_graph, graph_g1, graph_g2, graph_g3, graph_g4
+from .graphs import FAMILIES, Graph, base_graph, graph_g1, graph_g2
 from .spectral import rho_f, spectral_radii
 from .transforms import kelmans, pendant_shift
 from .weights import WeightFunction, check_pstar, parse_weight
@@ -159,8 +159,6 @@ EXTENDED_TABLE1 = {
                   "29.0238", "31.9753", "35.0209", "38.1576"],
 }
 
-_FAMILY = {"G1": graph_g1, "G2": graph_g2, "G3": graph_g3, "G4": graph_g4}
-
 
 def printed_tolerance(printed: str, floor: float = 5e-4) -> float:
     """Half a unit in the last printed place, floored at 5e-4."""
@@ -187,7 +185,7 @@ def _run_appendix_table(table: str) -> VerificationReport:
     report = VerificationReport(f"tables/{table}")
     computed: dict[tuple[str, str], float] = {}
     for row in ("G2", "G3", "G4"):
-        g = _FAMILY[row](n)
+        g = FAMILIES[row].build(n)
         for col, printed in zip(TABLE_COLUMNS, spec["printed"][row]):
             f = parse_weight(col)
             value = rho_f(g, f)
@@ -301,8 +299,8 @@ def _exhaustive_case(n: int, f: WeightFunction, rank: str, min_gap: float) -> Ca
     rep = enumerate_bicyclic(n, "constructive")
     rhos = spectral_radii(rep.graphs, f).tolist()
     scored = sorted(zip(rhos, map(canonical_form, rep.graphs), rep.graphs), reverse=True)
-    named = {tag: canonical_form(_FAMILY[tag](n)) if _valid_order(tag, n) else None
-             for tag in ("G1", "G2", "G3", "G4")}
+    named = {tag: canonical_form(family.build(n)) if n >= family.min_n else None
+             for tag, family in FAMILIES.items()}
     case_id = f"extremal/{rank}/{f.label()}/n={n}"
     inputs = {"n": n, "weight": f.label(), "classes": rep.count}
     top_rho, top_cert, _ = scored[0]
@@ -345,13 +343,9 @@ def _exhaustive_case(n: int, f: WeightFunction, rank: str, min_gap: float) -> Ca
     )
 
 
-def _valid_order(tag: str, n: int) -> bool:
-    return n >= {"G1": 4, "G2": 5, "G3": 5, "G4": 6}[tag]
-
-
 def _candidate_case(n: int, f: WeightFunction, rank: str) -> CaseRecord:
-    rhos = {tag: rho_f(_FAMILY[tag](n), f)
-            for tag in ("G2", "G3", "G4") if _valid_order(tag, n)}
+    rhos = {tag: rho_f(FAMILIES[tag].build(n), f)
+            for tag in ("G2", "G3", "G4") if n >= FAMILIES[tag].min_n}
     if not rhos:
         return CaseRecord(
             case_id=f"extremal/candidate/{f.label()}/n={n}",
@@ -448,6 +442,8 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if min(n_range) < 2:
+        raise ValueError(f"verify_kelmans needs orders n >= 2, got n = {min(n_range)}")
     t0 = time.time()
     report = VerificationReport("kelmans")
     slack = 1e-9

@@ -14,20 +14,14 @@ set is pinned and cannot drift silently.
 import time
 
 from bicyclic_spectra import (
+    FAMILIES,
     WeightFunction,
     char_poly,
     enumerate_bicyclic,
     evaluate_sign_ledger,
     family_quotient,
-    graph_g2,
-    graph_g3,
-    graph_g4,
     matrix_rho,
     named_polynomial,
-    partition_g2,
-    partition_g3,
-    partition_g4,
-    quotient_matrix,
     rational_pstar_functions,
     rho_f,
     run_table,
@@ -138,14 +132,13 @@ def test_criterion_7_kelmans_property_suite():
 
 
 def test_criterion_8_equitable_quotient_consistency():
-    families = {"G2": graph_g2, "G3": graph_g3, "G4": graph_g4}
     worst = 0.0
     for f in rational_pstar_functions():
         for n in range(6, 15):
-            for tag, builder in families.items():
+            for tag in ("G2", "G3", "G4"):
                 q = family_quotient(tag, n, f)
                 assert q.equitable, (tag, n, f.label())
-                diff = abs(matrix_rho(q.as_array()) - rho_f(builder(n), f))
+                diff = abs(matrix_rho(q.as_array()) - rho_f(FAMILIES[tag].build(n), f))
                 worst = max(worst, diff)
     ok = worst <= 1e-8
     report(8, ok, f"|rho(quotient) - rho(full)| <= 1e-8 for G2/G3/G4, n=6..14, "
@@ -157,12 +150,10 @@ def test_criterion_9_polynomial_identities():
     checked = 0
     for f in fs:
         for n in range(6, 13):
-            assert char_poly(quotient_matrix(graph_g2(n), f, partition_g2(n)).b) == \
-                named_polynomial("phi1", n, f)
-            assert char_poly(quotient_matrix(graph_g4(n), f, partition_g4(n)).b) == \
+            assert char_poly(family_quotient("G2", n, f).b) == named_polynomial("phi1", n, f)
+            assert char_poly(family_quotient("G4", n, f).b) == \
                 named_polynomial("phi2", n, f).shift_up(1)
-            assert char_poly(quotient_matrix(graph_g3(n), f, partition_g3(n)).b) == \
-                named_polynomial("phi3", n, f)
+            assert char_poly(family_quotient("G3", n, f).b) == named_polynomial("phi3", n, f)
             checked += 3
     report(9, True, f"phi1/phi2/phi3 equal the quotient characteristic polynomials "
                     f"coefficientwise ({checked} exact identities, phi2 up to one "

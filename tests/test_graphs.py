@@ -2,9 +2,9 @@ import networkx as nx
 import pytest
 
 from bicyclic_spectra import (
+    FAMILIES,
     Graph,
     GraphError,
-    NamedFamily,
     attach_pendants,
     base_graph,
     from_edge_text,
@@ -15,7 +15,6 @@ from bicyclic_spectra import (
     graph_g3,
     graph_g4,
     make_infinity,
-    make_named,
     make_theta,
     to_edge_text,
 )
@@ -108,24 +107,12 @@ class TestNamedFamilies:
     def test_g2_edge_count(self):
         assert graph_g2(6).m == 7
 
-    @pytest.mark.parametrize("builder,n_min", [(graph_g1, 4), (graph_g2, 5),
-                                               (graph_g3, 5), (graph_g4, 6)])
+    @pytest.mark.parametrize("builder,n_min",
+                             [(fam.build, fam.min_n) for fam in FAMILIES.values()])
     def test_order_validation(self, builder, n_min):
         builder(n_min)  # smallest valid order works
         with pytest.raises(GraphError):
             builder(n_min - 1)
-
-    def test_make_named_dispatch(self):
-        assert make_named(NamedFamily("G2", n=7)).degree_sequence() == \
-            graph_g2(7).degree_sequence()
-        g = make_named(NamedFamily("infinity", params=(3, 1, 3)))
-        assert g.n == 5
-        g = make_named(NamedFamily("theta", params=(2, 1, 2)))
-        assert g.n == 4
-        with pytest.raises(GraphError):
-            make_named(NamedFamily("G9", n=5))
-        with pytest.raises(GraphError):
-            make_named(NamedFamily("G1"))
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_all_families_bicyclic(self, n):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bicyclic_spectra import (
+    FAMILIES,
     Graph,
     Polynomial,
     WeightFunction,
@@ -25,9 +26,6 @@ from bicyclic_spectra import (
     matrix_rho,
     max_real_root,
     named_polynomial,
-    partition_g2,
-    partition_g3,
-    partition_g4,
     phi1_sign_holds,
     quotient_matrix,
     rational_pstar_functions,
@@ -68,7 +66,17 @@ class TestEquitableRefine:
         # partition stays equitable regardless
         blocks = equitable_refine(graph_g4(6), Z1)
         assert len(blocks) == 3
-        assert quotient_matrix(graph_g4(6), Z1, partition_g4(6)).equitable
+        assert quotient_matrix(graph_g4(6), Z1, FAMILIES["G4"].partition(6)).equitable
+
+    @pytest.mark.parametrize("tag,blocks", [
+        ("G2", [[0], [1, 2, 3, 4], [5, 6, 7]]),
+        ("G3", [[2], [0, 1], [3], [4, 5, 6, 7]]),
+        ("G4", [[0], [1], [2, 3], [7], [4, 5, 6]]),
+    ])
+    def test_block_lists_at_order_eight(self, tag, blocks):
+        # pinned: the degree seed plus sorted-signature splitting fixes the
+        # block order, not only the blocks
+        assert equitable_refine(FAMILIES[tag].build(8), Z1) == blocks
 
     def test_vertex_transitive_trivial_seed(self):
         g = cycle(7)
@@ -101,7 +109,7 @@ class TestQuotientMatrix:
     @pytest.mark.parametrize("n", [6, 8, 12])
     @pytest.mark.parametrize("f", [Z1, HZ, FG, EXT], ids=lambda f: f.kind)
     def test_g2_quotient_entries(self, n, f):
-        q = quotient_matrix(graph_g2(n), f, partition_g2(n))
+        q = quotient_matrix(graph_g2(n), f, FAMILIES["G2"].partition(n))
         assert q.equitable and q.exact
         F = lambda x, y: evaluate_exact(f, x, y)
         expected = [
@@ -113,7 +121,7 @@ class TestQuotientMatrix:
 
     def test_g3_quotient_diagonal_entry(self):
         n = 9
-        q = quotient_matrix(graph_g3(n), FG, partition_g3(n))
+        q = quotient_matrix(graph_g3(n), FG, FAMILIES["G3"].partition(n))
         assert q.equitable
         # the two adjacent degree-3 vertices put f(3,3) on the diagonal
         assert q.b[1][1] == evaluate_exact(FG, 3, 3)
@@ -133,13 +141,12 @@ class TestQuotientMatrix:
 
     def test_float_weights_supported(self):
         f = WeightFunction("exp_zagreb1")
-        q = quotient_matrix(graph_g2(6), f, partition_g2(6))
+        q = quotient_matrix(graph_g2(6), f, FAMILIES["G2"].partition(6))
         assert q.equitable and not q.exact
 
     @pytest.mark.parametrize("tag,n", [("G2", 7), ("G3", 8), ("G4", 9)])
     def test_quotient_rho_equals_full_rho(self, tag, n):
-        from bicyclic_spectra.verify import _FAMILY
-        g = _FAMILY[tag](n)
+        g = FAMILIES[tag].build(n)
         q = family_quotient(tag, n, HZ)
         assert matrix_rho(q.as_array()) == pytest.approx(rho_f(g, HZ), abs=1e-8)
 
@@ -147,13 +154,22 @@ class TestQuotientMatrix:
     @pytest.mark.parametrize("f", [Z1, EXT], ids=lambda f: f.kind)
     def test_quotient_spectrum_embeds_in_full_spectrum(self, tag, n, f):
         from bicyclic_spectra import full_spectrum
-        from bicyclic_spectra.verify import _FAMILY
-        full = full_spectrum(build_matrix(_FAMILY[tag](n), f))
+        full = full_spectrum(build_matrix(FAMILIES[tag].build(n), f))
         q = family_quotient(tag, n, f)
         quotient_vals = np.linalg.eigvals(q.as_array())
         assert np.max(np.abs(quotient_vals.imag)) < 1e-9
         for lam in quotient_vals.real:
             assert np.min(np.abs(full - lam)) <= 1e-8
+
+
+class TestFamilyRegistry:
+    @pytest.mark.parametrize("tag", sorted(FAMILIES))
+    @pytest.mark.parametrize("f", [Z1, FG, EXT], ids=lambda f: f.kind)
+    def test_partition_equitable_from_min_order(self, tag, f):
+        family = FAMILIES[tag]
+        for n in range(family.min_n, 13):
+            q = quotient_matrix(family.build(n), f, family.partition(n))
+            assert q.equitable, (tag, n)
 
 
 class TestPaperPolynomials:
@@ -165,12 +181,12 @@ class TestPaperPolynomials:
     @pytest.mark.parametrize("n", range(6, 13))
     @pytest.mark.parametrize("f", [Z1, HZ, FG, SC3, EXT], ids=lambda f: f.label())
     def test_phi_identities_exact(self, n, f):
-        assert char_poly(quotient_matrix(graph_g2(n), f, partition_g2(n)).b) == \
+        assert char_poly(quotient_matrix(graph_g2(n), f, FAMILIES["G2"].partition(n)).b) == \
             named_polynomial("phi1", n, f)
         # the full G4 quotient polynomial carries one extra factor of lambda
-        assert char_poly(quotient_matrix(graph_g4(n), f, partition_g4(n)).b) == \
+        assert char_poly(quotient_matrix(graph_g4(n), f, FAMILIES["G4"].partition(n)).b) == \
             named_polynomial("phi2", n, f).shift_up(1)
-        assert char_poly(quotient_matrix(graph_g3(n), f, partition_g3(n)).b) == \
+        assert char_poly(quotient_matrix(graph_g3(n), f, FAMILIES["G3"].partition(n)).b) == \
             named_polynomial("phi3", n, f)
 
     def test_phi2_prime_is_lambda_times_phi2(self):
@@ -180,7 +196,7 @@ class TestPaperPolynomials:
         assert pp.coeffs[0] == 0 and pp.degree == 5
 
     def test_phi2_full_quotient_has_no_lambda4_and_no_constant(self):
-        q = char_poly(quotient_matrix(graph_g4(8), SC3, partition_g4(8)).b)
+        q = char_poly(quotient_matrix(graph_g4(8), SC3, FAMILIES["G4"].partition(8)).b)
         assert q.degree == 5
         assert q.coeffs[0] == 0 and q.coeffs[4] == 0
 

@@ -106,17 +106,18 @@ class TestKelmans:
             kelmans(g, 0, 9)
 
     def test_probable_flag_beyond_iso_bound(self):
-        # one edge plus 12 isolated vertices: rerouting through an isolated
+        # one edge plus 15 isolated vertices: rerouting through an isolated
         # vertex relabels the edge, so the result is isomorphic; above the
-        # certificate bound, that verdict comes from invariants only
-        g = Graph.from_edges(14, [(0, 1)])
+        # certificate bound (SIZE_BOUND = 16), that verdict comes from
+        # invariants only
+        g = Graph.from_edges(17, [(0, 1)])
         out = kelmans(g, 0, 2)
         assert out.moved_edges == (((0, 1), (1, 2)),)
         assert not out.changed
         assert out.probable
 
     def test_certain_changed_beyond_iso_bound(self):
-        g = attach_pendants(graph_g2(14), 1, 1)  # 15 vertices
+        g = attach_pendants(graph_g2(16), 1, 1)  # 17 vertices
         out = kelmans(g, 1, 3)
         assert out.changed and not out.probable  # degree sequences differ
 

@@ -239,6 +239,10 @@ class TestKelmansCampaign:
         with pytest.raises(ValueError):
             verify_kelmans(0, range(4, 6), [Z1], rng_seed=1)
 
+    def test_order_one_rejected_up_front(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            verify_kelmans(50, range(1, 4), [Z1], rng_seed=1)
+
 
 class TestTheorem41Campaign:
     def test_range_validation(self):
@@ -337,6 +341,21 @@ class TestCli:
         ns = argparse.Namespace(json_out=None, csv_out=None)
         assert _emit(rep, ns) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--n", "12"],
+        ["spectral", "--graph", "G1:8", "--f", "custom:x-y"],
+        ["theorem41", "--n", "5..70"],
+    ], ids=["enumeration_bound", "weight_spec", "theorem41_range"])
+    def test_domain_errors_exit_two_without_traceback(self, argv):
+        import subprocess, sys
+        proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("bicyclic-spectra: error: ")
 
     def test_module_entry_point(self):
         import subprocess, sys
