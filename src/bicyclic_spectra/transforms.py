@@ -36,14 +36,14 @@ class TransformOutcome:
 
 
 def _changed_flag(before: Graph, after: Graph) -> tuple[bool, bool]:
-    """(changed, probable): certain via certificates when small enough."""
+    """(changed, probable): a differing degree sequence settles it; on a tie,
+    certificates decide when small enough, else the rounded spectrum."""
     if before.edges == after.edges:
         return False, False
-    if before.n <= SIZE_BOUND:
-        return canonical_form(before) != canonical_form(after), False
-    # fast path: degree sequence plus rounded spectrum
     if before.degree_sequence() != after.degree_sequence():
         return True, False
+    if before.n <= SIZE_BOUND:
+        return canonical_form(before) != canonical_form(after), False
     sa = [round(x, 8) for x in full_spectrum(build_matrix(before, _ONE))]
     sb = [round(x, 8) for x in full_spectrum(build_matrix(after, _ONE))]
     return (True, False) if sa != sb else (False, True)

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -47,6 +48,35 @@ def per_graph_radii(graphs, f) -> np.ndarray:
         vals = np.linalg.eigh(loop_matrix(g, f))[0]
         out.append(max(vals[-1], -vals[0]) if g.n else 0.0)
     return np.array(out, dtype=float)
+
+
+def reference_random_connected_graph(rng: random.Random, n: int, extra_max: int = 3) -> Graph:
+    """Reference sampler: Pruefer tree, then extra edges checked and added one
+    at a time with has_edge/add_edge, drawing from rng in the same order."""
+    if n == 1:
+        return Graph.from_edges(1, [])
+    if n == 2:
+        return Graph.from_edges(2, [(0, 1)])
+    prufer = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in prufer:
+        degree[x] += 1
+    edges = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for x in prufer:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    g = Graph.from_edges(n, edges)
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    rng.shuffle(candidates)
+    for u, v in candidates[: rng.randint(0, min(extra_max, len(candidates)))]:
+        g = g.add_edge(u, v)
+    return g
 
 
 @pytest.fixture(scope="session")

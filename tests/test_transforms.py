@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from bicyclic_spectra import (
@@ -15,7 +18,7 @@ from bicyclic_spectra import (
     pendant_shift,
     rho_f,
 )
-from bicyclic_spectra.verify import random_connected_graph
+from bicyclic_spectra.verify import _random_pendant_shift_instance, random_connected_graph
 
 
 def star(n):
@@ -122,6 +125,30 @@ class TestKelmans:
         assert out.changed and not out.probable  # degree sequences differ
 
 
+    def test_changed_matches_certificates_exhaustively(self):
+        # every labeled connected graph with n <= 5, every ordered pair
+        for n in range(2, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for k in range(n - 1, len(pairs) + 1):
+                for subset in itertools.combinations(pairs, k):
+                    g = Graph.from_edges(n, subset)
+                    if not g.is_connected():
+                        continue
+                    for u, v in itertools.permutations(range(n), 2):
+                        out = kelmans(g, u, v)
+                        assert out.changed == (canonical_form(g) != canonical_form(out.result))
+
+    def test_changed_matches_certificates_on_random_graphs(self):
+        rng = random.Random(91)
+        for i in range(2000):
+            n = 6 + i % 4
+            g = random_connected_graph(rng, n)
+            u, v = rng.sample(range(n), 2)
+            out = kelmans(g, u, v)
+            assert out.changed == (canonical_form(g) != canonical_form(out.result))
+            assert not out.probable
+
+
 class TestReductionReplay:
     """Step-by-step reroute chains from arbitrary shapes down to the extremal
     graphs, with the spectral radius strictly increasing at every step (labels
@@ -203,6 +230,15 @@ class TestPendantShift:
             pendant_shift(g, 0, 0, 2)
         with pytest.raises(TransformError):
             pendant_shift(g, 0, 1, 99)
+
+    def test_every_campaign_shift_changes_the_class(self):
+        # d_v <= d_u become d_v - 1 and d_u + 1, so the degree sequence moves
+        rng = random.Random(92)
+        for _ in range(2000):
+            g, v, u, w = _random_pendant_shift_instance(rng)
+            shifted = pendant_shift(g, v, u, w)
+            assert shifted.degree_sequence() != g.degree_sequence()
+            assert canonical_form(shifted) != canonical_form(g)
 
     def test_monotone_for_pstar_weights(self, rng, weight_forgotten):
         for a in (1, 2):

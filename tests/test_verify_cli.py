@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 
@@ -24,7 +25,7 @@ from bicyclic_spectra import (
 from bicyclic_spectra import verify
 from bicyclic_spectra.cli import main, parse_graph_argument
 from bicyclic_spectra.verify import printed_tolerance
-from conftest import per_graph_radii
+from conftest import per_graph_radii, reference_random_connected_graph
 
 Z1 = WeightFunction("zagreb1")
 WEIGHTS = [Z1, WeightFunction("hyper_zagreb"), WeightFunction("forgotten")]
@@ -184,6 +185,8 @@ CAMPAIGNS = {
     "extremal_first": lambda: verify_extremal(range(4, 9), WEIGHTS, rank="first"),
     "extremal_second": lambda: verify_extremal(range(4, 9), WEIGHTS, rank="second"),
     "kelmans": lambda: verify_kelmans(60, range(4, 8), WEIGHTS, rng_seed=3),
+    "kelmans_orders": lambda: verify_kelmans(
+        60, range(3, 10), WEIGHTS + [WeightFunction("extended")], rng_seed=4),
     "theorem41": lambda: verify_theorem41(range(12, 16)),
 }
 
@@ -242,6 +245,18 @@ class TestKelmansCampaign:
     def test_order_one_rejected_up_front(self):
         with pytest.raises(ValueError, match="n >= 2"):
             verify_kelmans(50, range(1, 4), [Z1], rng_seed=1)
+
+    def test_orders_below_four_rejected_up_front(self):
+        # no reroute changes the class of a graph with n <= 3
+        with pytest.raises(ValueError, match="n >= 4"):
+            verify_kelmans(5, range(2, 4), [Z1], rng_seed=1)
+
+    def test_sampler_matches_reference(self):
+        rng, ref = random.Random(17), random.Random(17)
+        for i in range(2000):
+            n = 1 + i % 9
+            assert verify.random_connected_graph(rng, n) == reference_random_connected_graph(ref, n)
+            assert rng.getstate() == ref.getstate()
 
 
 class TestTheorem41Campaign:
@@ -346,7 +361,8 @@ class TestCli:
         ["enumerate", "--n", "12"],
         ["spectral", "--graph", "G1:8", "--f", "custom:x-y"],
         ["theorem41", "--n", "5..70"],
-    ], ids=["enumeration_bound", "weight_spec", "theorem41_range"])
+        ["kelmans", "--samples", "5", "--seed", "1", "--f", "zagreb1", "--n", "2"],
+    ], ids=["enumeration_bound", "weight_spec", "theorem41_range", "kelmans_order_floor"])
     def test_domain_errors_exit_two_without_traceback(self, argv):
         import subprocess, sys
         proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],
