@@ -3,15 +3,16 @@
 Two independent generators back each other up:
 
 * constructive -- build every pendant-free base (infinity- and theta-graphs)
-  up to order n and attach all rooted forests;
+  up to order n and attach the rooted forests that are orderly (McKay 1998):
+  first in their orbit under the base's automorphisms, one per class;
 * edge_subset  -- canonical augmentation over all connected graphs with
   m = n + 1 edges, working up through trees and unicyclic graphs by adding a
   vertex of degree 1, 2 or 3 (every connected graph with cyclomatic number c
   has a non-cutvertex of degree at most c + 1, so the sweep is exhaustive).
 
-Both dedup through the same certificate: ordered-partition degree refinement
-plus backtracking minimization of the relabeled adjacency bit-string, with
-branch collapsing on cells of pairwise-twin vertices.
+Both key classes by one certificate, which edge_subset also dedups with:
+ordered-partition degree refinement plus backtracking minimization of the
+relabeled adjacency bit-string, branch collapsing on cells of pairwise twins.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from typing import Iterable, Optional
 from .graphs import Graph, attach_pendants, make_infinity, make_theta, refine_partition
 
 SIZE_BOUND = 16
+# largest order each generator runs at unless a caller passes order_bound
+ORDER_BOUNDS = {"constructive": 10, "edge_subset": 9}
 
 
 class EnumerationError(ValueError):
@@ -152,11 +155,28 @@ def rooted_trees(size: int) -> tuple[_TreeShape, ...]:
     return tuple(sorted(out))
 
 
-def _attach_shape(g: Graph, root: int, shape: _TreeShape) -> Graph:
-    for child in shape:
-        g = attach_pendants(g, root, 1)
-        g = _attach_shape(g, g.n - 1, child)
-    return g
+def _forest_graph(base: Graph, shapes: tuple[_TreeShape, ...]) -> Graph:
+    """base with shapes[v] hung at each base vertex v, new vertices numbered
+    depth first in preorder, one base vertex after another."""
+    edges, count = list(base.edges), base.n
+    stack = [(v, child) for v in reversed(range(base.n)) for child in reversed(shapes[v])]
+    while stack:
+        root, shape = stack.pop()
+        edges.append((root, count))
+        stack.extend((count, child) for child in reversed(shape))
+        count += 1
+    return Graph(count, frozenset(edges))
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism p of g (v goes to p[v]), extending partial maps one
+    vertex at a time and checking degree and adjacency to those mapped."""
+    masks, deg = g.neighbor_masks(), g.degrees()
+    maps = [()]
+    for v in range(g.n):
+        maps = [p + (w,) for p in maps for w in range(g.n) if w not in p and deg[w] == deg[v]
+                and all((masks[v] >> u & 1) == (masks[w] >> p[u] & 1) for u in range(v))]
+    return maps
 
 
 def bicyclic_bases(max_order: int) -> list[Graph]:
@@ -177,16 +197,23 @@ def bicyclic_bases(max_order: int) -> list[Graph]:
 
 @lru_cache(maxsize=8)
 def _enumerate_constructive(n: int) -> dict[bytes, Graph]:
+    """One labelled graph per class, built and certified once: a forest
+    assignment, keyed (composition, shape indices) in loop order, is kept only
+    when no base automorphism maps it to a smaller key (the group is closed
+    under inverses, so the keys read at p[v] are all the images)."""
     found: dict[bytes, Graph] = {}
     for base in bicyclic_bases(n):
-        extra = n - base.n
-        for comp in _weak_compositions(extra, base.n):
+        group = automorphisms(base)
+        for comp in _weak_compositions(n - base.n, base.n):
+            images = [tuple(comp[i] for i in p) for p in group]
+            if min(images) < comp:
+                continue
+            stabiliser = [p for p, image in zip(group, images) if image == comp]
             shape_lists = [rooted_trees(c + 1) for c in comp]
-            for combo in itertools.product(*shape_lists):
-                g = base
-                for v, shape in enumerate(combo):
-                    g = _attach_shape(g, v, shape)
-                found.setdefault(canonical_form(g), g)
+            for idx in itertools.product(*(range(len(shapes)) for shapes in shape_lists)):
+                if all(tuple(idx[i] for i in p) >= idx for p in stabiliser):
+                    g = _forest_graph(base, tuple(shapes[i] for shapes, i in zip(shape_lists, idx)))
+                    found.setdefault(canonical_form(g), g)
     return found
 
 
@@ -256,9 +283,9 @@ class EnumerationReport:
 def enumerate_bicyclic(n: int, method: str = "constructive",
                        order_bound: Optional[int] = None) -> EnumerationReport:
     """All connected bicyclic graphs on n vertices up to isomorphism."""
-    if method not in ("constructive", "edge_subset"):
+    if method not in ORDER_BOUNDS:
         raise EnumerationError(f"unknown method {method!r}")
-    bound = order_bound if order_bound is not None else (10 if method == "constructive" else 9)
+    bound = order_bound if order_bound is not None else ORDER_BOUNDS[method]
     if not 4 <= n <= bound:
         raise EnumerationError(f"enumerate_bicyclic({method}) supports 4 <= n <= {bound}")
     found = _enumerate_constructive(n) if method == "constructive" else _enumerate_edge_subset(n)
@@ -276,8 +303,9 @@ def enumerate_with_max_degree(n: int, delta: int, method: str = "constructive",
     """
     if delta > n - 1:
         raise EnumerationError("delta exceeds n - 1")
-    bound = order_bound if order_bound is not None else (10 if method == "constructive" else 9)
-    if n > bound and delta == n - 2:
+    if order_bound is None:
+        order_bound = ORDER_BOUNDS.get(method, ORDER_BOUNDS["edge_subset"])
+    if n > order_bound and delta == n - 2:
         graphs = targeted_max_degree_family(n)
         return EnumerationReport(n, len(graphs), f"targeted/max_degree={delta}", graphs)
     rep = enumerate_bicyclic(n, method, order_bound)

@@ -72,7 +72,8 @@ def kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
         moved.append((old, new))
     result = Graph(g.n, frozenset(edges))
     changed, probable = _changed_flag(g, result) if moved else (False, False)
-    disconnects = bool(moved) and g.is_connected() and not result.is_connected()
+    # u's old neighbours all end up adjacent to v, so only an isolated u splits g
+    disconnects = bool(moved) and not (nbr[u] - private) and g.is_connected()
     return TransformOutcome(result, changed, tuple(moved), probable, disconnects)
 
 

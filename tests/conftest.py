@@ -6,7 +6,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from bicyclic_spectra import Graph, WeightFunction, evaluate
+from bicyclic_spectra import Graph, WeightFunction, attach_pendants, evaluate
+from bicyclic_spectra.enumeration import (bicyclic_bases, canonical_form, rooted_trees,
+                                          _weak_compositions)
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -30,6 +32,27 @@ def brute_force_bicyclic_classes(n: int) -> list[Graph]:
         if not any(nx.is_isomorphic(gn, to_networkx(r)) for r in reps):
             reps.append(g)
     return reps
+
+
+def reference_enumerate_constructive(n: int) -> dict[bytes, Graph]:
+    """Reference generator: every rooted forest on every labeled base vertex,
+    one attach_pendants copy per added vertex, dedup through canonical_form
+    keeping the first graph of each class in loop order."""
+    def attach(g: Graph, root: int, shape) -> Graph:
+        for child in shape:
+            g = attach_pendants(g, root, 1)
+            g = attach(g, g.n - 1, child)
+        return g
+
+    found: dict[bytes, Graph] = {}
+    for base in bicyclic_bases(n):
+        for comp in _weak_compositions(n - base.n, base.n):
+            for combo in itertools.product(*(rooted_trees(c + 1) for c in comp)):
+                g = base
+                for v, shape in enumerate(combo):
+                    g = attach(g, v, shape)
+                found.setdefault(canonical_form(g), g)
+    return found
 
 
 def loop_matrix(g: Graph, f) -> np.ndarray:

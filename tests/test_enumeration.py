@@ -21,8 +21,9 @@ from bicyclic_spectra import (
     make_theta,
     targeted_max_degree_family,
 )
-from bicyclic_spectra.enumeration import bicyclic_bases, rooted_trees
-from conftest import brute_force_bicyclic_classes, to_networkx
+from bicyclic_spectra import enumeration
+from bicyclic_spectra.enumeration import automorphisms, bicyclic_bases, rooted_trees
+from conftest import brute_force_bicyclic_classes, reference_enumerate_constructive, to_networkx
 
 # dual-method agreement recorded as golden class counts
 GOLDEN_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797}
@@ -133,8 +134,37 @@ class TestBases:
             kinds.add(info.kind)
         assert kinds == {"infinity", "theta"}
 
+    def test_automorphisms_match_brute_force(self):
+        for b in bicyclic_bases(7):
+            brute = [p for p in itertools.permutations(range(b.n))
+                     if b.relabel(list(p)).edges == b.edges]
+            assert automorphisms(b) == brute
+        # K_{2,3} = theta(2,2,2) has the largest group among the bases
+        assert len(automorphisms(make_theta(2, 2, 2))) == 12
+
 
 class TestEnumerate:
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_same_classes_and_representatives_as_reference(self, n):
+        ref = reference_enumerate_constructive(n)
+        rep = enumerate_bicyclic(n)
+        assert [canonical_form(g) for g in rep.graphs] == sorted(ref)
+        assert [g.edges for g in rep.graphs] == [ref[k].edges for k in sorted(ref)]
+
+    def test_one_certificate_per_class(self, monkeypatch):
+        calls = []
+
+        def counting(g, *args):
+            calls.append(g.n)
+            return canonical_form(g, *args)
+
+        monkeypatch.setattr(enumeration, "canonical_form", counting)
+        enumeration._enumerate_constructive.cache_clear()
+        for n in range(4, 11):
+            calls.clear()
+            count = enumerate_bicyclic(n).count
+            assert len(calls) == count
+
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_against_brute_force_oracle(self, n):
         oracle = brute_force_bicyclic_classes(n)

@@ -138,6 +138,19 @@ class TestKelmans:
                         out = kelmans(g, u, v)
                         assert out.changed == (canonical_form(g) != canonical_form(out.result))
 
+    def test_disconnects_matches_bfs_definition(self):
+        # every labeled graph with n <= 5, connected or not, every ordered pair
+        for n in range(2, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for k in range(len(pairs) + 1):
+                for subset in itertools.combinations(pairs, k):
+                    g = Graph.from_edges(n, subset)
+                    for u, v in itertools.permutations(range(n), 2):
+                        out = kelmans(g, u, v)
+                        expected = (bool(out.moved_edges) and g.is_connected()
+                                    and not out.result.is_connected())
+                        assert out.disconnects == expected
+
     def test_changed_matches_certificates_on_random_graphs(self):
         rng = random.Random(91)
         for i in range(2000):
