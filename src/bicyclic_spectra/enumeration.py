@@ -10,9 +10,13 @@ Two independent generators back each other up:
   vertex of degree 1, 2 or 3 (every connected graph with cyclomatic number c
   has a non-cutvertex of degree at most c + 1, so the sweep is exhaustive).
 
-Both key classes by one certificate, which edge_subset also dedups with:
-ordered-partition degree refinement plus backtracking minimization of the
-relabeled adjacency bit-string, branch collapsing on cells of pairwise twins.
+The constructive generator is duplicate-free without certificates, so
+`orderly_classes` streams its classes uncertified (exhaustive ranking in
+`verify` certifies only the few classes a verdict reads).  The certificate
+keys and orders the classes `enumerate_bicyclic` returns, and edge_subset
+dedups with it: ordered-partition degree refinement plus backtracking
+minimization of the relabeled adjacency bit-string, branch collapsing on
+cells of pairwise twins.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .graphs import Graph, attach_pendants, make_infinity, make_theta, refine_partition
+from .graphs import (Graph, attach_pendants, base_graph, make_infinity, make_theta,
+                     refine_partition)
 
 SIZE_BOUND = 16
 # largest order each generator runs at unless a caller passes order_bound
@@ -195,15 +200,19 @@ def bicyclic_bases(max_order: int) -> list[Graph]:
     return out
 
 
-@lru_cache(maxsize=8)
-def _enumerate_constructive(n: int) -> dict[bytes, Graph]:
-    """One labelled graph per class, built and certified once: a forest
-    assignment, keyed (composition, shape indices) in loop order, is kept only
-    when no base automorphism maps it to a smaller key (the group is closed
-    under inverses, so the keys read at p[v] are all the images)."""
-    found: dict[bytes, Graph] = {}
+def orderly_classes(n: int) -> Iterator[tuple[Graph, str]]:
+    """One labelled graph per bicyclic class on n vertices, lazily, with its
+    base kind ("infinity" or "theta") and without a certificate.
+
+    A forest assignment, keyed (composition, shape indices) in loop order, is
+    kept only when no base automorphism maps it to a smaller key (the group
+    is closed under inverses, so the keys read at p[v] are all the images).
+    The base (the 2-core) is an isomorphism invariant, the bases are pairwise
+    non-isomorphic and rooted-tree shapes are canonical, so no two yields are
+    isomorphic.
+    """
     for base in bicyclic_bases(n):
-        group = automorphisms(base)
+        group, kind = automorphisms(base), base_graph(base).kind
         for comp in _weak_compositions(n - base.n, base.n):
             images = [tuple(comp[i] for i in p) for p in group]
             if min(images) < comp:
@@ -212,9 +221,13 @@ def _enumerate_constructive(n: int) -> dict[bytes, Graph]:
             shape_lists = [rooted_trees(c + 1) for c in comp]
             for idx in itertools.product(*(range(len(shapes)) for shapes in shape_lists)):
                 if all(tuple(idx[i] for i in p) >= idx for p in stabiliser):
-                    g = _forest_graph(base, tuple(shapes[i] for shapes, i in zip(shape_lists, idx)))
-                    found.setdefault(canonical_form(g), g)
-    return found
+                    forest = tuple(shapes[i] for shapes, i in zip(shape_lists, idx))
+                    yield _forest_graph(base, forest), kind
+
+
+@lru_cache(maxsize=8)
+def _enumerate_constructive(n: int) -> dict[bytes, Graph]:
+    return {canonical_form(g): g for g, _ in orderly_classes(n)}
 
 
 def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
@@ -280,14 +293,23 @@ class EnumerationReport:
         return frozenset(canonical_form(g) for g in self.graphs)
 
 
+def check_order(n: int, method: str = "constructive", order_bound: Optional[int] = None) -> None:
+    """Raise EnumerationError unless method is known and 4 <= n <= its order bound."""
+    bound = _order_bound(method, order_bound)
+    if not 4 <= n <= bound:
+        raise EnumerationError(f"enumerate_bicyclic({method}) supports 4 <= n <= {bound}")
+
+
+def _order_bound(method: str, order_bound: Optional[int]) -> int:
+    if method not in ORDER_BOUNDS:
+        raise EnumerationError(f"unknown method {method!r}")
+    return ORDER_BOUNDS[method] if order_bound is None else order_bound
+
+
 def enumerate_bicyclic(n: int, method: str = "constructive",
                        order_bound: Optional[int] = None) -> EnumerationReport:
     """All connected bicyclic graphs on n vertices up to isomorphism."""
-    if method not in ORDER_BOUNDS:
-        raise EnumerationError(f"unknown method {method!r}")
-    bound = order_bound if order_bound is not None else ORDER_BOUNDS[method]
-    if not 4 <= n <= bound:
-        raise EnumerationError(f"enumerate_bicyclic({method}) supports 4 <= n <= {bound}")
+    check_order(n, method, order_bound)
     found = _enumerate_constructive(n) if method == "constructive" else _enumerate_edge_subset(n)
     graphs = [found[k] for k in sorted(found)]
     return EnumerationReport(n, len(graphs), method, graphs)
@@ -303,8 +325,7 @@ def enumerate_with_max_degree(n: int, delta: int, method: str = "constructive",
     """
     if delta > n - 1:
         raise EnumerationError("delta exceeds n - 1")
-    if order_bound is None:
-        order_bound = ORDER_BOUNDS.get(method, ORDER_BOUNDS["edge_subset"])
+    order_bound = _order_bound(method, order_bound)
     if n > order_bound and delta == n - 2:
         graphs = targeted_max_degree_family(n)
         return EnumerationReport(n, len(graphs), f"targeted/max_degree={delta}", graphs)

@@ -31,7 +31,7 @@ class WeightedMatrix:
 
 def build_matrix(g: Graph, f: WeightFunction) -> WeightedMatrix:
     """A_f(G): entry (i,j) is f(d_i,d_j) on edges, 0 elsewhere."""
-    a = _stacked_matrices([g], f, g.n)[0]
+    a = _stacked_matrices([g], [f], g.n)[0, 0]
     a.setflags(write=False)
     return WeightedMatrix(a, g, f)
 
@@ -140,22 +140,26 @@ def spectral_radii(graphs: Sequence[Graph], f: WeightFunction) -> np.ndarray:
         raise ValueError("spectral_radii needs graphs of one order")
     rho = np.zeros(len(graphs))
     for start in range(0, len(graphs) if n else 0, EIGH_CHUNK):
-        a = _stacked_matrices(graphs[start:start + EIGH_CHUNK], f, n)
+        a = _stacked_matrices(graphs[start:start + EIGH_CHUNK], [f], n)[0]
         rho[start:start + EIGH_CHUNK] = _dominant_eigenpairs(a, 1e-10)[0]
     return rho
 
 
-def _stacked_matrices(graphs: list[Graph], f: WeightFunction, n: int) -> np.ndarray:
-    """A_f(G) for each graph, with one weight evaluation per distinct degree pair."""
+def _stacked_matrices(graphs: Sequence[Graph], fs: Sequence[WeightFunction],
+                      n: int) -> np.ndarray:
+    """A_f(G) for each weight f and graph G, shape (len(fs), len(graphs), n, n),
+    with one evaluation of each weight per distinct degree pair."""
     # edge endpoints as rows of the stacked (len(graphs) * n, n) array
     e = np.array([i * n + x for i, g in enumerate(graphs) for edge in g.edges for x in edge],
                  dtype=np.intp).reshape(-1, 2)
     deg = np.bincount(e.ravel(), minlength=len(graphs) * n)
     keys = (deg[e[:, 0]] * n + deg[e[:, 1]]).tolist()
-    weight = {key: evaluate(f, key // n, key % n) for key in set(keys)}
-    a = np.zeros((len(graphs) * n, n))
-    a[e, e[:, ::-1] % n] = np.array([weight[key] for key in keys])[:, None]  # (u, v) and (v, u)
-    return a.reshape(len(graphs), n, n)
+    a = np.zeros((len(fs), len(graphs) * n, n))
+    for a_f, f in zip(a, fs):
+        weight = {key: evaluate(f, key // n, key % n) for key in set(keys)}
+        # (u, v) and (v, u)
+        a_f[e, e[:, ::-1] % n] = np.array([weight[key] for key in keys])[:, None]
+    return a.reshape(len(fs), len(graphs), n, n)
 
 
 def rho_f(g: Graph, f: WeightFunction) -> float:

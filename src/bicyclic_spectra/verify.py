@@ -15,18 +15,22 @@ from __future__ import annotations
 import csv
 import heapq
 import io
+import itertools
 import json
 import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .enumeration import (canonical_form, enumerate_bicyclic, targeted_max_degree_family)
+# enumerate_bicyclic stays importable here: perfbench/layers.py wraps it
+from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # noqa: F401
+                          orderly_classes, targeted_max_degree_family)
 from .graphs import FAMILIES, Graph, base_graph, graph_g1, graph_g2
-from .spectral import rho_f, spectral_radii
+from .spectral import EIGH_CHUNK, _dominant_eigenpairs, _stacked_matrices, rho_f, spectral_radii
 from .transforms import kelmans, pendant_shift
 from .weights import WeightFunction, check_pstar, parse_weight
 
@@ -265,9 +269,10 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
                     min_gap: float = 1e-9) -> VerificationReport:
     """Extremality of G1 (rank 1) / the second-rank candidates over all classes.
 
-    exhaustive mode enumerates every bicyclic class and ranks spectral radii;
-    candidate mode compares G2, G3, G4 directly (the proven candidate set)
-    and asserts the known per-weight winner beyond its threshold order.
+    exhaustive mode streams every bicyclic class once per order for all
+    applicable weights and ranks spectral radii (see _Leaders); candidate
+    mode compares G2, G3, G4 directly (the proven candidate set) and asserts
+    the known per-weight winner beyond its threshold order.
     Weights failing the P* check are reported as not-applicable.
     """
     if rank not in ("first", "second"):
@@ -276,9 +281,12 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
         raise ValueError("mode must be 'exhaustive' or 'candidate'")
     t0 = time.time()
     report = VerificationReport(f"extremal/{mode}/rank={rank}")
+    d_max = max(max(n_range), 8)
+    # every applicable weight is ranked in the same stream per order
+    applicable = tuple(dict.fromkeys(f for f in fs if check_pstar(f, d_max=d_max).passes))
     cases: list[CaseRecord] = []  # follow every not-applicable record
     for f in fs:
-        pstar = check_pstar(f, d_max=max(max(n_range), 8))
+        pstar = check_pstar(f, d_max=d_max)
         if not pstar.passes:
             report.cases.append(CaseRecord(
                 case_id=f"extremal/{f.label()}/not_applicable",
@@ -288,22 +296,94 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
                 note="weight lacks property P*; campaign not applicable",
             ))
             continue
-        cases += [_exhaustive_case(n, f, rank, min_gap) if mode == "exhaustive"
+        cases += [_exhaustive_case(n, f, rank, min_gap, applicable) if mode == "exhaustive"
                   else _candidate_case(n, f, rank) for n in n_range]
     report.cases.extend(cases)
     report.runtime_seconds = time.time() - t0
     return report
 
 
-def _exhaustive_case(n: int, f: WeightFunction, rank: str, min_gap: float) -> CaseRecord:
-    rep = enumerate_bicyclic(n, "constructive")
-    rhos = spectral_radii(rep.graphs, f).tolist()
-    scored = sorted(zip(rhos, map(canonical_form, rep.graphs), rep.graphs), reverse=True)
-    named = {tag: canonical_form(family.build(n)) if n >= family.min_n else None
+PRUNE_MARGIN = 1e-9  # relative; a class is skipped only when its bound is clearly below
+
+
+def _levels(entries) -> tuple[float, dict[str, float]]:
+    """(second rho, {kind: top rho}) of distinct classes' (rho, ..., kind) entries."""
+    rhos = sorted(entry[0] for entry in entries)
+    top: dict[str, float] = {}
+    for entry in entries:
+        top[entry[-1]] = max(top.get(entry[-1], -math.inf), entry[0])
+    return (rhos[-2] if len(rhos) > 1 else -math.inf), top
+
+
+class _Leaders:
+    """One weight's scored classes that a verdict can still read: those at or
+    above the second rho of all classes or the top rho of their base kind.
+
+    rho(A) <= ||A||_inf, the largest absolute row sum, for every real
+    symmetric A.  A class whose bound is below both values, as far as the
+    named families and the classes scored so far show them, is neither in
+    the top two nor its kind's best, so it is never eigensolved.
+    """
+
+    def __init__(self, named: list[tuple[float, str]]):
+        self.named = _levels(named)  # lower bounds from the distinct named classes
+        self.pool: list[tuple[float, Graph, str]] = []
+
+    def offer(self, a: np.ndarray, graphs: Sequence[Graph], kinds: Sequence[str]) -> None:
+        """Score the stacked A_f of graphs unless their bound rules them out."""
+        (named_second, named_top), (second, top) = self.named, _levels(self.pool)
+        second = max(second, named_second)
+        cut = {kind: min(second, max(top.get(kind, -math.inf), named_top.get(kind, -math.inf)))
+               for kind in set(kinds)}
+        bound = np.abs(a).sum(axis=2).max(axis=1)
+        keep = [i for i, kind in enumerate(kinds)
+                if not bound[i] < cut[kind] - PRUNE_MARGIN * abs(cut[kind])]
+        if not keep:
+            return
+        rho = _dominant_eigenpairs(a[keep], 1e-10)[0].tolist()
+        self.pool += [(r, graphs[i], kinds[i]) for i, r in zip(keep, rho)]
+        second, top = _levels(self.pool)
+        self.pool = [entry for entry in self.pool if entry[0] >= min(second, top[entry[2]])]
+
+    def ranking(self) -> tuple[list[tuple[float, bytes]], dict[str, bytes]]:
+        """The first two (rho, certificate) of all classes in descending order,
+        and each kind's first certificate, certifying only the pool."""
+        ranked = sorted(((rho, canonical_form(g), kind) for rho, g, kind in self.pool),
+                        reverse=True)
+        kind_best: dict[str, bytes] = {}
+        for _, cert, kind in ranked:
+            kind_best.setdefault(kind, cert)
+        return [(rho, cert) for rho, cert, _ in ranked[:2]], kind_best
+
+
+@lru_cache(maxsize=32)
+def _rankings(n: int, fs: tuple[WeightFunction, ...]):
+    """(classes, named certificates, {f: _Leaders.ranking()}) at order n from
+    one stream of the orderly classes, scored for every weight in fs."""
+    check_order(n)
+    named = {tag: family.build(n) if n >= family.min_n else None
              for tag, family in FAMILIES.items()}
+    certs = {tag: None if g is None else canonical_form(g) for tag, g in named.items()}
+    distinct = list({cert: named[tag] for tag, cert in certs.items() if cert is not None}.values())
+    named_kinds = [base_graph(g).kind for g in distinct]
+    leaders = {f: _Leaders(list(zip(spectral_radii(distinct, f).tolist(), named_kinds)))
+               for f in fs}
+    classes, stream = 0, orderly_classes(n)
+    while chunk := list(itertools.islice(stream, EIGH_CHUNK)):
+        graphs, kinds = zip(*chunk)
+        classes += len(chunk)
+        for f, a in zip(fs, _stacked_matrices(graphs, fs, n)):
+            leaders[f].offer(a, graphs, kinds)
+    return classes, certs, {f: leaders[f].ranking() for f in fs}
+
+
+def _exhaustive_case(n: int, f: WeightFunction, rank: str, min_gap: float,
+                     fs: tuple[WeightFunction, ...]) -> CaseRecord:
+    classes, named, rankings = _rankings(n, fs)
+    scored, family_best = rankings[f]
     case_id = f"extremal/{rank}/{f.label()}/n={n}"
-    inputs = {"n": n, "weight": f.label(), "classes": rep.count}
-    top_rho, top_cert, _ = scored[0]
+    inputs = {"n": n, "weight": f.label(), "classes": classes}
+    top_rho, top_cert = scored[0]
     gap = top_rho - scored[1][0] if len(scored) > 1 else float("inf")
     if rank == "first":
         ok = top_cert == named["G1"] and gap > min_gap
@@ -312,11 +392,6 @@ def _exhaustive_case(n: int, f: WeightFunction, rank: str, min_gap: float) -> Ca
             f"{top_cert.hex()} vs {scored[1][1].hex()}")
         # per-base-family maxima (informative): G2 should top the
         # infinity-base classes, G1 the theta-base classes
-        family_best = {}
-        for rho, cert, g in scored:
-            family_best.setdefault(base_graph(g).kind, cert)
-            if len(family_best) == 2:
-                break
         return CaseRecord(
             case_id=case_id,
             inputs=inputs,

@@ -18,6 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 Num = Union[int, float, Fraction]
@@ -314,12 +315,14 @@ def _grid_values(f: WeightFunction, d_max: int):
     return val, exact
 
 
+@lru_cache(maxsize=256)
 def check_pstar(f: WeightFunction, d_max: int = 20) -> PStarReport:
     """Check P* conditions (i)-(iii) on the integer grid {1..d_max}^2.
 
     Comparisons are exact for rational-valued weights; otherwise a relative
     slack of 1e-12 absorbs floating-point noise.  Returns the first violating
-    witness, scanning condition (i), then (ii), then (iii).
+    witness, scanning condition (i), then (ii), then (iii).  Memoised per
+    (f, d_max): f is frozen and the report immutable.
     """
     if d_max < 2:
         raise WeightSpecError("check_pstar requires d_max >= 2")

@@ -151,6 +151,12 @@ class TestEnumerate:
         assert [canonical_form(g) for g in rep.graphs] == sorted(ref)
         assert [g.edges for g in rep.graphs] == [ref[k].edges for k in sorted(ref)]
 
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_stream_tags_each_class_with_its_base_kind(self, n):
+        stream = list(enumeration.orderly_classes(n))
+        assert len(stream) == GOLDEN_COUNTS[n]
+        assert all(kind == base_graph(g).kind for g, kind in stream)
+
     def test_one_certificate_per_class(self, monkeypatch):
         calls = []
 
@@ -241,6 +247,12 @@ class TestMaxDegree:
     def test_delta_bound(self):
         with pytest.raises(EnumerationError):
             enumerate_with_max_degree(6, 6)
+
+    @pytest.mark.parametrize("n,delta", [(12, 10), (8, 6)])
+    def test_unknown_method_rejected(self, n, delta):
+        # also past the order bound, where the targeted family would answer
+        with pytest.raises(EnumerationError, match="unknown method 'magic'"):
+            enumerate_with_max_degree(n, delta, "magic")
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_targeted_generator_matches_full_enumeration(self, n):

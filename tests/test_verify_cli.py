@@ -3,6 +3,7 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 
 from bicyclic_spectra import (
@@ -12,6 +13,7 @@ from bicyclic_spectra import (
     base_graph,
     canonical_form,
     enumerate_bicyclic,
+    evaluate,
     graph6_decode,
     graph_g1,
     graph_g2,
@@ -25,7 +27,8 @@ from bicyclic_spectra import (
 from bicyclic_spectra import verify
 from bicyclic_spectra.cli import main, parse_graph_argument
 from bicyclic_spectra.verify import printed_tolerance
-from conftest import per_graph_radii, reference_random_connected_graph
+from conftest import (per_graph_radii, per_matrix_eigenpairs, reference_exhaustive_case,
+                      reference_random_connected_graph)
 
 Z1 = WeightFunction("zagreb1")
 WEIGHTS = [Z1, WeightFunction("hyper_zagreb"), WeightFunction("forgotten")]
@@ -196,6 +199,9 @@ class TestBatchedScoring:
     def test_report_matches_per_graph_scoring(self, name, monkeypatch):
         batched = timeless(CAMPAIGNS[name]())
         monkeypatch.setattr(verify, "spectral_radii", per_graph_radii)
+        # the exhaustive stream eigensolves its stacked matrices directly
+        monkeypatch.setattr(verify, "_dominant_eigenpairs", per_matrix_eigenpairs)
+        verify._rankings.cache_clear()
         assert batched == timeless(CAMPAIGNS[name]())
 
     def test_base_family_winners_match_full_scan(self):
@@ -218,6 +224,79 @@ class TestBatchedScoring:
         assert case.inputs["classes"] == 1
         assert "no second class" in case.note
         assert rep.ok
+
+
+ORACLE_WEIGHTS = tuple(parse_weight(w) for w in (
+    "zagreb1", "hyper_zagreb", "forgotten", "constant_one", "sum_connectivity:a=3",
+    "custom:x**2+y**2+x+y"))
+
+
+class TestStreamingExhaustive:
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_same_cases_as_certifying_every_class(self, n):
+        # all six weights ranked in one stream, against certify-and-sort per weight
+        for rank in ("first", "second"):
+            for f in ORACLE_WEIGHTS:
+                case = verify._exhaustive_case(n, f, rank, 1e-9, ORACLE_WEIGHTS)
+                assert case.to_dict() == reference_exhaustive_case(n, f, rank).to_dict()
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_row_sum_bound_holds_for_every_class(self, n):
+        # the prune's premise, max_v sum_u |f(d_v, d_u)| >= rho, from the
+        # degrees alone
+        graphs = enumerate_bicyclic(n).graphs
+        for f in ORACLE_WEIGHTS:
+            bounds = []
+            for g in graphs:
+                deg, sums = g.degrees(), [0.0] * n
+                for u, v in g.edges:
+                    w = abs(evaluate(f, deg[u], deg[v]))
+                    sums[u] += w
+                    sums[v] += w
+                bounds.append(max(sums))
+            assert np.all(np.array(bounds) >= verify.spectral_radii(graphs, f))
+
+    def test_certifies_only_what_a_verdict_reads(self, monkeypatch):
+        calls = []
+
+        def counting(g, *args):
+            calls.append(g)
+            return canonical_form(g, *args)
+
+        monkeypatch.setattr(verify, "canonical_form", counting)
+        for f in ORACLE_WEIGHTS:
+            verify._rankings.cache_clear()
+            calls.clear()
+            for rank in ("first", "second"):
+                assert verify_extremal([10], [f], rank=rank).ok
+            assert len(calls) <= 10, f.label()
+
+    def test_ranks_share_one_stream_per_order(self, monkeypatch):
+        streams = []
+        original = verify.orderly_classes
+
+        def counting(n):
+            streams.append(n)
+            return original(n)
+
+        monkeypatch.setattr(verify, "orderly_classes", counting)
+        verify._rankings.cache_clear()
+        for rank in ("first", "second"):
+            verify_extremal(range(6, 9), ORACLE_WEIGHTS[:3], rank=rank)
+        assert streams == [6, 7, 8]
+
+    def test_prune_skips_most_eigensolves(self, monkeypatch):
+        solved = []
+        original = verify._dominant_eigenpairs
+
+        def counting(a, tol):
+            solved.append(len(a))
+            return original(a, tol)
+
+        monkeypatch.setattr(verify, "_dominant_eigenpairs", counting)
+        verify._rankings.cache_clear()
+        verify_extremal([10], [Z1], rank="first")
+        assert sum(solved) < 2678 // 2
 
 
 class TestKelmansCampaign:
@@ -359,10 +438,12 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["enumerate", "--n", "12"],
+        ["extremal", "--n", "11", "--f", "zagreb1"],
         ["spectral", "--graph", "G1:8", "--f", "custom:x-y"],
         ["theorem41", "--n", "5..70"],
         ["kelmans", "--samples", "5", "--seed", "1", "--f", "zagreb1", "--n", "2"],
-    ], ids=["enumeration_bound", "weight_spec", "theorem41_range", "kelmans_order_floor"])
+    ], ids=["enumeration_bound", "extremal_order_bound", "weight_spec", "theorem41_range",
+            "kelmans_order_floor"])
     def test_domain_errors_exit_two_without_traceback(self, argv):
         import subprocess, sys
         proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],

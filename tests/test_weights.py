@@ -188,3 +188,9 @@ class TestPStar:
     def test_dmax_validation(self):
         with pytest.raises(WeightSpecError):
             check_pstar(WeightFunction("zagreb1"), 1)
+
+    def test_memoised_per_weight_and_dmax(self):
+        f = parse_weight("custom:x^2+y^2+x*y")
+        assert check_pstar(f, 12) is check_pstar(parse_weight("custom:x^2+y^2+x*y"), 12)
+        assert check_pstar(f, 12) == check_pstar.__wrapped__(f, 12)
+        assert check_pstar(f, 13) is not check_pstar(f, 12)
