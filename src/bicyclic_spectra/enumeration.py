@@ -184,6 +184,12 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return maps
 
 
+@lru_cache(maxsize=None)
+def _base_symmetry(base: Graph) -> tuple[tuple[tuple[int, ...], ...], str]:
+    """(automorphism group, base kind) of a base, computed once across orders."""
+    return tuple(automorphisms(base)), base_graph(base).kind
+
+
 def bicyclic_bases(max_order: int) -> list[Graph]:
     """Every pendant-free bicyclic graph with at most max_order vertices."""
     out = []
@@ -212,7 +218,7 @@ def orderly_classes(n: int) -> Iterator[tuple[Graph, str]]:
     isomorphic.
     """
     for base in bicyclic_bases(n):
-        group, kind = automorphisms(base), base_graph(base).kind
+        group, kind = _base_symmetry(base)
         for comp in _weak_compositions(n - base.n, base.n):
             images = [tuple(comp[i] for i in p) for p in group]
             if min(images) < comp:

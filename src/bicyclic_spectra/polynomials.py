@@ -1,20 +1,25 @@
 """Univariate polynomials with exact rational coefficients.
 
 Provides the pieces the verification campaigns lean on: characteristic
-polynomials via Faddeev-LeVerrier, Descartes sign-variation bounds, Sturm
-root counting with bisection refinement, and exact sign evaluation at
-quadratic-surd points r*sqrt(s) (every sign condition in the source material
-evaluates at such a point, so signs are certified without floating point).
+polynomials via fraction-free Faddeev-LeVerrier, Descartes sign-variation
+bounds, Sturm root counting with bisection refinement (each sign read off
+integer Horner on a primitive integer polynomial), and exact sign evaluation
+at quadratic-surd points r*sqrt(s) (every sign condition in the source
+material evaluates at such a point, so signs are certified without floating
+point).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 Coeff = Union[int, Fraction, float]
+# bracket width at which bisection stops and returns the midpoint
+ROOT_TOL = Fraction(1, 10 ** 14)
 
 
 class PolynomialError(ValueError):
@@ -161,6 +166,8 @@ class Polynomial:
 def char_poly(matrix) -> Polynomial:
     """det(xI - M) with exact rational coefficients when entries are rational.
 
+    Fraction-free: Faddeev-LeVerrier on the integer matrix D*M, D the lcm of
+    the denominators, divides exactly by k; x**(n-k) gets Fraction(c_k, D**k).
     Inexact matrices fall back to eigenvalue-based float coefficients.
     """
     rows = [list(r) for r in (matrix.tolist() if isinstance(matrix, np.ndarray) else matrix)]
@@ -176,16 +183,17 @@ def char_poly(matrix) -> Polynomial:
         if np.max(np.abs(coeffs.imag)) > 1e-8 * max(1.0, np.max(np.abs(coeffs.real))):
             raise PolynomialError("characteristic polynomial has non-real coefficients")
         return Polynomial(list(coeffs.real[::-1]))
-    a = [[Fraction(x) for x in r] for r in rows]
-    m = [[Fraction(0)] * n for _ in range(n)]
-    c = [Fraction(1)]  # c[0] multiplies x^n
+    d = math.lcm(*(Fraction(x).denominator for r in rows for x in r))
+    a = [[int(x * d) for x in r] for r in rows]
+    m = [[0] * n for _ in range(n)]
+    c = [1]  # c[0] multiplies x^n
     for k in range(1, n + 1):
         # M_k = A (M_{k-1} + c_{k-1} I)
         for i in range(n):
             m[i][i] += c[-1]
-        m = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        c.append(-sum(m[i][i] for i in range(n)) / k)
-    return Polynomial(list(reversed(c)))
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in a]
+        c.append(-sum(m[i][i] for i in range(n)) // k)
+    return Polynomial([Fraction(ck, d ** k) for k, ck in reversed(list(enumerate(c)))])
 
 
 # ---------------------------------------------------------------------------
@@ -258,27 +266,42 @@ def sign_at_sqrt(p: Polynomial, r, s) -> int:
 # ---------------------------------------------------------------------------
 
 
-def sturm_sequence(p: Polynomial) -> list[Polynomial]:
+def sturm_sequence(p: Polynomial) -> list[tuple[int, ...]]:
+    """p's Sturm sequence, built in Fraction, each member as the descending
+    coefficients of its primitive integer multiple (same signs); [0] is p's."""
     seq = [p, p.derivative()]
     while not seq[-1].is_zero() and seq[-1].degree > 0:
         rem = seq[-2].divmod(seq[-1])[1]
         if rem.is_zero():
             break
         seq.append(-1 * rem)
-    return [q for q in seq if not q.is_zero()]
+    out = []
+    for q in (q for q in seq if not q.is_zero()):
+        d = math.lcm(*(Fraction(c).denominator for c in q.coeffs))
+        ints = [int(c * d) for c in reversed(q.coeffs)]
+        g = math.gcd(*ints)
+        out.append(tuple(c // g for c in ints))
+    return out
 
 
-def _variations_at(seq: list[Polynomial], x: Fraction) -> int:
-    vals = [q(x) for q in seq]
-    return _sign_variations(vals)
+def _sign_at(q: tuple[int, ...], x: Fraction) -> int:
+    """Sign of q(x), x = num/den, as that of den**deg * q(x) by integer Horner."""
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in q:
+        acc, scale = acc * num + c * scale, scale * den
+    return (acc > 0) - (acc < 0)
+
+
+def _variations_at(seq: list[tuple[int, ...]], x: Fraction) -> int:
+    return _sign_variations([_sign_at(q, x) for q in seq])
 
 
 def count_real_roots(p: Polynomial, lo, hi) -> int:
     """Number of distinct real roots of an exact polynomial in (lo, hi]."""
     if not p.is_exact():
         raise PolynomialError("count_real_roots requires exact coefficients")
-    p = _squarefree_part(p)
-    seq = sturm_sequence(p)
+    seq = sturm_sequence(_squarefree_part(p))
     return _variations_at(seq, Fraction(lo)) - _variations_at(seq, Fraction(hi))
 
 
@@ -311,8 +334,8 @@ def _multiplicity_chain(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def _nudge_off_root(q: Polynomial, x: Fraction, step: Fraction, direction: int) -> Fraction:
-    while q(x) == 0:
+def _nudge_off_root(q: tuple[int, ...], x: Fraction, step: Fraction, direction: int) -> Fraction:
+    while _sign_at(q, x) == 0:
         x += direction * step
         step /= 2
     return x
@@ -322,14 +345,15 @@ def _isolate_square_free(q: Polynomial, lo: Fraction, hi: Fraction) -> list[Frac
     """Disjoint isolation: exact rational roots plus midpoints of tight brackets."""
     roots: list[Fraction] = []
     seq = sturm_sequence(q)
+    qi = seq[0]
     # roots sitting exactly on the endpoints are recorded and stepped over
     width = hi - lo
-    if q(lo) == 0:
+    if _sign_at(qi, lo) == 0:
         roots.append(lo)
-        lo = _nudge_off_root(q, lo, width / 4096, +1)
-    if q(hi) == 0:
+        lo = _nudge_off_root(qi, lo, width / 4096, +1)
+    if _sign_at(qi, hi) == 0:
         roots.append(hi)
-        hi = _nudge_off_root(q, hi, width / 4096, -1)
+        hi = _nudge_off_root(qi, hi, width / 4096, -1)
     if lo >= hi:
         return sorted(roots)
 
@@ -337,22 +361,21 @@ def _isolate_square_free(q: Polynomial, lo: Fraction, hi: Fraction) -> list[Frac
         return _variations_at(seq, a) - _variations_at(seq, b)
 
     stack = [(lo, hi, count(lo, hi))]
-    tol = Fraction(1, 10 ** 14)
     while stack:
         a, b, k = stack.pop()
         if k == 0:
             continue
         if k == 1:
             # a simple isolated root: the endpoint signs must differ
-            roots.append(_refine_bracket(q, a, b, tol))
+            roots.append(_refine_bracket(qi, a, b))
             continue
         mid = (a + b) / 2
-        if q(mid) == 0:
+        if _sign_at(qi, mid) == 0:
             roots.append(mid)
             delta = (b - a) / 2 ** 16
             while True:
                 left, right = mid - delta, mid + delta
-                if q(left) != 0 and q(right) != 0 and count(left, right) == 1:
+                if _sign_at(qi, left) and _sign_at(qi, right) and count(left, right) == 1:
                     stack.append((a, left, count(a, left)))
                     stack.append((right, b, count(right, b)))
                     break
@@ -363,11 +386,11 @@ def _isolate_square_free(q: Polynomial, lo: Fraction, hi: Fraction) -> list[Frac
     return sorted(roots)
 
 
-def _refine_bracket(q: Polynomial, a: Fraction, b: Fraction, tol: Fraction) -> Fraction:
-    going_up = q(a) < 0
-    while b - a >= tol:
+def _refine_bracket(q: tuple[int, ...], a: Fraction, b: Fraction) -> Fraction:
+    going_up = _sign_at(q, a) < 0
+    while b - a >= ROOT_TOL:
         mid = (a + b) / 2
-        v = q(mid)
+        v = _sign_at(q, mid)
         if v == 0:
             return mid
         if (v < 0) == going_up:
@@ -428,24 +451,24 @@ def max_real_root(p: Polynomial, lo=None, hi=None) -> float:
             raise PolynomialError("no real roots in bracket")
         return roots[-1]
     # halve towards the upper half while it holds a root, then refine the top root alone
-    q = _squarefree_part(p)
-    seq = sturm_sequence(q)
+    seq = sturm_sequence(_squarefree_part(p))
+    q = seq[0]
     a, b = Fraction(lo), Fraction(hi)
-    if q(b) == 0:
+    if _sign_at(q, b) == 0:
         return float(b)
     v_b = _variations_at(seq, b)
     k = _variations_at(seq, a) - v_b  # roots in (a, b]
     if k == 0:
-        if q(a) == 0:
+        if _sign_at(q, a) == 0:
             return float(a)
         raise PolynomialError("no real roots in bracket")
-    while k > 1 or q(a) == 0:
+    while k > 1 or _sign_at(q, a) == 0:
         mid = (a + b) / 2
         v_mid = _variations_at(seq, mid)
         if v_mid > v_b:
             a, k = mid, v_mid - v_b
-        elif q(mid) == 0:
+        elif _sign_at(q, mid) == 0:
             return float(mid)
         else:
             b, v_b = mid, v_mid
-    return float(_refine_bracket(q, a, b, Fraction(1, 10 ** 14)))
+    return float(_refine_bracket(q, a, b))

@@ -1,13 +1,15 @@
 import heapq
 import itertools
 import random
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from bicyclic_spectra import (FAMILIES, CaseRecord, Graph, WeightFunction, attach_pendants,
-                              base_graph, enumerate_bicyclic, evaluate, spectral_radii)
+from bicyclic_spectra import (FAMILIES, CaseRecord, Graph, Polynomial, PolynomialError,
+                              WeightFunction, attach_pendants, base_graph, enumerate_bicyclic,
+                              evaluate, spectral_radii)
 from bicyclic_spectra.enumeration import (bicyclic_bases, canonical_form, rooted_trees,
                                           _weak_compositions)
 
@@ -102,6 +104,183 @@ def reference_exhaustive_case(n: int, f, rank: str, min_gap: float = 1e-9) -> Ca
         expected={"second_in": ["G2", "G3", "G4"]},
         passed=second_tag is not None,
     )
+
+
+# Reference exact arithmetic: Faddeev-LeVerrier and Sturm bisection entirely in
+# Fraction, with every sign read off a Fraction Horner value.  The package's
+# fraction-free versions must return the same polynomials and the same floats.
+
+
+def reference_char_poly(rows) -> Polynomial:
+    """det(xI - M) by Faddeev-LeVerrier over Fraction (square, exact rows)."""
+    n = len(rows)
+    if n == 0:
+        return Polynomial([1])
+    a = [[Fraction(x) for x in r] for r in rows]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    c = [Fraction(1)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            m[i][i] += c[-1]
+        m = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        c.append(-sum(m[i][i] for i in range(n)) / k)
+    return Polynomial(list(reversed(c)))
+
+
+def _reference_sign_variations(values) -> int:
+    signs = [1 if c > 0 else -1 for c in values if c != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _reference_sturm(p: Polynomial) -> list[Polynomial]:
+    seq = [p, p.derivative()]
+    while not seq[-1].is_zero() and seq[-1].degree > 0:
+        rem = seq[-2].divmod(seq[-1])[1]
+        if rem.is_zero():
+            break
+        seq.append(-1 * rem)
+    return [q for q in seq if not q.is_zero()]
+
+
+def _reference_variations(seq, x: Fraction) -> int:
+    return _reference_sign_variations([q(x) for q in seq])
+
+
+def _reference_squarefree(p: Polynomial) -> Polynomial:
+    g = p.gcd(p.derivative())
+    return p if g.degree <= 0 else p.divmod(g)[0]
+
+
+def _reference_multiplicity_chain(p: Polynomial) -> list:
+    chain = [p]
+    while chain[-1].degree > 0:
+        g = chain[-1].gcd(chain[-1].derivative())
+        if g.degree <= 0:
+            break
+        chain.append(g)
+    us = []
+    for k in range(len(chain)):
+        nxt = chain[k + 1] if k + 1 < len(chain) else Polynomial([1])
+        us.append(chain[k].divmod(nxt)[0])
+    out = []
+    for k in range(len(us)):
+        nxt = us[k + 1] if k + 1 < len(us) else Polynomial([1])
+        qk = us[k].divmod(nxt)[0]
+        if qk.degree > 0:
+            out.append((qk, k + 1))
+    return out
+
+
+_REFERENCE_TOL = Fraction(1, 10 ** 14)
+
+
+def _reference_refine(q: Polynomial, a: Fraction, b: Fraction) -> Fraction:
+    going_up = q(a) < 0
+    while b - a >= _REFERENCE_TOL:
+        mid = (a + b) / 2
+        v = q(mid)
+        if v == 0:
+            return mid
+        if (v < 0) == going_up:
+            a = mid
+        else:
+            b = mid
+    return (a + b) / 2
+
+
+def _reference_nudge(q: Polynomial, x: Fraction, step: Fraction, direction: int) -> Fraction:
+    while q(x) == 0:
+        x += direction * step
+        step /= 2
+    return x
+
+
+def _reference_isolate(q: Polynomial, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    roots = []
+    seq = _reference_sturm(q)
+    width = hi - lo
+    if q(lo) == 0:
+        roots.append(lo)
+        lo = _reference_nudge(q, lo, width / 4096, +1)
+    if q(hi) == 0:
+        roots.append(hi)
+        hi = _reference_nudge(q, hi, width / 4096, -1)
+    if lo >= hi:
+        return sorted(roots)
+
+    def count(a, b):
+        return _reference_variations(seq, a) - _reference_variations(seq, b)
+
+    stack = [(lo, hi, count(lo, hi))]
+    while stack:
+        a, b, k = stack.pop()
+        if k == 0:
+            continue
+        if k == 1:
+            roots.append(_reference_refine(q, a, b))
+            continue
+        mid = (a + b) / 2
+        if q(mid) == 0:
+            roots.append(mid)
+            delta = (b - a) / 2 ** 16
+            while True:
+                left, right = mid - delta, mid + delta
+                if q(left) != 0 and q(right) != 0 and count(left, right) == 1:
+                    stack.append((a, left, count(a, left)))
+                    stack.append((right, b, count(right, b)))
+                    break
+                delta /= 2
+            continue
+        stack.append((a, mid, count(a, mid)))
+        stack.append((mid, b, count(mid, b)))
+    return sorted(roots)
+
+
+def reference_real_roots(p: Polynomial, lo, hi) -> list[float]:
+    """Real roots of an exact p in [lo, hi], repeated per multiplicity."""
+    if p.degree == 0:
+        return []
+    out = []
+    for q, mult in _reference_multiplicity_chain(p):
+        for root in _reference_isolate(q, Fraction(lo), Fraction(hi)):
+            out.extend([float(root)] * mult)
+    return sorted(out)
+
+
+def reference_count_real_roots(p: Polynomial, lo, hi) -> int:
+    """Distinct real roots of an exact p in (lo, hi]."""
+    seq = _reference_sturm(_reference_squarefree(p))
+    return _reference_variations(seq, Fraction(lo)) - _reference_variations(seq, Fraction(hi))
+
+
+def reference_max_real_root(p: Polynomial, lo=None, hi=None) -> float:
+    """Largest real root of an exact p; default bracket the Cauchy bound."""
+    if p.is_zero() or p.degree == 0:
+        raise PolynomialError("polynomial has no roots")
+    bound = 1 + max(abs(Fraction(c)) for c in p.coeffs) / abs(p.coeffs[-1])
+    lo = -bound if lo is None else lo
+    hi = bound if hi is None else hi
+    q = _reference_squarefree(p)
+    seq = _reference_sturm(q)
+    a, b = Fraction(lo), Fraction(hi)
+    if q(b) == 0:
+        return float(b)
+    v_b = _reference_variations(seq, b)
+    k = _reference_variations(seq, a) - v_b
+    if k == 0:
+        if q(a) == 0:
+            return float(a)
+        raise PolynomialError("no real roots in bracket")
+    while k > 1 or q(a) == 0:
+        mid = (a + b) / 2
+        v_mid = _reference_variations(seq, mid)
+        if v_mid > v_b:
+            a, k = mid, v_mid - v_b
+        elif q(mid) == 0:
+            return float(mid)
+        else:
+            b, v_b = mid, v_mid
+    return float(_reference_refine(q, a, b))
 
 
 def loop_matrix(g: Graph, f) -> np.ndarray:

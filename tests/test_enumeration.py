@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -150,6 +151,23 @@ class TestEnumerate:
         rep = enumerate_bicyclic(n)
         assert [canonical_form(g) for g in rep.graphs] == sorted(ref)
         assert [g.edges for g in rep.graphs] == [ref[k].edges for k in sorted(ref)]
+
+    def test_base_symmetry_computed_once_per_base(self, monkeypatch):
+        calls = Counter()
+
+        def counting(g):
+            calls[g] += 1
+            return automorphisms(g)
+
+        monkeypatch.setattr(enumeration, "automorphisms", counting)
+        enumeration._base_symmetry.cache_clear()
+        try:
+            counts = [sum(1 for _ in enumeration.orderly_classes(n)) for n in range(4, 11)]
+        finally:
+            enumeration._base_symmetry.cache_clear()
+        assert counts[:6] == [GOLDEN_COUNTS[n] for n in range(4, 10)] and counts[6] == 2678
+        assert set(calls) == set(bicyclic_bases(10))
+        assert set(calls.values()) == {1}
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_stream_tags_each_class_with_its_base_kind(self, n):

@@ -19,6 +19,8 @@ from bicyclic_spectra import (
     real_roots,
     sign_at_sqrt,
 )
+from conftest import (reference_char_poly, reference_count_real_roots, reference_max_real_root,
+                      reference_real_roots)
 
 
 def cauchy_bound(p: Polynomial) -> Fraction:
@@ -260,3 +262,129 @@ class TestSqrtEvaluation:
     def test_requires_exact(self):
         with pytest.raises(PolynomialError):
             eval_at_sqrt(Polynomial([0.5, 1.0]), Fraction(1), Fraction(2))
+
+
+def family_matrices():
+    return [family_quotient(tag, n, f).b for f in rational_pstar_functions()
+            for tag in ("G2", "G3", "G4") for n in range(6, 15)]
+
+
+def same_max_root(p: Polynomial, lo=None, hi=None) -> None:
+    """max_real_root equals the Fraction reference as a float, or both raise."""
+    try:
+        expected = reference_max_real_root(p, lo, hi)
+    except PolynomialError:
+        with pytest.raises(PolynomialError):
+            max_real_root(p, lo, hi)
+        return
+    assert max_real_root(p, lo, hi) == expected
+
+
+def same_char_poly(rows) -> Polynomial:
+    p, ref = char_poly(rows), reference_char_poly(rows)
+    assert p.to_json() == ref.to_json()
+    assert p == ref and all(type(c) is Fraction for c in p.coeffs)
+    return p
+
+
+RATIONALS = st.one_of(st.just(0), st.integers(-4, 4),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 6))
+    return [[draw(RATIONALS) for _ in range(n)] for _ in range(n)]
+
+
+class TestFractionFreeMatchesReference:
+    """The integer char_poly and Sturm evaluator against the Fraction code."""
+
+    def test_family_quotient_polynomials(self):
+        polys = [same_char_poly(m) for m in family_matrices()]
+        assert len(polys) == 162
+        for i, p in enumerate(polys):
+            b = cauchy_bound(p)
+            assert max_real_root(p) == reference_max_real_root(p)
+            assert count_real_roots(p, 0, b) == reference_count_real_roots(p, 0, b)
+            if i % 3 == 0:  # every (weight, family) block, three orders each
+                assert real_roots(p, -b, b) == reference_real_roots(p, -b, b)
+
+    def test_family_char_poly_accepts_numpy_object_arrays(self):
+        for m in family_matrices()[::27]:
+            assert char_poly(np.array(m, dtype=object)).to_json() == \
+                reference_char_poly(m).to_json()
+
+    @given(rational_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_random_rational_matrices(self, rows):
+        p = same_char_poly(rows)
+        same_max_root(p)
+        sym = [[rows[i][j] + rows[j][i] for j in range(len(rows))] for i in range(len(rows))]
+        q = same_char_poly(sym)
+        same_max_root(q)
+        b = cauchy_bound(q)
+        assert real_roots(q, -b, b) == reference_real_roots(q, -b, b)
+
+    @pytest.mark.parametrize("factors", [
+        [(2, 3), (-1, 1)],
+        [(Fraction(1, 3), 2), (Fraction(-5, 2), 3)],
+        [(0, 2), (1, 2), (-1, 1)],
+        [(Fraction(7, 5), 4)],
+    ])
+    def test_repeated_roots(self, factors):
+        p = Polynomial([1])
+        for root, mult in factors:
+            for _ in range(mult):
+                p = p * Polynomial([-Fraction(root), Fraction(1)])
+        b = cauchy_bound(p)
+        same_max_root(p)
+        assert real_roots(p, -b, b) == reference_real_roots(p, -b, b)
+        assert count_real_roots(p, -b, b) == reference_count_real_roots(p, -b, b) == len(factors)
+
+    def test_roots_on_bisection_midpoints(self):
+        p = Polynomial([0, -1, 0, 1])  # x(x - 1)(x + 1); Cauchy bracket [-2, 2]
+        for lo, hi in [(None, None), (-2, 2), (-4, 4), (Fraction(-3), 1), (-1, 3)]:
+            same_max_root(p, lo, hi)
+        for lo, hi in [(-2, 2), (-4, 4), (-8, 8), (-2, 6)]:
+            assert real_roots(p, lo, hi) == reference_real_roots(p, lo, hi)
+        assert max_real_root(p) == 1.0  # found on the second midpoint
+
+    @pytest.mark.parametrize("lo,hi", [(1, 3), (0, 3), (1, 2), (3, 5), (-1, 1), (2, 3)])
+    def test_roots_at_bracket_ends(self, lo, hi):
+        p = Polynomial([3, -4, 1])  # (x - 1)(x - 3)
+        same_max_root(p, lo, hi)
+        assert real_roots(p, lo, hi) == reference_real_roots(p, lo, hi)
+        assert count_real_roots(p, lo, hi) == reference_count_real_roots(p, lo, hi)
+
+    @given(st.lists(st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                 max_denominator=10 ** 30), min_size=2, max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_large_denominators(self, coeffs):
+        p = Polynomial(coeffs)
+        if p.degree < 1:
+            return
+        same_max_root(p)
+        b = cauchy_bound(p)
+        assert real_roots(p, -b, b) == reference_real_roots(p, -b, b)
+
+    def test_large_denominator_examples(self):
+        p = Polynomial([Fraction(-2, 10 ** 40), Fraction(0), Fraction(1, 3 ** 30)])
+        q = Polynomial([Fraction(123456789123456789, 10 ** 25), Fraction(-1, 7 ** 20),
+                        Fraction(0), Fraction(11, 13 ** 15)])
+        for poly in (p, q, p * q):
+            same_max_root(poly)
+            b = cauchy_bound(poly)
+            assert real_roots(poly, -b, b) == reference_real_roots(poly, -b, b)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (-2, 2), (0, 1), (-1, 0),
+        (-2.0, 2.0), (0.5, 1.5), (0.1, 0.9), (-1.0, 1e-300),
+        (Fraction(-1), Fraction(1)), (Fraction(-1, 3), Fraction(7, 3)), (Fraction(1, 10 ** 20), 1),
+        (-1, 0.5), (Fraction(-3, 2), 2.0),
+    ])
+    def test_count_real_roots_bound_types(self, lo, hi):
+        for p in (Polynomial([0, -1, 0, 1]),
+                  Polynomial([Fraction(-1, 4), 0, 1]) * Polynomial([0, -1, 0, 1]),
+                  Polynomial([1, 0, 1])):
+            assert count_real_roots(p, lo, hi) == reference_count_real_roots(p, lo, hi)
