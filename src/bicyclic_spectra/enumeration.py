@@ -237,13 +237,13 @@ def _enumerate_constructive(n: int) -> dict[bytes, Graph]:
 
 
 def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
+    """Tuples of `parts` non-negative ints summing to total, in lexicographic
+    order: stars and bars, as the ascending parts - 1 bar slots run in order."""
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _weak_compositions(total - head, parts - 1):
-            yield (head,) + tail
+        return iter([()] if total == 0 else [])
+    slots = total + parts - 1
+    return (tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+            for bars in itertools.combinations(range(slots), parts - 1))
 
 
 # ---------------------------------------------------------------------------

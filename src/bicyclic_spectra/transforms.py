@@ -2,21 +2,21 @@
 
 The rerouting operation on (u, v) moves every edge uw with w in N(u)-N[v]
 to vw; for weights with property P* it strictly increases the spectral
-radius whenever it changes the isomorphism class.  The pendant-shift move
-relocates one pendant from the smaller of two pendant bundles to the larger
-and carries the same contract.
+radius whenever it changes the isomorphism class.  It changes the class
+exactly when some edge moves and N(v)-N[u] is non-empty:
+- if N(v) lies in N[u], the result is the image of g under the swap (u v);
+- else u loses p >= 1 degrees, v gains p and no other degree moves;
+- the degree multisets agree only if d(u) - p = d(v), i.e. N(v)-N[u] = {}.
+
+The pendant-shift move relocates one pendant from the smaller of two
+pendant bundles to the larger and carries the same contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import SIZE_BOUND, canonical_form
 from .graphs import Graph
-from .spectral import build_matrix, full_spectrum
-from .weights import WeightFunction
-
-_ONE = WeightFunction("constant_one")
 
 
 class TransformError(ValueError):
@@ -25,36 +25,23 @@ class TransformError(ValueError):
 
 @dataclass(frozen=True)
 class TransformOutcome:
-    """changed means the result is not isomorphic to the input; when the
-    isomorphism check fell back to invariants (n > SIZE_BOUND = 16), probable is set."""
+    """changed means the result is not isomorphic to the input; it is exact
+    for every order (see the module docstring)."""
 
     result: Graph
     changed: bool
     moved_edges: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    probable: bool = False
     disconnects: bool = False
-
-
-def _changed_flag(before: Graph, after: Graph) -> tuple[bool, bool]:
-    """(changed, probable): a differing degree sequence settles it; on a tie,
-    certificates decide when small enough, else the rounded spectrum."""
-    if before.edges == after.edges:
-        return False, False
-    if before.degree_sequence() != after.degree_sequence():
-        return True, False
-    if before.n <= SIZE_BOUND:
-        return canonical_form(before) != canonical_form(after), False
-    sa = [round(x, 8) for x in full_spectrum(build_matrix(before, _ONE))]
-    sb = [round(x, 8) for x in full_spectrum(build_matrix(after, _ONE))]
-    return (True, False) if sa != sb else (False, True)
 
 
 def kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
     """Move the edges from u's private neighborhood over to v.
 
     Exactly the edges {uw : w in N(u)-N[v]} become {vw}; vertex and edge
-    counts are preserved.  The operation may disconnect the graph (flagged,
-    not forbidden).  The u->v and v->u variants give isomorphic results.
+    counts are preserved.  The class changes iff some edge moves and
+    N(v)-N[u] is non-empty; otherwise the result is g itself or g relabelled
+    by the swap (u v).  The operation may disconnect the graph (flagged, not
+    forbidden).  The u->v and v->u variants give isomorphic results.
     """
     if u == v:
         raise TransformError("kelmans requires distinct vertices")
@@ -71,10 +58,10 @@ def kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
         edges.add(new)
         moved.append((old, new))
     result = Graph(g.n, frozenset(edges))
-    changed, probable = _changed_flag(g, result) if moved else (False, False)
+    changed = bool(moved) and bool(nbr[v] - nbr[u] - {u})
     # u's old neighbours all end up adjacent to v, so only an isolated u splits g
     disconnects = bool(moved) and not (nbr[u] - private) and g.is_connected()
-    return TransformOutcome(result, changed, tuple(moved), probable, disconnects)
+    return TransformOutcome(result, changed, tuple(moved), disconnects)
 
 
 def pendant_shift(g: Graph, v: int, u: int, w: int) -> Graph:

@@ -366,13 +366,16 @@ def _rankings(n: int, fs: tuple[WeightFunction, ...]):
     certs = {tag: None if g is None else canonical_form(g) for tag, g in named.items()}
     distinct = list({cert: named[tag] for tag, cert in certs.items() if cert is not None}.values())
     named_kinds = [base_graph(g).kind for g in distinct]
-    leaders = {f: _Leaders(list(zip(spectral_radii(distinct, f).tolist(), named_kinds)))
-               for f in fs}
+    # one lazily filled degree-pair table per weight serves the whole order
+    weights = [{} for _ in fs]
+    a = _stacked_matrices(distinct, fs, n, weights).reshape(-1, n, n)
+    named_rho = _dominant_eigenpairs(a, 1e-10)[0].reshape(len(fs), -1).tolist()
+    leaders = {f: _Leaders(list(zip(rho, named_kinds))) for f, rho in zip(fs, named_rho)}
     classes, stream = 0, orderly_classes(n)
     while chunk := list(itertools.islice(stream, EIGH_CHUNK)):
         graphs, kinds = zip(*chunk)
         classes += len(chunk)
-        for f, a in zip(fs, _stacked_matrices(graphs, fs, n)):
+        for f, a in zip(fs, _stacked_matrices(graphs, fs, n, weights)):
             leaders[f].offer(a, graphs, kinds)
     return classes, certs, {f: leaders[f].ranking() for f in fs}
 
@@ -453,6 +456,12 @@ def _candidate_case(n: int, f: WeightFunction, rank: str) -> CaseRecord:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every (u, v) with u < v < n, in lexicographic order."""
+    return tuple(itertools.combinations(range(n), 2))
+
+
 def random_connected_graph(rng: random.Random, n: int, extra_max: int = 3) -> Graph:
     """Uniform random labeled tree plus a few random extra edges."""
     if n == 1:
@@ -463,21 +472,20 @@ def random_connected_graph(rng: random.Random, n: int, extra_max: int = 3) -> Gr
     degree = [1] * n
     for x in prufer:
         degree[x] += 1
-    edges = []
+    edges = set()
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for x in prufer:
         leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
+        edges.add((leaf, x) if leaf < x else (x, leaf))
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    tree = {(min(e), max(e)) for e in edges}
-    candidates = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    edges.add((heapq.heappop(leaves), heapq.heappop(leaves)))  # popped in ascending order
+    candidates = [e for e in _vertex_pairs(n) if e not in edges]
     rng.shuffle(candidates)
-    extra = candidates[: rng.randint(0, min(extra_max, len(candidates)))]
-    return Graph(n, frozenset(tree.union(extra)))
+    edges.update(candidates[: rng.randint(0, min(extra_max, len(candidates)))])
+    return Graph(n, frozenset(edges))
 
 
 def _random_pendant_shift_instance(rng: random.Random):
@@ -513,8 +521,9 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
     Per weight, `samples` class-changing reroutes and then a fraction of
     pendant shifts are sampled first, then scored with one spectral_radii
     call per order and checked for rho' > rho - 1e-9; n_range needs some
-    n >= 4.  Weights without P* run informatively: violations are recorded,
-    not failed.
+    n >= 4.  kelmans decides each class change exactly at every order, with
+    no certificate.  Weights without P* run informatively: violations are
+    recorded, not failed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -526,6 +535,7 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
     t0 = time.time()
     report = VerificationReport("kelmans")
     slack = 1e-9
+    orders = list(n_range)
     for f in fs:
         applicable = check_pstar(f, d_max=max(max(n_range) + 2, 8)).passes
         rng = random.Random(f"{rng_seed}/{f.label()}")
@@ -536,7 +546,7 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
             attempts_left -= 1
             if attempts_left < 0:
                 raise RuntimeError("kelmans campaign: too few class-changing samples")
-            n = rng.choice(list(n_range))
+            n = rng.choice(orders)
             g = random_connected_graph(rng, n)
             u = rng.randrange(n)
             v = (u + rng.randrange(1, n)) % n

@@ -309,8 +309,38 @@ def per_matrix_eigenpairs(a, tol):
 
 
 def reference_random_connected_graph(rng: random.Random, n: int, extra_max: int = 3) -> Graph:
-    """Reference sampler: Pruefer tree, then extra edges checked and added one
-    at a time with has_edge/add_edge, drawing from rng in the same order."""
+    """Reference sampler, the package's earlier random_connected_graph: a
+    Pruefer tree, its edges normalised afterwards, then the missing pairs
+    listed afresh, shuffled and a prefix added."""
+    if n == 1:
+        return Graph.from_edges(1, [])
+    if n == 2:
+        return Graph.from_edges(2, [(0, 1)])
+    prufer = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in prufer:
+        degree[x] += 1
+    edges = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for x in prufer:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    tree = {(min(e), max(e)) for e in edges}
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    rng.shuffle(candidates)
+    extra = candidates[: rng.randint(0, min(extra_max, len(candidates)))]
+    return Graph(n, frozenset(tree.union(extra)))
+
+
+def stepwise_random_connected_graph(rng: random.Random, n: int, extra_max: int = 3) -> Graph:
+    """Second reference sampler: Pruefer tree, then extra edges checked and
+    added one at a time with has_edge/add_edge, drawing from rng in the same
+    order."""
     if n == 1:
         return Graph.from_edges(1, [])
     if n == 2:
@@ -335,6 +365,18 @@ def reference_random_connected_graph(rng: random.Random, n: int, extra_max: int 
     for u, v in candidates[: rng.randint(0, min(extra_max, len(candidates)))]:
         g = g.add_edge(u, v)
     return g
+
+
+def reference_weak_compositions(total: int, parts: int):
+    """Reference: weak compositions by recursion on the first part, in
+    lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for tail in reference_weak_compositions(total - head, parts - 1):
+            yield (head,) + tail
 
 
 @pytest.fixture(scope="session")

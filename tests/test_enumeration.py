@@ -24,7 +24,8 @@ from bicyclic_spectra import (
 )
 from bicyclic_spectra import enumeration
 from bicyclic_spectra.enumeration import automorphisms, bicyclic_bases, rooted_trees
-from conftest import brute_force_bicyclic_classes, reference_enumerate_constructive, to_networkx
+from conftest import (brute_force_bicyclic_classes, reference_enumerate_constructive,
+                      reference_weak_compositions, to_networkx)
 
 # dual-method agreement recorded as golden class counts
 GOLDEN_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797}
@@ -119,6 +120,15 @@ class TestRootedTrees:
     def test_counts(self):
         # classical rooted-tree counts
         assert [len(rooted_trees(k)) for k in range(1, 8)] == [1, 1, 2, 4, 9, 20, 48]
+
+
+class TestWeakCompositions:
+    def test_same_sequence_as_the_recursion(self):
+        # the orderly key reads compositions in this (lexicographic) order
+        for total in range(9):
+            for parts in range(7):
+                assert (list(enumeration._weak_compositions(total, parts))
+                        == list(reference_weak_compositions(total, parts)))
 
 
 class TestBases:

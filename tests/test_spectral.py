@@ -202,6 +202,19 @@ class TestSpectralRadii:
         expected = per_graph_radii(graphs, weight_hyper).tolist()
         assert spectral_radii(graphs, weight_hyper).tolist() == expected
 
+    def test_one_weight_table_per_call(self, weight_hyper, rng, monkeypatch):
+        calls, evaluate = [], spectral.evaluate
+
+        def counting(f, x, y):
+            calls.append((x, y))
+            return evaluate(f, x, y)
+
+        graphs = [random_connected_graph(rng, 9) for _ in range(2 * spectral.EIGH_CHUNK + 5)]
+        expected = per_graph_radii(graphs, weight_hyper).tolist()
+        monkeypatch.setattr(spectral, "evaluate", counting)
+        assert spectral_radii(graphs, weight_hyper).tolist() == expected
+        assert calls and len(calls) == len(set(calls))
+
     def test_rho_f_is_the_one_graph_case(self, weight_forgotten):
         g = graph_g3(9)
         assert rho_f(g, weight_forgotten) == spectral_radius(build_matrix(g, weight_forgotten)).rho

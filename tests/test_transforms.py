@@ -37,7 +37,7 @@ class TestKelmans:
     def test_g2_reduces_to_g1(self, n):
         # two degree-2 vertices in different triangles of G2
         out = kelmans(graph_g2(n), 1, 3)
-        assert out.changed and not out.probable
+        assert out.changed
         assert canonical_form(out.result) == canonical_form(graph_g1(n))
 
     def test_star_leaves_identity(self):
@@ -108,21 +108,22 @@ class TestKelmans:
         with pytest.raises(TransformError):
             kelmans(g, 0, 9)
 
-    def test_probable_flag_beyond_iso_bound(self):
-        # one edge plus 15 isolated vertices: rerouting through an isolated
-        # vertex relabels the edge, so the result is isomorphic; above the
-        # certificate bound (SIZE_BOUND = 16), that verdict comes from
-        # invariants only
+    def test_swap_image_beyond_iso_bound(self):
+        # one edge plus 15 isolated vertices: N(2) is empty, so rerouting
+        # through the isolated vertex 2 gives g relabelled by the swap (0 2),
+        # decided exactly above the certificate bound (SIZE_BOUND = 16)
         g = Graph.from_edges(17, [(0, 1)])
         out = kelmans(g, 0, 2)
         assert out.moved_edges == (((0, 1), (1, 2)),)
         assert not out.changed
-        assert out.probable
+        swap = list(range(17))
+        swap[0], swap[2] = 2, 0
+        assert out.result == g.relabel(swap)
 
     def test_certain_changed_beyond_iso_bound(self):
         g = attach_pendants(graph_g2(16), 1, 1)  # 17 vertices
         out = kelmans(g, 1, 3)
-        assert out.changed and not out.probable  # degree sequences differ
+        assert out.changed  # degree sequences differ
 
 
     def test_changed_matches_certificates_exhaustively(self):
@@ -159,7 +160,33 @@ class TestKelmans:
             u, v = rng.sample(range(n), 2)
             out = kelmans(g, u, v)
             assert out.changed == (canonical_form(g) != canonical_form(out.result))
-            assert not out.probable
+
+    def test_unchanged_result_is_the_swap_image(self):
+        # the closed form's two witnesses, at orders past the certificate
+        # bound too: an unchanged result is g relabelled by (u v), a changed
+        # one has another degree sequence
+        rng = random.Random(93)
+        seen = {False: 0, True: 0}
+        for i in range(3000):
+            n = 4 + i % 21
+            if i % 2:
+                g = random_connected_graph(rng, n)
+            else:
+                pairs = list(itertools.combinations(range(n), 2))
+                g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, min(2 * n, len(pairs)))))
+            u, v = rng.sample(range(n), 2)
+            out = kelmans(g, u, v)
+            if not out.moved_edges:
+                assert not out.changed and out.result == g
+                continue
+            seen[out.changed] += 1
+            if out.changed:
+                assert out.result.degree_sequence() != g.degree_sequence()
+            else:
+                swap = list(range(n))
+                swap[u], swap[v] = v, u
+                assert out.result == g.relabel(swap)
+        assert min(seen.values()) > 100
 
 
 class TestReductionReplay:

@@ -24,11 +24,11 @@ from bicyclic_spectra import (
     verify_kelmans,
     verify_theorem41,
 )
-from bicyclic_spectra import verify
+from bicyclic_spectra import spectral, verify
 from bicyclic_spectra.cli import main, parse_graph_argument
 from bicyclic_spectra.verify import printed_tolerance
 from conftest import (per_graph_radii, per_matrix_eigenpairs, reference_exhaustive_case,
-                      reference_random_connected_graph)
+                      reference_random_connected_graph, stepwise_random_connected_graph)
 
 Z1 = WeightFunction("zagreb1")
 WEIGHTS = [Z1, WeightFunction("hyper_zagreb"), WeightFunction("forgotten")]
@@ -285,6 +285,20 @@ class TestStreamingExhaustive:
             verify_extremal(range(6, 9), ORACLE_WEIGHTS[:3], rank=rank)
         assert streams == [6, 7, 8]
 
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_each_degree_pair_weighed_once_per_order(self, n, monkeypatch):
+        calls = []
+
+        def counting(f, x, y):
+            calls.append((f, x, y))
+            return evaluate(f, x, y)
+
+        monkeypatch.setattr(spectral, "evaluate", counting)
+        verify._rankings.cache_clear()
+        for rank in ("first", "second"):
+            verify_extremal([n], ORACLE_WEIGHTS, rank=rank)
+        assert calls and len(calls) == len(set(calls))
+
     def test_prune_skips_most_eigensolves(self, monkeypatch):
         solved = []
         original = verify._dominant_eigenpairs
@@ -331,11 +345,25 @@ class TestKelmansCampaign:
             verify_kelmans(5, range(2, 4), [Z1], rng_seed=1)
 
     def test_sampler_matches_reference(self):
-        rng, ref = random.Random(17), random.Random(17)
-        for i in range(2000):
-            n = 1 + i % 9
-            assert verify.random_connected_graph(rng, n) == reference_random_connected_graph(ref, n)
-            assert rng.getstate() == ref.getstate()
+        # same graph and same generator state after every call, so a seeded
+        # campaign draws the same samples
+        for seed in range(120):
+            rng, ref, step = (random.Random(seed) for _ in range(3))
+            for i in range(40):
+                n = 1 + (seed + i) % 20
+                g = verify.random_connected_graph(rng, n)
+                assert g == reference_random_connected_graph(ref, n)
+                assert g == stepwise_random_connected_graph(step, n)
+                assert rng.getstate() == ref.getstate() == step.getstate()
+
+    def test_campaign_makes_no_certificate(self):
+        # the class-change test is kelmans' closed form; canonical_form's
+        # lru_cache counts every call, whichever module makes it
+        info = canonical_form.cache_info()
+        before = info.hits + info.misses
+        assert verify_kelmans(500, range(4, 9), [Z1], rng_seed=0).ok
+        info = canonical_form.cache_info()
+        assert info.hits + info.misses == before
 
 
 class TestTheorem41Campaign:
