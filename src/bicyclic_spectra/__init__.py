@@ -54,11 +54,9 @@ from .transforms import TransformError, TransformOutcome, kelmans, pendant_shift
 from .enumeration import (
     EnumerationError,
     EnumerationReport,
-    are_isomorphic,
     canonical_form,
     enumerate_bicyclic,
     enumerate_with_max_degree,
-    graph_from_certificate,
     targeted_max_degree_family,
 )
 from .polynomials import (

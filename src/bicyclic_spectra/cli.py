@@ -105,8 +105,6 @@ def main(argv=None) -> int:
     p_enum = sub.add_parser("enumerate", help="bicyclic classes at one order")
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--max-degree", type=int, default=None)
-    p_enum.add_argument("--method", choices=["constructive", "edge_subset"],
-                        default="constructive")
     p_enum.add_argument("--graph6", action="store_true",
                         help="stream one graph6 line per class before the summary")
 
@@ -135,9 +133,9 @@ def _run(args) -> int:
         return _emit(verify_theorem41(args.n), args)
     if args.command == "enumerate":
         if args.max_degree is not None:
-            rep = enumerate_with_max_degree(args.n, args.max_degree, args.method)
+            rep = enumerate_with_max_degree(args.n, args.max_degree)
         else:
-            rep = enumerate_bicyclic(args.n, args.method)
+            rep = enumerate_bicyclic(args.n)
         if args.graph6:
             for g in rep.graphs:
                 print(graph6_encode(g))

@@ -1,22 +1,17 @@
 """Isomorphism-free generation of connected bicyclic graphs at small order.
 
-Two independent generators back each other up:
+One generator: build every pendant-free base (infinity- and theta-graphs) up
+to order n and attach the rooted forests that are orderly (McKay 1998): first
+in their orbit under the base's automorphisms, one per class.  The tests
+check it against an independent oracle, canonical augmentation over all
+connected graphs with m = n + 1 edges.
 
-* constructive -- build every pendant-free base (infinity- and theta-graphs)
-  up to order n and attach the rooted forests that are orderly (McKay 1998):
-  first in their orbit under the base's automorphisms, one per class;
-* edge_subset  -- canonical augmentation over all connected graphs with
-  m = n + 1 edges, working up through trees and unicyclic graphs by adding a
-  vertex of degree 1, 2 or 3 (every connected graph with cyclomatic number c
-  has a non-cutvertex of degree at most c + 1, so the sweep is exhaustive).
-
-The constructive generator is duplicate-free without certificates, so
-`orderly_classes` streams its classes uncertified (exhaustive ranking in
-`verify` certifies only the few classes a verdict reads).  The certificate
-keys and orders the classes `enumerate_bicyclic` returns, and edge_subset
-dedups with it: ordered-partition degree refinement plus backtracking
-minimization of the relabeled adjacency bit-string, branch collapsing on
-cells of pairwise twins.
+The generator is duplicate-free without certificates, so `orderly_classes`
+streams its classes uncertified (exhaustive ranking in `verify` certifies
+only the few classes a verdict reads).  The certificate keys and orders the
+classes `enumerate_bicyclic` returns: ordered-partition degree refinement
+plus backtracking minimization of the relabeled adjacency bit-string, branch
+collapsing on cells of pairwise twins.
 """
 
 from __future__ import annotations
@@ -26,12 +21,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .graphs import (Graph, attach_pendants, base_graph, make_infinity, make_theta,
-                     refine_partition)
+from .graphs import Graph, base_graph, make_infinity, make_theta, refine_partition
 
 SIZE_BOUND = 16
-# largest order each generator runs at unless a caller passes order_bound
-ORDER_BOUNDS = {"constructive": 10, "edge_subset": 9}
+# largest order enumerate_bicyclic runs at
+ORDER_BOUND = 10
 
 
 class EnumerationError(ValueError):
@@ -73,10 +67,10 @@ def _cert_int(masks: list[int], order: list[int]) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def canonical_form(g: Graph, size_bound: int = SIZE_BOUND) -> bytes:
-    """Certificate identifying g up to isomorphism (n <= size_bound)."""
-    if g.n > size_bound:
-        raise EnumerationError(f"canonical_form bound exceeded: n={g.n} > {size_bound}")
+def canonical_form(g: Graph) -> bytes:
+    """Certificate identifying g up to isomorphism (n <= SIZE_BOUND)."""
+    if g.n > SIZE_BOUND:
+        raise EnumerationError(f"canonical_form bound exceeded: n={g.n} > {SIZE_BOUND}")
     n = g.n
     if n == 0:
         return bytes([0])
@@ -108,25 +102,6 @@ def canonical_form(g: Graph, size_bound: int = SIZE_BOUND) -> bytes:
     descend(start)
     nbits = n * (n - 1) // 2
     return bytes([n]) + best.to_bytes((nbits + 7) // 8 or 1, "big")
-
-
-def graph_from_certificate(cert: bytes) -> Graph:
-    """Rebuild the canonical representative encoded by a certificate."""
-    n = cert[0]
-    nbits = n * (n - 1) // 2
-    val = int.from_bytes(cert[1:], "big")
-    edges = []
-    k = nbits
-    for i in range(1, n):
-        for j in range(i):
-            k -= 1
-            if (val >> k) & 1:
-                edges.append((j, i))
-    return Graph.from_edges(n, edges)
-
-
-def are_isomorphic(a: Graph, b: Graph) -> bool:
-    return a.n == b.n and a.m == b.m and canonical_form(a) == canonical_form(b)
 
 
 # ---------------------------------------------------------------------------
@@ -247,43 +222,6 @@ def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Edge-subset generator: canonical augmentation over connected graphs
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _connected_classes(n: int, c: int) -> tuple[Graph, ...]:
-    """Connected graphs with n vertices and cyclomatic number c, up to iso."""
-    if n < 1 or c < 0:
-        return ()
-    if n == 1:
-        return (Graph.from_edges(1, []),) if c == 0 else ()
-    found: dict[bytes, Graph] = {}
-
-    def offer(g: Graph):
-        found.setdefault(canonical_form(g), g)
-
-    for parent in _connected_classes(n - 1, c):
-        for v in range(parent.n):
-            offer(attach_pendants(parent, v, 1))
-    if c >= 1:
-        for parent in _connected_classes(n - 1, c - 1):
-            for pair in itertools.combinations(range(parent.n), 2):
-                g = Graph.from_edges(n, set(parent.edges) | {(pair[0], n - 1), (pair[1], n - 1)})
-                offer(g)
-    if c >= 2:
-        for parent in _connected_classes(n - 1, c - 2):
-            for triple in itertools.combinations(range(parent.n), 3):
-                g = Graph.from_edges(n, set(parent.edges) | {(t, n - 1) for t in triple})
-                offer(g)
-    return tuple(found[k] for k in sorted(found))
-
-
-def _enumerate_edge_subset(n: int) -> dict[bytes, Graph]:
-    return {canonical_form(g): g for g in _connected_classes(n, 2)}
-
-
-# ---------------------------------------------------------------------------
 # Reports and public entry points
 # ---------------------------------------------------------------------------
 
@@ -299,45 +237,35 @@ class EnumerationReport:
         return frozenset(canonical_form(g) for g in self.graphs)
 
 
-def check_order(n: int, method: str = "constructive", order_bound: Optional[int] = None) -> None:
-    """Raise EnumerationError unless method is known and 4 <= n <= its order bound."""
-    bound = _order_bound(method, order_bound)
-    if not 4 <= n <= bound:
-        raise EnumerationError(f"enumerate_bicyclic({method}) supports 4 <= n <= {bound}")
+def check_order(n: int) -> None:
+    """Raise EnumerationError unless 4 <= n <= ORDER_BOUND."""
+    if not 4 <= n <= ORDER_BOUND:
+        raise EnumerationError(f"bicyclic classes are enumerated for 4 <= n <= {ORDER_BOUND}")
 
 
-def _order_bound(method: str, order_bound: Optional[int]) -> int:
-    if method not in ORDER_BOUNDS:
-        raise EnumerationError(f"unknown method {method!r}")
-    return ORDER_BOUNDS[method] if order_bound is None else order_bound
-
-
-def enumerate_bicyclic(n: int, method: str = "constructive",
-                       order_bound: Optional[int] = None) -> EnumerationReport:
+def enumerate_bicyclic(n: int) -> EnumerationReport:
     """All connected bicyclic graphs on n vertices up to isomorphism."""
-    check_order(n, method, order_bound)
-    found = _enumerate_constructive(n) if method == "constructive" else _enumerate_edge_subset(n)
+    check_order(n)
+    found = _enumerate_constructive(n)
     graphs = [found[k] for k in sorted(found)]
-    return EnumerationReport(n, len(graphs), method, graphs)
+    return EnumerationReport(n, len(graphs), "constructive", graphs)
 
 
-def enumerate_with_max_degree(n: int, delta: int, method: str = "constructive",
-                              order_bound: Optional[int] = None) -> EnumerationReport:
+def enumerate_with_max_degree(n: int, delta: int) -> EnumerationReport:
     """Bicyclic classes on n vertices whose maximum degree is exactly delta.
 
-    Beyond the full-enumeration bound, the delta = n-2 family is still
-    available through the targeted generator (cross-checked against full
-    enumeration at the orders where both run).
+    Beyond `ORDER_BOUND`, the delta = n-2 family is still available through
+    the targeted generator (cross-checked against full enumeration at the
+    orders where both run).
     """
     if delta > n - 1:
         raise EnumerationError("delta exceeds n - 1")
-    order_bound = _order_bound(method, order_bound)
-    if n > order_bound and delta == n - 2:
+    if n > ORDER_BOUND and delta == n - 2:
         graphs = targeted_max_degree_family(n)
         return EnumerationReport(n, len(graphs), f"targeted/max_degree={delta}", graphs)
-    rep = enumerate_bicyclic(n, method, order_bound)
+    rep = enumerate_bicyclic(n)
     graphs = [g for g in rep.graphs if max(g.degrees()) == delta]
-    return EnumerationReport(n, len(graphs), f"{method}/max_degree={delta}", graphs)
+    return EnumerationReport(n, len(graphs), f"constructive/max_degree={delta}", graphs)
 
 
 def targeted_max_degree_family(n: int) -> list[Graph]:

@@ -2,6 +2,7 @@ import heapq
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import networkx as nx
 import numpy as np
@@ -12,6 +13,10 @@ from bicyclic_spectra import (FAMILIES, CaseRecord, Graph, Polynomial, Polynomia
                               evaluate, spectral_radii)
 from bicyclic_spectra.enumeration import (bicyclic_bases, canonical_form, rooted_trees,
                                           _weak_compositions)
+
+# bicyclic class counts at n=4..9, on which enumerate_bicyclic and the
+# edge-subset oracle agree (n=10 has 2,678)
+GOLDEN_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797}
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -35,6 +40,58 @@ def brute_force_bicyclic_classes(n: int) -> list[Graph]:
         if not any(nx.is_isomorphic(gn, to_networkx(r)) for r in reps):
             reps.append(g)
     return reps
+
+
+@lru_cache(maxsize=None)
+def _connected_classes(n: int, c: int) -> tuple[Graph, ...]:
+    """Connected graphs with n vertices and cyclomatic number c, up to iso."""
+    if n < 1 or c < 0:
+        return ()
+    if n == 1:
+        return (Graph.from_edges(1, []),) if c == 0 else ()
+    found: dict[bytes, Graph] = {}
+
+    def offer(g: Graph):
+        found.setdefault(canonical_form(g), g)
+
+    for parent in _connected_classes(n - 1, c):
+        for v in range(parent.n):
+            offer(attach_pendants(parent, v, 1))
+    if c >= 1:
+        for parent in _connected_classes(n - 1, c - 1):
+            for pair in itertools.combinations(range(parent.n), 2):
+                g = Graph.from_edges(n, set(parent.edges) | {(pair[0], n - 1), (pair[1], n - 1)})
+                offer(g)
+    if c >= 2:
+        for parent in _connected_classes(n - 1, c - 2):
+            for triple in itertools.combinations(range(parent.n), 3):
+                g = Graph.from_edges(n, set(parent.edges) | {(t, n - 1) for t in triple})
+                offer(g)
+    return tuple(found[k] for k in sorted(found))
+
+
+def edge_subset_classes(n: int) -> dict[bytes, Graph]:
+    """Independent oracle: canonical augmentation over all connected graphs
+    with m = n + 1 edges, working up through trees and unicyclic graphs by
+    adding a vertex of degree 1, 2 or 3 (every connected graph with
+    cyclomatic number c has a non-cutvertex of degree at most c + 1, so the
+    sweep is exhaustive).  Keyed by certificate."""
+    return {canonical_form(g): g for g in _connected_classes(n, 2)}
+
+
+def graph_from_certificate(cert: bytes) -> Graph:
+    """Rebuild the canonical representative encoded by a certificate."""
+    n = cert[0]
+    nbits = n * (n - 1) // 2
+    val = int.from_bytes(cert[1:], "big")
+    edges = []
+    k = nbits
+    for i in range(1, n):
+        for j in range(i):
+            k -= 1
+            if (val >> k) & 1:
+                edges.append((j, i))
+    return Graph.from_edges(n, edges)
 
 
 def reference_enumerate_constructive(n: int) -> dict[bytes, Graph]:
@@ -61,7 +118,7 @@ def reference_enumerate_constructive(n: int) -> dict[bytes, Graph]:
 def reference_exhaustive_case(n: int, f, rank: str, min_gap: float = 1e-9) -> CaseRecord:
     """Reference exhaustive extremal case: score every class, certify every
     class and sort them all by (rho, certificate)."""
-    rep = enumerate_bicyclic(n, "constructive")
+    rep = enumerate_bicyclic(n)
     rhos = spectral_radii(rep.graphs, f).tolist()
     scored = sorted(zip(rhos, map(canonical_form, rep.graphs), rep.graphs), reverse=True)
     named = {tag: canonical_form(family.build(n)) if n >= family.min_n else None

@@ -7,13 +7,11 @@ import pytest
 from bicyclic_spectra import (
     EnumerationError,
     Graph,
-    are_isomorphic,
     attach_pendants,
     base_graph,
     canonical_form,
     enumerate_bicyclic,
     enumerate_with_max_degree,
-    graph_from_certificate,
     graph_g1,
     graph_g2,
     graph_g3,
@@ -24,11 +22,9 @@ from bicyclic_spectra import (
 )
 from bicyclic_spectra import enumeration
 from bicyclic_spectra.enumeration import automorphisms, bicyclic_bases, rooted_trees
-from conftest import (brute_force_bicyclic_classes, reference_enumerate_constructive,
+from conftest import (GOLDEN_COUNTS, brute_force_bicyclic_classes, edge_subset_classes,
+                      graph_from_certificate, reference_enumerate_constructive,
                       reference_weak_compositions, to_networkx)
-
-# dual-method agreement recorded as golden class counts
-GOLDEN_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797}
 
 
 class TestCanonicalForm:
@@ -112,8 +108,9 @@ class TestCanonicalForm:
             canonical_form(Graph.from_edges(17, []))
 
     def test_are_isomorphic(self):
-        assert are_isomorphic(graph_g3(7), graph_g3(7).relabel([6, 5, 4, 3, 2, 1, 0]))
-        assert not are_isomorphic(graph_g3(7), graph_g4(7))
+        g3 = canonical_form(graph_g3(7))
+        assert g3 == canonical_form(graph_g3(7).relabel([6, 5, 4, 3, 2, 1, 0]))
+        assert g3 != canonical_form(graph_g4(7))
 
 
 class TestRootedTrees:
@@ -188,9 +185,9 @@ class TestEnumerate:
     def test_one_certificate_per_class(self, monkeypatch):
         calls = []
 
-        def counting(g, *args):
+        def counting(g):
             calls.append(g.n)
-            return canonical_form(g, *args)
+            return canonical_form(g)
 
         monkeypatch.setattr(enumeration, "canonical_form", counting)
         enumeration._enumerate_constructive.cache_clear()
@@ -202,7 +199,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_against_brute_force_oracle(self, n):
         oracle = brute_force_bicyclic_classes(n)
-        rep = enumerate_bicyclic(n, "constructive")
+        rep = enumerate_bicyclic(n)
         assert rep.count == len(oracle) == GOLDEN_COUNTS[n]
         # class sets agree, not just the counts
         oracle_certs = {canonical_form(g) for g in oracle}
@@ -210,10 +207,9 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_methods_agree(self, n):
-        a = enumerate_bicyclic(n, "constructive")
-        b = enumerate_bicyclic(n, "edge_subset")
-        assert a.count == b.count == GOLDEN_COUNTS[n]
-        assert a.certificates() == b.certificates()
+        rep, oracle = enumerate_bicyclic(n), edge_subset_classes(n)
+        assert rep.count == len(oracle) == GOLDEN_COUNTS[n]
+        assert rep.certificates() == set(oracle)
 
     def test_n6_contains_the_named_four(self):
         certs = enumerate_bicyclic(6).certificates()
@@ -235,17 +231,13 @@ class TestEnumerate:
         with pytest.raises(EnumerationError):
             enumerate_bicyclic(3)
         with pytest.raises(EnumerationError):
-            enumerate_bicyclic(11, "constructive")
-        with pytest.raises(EnumerationError):
-            enumerate_bicyclic(10, "edge_subset")
-        with pytest.raises(EnumerationError):
-            enumerate_bicyclic(6, "magic")
+            enumerate_bicyclic(11)
 
     def test_order_bound_override(self):
-        rep = enumerate_bicyclic(10, "edge_subset", order_bound=10)
-        other = enumerate_bicyclic(10, "constructive")
-        assert rep.count == other.count == 2678
-        assert rep.certificates() == other.certificates()
+        # the oracle at the order bound itself
+        rep, oracle = enumerate_bicyclic(10), edge_subset_classes(10)
+        assert rep.count == len(oracle) == 2678
+        assert rep.certificates() == set(oracle)
 
     def test_deterministic_output_order(self):
         from bicyclic_spectra import graph6_encode
@@ -275,12 +267,6 @@ class TestMaxDegree:
     def test_delta_bound(self):
         with pytest.raises(EnumerationError):
             enumerate_with_max_degree(6, 6)
-
-    @pytest.mark.parametrize("n,delta", [(12, 10), (8, 6)])
-    def test_unknown_method_rejected(self, n, delta):
-        # also past the order bound, where the targeted family would answer
-        with pytest.raises(EnumerationError, match="unknown method 'magic'"):
-            enumerate_with_max_degree(n, delta, "magic")
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_targeted_generator_matches_full_enumeration(self, n):

@@ -191,7 +191,7 @@ class TestSpectralRadii:
     @pytest.mark.parametrize("label", ["zagreb1", "forgotten", "extended", "custom:x*y+x+y"])
     def test_equals_per_graph_path_on_every_class_n8(self, label):
         f = parse_weight(label)
-        graphs = enumerate_bicyclic(8, "constructive").graphs
+        graphs = enumerate_bicyclic(8).graphs
         assert len(graphs) > spectral.EIGH_CHUNK
         assert spectral_radii(graphs, f).tolist() == per_graph_radii(graphs, f).tolist()
         for g in graphs:

@@ -209,7 +209,7 @@ class TestBatchedScoring:
         for case in rep.cases:
             n, f = case.inputs["n"], parse_weight(case.inputs["weight"])
             best = {}
-            for g in sorted(enumerate_bicyclic(n, "constructive").graphs,
+            for g in sorted(enumerate_bicyclic(n).graphs,
                             key=lambda g: (rho_f(g, f), canonical_form(g)), reverse=True):
                 best.setdefault(base_graph(g).kind, canonical_form(g))
             g2 = canonical_form(graph_g2(n)) if n >= 5 else None
@@ -434,6 +434,24 @@ class TestCli:
         assert code == 0
         assert json.loads(out[-1])["count"] == 9
         assert len(out) == 10
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["--n", "4"], "de980e55f0e6e98b9190f21e40b7894fc2783c57a7e68d24eccd4c8fb4ab53ec"),
+        (["--n", "5"], "8b02f8d7f4af97794150bb4ece11318518315bdb17f751c435fa1e08aaf40b72"),
+        (["--n", "6"], "863a715f303d81420f8dcd459e1aea11982b45a3b5aa22a583cf4a71f93bf5cd"),
+        (["--n", "7"], "57a97b1d292502ae341506967dd3c15d31d369a3556dd09d132cf0814f438716"),
+        (["--n", "8"], "4309a372d5c8982ea91efe26e4c5d98103f37037e0ef08f0382d80e04185245b"),
+        (["--n", "9"], "27f51766e02add21d7d3e5817b7c472b18d863d73de109bb001cba5a7e56ac03"),
+        (["--n", "12", "--max-degree", "10"],
+         "b7c3c2fa4537f872a4232459fb2c0e8ce194089daae4fe5d3d6b4f18d730b2a4"),
+    ], ids=["n4", "n5", "n6", "n7", "n8", "n9", "n12_max_degree10"])
+    def test_enumerate_output_bytes_pinned(self, argv, digest, capsys):
+        # sha256 of the full stdout (graph6 lines in certificate order, then
+        # the summary), so any change to the classes, their representatives
+        # or their order shows
+        import hashlib
+        assert main(["enumerate", *argv, "--graph6"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_spectral_subcommand(self, capsys):
         code = main(["spectral", "--graph", "G2:6", "--f", "zagreb1", "--full-spectrum"])
