@@ -41,7 +41,6 @@ from .weights import (
 from .spectral import (
     SpectralError,
     SpectralResult,
-    WeightedMatrix,
     build_matrix,
     build_matrix_exact,
     full_spectrum,
@@ -67,7 +66,6 @@ from .polynomials import (
     descartes_bounds,
     eval_at_sqrt,
     max_real_root,
-    real_roots,
     sign_at_sqrt,
 )
 from .quotient import (

@@ -2,11 +2,12 @@
 
 Provides the pieces the verification campaigns lean on: characteristic
 polynomials via fraction-free Faddeev-LeVerrier, Descartes sign-variation
-bounds, Sturm root counting with bisection refinement (each sign read off
-integer Horner on a primitive integer polynomial), and exact sign evaluation
-at quadratic-surd points r*sqrt(s) (every sign condition in the source
-material evaluates at such a point, so signs are certified without floating
-point).
+bounds, Sturm root counting and bisection to the largest real root (each
+sign read off integer Horner on a primitive integer polynomial), and exact
+sign evaluation at quadratic-surd points r*sqrt(s) (every sign condition in
+the source material evaluates at such a point, so signs are certified
+without floating point).  Root counting and isolation take exact
+coefficients only.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def sign_at_sqrt(p: Polynomial, r, s) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Real root isolation: Sturm sequence + bisection
+# Largest-root isolation: Sturm sequence + bisection
 # ---------------------------------------------------------------------------
 
 
@@ -312,80 +313,6 @@ def _squarefree_part(p: Polynomial) -> Polynomial:
     return p.divmod(g)[0]
 
 
-def _multiplicity_chain(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """[(q_k, k)]: q_k square-free carrying exactly the multiplicity-k roots."""
-    chain = [p]
-    while chain[-1].degree > 0:
-        g = chain[-1].gcd(chain[-1].derivative())
-        if g.degree <= 0:
-            break
-        chain.append(g)
-    # u_k = chain[k-1] / chain[k] has roots of multiplicity >= k, each once
-    us = []
-    for k in range(len(chain)):
-        nxt = chain[k + 1] if k + 1 < len(chain) else Polynomial([1])
-        us.append(chain[k].divmod(nxt)[0])
-    out = []
-    for k in range(len(us)):
-        nxt = us[k + 1] if k + 1 < len(us) else Polynomial([1])
-        qk = us[k].divmod(nxt)[0]
-        if qk.degree > 0:
-            out.append((qk, k + 1))
-    return out
-
-
-def _nudge_off_root(q: tuple[int, ...], x: Fraction, step: Fraction, direction: int) -> Fraction:
-    while _sign_at(q, x) == 0:
-        x += direction * step
-        step /= 2
-    return x
-
-
-def _isolate_square_free(q: Polynomial, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """Disjoint isolation: exact rational roots plus midpoints of tight brackets."""
-    roots: list[Fraction] = []
-    seq = sturm_sequence(q)
-    qi = seq[0]
-    # roots sitting exactly on the endpoints are recorded and stepped over
-    width = hi - lo
-    if _sign_at(qi, lo) == 0:
-        roots.append(lo)
-        lo = _nudge_off_root(qi, lo, width / 4096, +1)
-    if _sign_at(qi, hi) == 0:
-        roots.append(hi)
-        hi = _nudge_off_root(qi, hi, width / 4096, -1)
-    if lo >= hi:
-        return sorted(roots)
-
-    def count(a: Fraction, b: Fraction) -> int:
-        return _variations_at(seq, a) - _variations_at(seq, b)
-
-    stack = [(lo, hi, count(lo, hi))]
-    while stack:
-        a, b, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1:
-            # a simple isolated root: the endpoint signs must differ
-            roots.append(_refine_bracket(qi, a, b))
-            continue
-        mid = (a + b) / 2
-        if _sign_at(qi, mid) == 0:
-            roots.append(mid)
-            delta = (b - a) / 2 ** 16
-            while True:
-                left, right = mid - delta, mid + delta
-                if _sign_at(qi, left) and _sign_at(qi, right) and count(left, right) == 1:
-                    stack.append((a, left, count(a, left)))
-                    stack.append((right, b, count(right, b)))
-                    break
-                delta /= 2
-            continue
-        stack.append((a, mid, count(a, mid)))
-        stack.append((mid, b, count(mid, b)))
-    return sorted(roots)
-
-
 def _refine_bracket(q: tuple[int, ...], a: Fraction, b: Fraction) -> Fraction:
     going_up = _sign_at(q, a) < 0
     while b - a >= ROOT_TOL:
@@ -400,56 +327,16 @@ def _refine_bracket(q: tuple[int, ...], a: Fraction, b: Fraction) -> Fraction:
     return (a + b) / 2
 
 
-def real_roots(p: Polynomial, lo, hi, tol: float = 1e-10) -> list[float]:
-    """All real roots of p in [lo, hi], sorted, repeated per multiplicity.
-
-    Exact polynomials use Sturm-counted bisection (roots are isolated
-    exactly, never split or merged arbitrarily); float polynomials fall back
-    to numpy eigen-roots with clustering of near-coincident values.
-    """
-    if p.is_zero():
-        raise PolynomialError("real_roots undefined for the zero polynomial")
-    if not lo < hi:
-        raise PolynomialError("real_roots requires lo < hi")
-    if p.degree == 0:
-        return []
-    if p.is_exact():
-        out: list[float] = []
-        for q, mult in _multiplicity_chain(p):
-            for root in _isolate_square_free(q, Fraction(lo), Fraction(hi)):
-                out.extend([float(root)] * mult)
-        return sorted(out)
-    # numeric fallback
-    coeffs = np.array([float(c) for c in reversed(p.coeffs)])
-    raw = np.roots(coeffs)
-    scale = max(1.0, float(np.max(np.abs(raw)))) if raw.size else 1.0
-    reals = sorted(float(z.real) for z in raw if abs(z.imag) <= 1e-7 * scale)
-    picked = [x for x in reals if lo - 1e-9 <= x <= hi + 1e-9]
-    out = []
-    i = 0
-    while i < len(picked):
-        j = i
-        while j + 1 < len(picked) and picked[j + 1] - picked[j] < 1e-9:
-            j += 1
-        cluster = picked[i : j + 1]
-        out.extend([sum(cluster) / len(cluster)] * len(cluster))
-        i = j + 1
-    return out
-
-
 def max_real_root(p: Polynomial, lo=None, hi=None) -> float:
-    """Largest real root; default bracket is the Cauchy root bound."""
+    """Largest real root of an exact polynomial in [lo, hi]; default bracket
+    is the Cauchy root bound."""
     if p.is_zero() or p.degree == 0:
         raise PolynomialError("polynomial has no roots")
-    lead = abs(p.coeffs[-1])
-    bound = 1 + max(abs(Fraction(c) if p.is_exact() else float(c)) for c in p.coeffs) / lead
+    if not p.is_exact():
+        raise PolynomialError("max_real_root requires exact coefficients")
+    bound = 1 + max(abs(Fraction(c)) for c in p.coeffs) / abs(p.coeffs[-1])
     lo = -bound if lo is None else lo
     hi = bound if hi is None else hi
-    if not p.is_exact():
-        roots = real_roots(p, lo, hi)
-        if not roots:
-            raise PolynomialError("no real roots in bracket")
-        return roots[-1]
     # halve towards the upper half while it holds a root, then refine the top root alone
     seq = sturm_sequence(_squarefree_part(p))
     q = seq[0]

@@ -59,7 +59,7 @@ def _weight_rows(g: Graph, f: WeightFunction):
     exact = build_matrix_exact(g, f)
     if exact is not None:
         return exact, True
-    return build_matrix(g, f).entries.tolist(), False
+    return build_matrix(g, f).tolist(), False
 
 
 def equitable_refine(g: Graph, f: WeightFunction, seed: Optional[Partition] = None) -> Partition:

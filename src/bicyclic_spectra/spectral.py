@@ -16,24 +16,14 @@ class SpectralError(RuntimeError):
     """Eigensolve failed to converge or produced inconsistent output."""
 
 
-@dataclass(frozen=True)
-class WeightedMatrix:
-    """Dense symmetric A_f(G) with its provenance."""
-
-    entries: np.ndarray
-    graph: Graph
-    weight: WeightFunction
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
+RESIDUAL_TOL = 1e-10  # relative eigenpair residual above which an eigensolve raises
 
 
-def build_matrix(g: Graph, f: WeightFunction) -> WeightedMatrix:
-    """A_f(G): entry (i,j) is f(d_i,d_j) on edges, 0 elsewhere."""
+def build_matrix(g: Graph, f: WeightFunction) -> np.ndarray:
+    """A_f(G), read-only: entry (i,j) is f(d_i,d_j) on edges, 0 elsewhere."""
     a = _stacked_matrices([g], [f], g.n, [{}])[0, 0]
     a.setflags(write=False)
-    return WeightedMatrix(a, g, f)
+    return a
 
 
 def build_matrix_exact(g: Graph, f: WeightFunction) -> Optional[list[list[Fraction]]]:
@@ -54,24 +44,16 @@ class SpectralResult:
     rho: float
     perron: np.ndarray
     residual: float
-    spectrum: Optional[np.ndarray] = None
-    method: str = "dense_symmetric"
 
 
-def _as_array(m) -> np.ndarray:
-    if isinstance(m, WeightedMatrix):
-        return m.entries
-    return np.asarray(m, dtype=float)
-
-
-def spectral_radius(m, tol: float = 1e-10, with_spectrum: bool = False) -> SpectralResult:
+def spectral_radius(m) -> SpectralResult:
     """Spectral radius and Perron vector of a symmetric matrix.
 
     The Perron vector is unit 2-norm with its first nonzero component
-    positive.  A residual larger than tol * max(1, rho) raises SpectralError
-    rather than returning a silently wrong answer.
+    positive.  A residual larger than RESIDUAL_TOL * max(1, rho) raises
+    SpectralError rather than returning a silently wrong answer.
     """
-    a = _as_array(m)
+    a = np.asarray(m, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise SpectralError(f"matrix is not square: {a.shape}")
@@ -80,18 +62,18 @@ def spectral_radius(m, tol: float = 1e-10, with_spectrum: bool = False) -> Spect
         perron = np.zeros(n)
         if n:
             perron[0] = 1.0
-        return SpectralResult(0.0, perron, 0.0, np.zeros(n) if with_spectrum else None)
+        return SpectralResult(0.0, perron, 0.0)
     if not np.array_equal(a, a.T):
         raise SpectralError("matrix is not symmetric")
-    rho, vals, (v,), residual = _dominant_eigenpairs(a[None], tol)
+    rho, (v,), residual = _dominant_eigenpairs(a[None])
     nz = np.flatnonzero(np.abs(v) > 1e-12)
     if nz.size and v[nz[0]] < 0:
         v = -v
-    return SpectralResult(float(rho[0]), v, float(residual[0]), vals[0] if with_spectrum else None)
+    return SpectralResult(float(rho[0]), v, float(residual[0]))
 
 
-def _dominant_eigenpairs(a: np.ndarray, tol: float):
-    """(rho, eigenvalues, dominant eigenvectors, residuals) of stacked symmetric matrices."""
+def _dominant_eigenpairs(a: np.ndarray):
+    """(rho, dominant eigenvectors, residuals) of stacked symmetric matrices."""
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -106,16 +88,16 @@ def _dominant_eigenpairs(a: np.ndarray, tol: float):
     v = vecs[b, :, k]
     residual = np.abs(np.matmul(a, v[..., None])[..., 0] - vals[b, k, None] * v).max(axis=1)
     i = int(np.argmax(residual / scale))
-    if residual[i] > tol * scale[i]:
+    if residual[i] > RESIDUAL_TOL * scale[i]:
         raise SpectralError(
-            f"residual {residual[i]:.3e} exceeds tolerance {tol:.1e} at rho={rho[i]:.6g}"
+            f"residual {residual[i]:.3e} exceeds tolerance {RESIDUAL_TOL:.1e} at rho={rho[i]:.6g}"
         )
-    return rho, vals, v, residual
+    return rho, v, residual
 
 
 def full_spectrum(m) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending."""
-    a = _as_array(m)
+    a = np.asarray(m, dtype=float)
     if a.shape[0] == 0:
         return np.zeros(0)
     if not np.array_equal(a, a.T):
@@ -141,7 +123,7 @@ def spectral_radii(graphs: Sequence[Graph], f: WeightFunction) -> np.ndarray:
     rho, weight = np.zeros(len(graphs)), {}
     for start in range(0, len(graphs) if n else 0, EIGH_CHUNK):
         a = _stacked_matrices(graphs[start:start + EIGH_CHUNK], [f], n, [weight])[0]
-        rho[start:start + EIGH_CHUNK] = _dominant_eigenpairs(a, 1e-10)[0]
+        rho[start:start + EIGH_CHUNK] = _dominant_eigenpairs(a)[0]
     return rho
 
 

@@ -91,8 +91,8 @@ class VerificationReport:
             "summary": self.summary(),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -164,22 +164,25 @@ EXTENDED_TABLE1 = {
 }
 
 
-def printed_tolerance(printed: str, floor: float = 5e-4) -> float:
-    """Half a unit in the last printed place, floored at 5e-4."""
+TOLERANCE_FLOOR = 5e-4  # smallest tolerance a printed table value gets
+
+
+def printed_tolerance(printed: str) -> float:
+    """Half a unit in the last printed place, floored at TOLERANCE_FLOOR."""
     decimals = len(printed.split(".")[1]) if "." in printed else 0
-    return max(floor, 0.5 * 10.0 ** (-decimals))
+    return max(TOLERANCE_FLOOR, 0.5 * 10.0 ** (-decimals))
 
 
 def run_table(table: str) -> VerificationReport:
     """Recompute one published table cell by cell."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if table in APPENDIX_TABLES:
         report = _run_appendix_table(table)
     elif table == "extended_table1":
         report = _run_extended_table1()
     else:
         raise ValueError(f"unknown table {table!r}; choose appendix_n6, appendix_n7, extended_table1")
-    report.runtime_seconds = time.time() - t0
+    report.runtime_seconds = time.perf_counter() - t0
     return report
 
 
@@ -279,7 +282,7 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
         raise ValueError("rank must be 'first' or 'second'")
     if mode not in ("exhaustive", "candidate"):
         raise ValueError("mode must be 'exhaustive' or 'candidate'")
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = VerificationReport(f"extremal/{mode}/rank={rank}")
     d_max = max(max(n_range), 8)
     # every applicable weight is ranked in the same stream per order
@@ -299,7 +302,7 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
         cases += [_exhaustive_case(n, f, rank, min_gap, applicable) if mode == "exhaustive"
                   else _candidate_case(n, f, rank) for n in n_range]
     report.cases.extend(cases)
-    report.runtime_seconds = time.time() - t0
+    report.runtime_seconds = time.perf_counter() - t0
     return report
 
 
@@ -340,7 +343,7 @@ class _Leaders:
                 if not bound[i] < cut[kind] - PRUNE_MARGIN * abs(cut[kind])]
         if not keep:
             return
-        rho = _dominant_eigenpairs(a[keep], 1e-10)[0].tolist()
+        rho = _dominant_eigenpairs(a[keep])[0].tolist()
         self.pool += [(r, graphs[i], kinds[i]) for i, r in zip(keep, rho)]
         second, top = _levels(self.pool)
         self.pool = [entry for entry in self.pool if entry[0] >= min(second, top[entry[2]])]
@@ -369,7 +372,7 @@ def _rankings(n: int, fs: tuple[WeightFunction, ...]):
     # one lazily filled degree-pair table per weight serves the whole order
     weights = [{} for _ in fs]
     a = _stacked_matrices(distinct, fs, n, weights).reshape(-1, n, n)
-    named_rho = _dominant_eigenpairs(a, 1e-10)[0].reshape(len(fs), -1).tolist()
+    named_rho = _dominant_eigenpairs(a)[0].reshape(len(fs), -1).tolist()
     leaders = {f: _Leaders(list(zip(rho, named_kinds))) for f, rho in zip(fs, named_rho)}
     classes, stream = 0, orderly_classes(n)
     while chunk := list(itertools.islice(stream, EIGH_CHUNK)):
@@ -462,7 +465,10 @@ def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n), 2))
 
 
-def random_connected_graph(rng: random.Random, n: int, extra_max: int = 3) -> Graph:
+EXTRA_EDGES_MAX = 3  # random_connected_graph adds 0..EXTRA_EDGES_MAX edges to its tree
+
+
+def random_connected_graph(rng: random.Random, n: int) -> Graph:
     """Uniform random labeled tree plus a few random extra edges."""
     if n == 1:
         return Graph.from_edges(1, [])
@@ -484,7 +490,7 @@ def random_connected_graph(rng: random.Random, n: int, extra_max: int = 3) -> Gr
     edges.add((heapq.heappop(leaves), heapq.heappop(leaves)))  # popped in ascending order
     candidates = [e for e in _vertex_pairs(n) if e not in edges]
     rng.shuffle(candidates)
-    edges.update(candidates[: rng.randint(0, min(extra_max, len(candidates)))])
+    edges.update(candidates[: rng.randint(0, min(EXTRA_EDGES_MAX, len(candidates)))])
     return Graph(n, frozenset(edges))
 
 
@@ -514,12 +520,15 @@ def _random_pendant_shift_instance(rng: random.Random):
     return Graph.from_edges(n, edges), v, u, v_pendants[0]
 
 
+PENDANT_SHIFT_FRACTION = 0.25  # pendant shifts per class-changing reroute in verify_kelmans
+
+
 def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunction],
-                   rng_seed: int, pendant_fraction: float = 0.25) -> VerificationReport:
+                   rng_seed: int) -> VerificationReport:
     """Randomized monotonicity campaign for the two transforms.
 
-    Per weight, `samples` class-changing reroutes and then a fraction of
-    pendant shifts are sampled first, then scored with one spectral_radii
+    Per weight, `samples` class-changing reroutes and then
+    PENDANT_SHIFT_FRACTION * samples pendant shifts are sampled first, then scored with one spectral_radii
     call per order and checked for rho' > rho - 1e-9; n_range needs some
     n >= 4.  kelmans decides each class change exactly at every order, with
     no certificate.  Weights without P* run informatively: violations are
@@ -532,7 +541,7 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
     if max(n_range) < 4:
         raise ValueError("verify_kelmans needs some order n >= 4 (no reroute changes the "
                          f"class of a graph with n <= 3), got max n = {max(n_range)}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = VerificationReport("kelmans")
     slack = 1e-9
     orders = list(n_range)
@@ -556,7 +565,7 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
                 continue
             pairs.append((out.result, g))
             disconnected += out.disconnects
-        shifts = int(samples * pendant_fraction)
+        shifts = int(samples * PENDANT_SHIFT_FRACTION)
         # a shift always changes the class: d_v <= d_u become d_v - 1 and
         # d_u + 1, so the largest degree of the pair rises
         for _ in range(shifts):
@@ -582,7 +591,7 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
             tolerance=slack,
             note="" if applicable else "weight lacks P*; monotonicity informative only",
         ))
-    report.runtime_seconds = time.time() - t0
+    report.runtime_seconds = time.perf_counter() - t0
     return report
 
 
@@ -597,7 +606,7 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
     lo, hi = min(n_range), max(n_range)
     if lo < 12 or hi > 60:
         raise ValueError("verify_theorem41 supports 12 <= n <= 60")
-    t0 = time.time()
+    t0 = time.perf_counter()
     ext = WeightFunction("extended")
     report = VerificationReport("theorem41")
 
@@ -639,5 +648,5 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
 
     for n in n_range:
         report.cases.extend(cases_for(n))
-    report.runtime_seconds = time.time() - t0
+    report.runtime_seconds = time.perf_counter() - t0
     return report

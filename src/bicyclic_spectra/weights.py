@@ -196,12 +196,15 @@ def _eval_custom(expr: str, x: Num, y: Num) -> Num:
     return _eval_node(_parse_expr(expr), {"x": x, "y": y, "e": math.e, "pi": math.pi})
 
 
-def _validate_custom(expr: str, grid: int = 12) -> None:
+CUSTOM_CHECK_GRID = 12  # custom expressions are validated on degrees {1..CUSTOM_CHECK_GRID}^2
+
+
+def _validate_custom(expr: str) -> None:
     """Reject custom expressions that are asymmetric, non-finite or <= 0 on the grid."""
     node = _parse_expr(expr)
     env = {"e": math.e, "pi": math.pi}
-    for x in range(1, grid + 1):
-        for y in range(x, grid + 1):
+    for x in range(1, CUSTOM_CHECK_GRID + 1):
+        for y in range(x, CUSTOM_CHECK_GRID + 1):
             vxy = _eval_node(node, {**env, "x": Fraction(x), "y": Fraction(y)})
             vyx = _eval_node(node, {**env, "x": Fraction(y), "y": Fraction(x)})
             fxy, fyx = float(vxy), float(vyx)

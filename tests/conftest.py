@@ -358,11 +358,11 @@ def per_graph_radii(graphs, f) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def per_matrix_eigenpairs(a, tol):
+def per_matrix_eigenpairs(a):
     """Reference for the radii of spectral._dominant_eigenpairs: one
     eigensolve per stacked matrix (the other outputs are not compared)."""
     rho = [max(vals[-1], -vals[0]) for vals in (np.linalg.eigh(m)[0] for m in a)]
-    return np.array(rho, dtype=float), None, None, None
+    return np.array(rho, dtype=float), None, None
 
 
 def reference_random_connected_graph(rng: random.Random, n: int, extra_max: int = 3) -> Graph:

@@ -16,7 +16,6 @@ from bicyclic_spectra import (
     max_real_root,
     family_quotient,
     rational_pstar_functions,
-    real_roots,
     sign_at_sqrt,
 )
 from conftest import (reference_char_poly, reference_count_real_roots, reference_max_real_root,
@@ -29,7 +28,7 @@ def cauchy_bound(p: Polynomial) -> Fraction:
 
 def top_root_reference(p: Polynomial, lo, hi) -> float:
     """Largest root by isolating every root in the bracket."""
-    return real_roots(p, lo, hi)[-1]
+    return reference_real_roots(p, lo, hi)[-1]
 
 
 def close_roots(a: float, b: float) -> bool:
@@ -128,7 +127,7 @@ class TestDescartes:
         if p.is_zero() or p.degree == 0:
             return
         bound = 1 + max(abs(c) for c in p.coeffs) / abs(p.coeffs[-1])
-        positive = len([r for r in real_roots(p, 0, float(bound) + 1) if r > 1e-12])
+        positive = len([r for r in reference_real_roots(p, 0, float(bound) + 1) if r > 1e-12])
         cap, _ = descartes_bounds(p)
         assert positive <= cap
         assert (cap - positive) % 2 == 0
@@ -136,41 +135,46 @@ class TestDescartes:
 
 class TestRealRoots:
     def test_cubic_with_rational_roots(self):
-        assert real_roots(Polynomial([0, -1, 0, 1]), -2, 2) == \
-            pytest.approx([-1, 0, 1], abs=1e-10)
+        p = Polynomial([0, -1, 0, 1])
+        assert count_real_roots(p, -2, 2) == 3
+        assert max_real_root(p, -2, 2) == 1.0
+        assert max_real_root(p, -2, Fraction(1, 2)) == pytest.approx(0, abs=1e-14)
+        assert max_real_root(p, -2, Fraction(-1, 2)) == pytest.approx(-1, abs=1e-14)
 
     def test_double_root_multiplicity(self):
-        roots = real_roots(Polynomial([1, -2, 1]), 0, 2)
-        assert roots == pytest.approx([1, 1], abs=1e-10)
+        p = Polynomial([1, -2, 1])  # (x - 1)^2: one distinct root
+        assert count_real_roots(p, 0, 2) == 1
+        assert max_real_root(p, 0, 2) == pytest.approx(1, abs=1e-14)
 
     def test_triple_root(self):
-        p = Polynomial([-1, 3, -3, 1]) * Polynomial([-5, 1])
-        roots = real_roots(p, 0, 10)
-        assert roots == pytest.approx([1, 1, 1, 5], abs=1e-9)
+        p = Polynomial([-1, 3, -3, 1]) * Polynomial([-5, 1])  # (x - 1)^3 (x - 5)
+        assert count_real_roots(p, 0, 10) == 2
+        assert max_real_root(p, 0, 10) == pytest.approx(5, abs=1e-14)
+        assert max_real_root(p, 0, 2) == pytest.approx(1, abs=1e-14)
 
     def test_irrational_roots(self):
-        roots = real_roots(Polynomial([-2, 0, 1]), 0, 2)
-        assert roots == pytest.approx([math.sqrt(2)], abs=1e-10)
+        p = Polynomial([-2, 0, 1])
+        assert count_real_roots(p, 0, 2) == 1
+        assert max_real_root(p, 0, 2) == pytest.approx(math.sqrt(2), abs=1e-14)
 
     def test_respects_interval(self):
-        assert real_roots(Polynomial([0, -1, 0, 1]), 0.5, 2) == pytest.approx([1], abs=1e-10)
+        p = Polynomial([0, -1, 0, 1])
+        assert count_real_roots(p, 0.5, 2) == 1
+        assert max_real_root(p, 0.5, 2) == pytest.approx(1, abs=1e-14)
+        assert max_real_root(p, -2, -0.5) == pytest.approx(-1, abs=1e-14)
 
     def test_count_real_roots(self):
         p = Polynomial([Fraction(0), Fraction(-1), Fraction(0), Fraction(1)])
         assert count_real_roots(p, -2, 2) == 3
         assert count_real_roots(p, Fraction(1, 2), 2) == 1
 
-    def test_float_fallback_clusters(self):
-        p = Polynomial([1.0, -2.0, 1.0])  # (x-1)^2 with float coeffs
-        roots = real_roots(p, 0, 2)
-        assert len(roots) == 2
-        assert roots[0] == pytest.approx(1, abs=1e-6)
-
     def test_errors(self):
-        with pytest.raises(PolynomialError):
-            real_roots(Polynomial([]), 0, 1)
-        with pytest.raises(PolynomialError):
-            real_roots(Polynomial([1, 1]), 2, 1)
+        with pytest.raises(PolynomialError, match="polynomial has no roots"):
+            max_real_root(Polynomial([]))
+        with pytest.raises(PolynomialError, match="polynomial has no roots"):
+            max_real_root(Polynomial([Fraction(3)]))
+        with pytest.raises(PolynomialError, match="polynomial has no roots"):
+            max_real_root(Polynomial([0.5]))  # the degree check comes before exactness
 
     def test_max_real_root_default_bracket(self):
         assert max_real_root(Polynomial([-6, 11, -6, 1])) == pytest.approx(3, abs=1e-9)
@@ -181,9 +185,11 @@ class TestRealRoots:
         p = Polynomial([Fraction(c) for c in coeffs])
         if p.is_zero() or p.degree < 1:
             return
+        if count_real_roots(p, -50, 50) == 0:
+            return
         scale = max(1.0, max(abs(float(c)) for c in p.coeffs))
-        for r in set(real_roots(p, -50, 50)):
-            assert abs(p(r)) <= 1e-6 * scale * (1 + abs(r)) ** p.degree
+        r = max_real_root(p, -50, 50)
+        assert abs(p(r)) <= 1e-6 * scale * (1 + abs(r)) ** p.degree
 
 
 class TestMaxRealRoot:
@@ -214,6 +220,11 @@ class TestMaxRealRoot:
         with pytest.raises(PolynomialError, match="no real roots"):
             max_real_root(Polynomial([3, -4, 1]), 4, 5)
 
+    def test_rejects_inexact_coefficients(self):
+        for p in (Polynomial([0.5, 1.0]), Polynomial([1.0, -2.0, 1.0])):
+            with pytest.raises(PolynomialError, match="requires exact coefficients"):
+                max_real_root(p)
+
     @given(st.lists(st.integers(-6, 6), min_size=3, max_size=7))
     @settings(max_examples=80, deadline=None)
     def test_matches_full_isolation(self, coeffs):
@@ -221,7 +232,7 @@ class TestMaxRealRoot:
         if p.degree < 1:
             return
         b = cauchy_bound(p)
-        roots = real_roots(p, -b, b)
+        roots = reference_real_roots(p, -b, b)
         if not roots:
             with pytest.raises(PolynomialError):
                 max_real_root(p)
@@ -303,12 +314,10 @@ class TestFractionFreeMatchesReference:
     def test_family_quotient_polynomials(self):
         polys = [same_char_poly(m) for m in family_matrices()]
         assert len(polys) == 162
-        for i, p in enumerate(polys):
+        for p in polys:
             b = cauchy_bound(p)
             assert max_real_root(p) == reference_max_real_root(p)
             assert count_real_roots(p, 0, b) == reference_count_real_roots(p, 0, b)
-            if i % 3 == 0:  # every (weight, family) block, three orders each
-                assert real_roots(p, -b, b) == reference_real_roots(p, -b, b)
 
     def test_family_char_poly_accepts_numpy_object_arrays(self):
         for m in family_matrices()[::27]:
@@ -323,8 +332,6 @@ class TestFractionFreeMatchesReference:
         sym = [[rows[i][j] + rows[j][i] for j in range(len(rows))] for i in range(len(rows))]
         q = same_char_poly(sym)
         same_max_root(q)
-        b = cauchy_bound(q)
-        assert real_roots(q, -b, b) == reference_real_roots(q, -b, b)
 
     @pytest.mark.parametrize("factors", [
         [(2, 3), (-1, 1)],
@@ -339,22 +346,18 @@ class TestFractionFreeMatchesReference:
                 p = p * Polynomial([-Fraction(root), Fraction(1)])
         b = cauchy_bound(p)
         same_max_root(p)
-        assert real_roots(p, -b, b) == reference_real_roots(p, -b, b)
         assert count_real_roots(p, -b, b) == reference_count_real_roots(p, -b, b) == len(factors)
 
     def test_roots_on_bisection_midpoints(self):
         p = Polynomial([0, -1, 0, 1])  # x(x - 1)(x + 1); Cauchy bracket [-2, 2]
         for lo, hi in [(None, None), (-2, 2), (-4, 4), (Fraction(-3), 1), (-1, 3)]:
             same_max_root(p, lo, hi)
-        for lo, hi in [(-2, 2), (-4, 4), (-8, 8), (-2, 6)]:
-            assert real_roots(p, lo, hi) == reference_real_roots(p, lo, hi)
         assert max_real_root(p) == 1.0  # found on the second midpoint
 
     @pytest.mark.parametrize("lo,hi", [(1, 3), (0, 3), (1, 2), (3, 5), (-1, 1), (2, 3)])
     def test_roots_at_bracket_ends(self, lo, hi):
         p = Polynomial([3, -4, 1])  # (x - 1)(x - 3)
         same_max_root(p, lo, hi)
-        assert real_roots(p, lo, hi) == reference_real_roots(p, lo, hi)
         assert count_real_roots(p, lo, hi) == reference_count_real_roots(p, lo, hi)
 
     @given(st.lists(st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
@@ -365,8 +368,6 @@ class TestFractionFreeMatchesReference:
         if p.degree < 1:
             return
         same_max_root(p)
-        b = cauchy_bound(p)
-        assert real_roots(p, -b, b) == reference_real_roots(p, -b, b)
 
     def test_large_denominator_examples(self):
         p = Polynomial([Fraction(-2, 10 ** 40), Fraction(0), Fraction(1, 3 ** 30)])
@@ -374,8 +375,6 @@ class TestFractionFreeMatchesReference:
                         Fraction(0), Fraction(11, 13 ** 15)])
         for poly in (p, q, p * q):
             same_max_root(poly)
-            b = cauchy_bound(poly)
-            assert real_roots(poly, -b, b) == reference_real_roots(poly, -b, b)
 
     @pytest.mark.parametrize("lo,hi", [
         (-2, 2), (0, 1), (-1, 0),

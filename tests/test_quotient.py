@@ -230,7 +230,7 @@ class TestPaperPolynomials:
     def test_h_n2_sample_point_identity(self, n):
         # float route: numeric char poly of the extended matrix agrees with
         # x^(n-6) (x-1)(x+1)^2 h_n2(x) / (4(n-1)^2) at sample points
-        a = build_matrix(graph_g2(n), EXT).entries
+        a = build_matrix(graph_g2(n), EXT)
         numeric = np.poly(np.linalg.eigvalsh(a))[::-1]
         h = named_polynomial("h_n2", n)
         for k in range(20):

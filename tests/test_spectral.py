@@ -33,15 +33,14 @@ def complete(n):
 
 class TestBuildMatrix:
     def test_triangle_zagreb1(self, weight_zagreb1):
-        m = build_matrix(cycle(3), weight_zagreb1)
-        a = m.entries
+        a = build_matrix(cycle(3), weight_zagreb1)
         assert np.all(np.diag(a) == 0)
         off = a[np.triu_indices(3, 1)]
         assert np.all(off == 4)
 
     def test_constant_one_is_plain_adjacency(self, weight_one):
         g = graph_g2(6)
-        a = build_matrix(g, weight_one).entries
+        a = build_matrix(g, weight_one)
         expected = np.zeros((6, 6))
         for u, v in g.edges:
             expected[u, v] = expected[v, u] = 1
@@ -49,21 +48,27 @@ class TestBuildMatrix:
 
     def test_extended_entries_on_theta(self, weight_extended):
         g = make_theta(2, 1, 2)  # hubs 0,1 have degree 3; vertices 2,3 degree 2
-        a = build_matrix(g, weight_extended).entries
+        a = build_matrix(g, weight_extended)
         assert a[0, 1] == pytest.approx(1.0)
         assert a[0, 2] == pytest.approx(13 / 12)
 
     def test_symmetry_exact(self, weight_extended):
-        a = build_matrix(graph_g4(9), weight_extended).entries
+        a = build_matrix(graph_g4(9), weight_extended)
         assert np.array_equal(a, a.T)
 
     def test_exact_matrix_matches_float(self, weight_hyper):
         g = graph_g4(8)
         exact = build_matrix_exact(g, weight_hyper)
-        a = build_matrix(g, weight_hyper).entries
+        a = build_matrix(g, weight_hyper)
         for i in range(8):
             for j in range(8):
                 assert float(exact[i][j]) == a[i, j]
+
+    def test_read_only_array(self, weight_zagreb1):
+        a = build_matrix(graph_g2(6), weight_zagreb1)
+        assert type(a) is np.ndarray and a.shape == (6, 6)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 1] = 0.0
 
     def test_exact_matrix_none_for_irrational(self):
         assert build_matrix_exact(graph_g2(6), WeightFunction("exp_zagreb1")) is None
@@ -90,9 +95,10 @@ class TestSpectralRadius:
 
     def test_perron_positive_and_simple(self, weight_forgotten):
         g = graph_g4(9)
-        res = spectral_radius(build_matrix(g, weight_forgotten), with_spectrum=True)
+        m = build_matrix(g, weight_forgotten)
+        res, vals = spectral_radius(m), full_spectrum(m)
         assert np.all(res.perron > 0)
-        assert res.spectrum[-1] - res.spectrum[-2] > 1e-6  # simple top eigenvalue
+        assert vals[-1] - vals[-2] > 1e-6  # simple top eigenvalue
         assert res.residual <= 1e-10 * max(1.0, res.rho)
 
     def test_sign_convention(self, weight_zagreb1):
@@ -104,7 +110,7 @@ class TestSpectralRadius:
     def test_scaling(self, weight_zagreb1):
         m = build_matrix(graph_g2(7), weight_zagreb1)
         r1 = spectral_radius(m).rho
-        r3 = spectral_radius(3.0 * m.entries).rho
+        r3 = spectral_radius(3.0 * m).rho
         assert r3 == pytest.approx(3 * r1, rel=1e-12)
 
     def test_rejects_non_symmetric(self):
@@ -117,7 +123,7 @@ class TestSpectralRadius:
         for _ in range(50):
             v = np.array([rng.gauss(0, 1) for _ in range(8)])
             v /= np.linalg.norm(v)
-            assert v @ m.entries @ v <= rho + 1e-9
+            assert v @ m @ v <= rho + 1e-9
 
 
 class TestFullSpectrum:
@@ -181,10 +187,12 @@ class TestPerronFrobenius:
     def test_positive_vector_and_gap_on_random_connected(self, weight_zagreb1, rng):
         for _ in range(40):
             g = random_connected_graph(rng, rng.randint(3, 9))
-            res = spectral_radius(build_matrix(g, weight_zagreb1), with_spectrum=True)
+            m = build_matrix(g, weight_zagreb1)
+            res = spectral_radius(m)
             assert np.all(res.perron > 0)
             if g.n > 1:
-                assert res.spectrum[-1] > res.spectrum[-2]
+                vals = full_spectrum(m)
+                assert vals[-1] > vals[-2]
 
 
 class TestSpectralRadii:
@@ -195,7 +203,7 @@ class TestSpectralRadii:
         assert len(graphs) > spectral.EIGH_CHUNK
         assert spectral_radii(graphs, f).tolist() == per_graph_radii(graphs, f).tolist()
         for g in graphs:
-            assert np.array_equal(build_matrix(g, f).entries, loop_matrix(g, f))
+            assert np.array_equal(build_matrix(g, f), loop_matrix(g, f))
 
     def test_batch_of_several_chunks(self, weight_hyper, rng):
         graphs = [random_connected_graph(rng, 9) for _ in range(2 * spectral.EIGH_CHUNK + 5)]

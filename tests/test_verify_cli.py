@@ -303,9 +303,9 @@ class TestStreamingExhaustive:
         solved = []
         original = verify._dominant_eigenpairs
 
-        def counting(a, tol):
+        def counting(a):
             solved.append(len(a))
-            return original(a, tol)
+            return original(a)
 
         monkeypatch.setattr(verify, "_dominant_eigenpairs", counting)
         verify._rankings.cache_clear()
