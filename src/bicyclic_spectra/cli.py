@@ -16,9 +16,8 @@ import argparse
 import json
 import sys
 
-from .enumeration import SIZE_BOUND, canonical_form, enumerate_bicyclic, enumerate_with_max_degree
-from .graphs import (FAMILIES, Graph, GraphError, graph6_decode, graph6_encode, make_infinity,
-                     make_theta)
+from .enumeration import canonical_form, enumerate_bicyclic, enumerate_with_max_degree
+from .graphs import FAMILIES, Graph, graph6_decode, graph6_encode, make_infinity, make_theta
 from .spectral import build_matrix, full_spectrum, spectral_radius
 from .verify import VerificationReport, run_table, verify_extremal, verify_kelmans, verify_theorem41
 from .weights import parse_weight
@@ -42,19 +41,15 @@ def _parse_weights(text: str):
 def parse_graph_argument(text: str) -> Graph:
     """Named graphs ('G1:10', 'B:3,1,3', 'P:2,1,2') or a raw graph6 string."""
     head, _, rest = text.partition(":")
-    if head in FAMILIES:
-        return FAMILIES[head].build(int(rest))
-    if head in ("B", "infinity"):
-        p, l, q = (int(x) for x in rest.split(","))
-        return make_infinity(p, l, q)
-    if head in ("P", "theta"):
-        p, l, q = (int(x) for x in rest.split(","))
-        return make_theta(p, l, q)
     try:
+        if head in FAMILIES:
+            return FAMILIES[head].build(int(rest))
+        if head in ("B", "infinity", "P", "theta"):
+            p, l, q = (int(x) for x in rest.split(","))
+            return (make_infinity if head in ("B", "infinity") else make_theta)(p, l, q)
         return graph6_decode(text)
-    except GraphError as exc:
-        raise argparse.ArgumentTypeError(
-            f"not a named graph or graph6 string: {text!r} ({exc})") from exc
+    except ValueError as exc:  # GraphError included: the builder's or decoder's reason
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
 
 
 def _emit(report: VerificationReport, args) -> int:
@@ -69,10 +64,21 @@ def _emit(report: VerificationReport, args) -> int:
     return 0 if report.ok else 1
 
 
+def _fail(message) -> int:
+    print(f"bicyclic-spectra: error: {message}", file=sys.stderr)
+    return 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors print the one documented line, without usage."""
+
+    def error(self, message):
+        sys.exit(_fail(message))
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="bicyclic-spectra",
-                                 description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="bicyclic-spectra", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_outputs(p):
@@ -117,8 +123,7 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except ValueError as exc:
-        print(f"{ap.prog}: error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
 
 
 def _run(args) -> int:
@@ -153,7 +158,7 @@ def _run(args) -> int:
             "rho": res.rho,
             "residual": res.residual,
             "perron": [float(x) for x in res.perron],
-            "certificate": canonical_form(args.graph).hex() if args.graph.n <= SIZE_BOUND else None,
+            "certificate": list(canonical_form(args.graph)) if args.graph.is_bicyclic() else None,
         }
         if args.full_spectrum:
             payload["spectrum"] = [float(x) for x in full_spectrum(m)]

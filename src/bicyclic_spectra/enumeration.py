@@ -1,4 +1,5 @@
-"""Isomorphism-free generation of connected bicyclic graphs at small order.
+"""Isomorphism-free generation of connected bicyclic graphs at small order,
+and the class key that names a bicyclic class at any order.
 
 One generator: build every pendant-free base (infinity- and theta-graphs) up
 to order n and attach the rooted forests that are orderly (McKay 1998): first
@@ -6,12 +7,11 @@ in their orbit under the base's automorphisms, one per class.  The tests
 check it against an independent oracle, canonical augmentation over all
 connected graphs with m = n + 1 edges.
 
-The generator is duplicate-free without certificates, so `orderly_classes`
-streams its classes uncertified (exhaustive ranking in `verify` certifies
-only the few classes a verdict reads).  The certificate keys and orders the
-classes `enumerate_bicyclic` returns: ordered-partition degree refinement
-plus backtracking minimization of the relabeled adjacency bit-string, branch
-collapsing on cells of pairwise twins.
+The class key `canonical_form` reads that orderly key back from a graph's
+structure: its base (the 2-core) names a standard base, every isomorphism
+from the standard base onto the core reads the hung trees as (composition,
+shape codes), and the least reading is the key.  The generator yields its
+classes in key order, so enumeration needs no certificate and no sort.
 """
 
 from __future__ import annotations
@@ -19,89 +19,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
-from .graphs import Graph, base_graph, make_infinity, make_theta, refine_partition
+from .graphs import Graph, base_graph, make_infinity, make_theta
 
-SIZE_BOUND = 16
 # largest order enumerate_bicyclic runs at
 ORDER_BOUND = 10
 
 
 class EnumerationError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Canonical form
-# ---------------------------------------------------------------------------
-
-
-def _neighbor_counts(masks: list[int]):
-    """refine_partition signatures: neighbor counts into each current cell."""
-    def signatures(parts: list[list[int]]):
-        cell_masks = []
-        for cell in parts:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            cell_masks.append(m)
-        return lambda v: tuple((masks[v] & cm).bit_count() for cm in cell_masks)
-    return signatures
-
-
-def _all_twins(masks: list[int], cell: list[int]) -> bool:
-    for u, w in itertools.combinations(cell, 2):
-        if masks[u] & ~(1 << w) != masks[w] & ~(1 << u):
-            return False
-    return True
-
-
-def _cert_int(masks: list[int], order: list[int]) -> int:
-    val = 0
-    for i in range(1, len(order)):
-        mi = masks[order[i]]
-        for j in range(i):
-            val = (val << 1) | ((mi >> order[j]) & 1)
-    return val
-
-
-@lru_cache(maxsize=1 << 16)
-def canonical_form(g: Graph) -> bytes:
-    """Certificate identifying g up to isomorphism (n <= SIZE_BOUND)."""
-    if g.n > SIZE_BOUND:
-        raise EnumerationError(f"canonical_form bound exceeded: n={g.n} > {SIZE_BOUND}")
-    n = g.n
-    if n == 0:
-        return bytes([0])
-    masks = g.neighbor_masks()
-    deg = g.degrees()
-    # seed cells by degree, ascending (label-invariant)
-    seed: dict[int, list[int]] = {}
-    for v in range(n):
-        seed.setdefault(deg[v], []).append(v)
-    signatures = _neighbor_counts(masks)
-    start = refine_partition([seed[d] for d in sorted(seed)], signatures)
-    best: Optional[int] = None
-
-    def descend(parts: list[list[int]]) -> None:
-        nonlocal best
-        target = next((i for i, c in enumerate(parts) if len(c) > 1), None)
-        if target is None:
-            val = _cert_int(masks, [c[0] for c in parts])
-            if best is None or val < best:
-                best = val
-            return
-        cell = parts[target]
-        branch = cell[:1] if _all_twins(masks, cell) else cell
-        for v in branch:
-            rest = [u for u in cell if u != v]
-            child = parts[:target] + [[v], rest] + parts[target + 1 :]
-            descend(refine_partition(child, signatures))
-
-    descend(start)
-    nbits = n * (n - 1) // 2
-    return bytes([n]) + best.to_bytes((nbits + 7) // 8 or 1, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +75,25 @@ def _forest_graph(base: Graph, shapes: tuple[_TreeShape, ...]) -> Graph:
     return Graph(count, frozenset(edges))
 
 
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Every automorphism p of g (v goes to p[v]), extending partial maps one
-    vertex at a time and checking degree and adjacency to those mapped."""
-    masks, deg = g.neighbor_masks(), g.degrees()
+def isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
+    """Every isomorphism p from g onto h, a graph of the same order (v goes to
+    p[v]), extending partial maps one vertex of g at a time and checking
+    degree and adjacency to those mapped.  Few partial maps survive when each
+    vertex of g except a path's first has a smaller-labelled neighbour, as in
+    the standard bases."""
+    g_masks, g_deg = g.neighbor_masks(), g.degrees()
+    h_masks, h_deg = h.neighbor_masks(), h.degrees()
     maps = [()]
     for v in range(g.n):
-        maps = [p + (w,) for p in maps for w in range(g.n) if w not in p and deg[w] == deg[v]
-                and all((masks[v] >> u & 1) == (masks[w] >> p[u] & 1) for u in range(v))]
+        maps = [p + (w,) for p in maps for w in range(h.n) if w not in p and h_deg[w] == g_deg[v]
+                and all((g_masks[v] >> u & 1) == (h_masks[w] >> p[u] & 1) for u in range(v))]
     return maps
 
 
 @lru_cache(maxsize=None)
 def _base_symmetry(base: Graph) -> tuple[tuple[tuple[int, ...], ...], str]:
     """(automorphism group, base kind) of a base, computed once across orders."""
-    return tuple(automorphisms(base)), base_graph(base).kind
+    return tuple(isomorphisms(base, base)), base_graph(base).kind
 
 
 def bicyclic_bases(max_order: int) -> list[Graph]:
@@ -183,7 +114,7 @@ def bicyclic_bases(max_order: int) -> list[Graph]:
 
 def orderly_classes(n: int) -> Iterator[tuple[Graph, str]]:
     """One labelled graph per bicyclic class on n vertices, lazily, with its
-    base kind ("infinity" or "theta") and without a certificate.
+    base kind ("infinity" or "theta"), in class-key order.
 
     A forest assignment, keyed (composition, shape indices) in loop order, is
     kept only when no base automorphism maps it to a smaller key (the group
@@ -206,11 +137,6 @@ def orderly_classes(n: int) -> Iterator[tuple[Graph, str]]:
                     yield _forest_graph(base, forest), kind
 
 
-@lru_cache(maxsize=8)
-def _enumerate_constructive(n: int) -> dict[bytes, Graph]:
-    return {canonical_form(g): g for g, _ in orderly_classes(n)}
-
-
 def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
     """Tuples of `parts` non-negative ints summing to total, in lexicographic
     order: stars and bars, as the ascending parts - 1 bar slots run in order."""
@@ -219,6 +145,42 @@ def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
     slots = total + parts - 1
     return (tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
             for bars in itertools.combinations(range(slots), parts - 1))
+
+
+# ---------------------------------------------------------------------------
+# Class key
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1 << 16)
+def canonical_form(g: Graph) -> tuple[int, ...]:
+    """Class key of a connected bicyclic graph, at any order: the key
+    `orderly_classes` keeps for its class, as a flat tuple of ints.
+
+    The base (kind 0 for infinity, 1 for theta, then its parameters in
+    `bicyclic_bases` loop order), then the least (composition, shape codes)
+    over every isomorphism iso from the standard base onto g's core: entry i
+    reads the tree hung at core vertex iso[i].  A shape's code is its nested
+    sorted tuple written in bits (each child: 1 and the child's bits; then
+    0), so codes of one size order as the shapes do in `rooted_trees`,
+    without listing them.
+    """
+    info = base_graph(g)
+    p, l, q = info.params
+    if info.kind == "infinity":
+        head, std = (0, p, q, l), make_infinity(p, l, q)
+    else:
+        head, std = (1, q, p, l), make_theta(q, l, p)
+    nbr, core = g.neighbors(), set(info.kept_vertices)
+
+    def bits(v: int, parent: int) -> str:
+        return "".join(sorted("1" + bits(w, v) for w in nbr[v]
+                              if w != parent and w not in core)) + "0"
+
+    trees = [bits(v, -1) for v in info.kept_vertices]
+    comp, codes = [len(t) // 2 for t in trees], [int(t, 2) for t in trees]
+    return head + min(tuple(comp[i] for i in iso) + tuple(codes[i] for i in iso)
+                      for iso in isomorphisms(std, info.graph))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +195,6 @@ class EnumerationReport:
     method: str
     graphs: list[Graph] = field(repr=False)
 
-    def certificates(self) -> frozenset[bytes]:
-        return frozenset(canonical_form(g) for g in self.graphs)
-
 
 def check_order(n: int) -> None:
     """Raise EnumerationError unless 4 <= n <= ORDER_BOUND."""
@@ -244,10 +203,10 @@ def check_order(n: int) -> None:
 
 
 def enumerate_bicyclic(n: int) -> EnumerationReport:
-    """All connected bicyclic graphs on n vertices up to isomorphism."""
+    """All connected bicyclic graphs on n vertices up to isomorphism, in
+    class-key order."""
     check_order(n)
-    found = _enumerate_constructive(n)
-    graphs = [found[k] for k in sorted(found)]
+    graphs = [g for g, _ in orderly_classes(n)]
     return EnumerationReport(n, len(graphs), "constructive", graphs)
 
 
@@ -273,9 +232,11 @@ def targeted_max_degree_family(n: int) -> list[Graph]:
 
     Hub 0 is adjacent to vertices 1..n-2; vertex n-1 is its unique
     non-neighbor; the three remaining edges are placed in each of the nine
-    inequivalent patterns.  Duplicate classes (possible at small n) are
-    removed.  The first pattern is the theta-graph P(2,2,2) with all pendants
-    on one degree-3 hub, whose extended-matrix polynomial is pinned in tests.
+    inequivalent patterns, returned in that order: the hub is the only vertex
+    of degree above 4, so the patterns around it and its non-neighbor are
+    nine distinct classes at every n >= 7.  The first pattern is the
+    theta-graph P(2,2,2) with all pendants on one degree-3 hub, whose
+    extended-matrix polynomial is pinned in tests.
     """
     if n < 7:
         raise EnumerationError("targeted generator needs n >= 7")
@@ -292,13 +253,4 @@ def targeted_max_degree_family(n: int) -> list[Graph]:
         [(w, 1), (2, 3), (4, 5)],
     ]
     hub_edges = [(0, v) for v in range(1, n - 1)]
-    built = [Graph.from_edges(n, hub_edges + extra) for extra in shapes]
-    built = [g for g in built if max(g.degrees()) == n - 2]
-    if n > SIZE_BOUND:
-        # the marked 3-edge patterns around the non-neighbor are pairwise
-        # non-isomorphic once n >= 8, so no dedup is needed
-        return built
-    out: dict[bytes, Graph] = {}
-    for g in built:
-        out.setdefault(canonical_form(g), g)
-    return [out[k] for k in sorted(out)]
+    return [Graph.from_edges(n, hub_edges + extra) for extra in shapes]

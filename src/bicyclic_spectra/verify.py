@@ -348,12 +348,12 @@ class _Leaders:
         second, top = _levels(self.pool)
         self.pool = [entry for entry in self.pool if entry[0] >= min(second, top[entry[2]])]
 
-    def ranking(self) -> tuple[list[tuple[float, bytes]], dict[str, bytes]]:
-        """The first two (rho, certificate) of all classes in descending order,
-        and each kind's first certificate, certifying only the pool."""
+    def ranking(self) -> tuple[list[tuple[float, tuple]], dict[str, tuple]]:
+        """The first two (rho, class key) of all classes in descending order,
+        ties by key, and each kind's first key, keying only the pool."""
         ranked = sorted(((rho, canonical_form(g), kind) for rho, g, kind in self.pool),
                         reverse=True)
-        kind_best: dict[str, bytes] = {}
+        kind_best: dict[str, tuple] = {}
         for _, cert, kind in ranked:
             kind_best.setdefault(kind, cert)
         return [(rho, cert) for rho, cert, _ in ranked[:2]], kind_best
@@ -361,7 +361,7 @@ class _Leaders:
 
 @lru_cache(maxsize=32)
 def _rankings(n: int, fs: tuple[WeightFunction, ...]):
-    """(classes, named certificates, {f: _Leaders.ranking()}) at order n from
+    """(classes, named class keys, {f: _Leaders.ranking()}) at order n from
     one stream of the orderly classes, scored for every weight in fs."""
     check_order(n)
     named = {tag: family.build(n) if n >= family.min_n else None
@@ -395,7 +395,7 @@ def _exhaustive_case(n: int, f: WeightFunction, rank: str, min_gap: float,
         ok = top_cert == named["G1"] and gap > min_gap
         note = "" if gap > min_gap else (
             f"near-tie at the top: gap {gap:.3e}; certificates "
-            f"{top_cert.hex()} vs {scored[1][1].hex()}")
+            f"{top_cert} vs {scored[1][1]}")
         # per-base-family maxima (informative): G2 should top the
         # infinity-base classes, G1 the theta-base classes
         return CaseRecord(

@@ -8,11 +8,11 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from bicyclic_spectra import (FAMILIES, CaseRecord, Graph, Polynomial, PolynomialError,
-                              WeightFunction, attach_pendants, base_graph, enumerate_bicyclic,
-                              evaluate, spectral_radii)
-from bicyclic_spectra.enumeration import (bicyclic_bases, canonical_form, rooted_trees,
-                                          _weak_compositions)
+from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, Polynomial,
+                              PolynomialError, WeightFunction, attach_pendants, base_graph,
+                              canonical_form, enumerate_bicyclic, evaluate, spectral_radii)
+from bicyclic_spectra.enumeration import bicyclic_bases, rooted_trees, _weak_compositions
+from bicyclic_spectra.graphs import refine_partition
 
 # bicyclic class counts at n=4..9, on which enumerate_bicyclic and the
 # edge-subset oracle agree (n=10 has 2,678)
@@ -24,6 +24,82 @@ def to_networkx(g: Graph) -> nx.Graph:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
     return h
+
+
+# Reference isomorphism oracle for any graph: the package's earlier
+# canonical labelling, ordered-partition degree refinement plus backtracking
+# minimization of the relabeled adjacency bit-string, branch collapsing on
+# cells of pairwise twins.  The package keys bicyclic classes by structure
+# (canonical_form); this one knows nothing of bases or trees.
+
+SIZE_BOUND = 16
+
+
+def _neighbor_counts(masks: list[int]):
+    """refine_partition signatures: neighbor counts into each current cell."""
+    def signatures(parts: list[list[int]]):
+        cell_masks = []
+        for cell in parts:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            cell_masks.append(m)
+        return lambda v: tuple((masks[v] & cm).bit_count() for cm in cell_masks)
+    return signatures
+
+
+def _all_twins(masks: list[int], cell: list[int]) -> bool:
+    for u, w in itertools.combinations(cell, 2):
+        if masks[u] & ~(1 << w) != masks[w] & ~(1 << u):
+            return False
+    return True
+
+
+def _cert_int(masks: list[int], order: list[int]) -> int:
+    val = 0
+    for i in range(1, len(order)):
+        mi = masks[order[i]]
+        for j in range(i):
+            val = (val << 1) | ((mi >> order[j]) & 1)
+    return val
+
+
+@lru_cache(maxsize=1 << 16)
+def reference_canonical_form(g: Graph) -> bytes:
+    """Certificate identifying g up to isomorphism (n <= SIZE_BOUND)."""
+    if g.n > SIZE_BOUND:
+        raise EnumerationError(f"canonical_form bound exceeded: n={g.n} > {SIZE_BOUND}")
+    n = g.n
+    if n == 0:
+        return bytes([0])
+    masks = g.neighbor_masks()
+    deg = g.degrees()
+    # seed cells by degree, ascending (label-invariant)
+    seed: dict[int, list[int]] = {}
+    for v in range(n):
+        seed.setdefault(deg[v], []).append(v)
+    signatures = _neighbor_counts(masks)
+    start = refine_partition([seed[d] for d in sorted(seed)], signatures)
+    best = None
+
+    def descend(parts: list[list[int]]) -> None:
+        nonlocal best
+        target = next((i for i, c in enumerate(parts) if len(c) > 1), None)
+        if target is None:
+            val = _cert_int(masks, [c[0] for c in parts])
+            if best is None or val < best:
+                best = val
+            return
+        cell = parts[target]
+        branch = cell[:1] if _all_twins(masks, cell) else cell
+        for v in branch:
+            rest = [u for u in cell if u != v]
+            child = parts[:target] + [[v], rest] + parts[target + 1 :]
+            descend(refine_partition(child, signatures))
+
+    descend(start)
+    nbits = n * (n - 1) // 2
+    return bytes([n]) + best.to_bytes((nbits + 7) // 8 or 1, "big")
 
 
 def brute_force_bicyclic_classes(n: int) -> list[Graph]:
@@ -52,7 +128,7 @@ def _connected_classes(n: int, c: int) -> tuple[Graph, ...]:
     found: dict[bytes, Graph] = {}
 
     def offer(g: Graph):
-        found.setdefault(canonical_form(g), g)
+        found.setdefault(reference_canonical_form(g), g)
 
     for parent in _connected_classes(n - 1, c):
         for v in range(parent.n):
@@ -75,8 +151,8 @@ def edge_subset_classes(n: int) -> dict[bytes, Graph]:
     with m = n + 1 edges, working up through trees and unicyclic graphs by
     adding a vertex of degree 1, 2 or 3 (every connected graph with
     cyclomatic number c has a non-cutvertex of degree at most c + 1, so the
-    sweep is exhaustive).  Keyed by certificate."""
-    return {canonical_form(g): g for g in _connected_classes(n, 2)}
+    sweep is exhaustive).  Keyed by reference certificate."""
+    return {reference_canonical_form(g): g for g in _connected_classes(n, 2)}
 
 
 def graph_from_certificate(cert: bytes) -> Graph:
@@ -96,8 +172,8 @@ def graph_from_certificate(cert: bytes) -> Graph:
 
 def reference_enumerate_constructive(n: int) -> dict[bytes, Graph]:
     """Reference generator: every rooted forest on every labeled base vertex,
-    one attach_pendants copy per added vertex, dedup through canonical_form
-    keeping the first graph of each class in loop order."""
+    one attach_pendants copy per added vertex, dedup through the reference
+    certificate keeping the first graph of each class in loop order."""
     def attach(g: Graph, root: int, shape) -> Graph:
         for child in shape:
             g = attach_pendants(g, root, 1)
@@ -111,13 +187,13 @@ def reference_enumerate_constructive(n: int) -> dict[bytes, Graph]:
                 g = base
                 for v, shape in enumerate(combo):
                     g = attach(g, v, shape)
-                found.setdefault(canonical_form(g), g)
+                found.setdefault(reference_canonical_form(g), g)
     return found
 
 
 def reference_exhaustive_case(n: int, f, rank: str, min_gap: float = 1e-9) -> CaseRecord:
-    """Reference exhaustive extremal case: score every class, certify every
-    class and sort them all by (rho, certificate)."""
+    """Reference exhaustive extremal case: score every class, key every class
+    and sort them all by (rho, class key)."""
     rep = enumerate_bicyclic(n)
     rhos = spectral_radii(rep.graphs, f).tolist()
     scored = sorted(zip(rhos, map(canonical_form, rep.graphs), rep.graphs), reverse=True)
@@ -131,7 +207,7 @@ def reference_exhaustive_case(n: int, f, rank: str, min_gap: float = 1e-9) -> Ca
         ok = top_cert == named["G1"] and gap > min_gap
         note = "" if gap > min_gap else (
             f"near-tie at the top: gap {gap:.3e}; certificates "
-            f"{top_cert.hex()} vs {scored[1][1].hex()}")
+            f"{top_cert} vs {scored[1][1]}")
         family_best = {}
         for rho, cert, g in scored:
             family_best.setdefault(base_graph(g).kind, cert)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import networkx as nx
@@ -21,26 +22,30 @@ from bicyclic_spectra import (
     targeted_max_degree_family,
 )
 from bicyclic_spectra import enumeration
-from bicyclic_spectra.enumeration import automorphisms, bicyclic_bases, rooted_trees
+from bicyclic_spectra.enumeration import bicyclic_bases, isomorphisms, rooted_trees
 from conftest import (GOLDEN_COUNTS, brute_force_bicyclic_classes, edge_subset_classes,
-                      graph_from_certificate, reference_enumerate_constructive,
-                      reference_weak_compositions, to_networkx)
+                      graph_from_certificate, reference_canonical_form,
+                      reference_enumerate_constructive, reference_weak_compositions,
+                      to_networkx)
 
 
 class TestCanonicalForm:
+    """The reference certificate of conftest, the isomorphism oracle for any
+    graph, against networkx and itself."""
+
     def test_invariant_under_all_relabelings(self):
         g = make_theta(2, 1, 2)
-        certs = {canonical_form(g.relabel(list(p)))
+        certs = {reference_canonical_form(g.relabel(list(p)))
                  for p in itertools.permutations(range(4))}
         assert len(certs) == 1
 
     def test_distinguishes_g1_g2(self):
-        assert canonical_form(graph_g1(6)) != canonical_form(graph_g2(6))
+        assert reference_canonical_form(graph_g1(6)) != reference_canonical_form(graph_g2(6))
 
     def test_cycle_vs_disjoint_triangles(self):
         c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         two = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert canonical_form(c6) != canonical_form(two)
+        assert reference_canonical_form(c6) != reference_canonical_form(two)
 
     def test_against_networkx_oracle(self, rng):
         for _ in range(60):
@@ -51,12 +56,12 @@ class TestCanonicalForm:
             perm = list(range(n))
             rng.shuffle(perm)
             h = g.relabel(perm)
-            assert canonical_form(g) == canonical_form(h)
+            assert reference_canonical_form(g) == reference_canonical_form(h)
             # mutate one edge pair; certificates must agree with nx verdict
             all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             e = all_pairs[rng.randrange(len(all_pairs))]
             mutated = g.remove_edge(*e) if g.has_edge(*e) else g.add_edge(*e)
-            same = canonical_form(mutated) == canonical_form(g)
+            same = reference_canonical_form(mutated) == reference_canonical_form(g)
             assert same == nx.is_isomorphic(to_networkx(mutated), to_networkx(g))
 
     def test_twin_heavy_graphs(self):
@@ -64,12 +69,12 @@ class TestCanonicalForm:
         # collapse inside the backtracking search
         s1 = attach_pendants(attach_pendants(Graph.from_edges(2, [(0, 1)]), 0, 5), 1, 5)
         s2 = s1.relabel([11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
-        assert canonical_form(s1) == canonical_form(s2)
+        assert reference_canonical_form(s1) == reference_canonical_form(s2)
         k34 = Graph.from_edges(7, [(i, j) for i in range(3) for j in range(3, 7)])
         k34b = k34.relabel([6, 5, 4, 3, 2, 1, 0])
-        assert canonical_form(k34) == canonical_form(k34b)
+        assert reference_canonical_form(k34) == reference_canonical_form(k34b)
         k25 = Graph.from_edges(7, [(i, j) for i in range(2) for j in range(2, 7)])
-        assert canonical_form(k34) != canonical_form(k25)
+        assert reference_canonical_form(k34) != reference_canonical_form(k25)
 
     def test_same_degree_sequence_pairs(self, rng):
         # hard instances: same degree sequence, possibly non-isomorphic
@@ -82,7 +87,7 @@ class TestCanonicalForm:
             b = Graph.from_edges(n, rng.sample(pairs, m))
             if a.degree_sequence() != b.degree_sequence():
                 continue
-            ours = canonical_form(a) == canonical_form(b)
+            ours = reference_canonical_form(a) == reference_canonical_form(b)
             theirs = nx.is_isomorphic(to_networkx(a), to_networkx(b))
             assert ours == theirs
 
@@ -90,27 +95,93 @@ class TestCanonicalForm:
         # no refinement progress until individualization: cycles and the cube
         c9 = Graph.from_edges(9, [(i, (i + 1) % 9) for i in range(9)])
         rotated = c9.relabel([(i + 4) % 9 for i in range(9)])
-        assert canonical_form(c9) == canonical_form(rotated)
+        assert reference_canonical_form(c9) == reference_canonical_form(rotated)
         cube = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0),
                                     (4, 5), (5, 6), (6, 7), (7, 4),
                                     (0, 4), (1, 5), (2, 6), (3, 7)])
         shuffled = cube.relabel([5, 1, 0, 4, 6, 2, 3, 7])
-        assert canonical_form(cube) == canonical_form(shuffled)
+        assert reference_canonical_form(cube) == reference_canonical_form(shuffled)
 
     def test_certificate_round_trip(self):
         for g in (graph_g4(9), make_infinity(4, 2, 5), graph_g2(6)):
-            rebuilt = graph_from_certificate(canonical_form(g))
+            rebuilt = graph_from_certificate(reference_canonical_form(g))
             assert rebuilt.n == g.n and rebuilt.m == g.m
-            assert canonical_form(rebuilt) == canonical_form(g)
+            assert reference_canonical_form(rebuilt) == reference_canonical_form(g)
 
     def test_size_bound(self):
         with pytest.raises(EnumerationError):
-            canonical_form(Graph.from_edges(17, []))
+            reference_canonical_form(Graph.from_edges(17, []))
 
     def test_are_isomorphic(self):
-        g3 = canonical_form(graph_g3(7))
-        assert g3 == canonical_form(graph_g3(7).relabel([6, 5, 4, 3, 2, 1, 0]))
-        assert g3 != canonical_form(graph_g4(7))
+        g3 = reference_canonical_form(graph_g3(7))
+        assert g3 == reference_canonical_form(graph_g3(7).relabel([6, 5, 4, 3, 2, 1, 0]))
+        assert g3 != reference_canonical_form(graph_g4(7))
+
+
+def random_bicyclic(rng: random.Random, bases: list[Graph], n: int) -> Graph:
+    """One of the bases grown to order n by hanging each new vertex on a
+    random earlier one, randomly relabelled."""
+    g = rng.choice(bases)
+    while g.n < n:
+        g = attach_pendants(g, rng.randrange(g.n), 1)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+class TestClassKey:
+    @pytest.fixture(scope="class")
+    def classes(self):
+        return {n: [g for g, _ in enumeration.orderly_classes(n)] for n in range(4, 11)}
+
+    def test_distinct_and_invariant_under_relabelling(self, classes):
+        rng = random.Random(7)
+        keys = set()
+        for n, graphs in classes.items():
+            for g in graphs:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                key = canonical_form(g)
+                assert canonical_form(g.relabel(perm)) == key
+                keys.add(key)
+        assert len(keys) == sum(map(len, classes.values())) == 3803
+
+    def test_yield_order_is_key_order(self, classes):
+        for graphs in classes.values():
+            keys = [canonical_form(g) for g in graphs]
+            assert keys == sorted(keys)
+
+    def test_shape_codes_order_like_rooted_trees(self):
+        # one tree at the junction of B(3,1,4), the only vertex every
+        # automorphism fixes: its code is the key entry after the composition
+        base = make_infinity(3, 1, 4)
+        for size in range(1, 11):
+            codes = [canonical_form(enumeration._forest_graph(
+                base, (shape,) + ((),) * (base.n - 1)))[4 + base.n]
+                for shape in rooted_trees(size)]
+            assert codes == sorted(set(codes))
+
+    def test_same_key_iff_isomorphic_past_sixteen(self):
+        rng = random.Random(20261018)
+        same = differ = 0
+        for n in range(17, 31):
+            # two cores of order n - 1 with one hung vertex: few classes, so
+            # random pairs are often isomorphic under different labels; and
+            # small cores with large trees, each beside a relabelled copy
+            bases = rng.sample([b for b in bicyclic_bases(n - 1) if b.n == n - 1], 2)
+            graphs = [random_bicyclic(rng, bases, n) for _ in range(8)]
+            for g in [random_bicyclic(rng, bicyclic_bases(8), n) for _ in range(3)]:
+                graphs += [g, random_bicyclic(rng, [g], n)]
+            for g, h in itertools.combinations(graphs, 2):
+                iso = (g.degree_sequence() == h.degree_sequence()
+                       and nx.is_isomorphic(to_networkx(g), to_networkx(h)))
+                assert (canonical_form(g) == canonical_form(h)) == iso
+                same, differ = same + iso, differ + (not iso)
+        assert same >= 40 and differ >= 800
+
+    def test_rejects_graphs_that_are_not_bicyclic(self):
+        with pytest.raises(ValueError):
+            canonical_form(Graph.from_edges(5, [(i, i + 1) for i in range(4)]))
 
 
 class TestRootedTrees:
@@ -146,9 +217,20 @@ class TestBases:
         for b in bicyclic_bases(7):
             brute = [p for p in itertools.permutations(range(b.n))
                      if b.relabel(list(p)).edges == b.edges]
-            assert automorphisms(b) == brute
+            assert isomorphisms(b, b) == brute
         # K_{2,3} = theta(2,2,2) has the largest group among the bases
-        assert len(automorphisms(make_theta(2, 2, 2))) == 12
+        assert len(isomorphisms(make_theta(2, 2, 2), make_theta(2, 2, 2))) == 12
+
+    def test_isomorphisms_onto_a_relabelled_copy(self, rng):
+        for b in bicyclic_bases(8):
+            perm = list(range(b.n))
+            rng.shuffle(perm)
+            h = b.relabel(perm)
+            maps = isomorphisms(b, h)
+            assert len(maps) == len(isomorphisms(b, b))
+            assert tuple(perm) in maps
+            assert all(b.relabel(list(p)) == h for p in maps)
+        assert isomorphisms(make_infinity(3, 2, 4), make_infinity(3, 3, 3)) == []
 
 
 class TestEnumerate:
@@ -156,17 +238,18 @@ class TestEnumerate:
     def test_same_classes_and_representatives_as_reference(self, n):
         ref = reference_enumerate_constructive(n)
         rep = enumerate_bicyclic(n)
-        assert [canonical_form(g) for g in rep.graphs] == sorted(ref)
-        assert [g.edges for g in rep.graphs] == [ref[k].edges for k in sorted(ref)]
+        certs = [reference_canonical_form(g) for g in rep.graphs]
+        assert sorted(certs) == sorted(ref)
+        assert [g.edges for g in rep.graphs] == [ref[k].edges for k in certs]
 
     def test_base_symmetry_computed_once_per_base(self, monkeypatch):
         calls = Counter()
 
-        def counting(g):
+        def counting(g, h):
             calls[g] += 1
-            return automorphisms(g)
+            return isomorphisms(g, h)
 
-        monkeypatch.setattr(enumeration, "automorphisms", counting)
+        monkeypatch.setattr(enumeration, "isomorphisms", counting)
         enumeration._base_symmetry.cache_clear()
         try:
             counts = [sum(1 for _ in enumeration.orderly_classes(n)) for n in range(4, 11)]
@@ -182,19 +265,15 @@ class TestEnumerate:
         assert len(stream) == GOLDEN_COUNTS[n]
         assert all(kind == base_graph(g).kind for g, kind in stream)
 
-    def test_one_certificate_per_class(self, monkeypatch):
-        calls = []
-
-        def counting(g):
-            calls.append(g.n)
-            return canonical_form(g)
-
-        monkeypatch.setattr(enumeration, "canonical_form", counting)
-        enumeration._enumerate_constructive.cache_clear()
+    def test_makes_no_class_key(self):
+        # the classes come out in key order; canonical_form's lru_cache
+        # counts every call, whichever module makes it
+        info = canonical_form.cache_info()
+        before = info.hits + info.misses
         for n in range(4, 11):
-            calls.clear()
-            count = enumerate_bicyclic(n).count
-            assert len(calls) == count
+            enumerate_bicyclic(n)
+        info = canonical_form.cache_info()
+        assert info.hits + info.misses == before
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_against_brute_force_oracle(self, n):
@@ -202,17 +281,17 @@ class TestEnumerate:
         rep = enumerate_bicyclic(n)
         assert rep.count == len(oracle) == GOLDEN_COUNTS[n]
         # class sets agree, not just the counts
-        oracle_certs = {canonical_form(g) for g in oracle}
-        assert rep.certificates() == oracle_certs
+        oracle_certs = {reference_canonical_form(g) for g in oracle}
+        assert {reference_canonical_form(g) for g in rep.graphs} == oracle_certs
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_methods_agree(self, n):
         rep, oracle = enumerate_bicyclic(n), edge_subset_classes(n)
         assert rep.count == len(oracle) == GOLDEN_COUNTS[n]
-        assert rep.certificates() == set(oracle)
+        assert {reference_canonical_form(g) for g in rep.graphs} == set(oracle)
 
     def test_n6_contains_the_named_four(self):
-        certs = enumerate_bicyclic(6).certificates()
+        certs = {canonical_form(g) for g in enumerate_bicyclic(6).graphs}
         for g in (graph_g1(6), graph_g2(6), graph_g3(6), graph_g4(6)):
             assert canonical_form(g) in certs
 
@@ -237,7 +316,7 @@ class TestEnumerate:
         # the oracle at the order bound itself
         rep, oracle = enumerate_bicyclic(10), edge_subset_classes(10)
         assert rep.count == len(oracle) == 2678
-        assert rep.certificates() == set(oracle)
+        assert {reference_canonical_form(g) for g in rep.graphs} == set(oracle)
 
     def test_deterministic_output_order(self):
         from bicyclic_spectra import graph6_encode
@@ -258,7 +337,8 @@ class TestMaxDegree:
     def test_top_degree_gives_g1_g2(self, n):
         rep = enumerate_with_max_degree(n, n - 1)
         assert rep.count == 2
-        assert rep.certificates() == {canonical_form(graph_g1(n)), canonical_form(graph_g2(n))}
+        assert ({canonical_form(g) for g in rep.graphs}
+                == {canonical_form(graph_g1(n)), canonical_form(graph_g2(n))})
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_degree_two_impossible(self, n):
@@ -272,7 +352,7 @@ class TestMaxDegree:
     def test_targeted_generator_matches_full_enumeration(self, n):
         fam = targeted_max_degree_family(n)
         full = enumerate_with_max_degree(n, n - 2)
-        assert {canonical_form(g) for g in fam} == set(full.certificates())
+        assert {canonical_form(g) for g in fam} == {canonical_form(g) for g in full.graphs}
 
     def test_targeted_fallback_beyond_enumeration_bound(self):
         rep = enumerate_with_max_degree(12, 10)
@@ -293,8 +373,16 @@ class TestMaxDegree:
         # the theta-graph P(2,2,2) with all pendants on one degree-3 hub
         n = 12
         pinned = attach_pendants(make_theta(2, 2, 2), 0, n - 5)
-        fam_certs = {canonical_form(g) for g in targeted_max_degree_family(n)}
-        assert canonical_form(pinned) in fam_certs
+        assert canonical_form(targeted_max_degree_family(n)[0]) == canonical_form(pinned)
+
+    @pytest.mark.parametrize("n", range(7, 21))
+    def test_targeted_patterns_pairwise_noniso(self, n):
+        # no dedup: the nine patterns are nine classes at every order
+        fam = targeted_max_degree_family(n)
+        assert len(fam) == 9
+        assert all(g.is_bicyclic() and max(g.degrees()) == n - 2 for g in fam)
+        for g, h in itertools.combinations(fam, 2):
+            assert not nx.is_isomorphic(to_networkx(g), to_networkx(h))
 
 
 def high_degree_extremal_candidate(n, delta):

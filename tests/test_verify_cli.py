@@ -437,21 +437,40 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,digest", [
         (["--n", "4"], "de980e55f0e6e98b9190f21e40b7894fc2783c57a7e68d24eccd4c8fb4ab53ec"),
-        (["--n", "5"], "8b02f8d7f4af97794150bb4ece11318518315bdb17f751c435fa1e08aaf40b72"),
-        (["--n", "6"], "863a715f303d81420f8dcd459e1aea11982b45a3b5aa22a583cf4a71f93bf5cd"),
-        (["--n", "7"], "57a97b1d292502ae341506967dd3c15d31d369a3556dd09d132cf0814f438716"),
-        (["--n", "8"], "4309a372d5c8982ea91efe26e4c5d98103f37037e0ef08f0382d80e04185245b"),
-        (["--n", "9"], "27f51766e02add21d7d3e5817b7c472b18d863d73de109bb001cba5a7e56ac03"),
+        (["--n", "5"], "e73355d21260beb607f79a1c37778dc18596210faa43d8379202de2ff41e7313"),
+        (["--n", "6"], "28d75b007fb59dc8d687270776ea4b869adf38ed05db4b9c29fd76f9a6cecb7f"),
+        (["--n", "7"], "da70f27ab3e01b61216726792309976e8ea050bcc0cc0f3fe9afa3bea22abb52"),
+        (["--n", "8"], "a9bf680c8c684acb18519bc603888097934f5b0645770c15ae947f577085ec26"),
+        (["--n", "9"], "625e38114fda7f586b90c4c1311d6e48c65269a56b67c4457279ece939049178"),
         (["--n", "12", "--max-degree", "10"],
-         "b7c3c2fa4537f872a4232459fb2c0e8ce194089daae4fe5d3d6b4f18d730b2a4"),
+         "15aad248a6d6f61e800f16e5594ae6014fd252b210b47df39baed029f54d748f"),
     ], ids=["n4", "n5", "n6", "n7", "n8", "n9", "n12_max_degree10"])
     def test_enumerate_output_bytes_pinned(self, argv, digest, capsys):
-        # sha256 of the full stdout (graph6 lines in certificate order, then
-        # the summary), so any change to the classes, their representatives
-        # or their order shows
+        # sha256 of the full stdout (graph6 lines in class-key order, the
+        # targeted family in pattern order, then the summary), so any change
+        # to the classes, their representatives or their order shows
         import hashlib
         assert main(["enumerate", *argv, "--graph6"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["--n", "4"], "de980e55f0e6e98b9190f21e40b7894fc2783c57a7e68d24eccd4c8fb4ab53ec"),
+        (["--n", "5"], "8a7e0748de27fa62b27f06dce5da4e48962e433220add6d7f63ff5a1eeecbcf5"),
+        (["--n", "6"], "cd9768a29bda2161e4f4956d5d53bdc9a79192f65bcc5cfcf6000ba02d46a4b7"),
+        (["--n", "7"], "f3c2b797c2720d95e0815b582df6fa7afab8b5841f561fa6a49894ebbcb5c8b2"),
+        (["--n", "8"], "7331fbd2f4f5074bb5f6da9d6cdc9a6940b5b30cb478270f6c358aab640fcadf"),
+        (["--n", "9"], "b39c86c9f099e2194e2520d57d21e83a2b814461a959b2f63b9e407e24743ea3"),
+        (["--n", "12", "--max-degree", "10"],
+         "14e4dbc60f65c2e70c70345d6817b0daa55a9652ddfa994d08cf760dbc556235"),
+    ], ids=["n4", "n5", "n6", "n7", "n8", "n9", "n12_max_degree10"])
+    def test_enumerate_sorted_lines_pinned(self, argv, digest, capsys):
+        # sha256 of the sorted graph6 lines, then the summary: pins the
+        # classes and their representatives apart from the output order
+        import hashlib
+        assert main(["enumerate", *argv, "--graph6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        text = "\n".join(sorted(lines[:-1]) + lines[-1:]) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_spectral_subcommand(self, capsys):
         code = main(["spectral", "--graph", "G2:6", "--f", "zagreb1", "--full-spectrum"])
@@ -460,6 +479,17 @@ class TestCli:
         assert payload["rho"] == pytest.approx(17.0855, abs=5e-4)
         assert len(payload["spectrum"]) == 6
         assert payload["n"] == 6 and payload["m"] == 7
+
+    def test_spectral_certificate_is_the_class_key(self, capsys):
+        # any order (G1:20 hangs a 17-vertex tree); null when not bicyclic
+        for text, g in (("G1:20", graph_g1(20)), ("G2:6", graph_g2(6))):
+            assert main(["spectral", "--graph", text, "--f", "zagreb1"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["certificate"] == list(canonical_form(g))
+        c5 = "Dhc"
+        assert graph6_decode(c5).m == 5
+        assert main(["spectral", "--graph", c5, "--f", "zagreb1"]) == 0
+        assert json.loads(capsys.readouterr().out)["certificate"] is None
 
     def test_spectral_accepts_graph6(self, capsys):
         from bicyclic_spectra import graph6_encode
@@ -499,6 +529,25 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("bicyclic-spectra: error: ")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["spectral", "--graph", "G2:3", "--f", "zagreb1"], "G2 requires n >= 5"),
+        (["spectral", "--graph", "G1:x", "--f", "zagreb1"], "invalid literal for int()"),
+        (["spectral", "--graph", "B:0,0,0", "--f", "zagreb1"], "needs cycle lengths >= 3"),
+        (["spectral", "--graph", "zzz", "--f", "zagreb1"], "'zzz': truncated graph6 string"),
+        (["extremal", "--n", "9..3", "--f", "zagreb1"], "empty range '9..3'"),
+        (["kelmans", "--samples", "5", "--f", "zagreb1"], "required: --seed"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ], ids=["named_order", "named_int", "named_params", "graph6", "empty_range",
+            "missing_option", "unknown_command"])
+    def test_argument_errors_print_one_line(self, argv, message):
+        import subprocess, sys
+        proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("bicyclic-spectra: error: ") and message in line
 
     def test_module_entry_point(self):
         import subprocess, sys
