@@ -15,7 +15,6 @@ from .graphs import (
     GraphError,
     attach_pendants,
     base_graph,
-    from_edge_text,
     graph6_decode,
     graph6_encode,
     graph_g1,
@@ -26,7 +25,6 @@ from .graphs import (
     make_infinity,
     make_theta,
     refine_partition,
-    to_edge_text,
 )
 from .weights import (
     PStarReport,

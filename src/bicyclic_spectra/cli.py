@@ -25,17 +25,21 @@ from .weights import parse_weight
 
 def _parse_range(text: str) -> list[int]:
     """'6..9' or '7' -> list of integers."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _parse_weights(text: str):
-    return [parse_weight(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [parse_weight(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:  # WeightSpecError: the spec's reason
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def parse_graph_argument(text: str) -> Graph:

@@ -314,101 +314,50 @@ class BaseGraph:
 
 
 def base_graph(g: Graph) -> BaseGraph:
-    """Strip pendant vertices repeatedly and classify the remaining core."""
+    """Strip pendant vertices repeatedly and classify the remaining core by
+    its ears.
+
+    An ear is the path of degree-2 core vertices that leaves a branch vertex
+    (degree 3 or 4) and ends at the next one.  An ear that comes back to its
+    start is a cycle C_p or C_q; otherwise it joins the two branch vertices:
+    B(p,l,q) has one such ear, the connecting path, and P(p,l,q) has three.
+    The core keeps the surviving vertices in ascending order.
+    """
     if not g.is_bicyclic():
         raise GraphError("base_graph requires a connected bicyclic graph")
-    alive = set(range(g.n))
     nbr = g.neighbors()
-    deg = {v: len(nbr[v]) for v in alive}
-    pend = [v for v in alive if deg[v] == 1]
-    while pend:
+    pend = [v for v in range(g.n) if len(nbr[v]) == 1]
+    while pend:  # popping v's one neighbour empties nbr[v], so the core keeps the rest
         v = pend.pop()
-        alive.discard(v)
-        for w in nbr[v]:
-            if w in alive:
-                nbr[w].discard(v)
-                deg[w] -= 1
-                if deg[w] == 1:
-                    pend.append(w)
-    kept = sorted(alive)
+        w = nbr[v].pop()
+        nbr[w].discard(v)
+        if len(nbr[w]) == 1:
+            pend.append(w)
+    kept = tuple(v for v in range(g.n) if nbr[v])
     idx = {v: i for i, v in enumerate(kept)}
-    core = Graph.from_edges(
-        len(kept), ((idx[u], idx[v]) for u, v in g.edges if u in alive and v in alive)
-    )
-    kind, params = _classify_base(core)
-    return BaseGraph(core, kind, params, tuple(kept))
-
-
-def _classify_base(core: Graph) -> tuple[str, tuple[int, int, int]]:
-    """Classify a pendant-free bicyclic graph as B(p,l,q) or P(p,l,q)."""
-    deg = core.degrees()
-    branch = [v for v in range(core.n) if deg[v] >= 3]
-    nbr = core.neighbors()
-    if len(branch) == 1:
-        # single degree-4 junction: B(p,1,q)
-        z = branch[0]
-        if deg[z] != 4:
-            raise GraphError("unrecognized bicyclic base")
-        comps = _path_components(core, {z})
-        lens = sorted(len(c) + 1 for c in comps)
-        if len(lens) != 2:
-            raise GraphError("unrecognized bicyclic base")
-        return "infinity", (lens[0], 1, lens[1])
-    if len(branch) != 2 or any(deg[v] != 3 for v in branch):
-        raise GraphError("unrecognized bicyclic base")
-    u, v = branch
-    comps = _path_components(core, {u, v})
-    # classify each leftover path by which branch vertices its ends touch
-    uu, vv, uv = [], [], []
-    for comp in comps:
-        ends = []
-        for x in comp:
-            for b in (u, v):
-                if b in nbr[x]:
-                    ends.append(b)
-        if sorted(set(ends)) == [u, v] and len(ends) == 2:
-            uv.append(len(comp) + 1)  # x-y path length in edges
-        elif ends.count(u) == 2:
-            uu.append(len(comp) + 1)  # cycle length through u
-        elif ends.count(v) == 2:
-            vv.append(len(comp) + 1)
-        else:
-            raise GraphError("unrecognized bicyclic base")
-    if core.has_edge(u, v):
-        uv.append(1)
-    if len(uv) == 3:
-        a, b, c = sorted(uv)
-        return "theta", (b, a, c)
-    if len(uv) == 1 and len(uu) == 1 and len(vv) == 1:
-        p, q = sorted((uu[0], vv[0]))
-        return "infinity", (p, uv[0] + 1, q)
+    core = Graph(len(kept), frozenset((idx[u], idx[v]) for u in kept for v in nbr[u] if u < v))
+    cycles, paths = [], []
+    for b in kept:
+        if len(nbr[b]) < 3:
+            continue
+        for w in nbr[b]:
+            prev, cur, length = b, w, 1
+            while len(nbr[cur]) == 2:
+                prev, cur = cur, next(x for x in nbr[cur] if x != prev)
+                length += 1
+            (cycles if cur == b else paths).append(length)
+    # every ear is walked once from each end
+    cycles, paths = sorted(cycles)[::2], sorted(paths)[::2]
+    if len(cycles) == 2 and len(paths) <= 1:
+        l = paths[0] + 1 if paths else 1  # l = 1: the cycles share a degree-4 vertex
+        return BaseGraph(core, "infinity", (cycles[0], l, cycles[1]), kept)
+    if len(paths) == 3:
+        return BaseGraph(core, "theta", (paths[1], paths[0], paths[2]), kept)
     raise GraphError("unrecognized bicyclic base")
 
 
-def _path_components(g: Graph, removed: set[int]) -> list[list[int]]:
-    """Connected components of g minus `removed` (all degree <= 2 paths here)."""
-    nbr = g.neighbors()
-    seen: set[int] = set()
-    comps = []
-    for s in range(g.n):
-        if s in removed or s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for w in nbr[x]:
-                if w not in removed and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
-
-
 # ---------------------------------------------------------------------------
-# graph6 and edge-list text interchange
+# graph6 interchange
 # ---------------------------------------------------------------------------
 
 
@@ -459,23 +408,4 @@ def graph6_decode(s: str) -> Graph:
             if bits[k]:
                 edges.append((i, j))
             k += 1
-    return Graph.from_edges(n, edges)
-
-
-def to_edge_text(g: Graph) -> str:
-    """Debug format: one "u v" line per edge, preceded by the vertex count."""
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
-
-
-def from_edge_text(text: str) -> Graph:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
-        raise GraphError("empty edge text")
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
     return Graph.from_edges(n, edges)

@@ -20,7 +20,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -51,15 +51,7 @@ class CaseRecord:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "inputs": self.inputs,
-            "computed": self.computed,
-            "expected": self.expected,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 
@@ -7,7 +9,6 @@ from bicyclic_spectra import (
     GraphError,
     attach_pendants,
     base_graph,
-    from_edge_text,
     graph6_decode,
     graph6_encode,
     graph_g1,
@@ -16,8 +17,8 @@ from bicyclic_spectra import (
     graph_g4,
     make_infinity,
     make_theta,
-    to_edge_text,
 )
+from bicyclic_spectra.enumeration import bicyclic_bases
 from conftest import to_networkx
 
 
@@ -168,6 +169,38 @@ class TestBaseGraph:
         assert b.kind == "theta"
         assert b.params == (min(p, q), l, max(p, q))
 
+    def test_every_base_up_to_order_12_relabelled_and_grown(self):
+        """Each base, randomly relabelled with pendants and short paths hung
+        at random vertices, reads back as its construction: kind, normalised
+        params and core edges."""
+        built = {}  # labelled construction -> (kind, normalised params)
+        for a in range(2, 13):
+            for l in range(1, 13):
+                for c in range(a, 13):
+                    if a >= 3:
+                        built[make_infinity(a, l, c)] = ("infinity", (a, l, c))
+                        built[make_infinity(c, l, a)] = ("infinity", (a, l, c))
+                    if l <= a:
+                        built[make_theta(a, l, c)] = ("theta", (a, l, c))
+                        built[make_theta(c, l, a)] = ("theta", (a, l, c))
+        rng = random.Random(12)
+        for base in bicyclic_bases(12):
+            kind, params = built[base]
+            g = base
+            for _ in range(rng.randrange(4)):
+                root = rng.randrange(g.n)
+                for _ in range(rng.randint(1, 3)):  # a pendant or a short path
+                    g = attach_pendants(g, root, 1)
+                    root = g.n - 1
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            b = base_graph(g.relabel(perm))
+            assert (b.kind, b.params) == (kind, params)
+            assert b.kept_vertices == tuple(sorted(perm[:base.n]))
+            kept = b.kept_vertices
+            assert ({frozenset((kept[u], kept[v])) for u, v in b.graph.edges}
+                    == {frozenset((perm[u], perm[v])) for u, v in base.edges})
+
 
 class TestAttachPendants:
     def test_identity_case(self):
@@ -240,14 +273,3 @@ class TestGraph6:
         with pytest.raises(GraphError):
             graph6_decode("E")  # truncated 6-vertex graph
 
-
-class TestEdgeText:
-    def test_round_trip(self):
-        g = graph_g3(7)
-        assert from_edge_text(to_edge_text(g)) == g
-
-    def test_format(self):
-        text = to_edge_text(make_theta(2, 1, 2))
-        lines = text.strip().splitlines()
-        assert lines[0] == "4"
-        assert all(len(line.split()) == 2 for line in lines[1:])

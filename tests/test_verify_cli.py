@@ -536,10 +536,12 @@ class TestCli:
         (["spectral", "--graph", "B:0,0,0", "--f", "zagreb1"], "needs cycle lengths >= 3"),
         (["spectral", "--graph", "zzz", "--f", "zagreb1"], "'zzz': truncated graph6 string"),
         (["extremal", "--n", "9..3", "--f", "zagreb1"], "empty range '9..3'"),
+        (["extremal", "--n", "9..x", "--f", "zagreb1"], "argument --n: '9..x': invalid literal"),
+        (["extremal", "--n", "4..6", "--f", "zorg"], "argument --f: unknown weight kind 'zorg'"),
         (["kelmans", "--samples", "5", "--f", "zagreb1"], "required: --seed"),
         (["frobnicate"], "invalid choice: 'frobnicate'"),
     ], ids=["named_order", "named_int", "named_params", "graph6", "empty_range",
-            "missing_option", "unknown_command"])
+            "range_int", "weight_kind", "missing_option", "unknown_command"])
     def test_argument_errors_print_one_line(self, argv, message):
         import subprocess, sys
         proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],
