@@ -126,15 +126,19 @@ def orderly_classes(n: int) -> Iterator[tuple[Graph, str]]:
     for base in bicyclic_bases(n):
         group, kind = _base_symmetry(base)
         for comp in _weak_compositions(n - base.n, base.n):
-            images = [tuple(comp[i] for i in p) for p in group]
-            if min(images) < comp:
-                continue
-            stabiliser = [p for p, image in zip(group, images) if image == comp]
-            shape_lists = [rooted_trees(c + 1) for c in comp]
-            for idx in itertools.product(*(range(len(shapes)) for shapes in shape_lists)):
-                if all(tuple(idx[i] for i in p) >= idx for p in stabiliser):
-                    forest = tuple(shapes[i] for shapes, i in zip(shape_lists, idx))
-                    yield _forest_graph(base, forest), kind
+            stabiliser = []
+            for p in group:
+                image = tuple(comp[i] for i in p)
+                if image < comp:
+                    break
+                if image == comp:
+                    stabiliser.append(p)
+            else:
+                shape_lists = [rooted_trees(c + 1) for c in comp]
+                for idx in itertools.product(*(range(len(shapes)) for shapes in shape_lists)):
+                    if all(tuple(idx[i] for i in p) >= idx for p in stabiliser):
+                        forest = tuple(shapes[i] for shapes, i in zip(shape_lists, idx))
+                        yield _forest_graph(base, forest), kind
 
 
 def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:

@@ -2,12 +2,12 @@
 
 Provides the pieces the verification campaigns lean on: characteristic
 polynomials via fraction-free Faddeev-LeVerrier, Descartes sign-variation
-bounds, Sturm root counting and bisection to the largest real root (each
-sign read off integer Horner on a primitive integer polynomial), and exact
-sign evaluation at quadratic-surd points r*sqrt(s) (every sign condition in
-the source material evaluates at such a point, so signs are certified
-without floating point).  Root counting and isolation take exact
-coefficients only.
+bounds, Sturm root counting and bisection to the largest real root (exact
+coefficients only, in integers: a primitive pseudo-remainder sequence, the
+square-free part by exact division, both bracket ends over one shared
+denominator and every sign by integer Horner), and exact sign evaluation at
+quadratic-surd points r*sqrt(s) (every sign condition in the source material
+evaluates at such a point, so signs are certified without floating point).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 Coeff = Union[int, Fraction, float]
-# bracket width at which bisection stops and returns the midpoint
-ROOT_TOL = Fraction(1, 10 ** 14)
+# bisection stops once the bracket is narrower than 1/ROOT_SCALE and returns its midpoint
+ROOT_SCALE = 10 ** 14
 
 
 class PolynomialError(ValueError):
@@ -263,68 +263,101 @@ def sign_at_sqrt(p: Polynomial, r, s) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Largest-root isolation: Sturm sequence + bisection
+# Largest-root isolation: Sturm sequence + bisection, all in integers
 # ---------------------------------------------------------------------------
 
 
-def sturm_sequence(p: Polynomial) -> list[tuple[int, ...]]:
-    """p's Sturm sequence, built in Fraction, each member as the descending
-    coefficients of its primitive integer multiple (same signs); [0] is p's."""
-    seq = [p, p.derivative()]
-    while not seq[-1].is_zero() and seq[-1].degree > 0:
-        rem = seq[-2].divmod(seq[-1])[1]
-        if rem.is_zero():
+def _primitive(ints: Iterable[int]) -> tuple[int, ...]:
+    """ints without leading zeros, divided by their positive gcd."""
+    ints = list(ints)
+    ints = ints[next((i for i, c in enumerate(ints) if c), len(ints)):]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def _pseudo_divide(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Long division of a by b in integers, scaling the dividend by a divisor
+    of |lc(b)| where a step needs it, so no sign flips: (quot, rem) with rem
+    a positive multiple of rem(a, b).  When b is primitive and divides a, no
+    step scales (Gauss's lemma) and quot is a / b."""
+    quot, r = [], list(a)
+    for k in range(len(a) - len(b) + 1):
+        s = abs(b[0]) // math.gcd(r[k], b[0])
+        quot.append(s * r[k] // b[0])
+        r = [s * c for c in r]
+        for i in range(1, len(b)):
+            r[k + i] -= quot[-1] * b[i]
+    return quot, r[len(a) - len(b) + 1:]
+
+
+def _sturm(q: tuple[int, ...]) -> list[tuple[int, ...]]:
+    deg = len(q) - 1
+    seq = [q, _primitive(c * (deg - i) for i, c in enumerate(q[:-1]))]
+    while len(seq[-1]) > 1:
+        rem = _primitive(-c for c in _pseudo_divide(seq[-2], seq[-1])[1])
+        if not rem:
             break
-        seq.append(-1 * rem)
-    out = []
-    for q in (q for q in seq if not q.is_zero()):
-        d = math.lcm(*(Fraction(c).denominator for c in q.coeffs))
-        ints = [int(c * d) for c in reversed(q.coeffs)]
-        g = math.gcd(*ints)
-        out.append(tuple(c // g for c in ints))
-    return out
+        seq.append(rem)
+    return seq
 
 
-def _sign_at(q: tuple[int, ...], x: Fraction) -> int:
-    """Sign of q(x), x = num/den, as that of den**deg * q(x) by integer Horner."""
-    num, den = x.numerator, x.denominator
+def sturm_sequence(p: Polynomial) -> list[tuple[int, ...]]:
+    """Sturm sequence of p's square-free part, each member as the descending
+    coefficients of its primitive integer multiple (same signs).  Built from
+    integer pseudo-remainders, it equals the Euclidean sequence over Fraction.
+    p's own sequence ends in gcd(p, p') up to a constant factor; p divided by
+    it exactly, with p's leading sign, is the square-free part."""
+    d = math.lcm(*(Fraction(c).denominator for c in p.coeffs))
+    seq = _sturm(_primitive(int(c * d) for c in reversed(p.coeffs)))
+    if len(seq[-1]) > 1:
+        quot = _pseudo_divide(seq[0], seq[-1])[0]
+        seq = _sturm(tuple(c if seq[-1][0] > 0 else -c for c in quot))
+    return seq
+
+
+def _sign_at(q: tuple[int, ...], num: int, den: int) -> int:
+    """Sign of q(num/den), den > 0, as that of den**deg * q(num/den) by integer Horner."""
     acc, scale = 0, 1
     for c in q:
         acc, scale = acc * num + c * scale, scale * den
     return (acc > 0) - (acc < 0)
 
 
-def _variations_at(seq: list[tuple[int, ...]], x: Fraction) -> int:
-    return _sign_variations([_sign_at(q, x) for q in seq])
+def _variations_at(seq: list[tuple[int, ...]], num: int, den: int) -> int:
+    return _sign_variations([_sign_at(q, num, den) for q in seq])
+
+
+def _bracket(lo, hi) -> tuple[int, int, int]:
+    """(a, b, d) with lo = a/d and hi = b/d over one shared denominator d."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise PolynomialError("empty bracket: lo > hi")
+    d = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
 
 
 def count_real_roots(p: Polynomial, lo, hi) -> int:
     """Number of distinct real roots of an exact polynomial in (lo, hi]."""
     if not p.is_exact():
         raise PolynomialError("count_real_roots requires exact coefficients")
-    seq = sturm_sequence(_squarefree_part(p))
-    return _variations_at(seq, Fraction(lo)) - _variations_at(seq, Fraction(hi))
+    a, b, d = _bracket(lo, hi)
+    seq = sturm_sequence(p)
+    return _variations_at(seq, a, d) - _variations_at(seq, b, d)
 
 
-def _squarefree_part(p: Polynomial) -> Polynomial:
-    g = p.gcd(p.derivative())
-    if g.degree <= 0:
-        return p
-    return p.divmod(g)[0]
-
-
-def _refine_bracket(q: tuple[int, ...], a: Fraction, b: Fraction) -> Fraction:
-    going_up = _sign_at(q, a) < 0
-    while b - a >= ROOT_TOL:
-        mid = (a + b) / 2
-        v = _sign_at(q, mid)
+def _refine_bracket(q: tuple[int, ...], a: int, b: int, d: int) -> float:
+    """Bisect [a/d, b/d], where q changes sign, doubling d at each halving."""
+    going_up = _sign_at(q, a, d) < 0
+    while (b - a) * ROOT_SCALE >= d:
+        mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        v = _sign_at(q, mid, d)
         if v == 0:
-            return mid
+            return float(Fraction(mid, d))
         if (v < 0) == going_up:
             a = mid
         else:
             b = mid
-    return (a + b) / 2
+    return float(Fraction(a + b, 2 * d))
 
 
 def max_real_root(p: Polynomial, lo=None, hi=None) -> float:
@@ -335,27 +368,25 @@ def max_real_root(p: Polynomial, lo=None, hi=None) -> float:
     if not p.is_exact():
         raise PolynomialError("max_real_root requires exact coefficients")
     bound = 1 + max(abs(Fraction(c)) for c in p.coeffs) / abs(p.coeffs[-1])
-    lo = -bound if lo is None else lo
-    hi = bound if hi is None else hi
+    a, b, d = _bracket(-bound if lo is None else lo, bound if hi is None else hi)
     # halve towards the upper half while it holds a root, then refine the top root alone
-    seq = sturm_sequence(_squarefree_part(p))
+    seq = sturm_sequence(p)
     q = seq[0]
-    a, b = Fraction(lo), Fraction(hi)
-    if _sign_at(q, b) == 0:
-        return float(b)
-    v_b = _variations_at(seq, b)
-    k = _variations_at(seq, a) - v_b  # roots in (a, b]
+    if _sign_at(q, b, d) == 0:
+        return float(Fraction(b, d))
+    v_b = _variations_at(seq, b, d)
+    k = _variations_at(seq, a, d) - v_b  # roots in (a/d, b/d]
     if k == 0:
-        if _sign_at(q, a) == 0:
-            return float(a)
+        if _sign_at(q, a, d) == 0:
+            return float(Fraction(a, d))
         raise PolynomialError("no real roots in bracket")
-    while k > 1 or _sign_at(q, a) == 0:
-        mid = (a + b) / 2
-        v_mid = _variations_at(seq, mid)
+    while k > 1 or _sign_at(q, a, d) == 0:
+        mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        v_mid = _variations_at(seq, mid, d)
         if v_mid > v_b:
             a, k = mid, v_mid - v_b
-        elif _sign_at(q, mid) == 0:
-            return float(mid)
+        elif _sign_at(q, mid, d) == 0:
+            return float(Fraction(mid, d))
         else:
             b, v_b = mid, v_mid
-    return float(_refine_bracket(q, a, b))
+    return _refine_bracket(q, a, b, d)

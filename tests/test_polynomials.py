@@ -15,11 +15,12 @@ from bicyclic_spectra import (
     eval_at_sqrt,
     max_real_root,
     family_quotient,
+    polynomials,
     rational_pstar_functions,
     sign_at_sqrt,
 )
-from conftest import (reference_char_poly, reference_count_real_roots, reference_max_real_root,
-                      reference_real_roots)
+from conftest import (_reference_squarefree, _reference_sturm, reference_char_poly,
+                      reference_count_real_roots, reference_max_real_root, reference_real_roots)
 
 
 def cauchy_bound(p: Polynomial) -> Fraction:
@@ -179,6 +180,14 @@ class TestRealRoots:
     def test_max_real_root_default_bracket(self):
         assert max_real_root(Polynomial([-6, 11, -6, 1])) == pytest.approx(3, abs=1e-9)
 
+    def test_count_rejects_reversed_bracket(self):
+        p = Polynomial([-6, 11, -6, 1])  # (x - 1)(x - 2)(x - 3)
+        with pytest.raises(PolynomialError, match="empty bracket"):
+            count_real_roots(p, 5, 0)
+        with pytest.raises(PolynomialError, match="empty bracket"):
+            count_real_roots(p, Fraction(1, 3), 1e-300)
+        assert count_real_roots(p, 2, 2) == count_real_roots(p, 4, 4) == 0
+
     @given(st.lists(st.integers(-6, 6), min_size=3, max_size=6))
     @settings(max_examples=80, deadline=None)
     def test_roots_actually_vanish(self, coeffs):
@@ -219,6 +228,17 @@ class TestMaxRealRoot:
             max_real_root(Polynomial([1, 0, 1]))
         with pytest.raises(PolynomialError, match="no real roots"):
             max_real_root(Polynomial([3, -4, 1]), 4, 5)
+
+    def test_reversed_bracket(self):
+        p = Polynomial([-6, 11, -6, 1])  # (x - 1)(x - 2)(x - 3)
+        with pytest.raises(PolynomialError, match="empty bracket"):
+            max_real_root(p, 5, 0)
+        with pytest.raises(PolynomialError, match="empty bracket"):
+            max_real_root(p, lo=13)  # above the default hi, the Cauchy bound 12
+        # lo == hi: the root if lo is one, else no root
+        assert max_real_root(p, 2, 2) == 2.0
+        with pytest.raises(PolynomialError, match="no real roots"):
+            max_real_root(p, Fraction(5, 2), Fraction(5, 2))
 
     def test_rejects_inexact_coefficients(self):
         for p in (Polynomial([0.5, 1.0]), Polynomial([1.0, -2.0, 1.0])):
@@ -298,6 +318,46 @@ def same_char_poly(rows) -> Polynomial:
     return p
 
 
+def primitive_ints(q: Polynomial) -> tuple[int, ...]:
+    """q's descending coefficients as its primitive integer multiple (same signs)."""
+    d = math.lcm(*(Fraction(c).denominator for c in q.coeffs))
+    ints = [int(c * d) for c in reversed(q.coeffs)]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def sturm_used_by_max_real_root(p: Polynomial) -> list:
+    """The Sturm sequence max_real_root isolates p's largest root with."""
+    seen = []
+    inner = polynomials.sturm_sequence
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomials, "sturm_sequence", lambda q: seen.append(inner(q)) or seen[-1])
+        try:
+            max_real_root(p)
+        except PolynomialError:  # no real root; the sequence was built first
+            pass
+    assert len(seen) == 1
+    return seen[0]
+
+
+def reference_primitive_sturm(p: Polynomial) -> list:
+    return [primitive_ints(q) for q in _reference_sturm(_reference_squarefree(p))]
+
+
+@st.composite
+def repeated_root_polynomials(draw):
+    """c * prod (x - r)^m, some m >= 2, times an integer factor."""
+    p = Polynomial([draw(st.sampled_from([-3, -1, 1, 2]))])
+    roots = draw(st.lists(st.tuples(st.fractions(-6, 6, max_denominator=5), st.integers(1, 3)),
+                          min_size=1, max_size=4))
+    roots[0] = (roots[0][0], max(roots[0][1], 2))
+    for root, mult in roots:
+        for _ in range(mult):
+            p = p * Polynomial([-root, 1])
+    extra = Polynomial(draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4)))
+    return p if extra.is_zero() else p * extra
+
+
 RATIONALS = st.one_of(st.just(0), st.integers(-4, 4),
                       st.fractions(min_value=-5, max_value=5, max_denominator=12))
 
@@ -318,6 +378,28 @@ class TestFractionFreeMatchesReference:
             b = cauchy_bound(p)
             assert max_real_root(p) == reference_max_real_root(p)
             assert count_real_roots(p, 0, b) == reference_count_real_roots(p, 0, b)
+
+    def test_family_sturm_sequences(self):
+        for p in (char_poly(m) for m in family_matrices()):
+            assert sturm_used_by_max_real_root(p) == reference_primitive_sturm(p)
+
+    @given(repeated_root_polynomials())
+    @settings(max_examples=80, deadline=None)
+    def test_sturm_sequences_with_repeated_roots(self, p):
+        assert sturm_used_by_max_real_root(p) == reference_primitive_sturm(p)
+
+    def test_root_path_divides_no_polynomial(self, monkeypatch):
+        polys = [char_poly(m) for m in family_matrices()]
+        calls = []
+        for name in ("divmod", "gcd"):
+            def counted(self, other, name=name, inner=getattr(Polynomial, name)):
+                calls.append(name)
+                return inner(self, other)
+            monkeypatch.setattr(Polynomial, name, counted)
+        for p in polys:
+            max_real_root(p)
+            count_real_roots(p, 0, cauchy_bound(p))
+        assert calls == []
 
     def test_family_char_poly_accepts_numpy_object_arrays(self):
         for m in family_matrices()[::27]:
@@ -383,7 +465,7 @@ class TestFractionFreeMatchesReference:
         (-1, 0.5), (Fraction(-3, 2), 2.0),
     ])
     def test_count_real_roots_bound_types(self, lo, hi):
-        for p in (Polynomial([0, -1, 0, 1]),
-                  Polynomial([Fraction(-1, 4), 0, 1]) * Polynomial([0, -1, 0, 1]),
-                  Polynomial([1, 0, 1])):
+        cubic = Polynomial([0, -1, 0, 1])
+        for p in (cubic, Polynomial([Fraction(-1, 4), 0, 1]) * cubic, Polynomial([1, 0, 1]),
+                  cubic * cubic * Polynomial([Fraction(-1, 2), 1])):
             assert count_real_roots(p, lo, hi) == reference_count_real_roots(p, lo, hi)
