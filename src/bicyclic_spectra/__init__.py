@@ -40,9 +40,7 @@ from .spectral import (
     SpectralError,
     SpectralResult,
     build_matrix,
-    build_matrix_exact,
     full_spectrum,
-    matrix_rho,
     rho_f,
     spectral_radii,
     spectral_radius,

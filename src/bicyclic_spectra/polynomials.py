@@ -165,11 +165,11 @@ class Polynomial:
 
 
 def char_poly(matrix) -> Polynomial:
-    """det(xI - M) with exact rational coefficients when entries are rational.
+    """det(xI - M) with exact rational coefficients; M needs rational entries.
 
     Fraction-free: Faddeev-LeVerrier on the integer matrix D*M, D the lcm of
     the denominators, divides exactly by k; x**(n-k) gets Fraction(c_k, D**k).
-    Inexact matrices fall back to eigenvalue-based float coefficients.
+    A float entry raises PolynomialError.
     """
     rows = [list(r) for r in (matrix.tolist() if isinstance(matrix, np.ndarray) else matrix)]
     n = len(rows)
@@ -177,13 +177,8 @@ def char_poly(matrix) -> Polynomial:
         raise PolynomialError("char_poly requires a square matrix")
     if n == 0:
         return Polynomial([1])
-    exact = all(isinstance(x, (int, Fraction)) for r in rows for x in r)
-    if not exact:
-        vals = np.linalg.eigvals(np.asarray(rows, dtype=float))
-        coeffs = np.poly(vals)  # descending, leading 1
-        if np.max(np.abs(coeffs.imag)) > 1e-8 * max(1.0, np.max(np.abs(coeffs.real))):
-            raise PolynomialError("characteristic polynomial has non-real coefficients")
-        return Polynomial(list(coeffs.real[::-1]))
+    if not all(isinstance(x, (int, Fraction)) for r in rows for x in r):
+        raise PolynomialError("char_poly requires rational entries")
     d = math.lcm(*(Fraction(x).denominator for r in rows for x in r))
     a = [[int(x * d) for x in r] for r in rows]
     m = [[0] * n for _ in range(n)]

@@ -8,6 +8,10 @@ extended index) are written out here with exact coefficients, and every sign
 condition used by the verification campaigns is certified with exact
 quadratic-surd arithmetic: each test point has the shape r*sqrt(s) with
 rational r, s.
+
+The layer is exact only.  Refinement signatures and quotient entries are
+Fraction row sums of A_f(G), taken straight from the edge list; a weight
+that is irrational on a degree pair the layer needs raises PartitionError.
 """
 
 from __future__ import annotations
@@ -16,12 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .graphs import FAMILIES, Graph, refine_partition
 from .polynomials import Polynomial, sign_at_sqrt
-from .spectral import build_matrix, build_matrix_exact
-from .weights import WeightFunction, evaluate, evaluate_exact
+from .weights import WeightFunction, evaluate_exact
 
 Partition = list[list[int]]
 
@@ -54,69 +55,56 @@ def degree_partition(g: Graph) -> Partition:
     return [blocks[d] for d in sorted(blocks, reverse=True)]
 
 
-def _weight_rows(g: Graph, f: WeightFunction):
-    """(rows, exact): weighted adjacency rows, Fractions when available."""
-    exact = build_matrix_exact(g, f)
-    if exact is not None:
-        return exact, True
-    return build_matrix(g, f).tolist(), False
+def _fval(f: WeightFunction, x: int, y: int) -> Fraction:
+    v = evaluate_exact(f, x, y)
+    if v is None:
+        raise PartitionError(f"weight {f.label()} is irrational at degrees ({x}, {y}); "
+                             "the quotient layer needs a rational weight")
+    return v
+
+
+def _row_sums(g: Graph, f: WeightFunction, parts: Partition) -> list[tuple]:
+    """Each vertex's exact A_f(G) row sums into each part, from one pass over the edges."""
+    deg = g.degrees()
+    part = [0] * g.n
+    for i, block in enumerate(parts):
+        for v in block:
+            part[v] = i
+    sums = [[0] * len(parts) for _ in range(g.n)]
+    for u, v in g.edges:
+        w = _fval(f, deg[u], deg[v])
+        sums[u][part[v]] += w
+        sums[v][part[u]] += w
+    return [tuple(row) for row in sums]
 
 
 def equitable_refine(g: Graph, f: WeightFunction, seed: Optional[Partition] = None) -> Partition:
     """Coarsest refinement of the seed that is equitable for A_f(G).
 
-    Blocks split by their weighted row sums into the current blocks
+    Blocks split by their exact weighted row sums into the current blocks
     (`graphs.refine_partition`); block order is label-invariant.
     """
-    rows, exact = _weight_rows(g, f)
     blocks = [list(b) for b in (seed if seed is not None else degree_partition(g))]
     validate_partition(blocks, g.n)
-
-    def row_sums(parts: Partition):
-        def sig(v: int) -> tuple:
-            sums = (sum(rows[v][u] for u in b) for b in parts)
-            return tuple(sums) if exact else tuple(round(s, 9) for s in sums)
-        return sig
-
-    return refine_partition(blocks, row_sums)
+    return refine_partition(blocks, lambda parts: _row_sums(g, f, parts).__getitem__)
 
 
 @dataclass
 class QuotientMatrix:
-    """Block-average row sums of A_f(G) under a partition."""
+    """Block-average row sums of A_f(G) under a partition, as Fractions."""
 
-    b: list[list]  # k x k, Fraction entries when the weight is rational
+    b: list[list[Fraction]]  # k x k
     blocks: Partition
     equitable: bool
-    exact: bool
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.b])
 
 
 def quotient_matrix(g: Graph, f: WeightFunction, p: Partition) -> QuotientMatrix:
     validate_partition(p, g.n)
-    rows, exact = _weight_rows(g, f)
-    k = len(p)
-    b = []
-    equitable = True
-    for bi in p:
-        row = []
-        for bj in p:
-            sums = [sum(rows[v][u] for u in bj) for v in bi]
-            if exact:
-                if any(s != sums[0] for s in sums):
-                    equitable = False
-                avg = Fraction(sum(sums), len(sums))
-            else:
-                spread = max(sums) - min(sums)
-                if spread > 1e-12 * max(1.0, max(abs(s) for s in sums)):
-                    equitable = False
-                avg = sum(sums) / len(sums)
-            row.append(avg)
-        b.append(row)
-    assert len(b) == k
-    return QuotientMatrix(b, [list(x) for x in p], equitable, exact)
+    sums = _row_sums(g, f, p)
+    b = [[Fraction(sum(sums[v][j] for v in block), len(block)) for j in range(len(p))]
+         for block in p]
+    equitable = all(sums[v] == sums[block[0]] for block in p for v in block)
+    return QuotientMatrix(b, [list(x) for x in p], equitable)
 
 
 def family_quotient(tag: str, n: int, f: WeightFunction) -> QuotientMatrix:
@@ -134,18 +122,13 @@ _MIN_N = {"phi1": 6, "phi2": 6, "phi2_prime": 6, "phi3": 5,
           "h_n": 12, "h_n1": 12, "h_n2": 12, "h_n3": 12}
 
 
-def _fval(f: WeightFunction, x: int, y: int):
-    v = evaluate_exact(f, x, y)
-    return v if v is not None else evaluate(f, x, y)
-
-
 def named_polynomial(name: str, n: int, f: Optional[WeightFunction] = None) -> Polynomial:
     """The named quotient / factor polynomials at a concrete order n.
 
     phi1, phi2 (and its x-multiple phi2_prime), phi3 describe the quotient
     matrices of G2, G4, G3 for a weight f; the h-family describes the
-    extended-index analysis and takes no f.  Coefficients are exact whenever
-    f is rational on integer degrees.
+    extended-index analysis and takes no f.  Coefficients are exact; an f
+    that is irrational on the degrees used raises PartitionError.
     """
     if name not in NAMED_POLYNOMIALS:
         raise ValueError(f"unknown polynomial name {name!r}")
@@ -249,8 +232,6 @@ class SignCondition:
 
     def holds_at(self, n: int) -> bool:
         p = named_polynomial(self.poly_name, n, self.weight)
-        if not p.is_exact():
-            raise PartitionError("sign ledger requires rational weights")
         r, s = self.point(n)
         return sign_at_sqrt(p, r, s) == self.expected
 
@@ -295,11 +276,8 @@ SIGN_LEDGER: list[SignCondition] = [
 
 def phi1_sign_holds(f: WeightFunction, n: int) -> bool:
     """Exact check that phi1(sqrt(n-1) * f(n-1,1)) < 0."""
-    c = evaluate_exact(f, n - 1, 1)
-    if c is None:
-        raise PartitionError("phi1 sign check requires a rational weight")
     p = named_polynomial("phi1", n, f)
-    return sign_at_sqrt(p, c, Fraction(n - 1)) == -1
+    return sign_at_sqrt(p, _fval(f, n - 1, 1), Fraction(n - 1)) == -1
 
 
 def evaluate_sign_ledger(fs: Sequence[WeightFunction], n_max: int = 60) -> list[dict]:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graphs import Graph
-from .weights import WeightFunction, evaluate, evaluate_exact
+from .weights import WeightFunction, evaluate
 
 
 class SpectralError(RuntimeError):
@@ -23,19 +22,6 @@ def build_matrix(g: Graph, f: WeightFunction) -> np.ndarray:
     """A_f(G), read-only: entry (i,j) is f(d_i,d_j) on edges, 0 elsewhere."""
     a = _stacked_matrices([g], [f], g.n, [{}])[0, 0]
     a.setflags(write=False)
-    return a
-
-
-def build_matrix_exact(g: Graph, f: WeightFunction) -> Optional[list[list[Fraction]]]:
-    """A_f(G) with Fraction entries, or None when f is irrational on degrees."""
-    deg = g.degrees()
-    a = [[Fraction(0)] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        w = evaluate_exact(f, deg[u], deg[v])
-        if w is None:
-            return None
-        a[u][v] = w
-        a[v][u] = w
     return a
 
 
@@ -148,20 +134,3 @@ def _stacked_matrices(graphs: Sequence[Graph], fs: Sequence[WeightFunction], n: 
 def rho_f(g: Graph, f: WeightFunction) -> float:
     """Convenience: spectral radius of A_f(G)."""
     return float(spectral_radii([g], f)[0])
-
-
-def matrix_rho(m) -> float:
-    """Largest eigenvalue of a general real square matrix with real spectrum.
-
-    Used for (possibly non-symmetric) quotient matrices; complains if the
-    dominant eigenvalue has a non-negligible imaginary part.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.size == 0:
-        return 0.0
-    vals = np.linalg.eigvals(a)
-    k = int(np.argmax(vals.real))
-    lam = vals[k]
-    if abs(lam.imag) > 1e-9 * max(1.0, abs(lam.real)):
-        raise SpectralError(f"dominant eigenvalue is not real: {lam}")
-    return float(lam.real)

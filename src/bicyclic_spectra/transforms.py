@@ -49,6 +49,8 @@ def kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
         raise TransformError(f"vertex out of range: ({u},{v})")
     nbr = g.neighbors()
     private = nbr[u] - nbr[v] - {v}
+    if not private:
+        return TransformOutcome(g, False, ())
     edges = set(g.edges)
     moved = []
     for w in sorted(private):
@@ -58,9 +60,9 @@ def kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
         edges.add(new)
         moved.append((old, new))
     result = Graph(g.n, frozenset(edges))
-    changed = bool(moved) and bool(nbr[v] - nbr[u] - {u})
+    changed = bool(nbr[v] - nbr[u] - {u})
     # u's old neighbours all end up adjacent to v, so only an isolated u splits g
-    disconnects = bool(moved) and not (nbr[u] - private) and g.is_connected()
+    disconnects = not (nbr[u] - private) and g.is_connected()
     return TransformOutcome(result, changed, tuple(moved), disconnects)
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, Polynomial,
                               PolynomialError, WeightFunction, attach_pendants, base_graph,
-                              canonical_form, enumerate_bicyclic, evaluate, spectral_radii)
+                              canonical_form, enumerate_bicyclic, evaluate, evaluate_exact,
+                              spectral_radii)
 from bicyclic_spectra.enumeration import bicyclic_bases, rooted_trees, _weak_compositions
 from bicyclic_spectra.graphs import refine_partition
 
@@ -439,6 +440,111 @@ def per_matrix_eigenpairs(a):
     eigensolve per stacked matrix (the other outputs are not compared)."""
     rho = [max(vals[-1], -vals[0]) for vals in (np.linalg.eigh(m)[0] for m in a)]
     return np.array(rho, dtype=float), None, None
+
+
+# Reference quotient: the package's earlier dense route.  A_f(G) is built as a
+# full n x n Fraction matrix and every block sum runs over every vertex of the
+# block, zeros included.
+
+
+def reference_weight_matrix(g: Graph, f) -> list[list[Fraction]]:
+    """A_f(G) with Fraction entries; f must be rational on the degrees."""
+    deg = g.degrees()
+    a = [[Fraction(0)] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        a[u][v] = a[v][u] = evaluate_exact(f, deg[u], deg[v])
+    return a
+
+
+def reference_quotient(g: Graph, f, p) -> tuple[list[list[Fraction]], bool]:
+    """(block-average row sums, equitable) of the dense Fraction A_f(G)."""
+    rows = reference_weight_matrix(g, f)
+    b, equitable = [], True
+    for bi in p:
+        row = []
+        for bj in p:
+            sums = [sum(rows[v][u] for u in bj) for v in bi]
+            equitable = equitable and all(s == sums[0] for s in sums)
+            row.append(Fraction(sum(sums), len(sums)))
+        b.append(row)
+    return b, equitable
+
+
+def reference_equitable_refine(g: Graph, f, seed) -> list[list[int]]:
+    """Coarsest equitable refinement of seed, signatures from the dense rows."""
+    rows = reference_weight_matrix(g, f)
+
+    def signatures(parts):
+        return lambda v: tuple(sum(rows[v][u] for u in b) for b in parts)
+    return refine_partition([list(b) for b in seed], signatures)
+
+
+def random_partition(rng: random.Random, n: int) -> list[list[int]]:
+    """A seeded random ordered partition of range(n) into non-empty blocks."""
+    k = rng.randint(1, n)
+    blocks = [[] for _ in range(k)]
+    for v in range(n):
+        blocks[rng.randrange(k)].append(v)
+    blocks = [b for b in blocks if b]
+    rng.shuffle(blocks)
+    return blocks
+
+
+# Burnside oracle for the class counts, independent of the orderly generator:
+# a bicyclic graph is its base B (the 2-core) with a rooted tree hung at each
+# base vertex, so the classes on B are the Aut(B)-orbits of tree assignments.
+# By Polya, their number at order n is [x^n] (1/|Aut B|) sum_sigma
+# prod_{cycles c of sigma} T(x^|c|), with T the rooted-tree series (A000081).
+# Aut(B) comes from networkx's matcher, T from the A000081 recurrence.
+
+
+def rooted_tree_counts(n_max: int) -> list[int]:
+    """t[k] = rooted trees on k vertices, k = 0..n_max (OEIS A000081)."""
+    t = [0, 1] + [0] * max(0, n_max - 1)
+    for m in range(1, n_max):
+        # t[m+1] = (1/m) sum_{k=1..m} (sum_{d | k} d t[d]) t[m-k+1]
+        s = sum(sum(d * t[d] for d in range(1, k + 1) if k % d == 0) * t[m - k + 1]
+                for k in range(1, m + 1))
+        t[m + 1] = s // m
+    return t[:n_max + 1]
+
+
+def _series_mul(a: list[int], b: list[int], n: int) -> list[int]:
+    out = [0] * (n + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[:n + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def burnside_class_count(n: int) -> int:
+    """Bicyclic classes on n vertices, by Burnside over each base's automorphisms."""
+    t = rooted_tree_counts(n)
+    total = Fraction(0)
+    for base in bicyclic_bases(n):
+        h = to_networkx(base)
+        autos = list(nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+        fixed = 0
+        for sigma in autos:
+            series = [1] + [0] * n
+            seen: set[int] = set()
+            for v in range(base.n):
+                if v in seen:
+                    continue
+                length, w = 0, v
+                while w not in seen:
+                    seen.add(w)
+                    w, length = sigma[w], length + 1
+                # T(x^length): t[k] at x^(k * length)
+                cycle = [0] * (n + 1)
+                for k in range(1, n // length + 1):
+                    cycle[k * length] = t[k]
+                series = _series_mul(series, cycle, n)
+            fixed += series[n]
+        total += Fraction(fixed, len(autos))
+    assert total.denominator == 1
+    return int(total)
 
 
 def reference_random_connected_graph(rng: random.Random, n: int, extra_max: int = 3) -> Graph:

@@ -23,8 +23,8 @@ from bicyclic_spectra import (
 )
 from bicyclic_spectra import enumeration
 from bicyclic_spectra.enumeration import bicyclic_bases, isomorphisms, rooted_trees
-from conftest import (GOLDEN_COUNTS, brute_force_bicyclic_classes, edge_subset_classes,
-                      graph_from_certificate, reference_canonical_form,
+from conftest import (GOLDEN_COUNTS, brute_force_bicyclic_classes, burnside_class_count,
+                      edge_subset_classes, graph_from_certificate, reference_canonical_form,
                       reference_enumerate_constructive, reference_weak_compositions,
                       to_networkx)
 
@@ -188,6 +188,15 @@ class TestRootedTrees:
     def test_counts(self):
         # classical rooted-tree counts
         assert [len(rooted_trees(k)) for k in range(1, 8)] == [1, 1, 2, 4, 9, 20, 48]
+
+
+class TestBurnsideCounts:
+    """Class counts by Polya's theorem over each base's networkx automorphisms
+    and the A000081 rooted-tree series, independent of the generator."""
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_orderly_count_matches_burnside(self, n):
+        assert sum(1 for _ in enumeration.orderly_classes(n)) == burnside_class_count(n)
 
 
 class TestWeakCompositions:

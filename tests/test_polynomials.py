@@ -85,11 +85,9 @@ class TestCharPoly:
         m = [[0, 0, 5], [1, 0, 2], [0, 1, 0]]
         assert char_poly(m).coeffs == (-5, -2, 0, 1)
 
-    def test_float_fallback(self):
-        m = np.array([[0.0, 2.5], [2.5, 0.0]])
-        p = char_poly(m)
-        assert not p.is_exact()
-        assert p.coeffs[0] == pytest.approx(-6.25)
+    def test_float_matrix_rejected(self):
+        with pytest.raises(PolynomialError, match="rational entries"):
+            char_poly(np.array([[0.0, 2.5], [2.5, 0.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(PolynomialError):

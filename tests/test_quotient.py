@@ -1,4 +1,6 @@
 import math
+import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,6 @@ from bicyclic_spectra import (
     Polynomial,
     WeightFunction,
     build_matrix,
-    build_matrix_exact,
     char_poly,
     descartes_bounds,
     equitable_refine,
@@ -23,16 +24,20 @@ from bicyclic_spectra import (
     graph_h_n3_2,
     make_theta,
     attach_pendants,
-    matrix_rho,
     max_real_root,
     named_polynomial,
+    parse_weight,
     phi1_sign_holds,
     quotient_matrix,
     rational_pstar_functions,
     rho_f,
     sign_at_sqrt,
 )
+from bicyclic_spectra.enumeration import orderly_classes
 from bicyclic_spectra.quotient import PartitionError, degree_partition, validate_partition
+
+from conftest import (random_partition, reference_equitable_refine, reference_quotient,
+                      reference_weight_matrix)
 
 Z1 = WeightFunction("zagreb1")
 HZ = WeightFunction("hyper_zagreb")
@@ -43,6 +48,11 @@ EXT = WeightFunction("extended")
 
 def cycle(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def exact_matrix(g, f):
+    """A_f(G) in Fractions: the quotient of the singleton partition."""
+    return quotient_matrix(g, f, [[v] for v in range(g.n)]).b
 
 
 class TestEquitableRefine:
@@ -110,7 +120,7 @@ class TestQuotientMatrix:
     @pytest.mark.parametrize("f", [Z1, HZ, FG, EXT], ids=lambda f: f.kind)
     def test_g2_quotient_entries(self, n, f):
         q = quotient_matrix(graph_g2(n), f, FAMILIES["G2"].partition(n))
-        assert q.equitable and q.exact
+        assert q.equitable
         F = lambda x, y: evaluate_exact(f, x, y)
         expected = [
             [0, 4 * F(n - 1, 2), (n - 5) * F(n - 1, 1)],
@@ -130,8 +140,7 @@ class TestQuotientMatrix:
         g = graph_g4(7)
         q = quotient_matrix(g, Z1, [[v] for v in range(7)])
         assert q.equitable
-        exact = build_matrix_exact(g, Z1)
-        assert q.b == exact
+        assert q.b == reference_weight_matrix(g, Z1)
 
     def test_non_equitable_flagged(self):
         g = graph_g2(7)
@@ -139,16 +148,11 @@ class TestQuotientMatrix:
         q = quotient_matrix(g, Z1, [[0, 1], [2, 3, 4], [5, 6]])
         assert not q.equitable
 
-    def test_float_weights_supported(self):
-        f = WeightFunction("exp_zagreb1")
-        q = quotient_matrix(graph_g2(6), f, FAMILIES["G2"].partition(6))
-        assert q.equitable and not q.exact
-
     @pytest.mark.parametrize("tag,n", [("G2", 7), ("G3", 8), ("G4", 9)])
     def test_quotient_rho_equals_full_rho(self, tag, n):
         g = FAMILIES[tag].build(n)
         q = family_quotient(tag, n, HZ)
-        assert matrix_rho(q.as_array()) == pytest.approx(rho_f(g, HZ), abs=1e-8)
+        assert max_real_root(char_poly(q.b)) == pytest.approx(rho_f(g, HZ), abs=1e-8)
 
     @pytest.mark.parametrize("tag,n", [("G2", 8), ("G3", 7), ("G4", 10)])
     @pytest.mark.parametrize("f", [Z1, EXT], ids=lambda f: f.kind)
@@ -156,10 +160,55 @@ class TestQuotientMatrix:
         from bicyclic_spectra import full_spectrum
         full = full_spectrum(build_matrix(FAMILIES[tag].build(n), f))
         q = family_quotient(tag, n, f)
-        quotient_vals = np.linalg.eigvals(q.as_array())
+        quotient_vals = np.linalg.eigvals(np.array(q.b, dtype=float))
         assert np.max(np.abs(quotient_vals.imag)) < 1e-9
         for lam in quotient_vals.real:
             assert np.min(np.abs(full - lam)) <= 1e-8
+
+
+ORACLE_WEIGHTS = [Z1, HZ, FG, EXT, WeightFunction("constant_one")]
+
+
+class TestReferenceQuotient:
+    """The edge-list row sums against the dense Fraction route."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("f", ORACLE_WEIGHTS, ids=lambda f: f.kind)
+    def test_every_class(self, n, f):
+        rng = random.Random(1000 * n + ORACLE_WEIGHTS.index(f))
+        for g, _ in orderly_classes(n):
+            p = random_partition(rng, n)
+            q = quotient_matrix(g, f, p)
+            assert (q.b, q.equitable) == reference_quotient(g, f, p)
+            assert equitable_refine(g, f) == reference_equitable_refine(g, f, degree_partition(g))
+            assert equitable_refine(g, f, seed=p) == reference_equitable_refine(g, f, p)
+
+    def test_family_quotients(self):
+        checked = 0
+        for f in rational_pstar_functions():
+            for tag in ("G2", "G3", "G4"):
+                family = FAMILIES[tag]
+                for n in range(6, 15):
+                    q = family_quotient(tag, n, f)
+                    ref = reference_quotient(family.build(n), f, family.partition(n))
+                    assert (q.b, q.equitable) == ref, (f.label(), tag, n)
+                    checked += 1
+        assert checked == 162
+
+
+class TestIrrationalWeights:
+    @pytest.mark.parametrize("spec", ["exp_zagreb1", "sum_connectivity:a=0.5"])
+    def test_rejected_everywhere(self, spec):
+        f, g = parse_weight(spec), graph_g2(8)
+        message = re.escape(f"weight {f.label()} is irrational at degrees (")
+        with pytest.raises(PartitionError, match=message):
+            quotient_matrix(g, f, FAMILIES["G2"].partition(8))
+        with pytest.raises(PartitionError, match=message):
+            equitable_refine(g, f)
+        with pytest.raises(PartitionError, match=message):
+            named_polynomial("phi1", 8, f)
+        with pytest.raises(PartitionError, match=message):
+            phi1_sign_holds(f, 8)
 
 
 class TestFamilyRegistry:
@@ -215,15 +264,15 @@ class TestPaperPolynomials:
 
     @pytest.mark.parametrize("n", range(12, 18))
     def test_h_family_factorizations(self, n):
-        adj = build_matrix_exact(graph_h_n3_2(n), WeightFunction("constant_one"))
+        adj = exact_matrix(graph_h_n3_2(n), WeightFunction("constant_one"))
         assert char_poly(adj) == named_polynomial("h_n", n).shift_up(n - 4)
-        cp = char_poly(build_matrix_exact(graph_g1_local(n), EXT))
+        cp = char_poly(exact_matrix(graph_g1_local(n), EXT))
         assert cp == named_polynomial("h_n1", n).shift_up(n - 4) * Fraction(1, 288 * (n - 1) ** 2)
-        cp = char_poly(build_matrix_exact(graph_g2(n), EXT))
+        cp = char_poly(exact_matrix(graph_g2(n), EXT))
         lin = Polynomial([-1, 1]) * Polynomial([1, 1]) * Polynomial([1, 1])
         assert cp == (named_polynomial("h_n2", n) * lin).shift_up(n - 6) * Fraction(1, 4 * (n - 1) ** 2)
         d1 = attach_pendants(make_theta(2, 2, 2), 0, n - 5)
-        cp = char_poly(build_matrix_exact(d1, EXT))
+        cp = char_poly(exact_matrix(d1, EXT))
         assert cp == named_polynomial("h_n3", n).shift_up(n - 4) * Fraction(1, 2304 * (n - 2) ** 2)
 
     @pytest.mark.parametrize("n", [12, 16])

@@ -6,7 +6,6 @@ from bicyclic_spectra import (
     SpectralError,
     WeightFunction,
     build_matrix,
-    build_matrix_exact,
     full_spectrum,
     graph_g2,
     graph_g3,
@@ -14,11 +13,13 @@ from bicyclic_spectra import (
     enumerate_bicyclic,
     make_theta,
     parse_weight,
+    quotient_matrix,
     rho_f,
     spectral_radii,
     spectral_radius,
 )
 from bicyclic_spectra import spectral
+from bicyclic_spectra.quotient import PartitionError
 from bicyclic_spectra.verify import random_connected_graph
 from conftest import loop_matrix, per_graph_radii
 
@@ -58,7 +59,7 @@ class TestBuildMatrix:
 
     def test_exact_matrix_matches_float(self, weight_hyper):
         g = graph_g4(8)
-        exact = build_matrix_exact(g, weight_hyper)
+        exact = quotient_matrix(g, weight_hyper, [[v] for v in range(8)]).b
         a = build_matrix(g, weight_hyper)
         for i in range(8):
             for j in range(8):
@@ -70,8 +71,9 @@ class TestBuildMatrix:
         with pytest.raises(ValueError, match="read-only"):
             a[0, 1] = 0.0
 
-    def test_exact_matrix_none_for_irrational(self):
-        assert build_matrix_exact(graph_g2(6), WeightFunction("exp_zagreb1")) is None
+    def test_exact_matrix_rejects_irrational(self):
+        with pytest.raises(PartitionError, match="exp_zagreb1 is irrational at degrees"):
+            quotient_matrix(graph_g2(6), WeightFunction("exp_zagreb1"), [[v] for v in range(6)])
 
 
 class TestSpectralRadius:

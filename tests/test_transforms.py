@@ -120,6 +120,21 @@ class TestKelmans:
         swap[0], swap[2] = 2, 0
         assert out.result == g.relabel(swap)
 
+    def test_no_move_returns_the_input_graph(self):
+        # N(u) - N[v] empty: nothing moves, so g itself comes back, uncopied
+        rng = random.Random(17)
+        misses = 0
+        for i in range(2000):
+            n = 4 + i % 5
+            g = random_connected_graph(rng, n)
+            u, v = rng.sample(range(n), 2)
+            out = kelmans(g, u, v)
+            if not out.moved_edges:
+                misses += 1
+                assert out.result is g
+                assert not out.changed and not out.disconnects
+        assert misses > 0
+
     def test_certain_changed_beyond_iso_bound(self):
         g = attach_pendants(graph_g2(16), 1, 1)  # 17 vertices
         out = kelmans(g, 1, 3)
