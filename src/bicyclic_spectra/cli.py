@@ -6,7 +6,8 @@ written to files, with CSV alongside).
 
 Exit codes: 0 when every asserted case passed, 1 when an asserted case
 failed, 2 when the input is outside the supported domain (a bad argument, an
-order beyond a bound, a malformed weight); the last prints one line,
+order beyond a bound, a malformed weight, an output path that cannot be
+written); the last prints one line,
 `bicyclic-spectra: error: <message>`, on stderr.
 """
 
@@ -126,7 +127,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _run(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --json or --csv path
         return _fail(exc)
 
 

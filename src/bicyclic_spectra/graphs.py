@@ -361,16 +361,23 @@ def base_graph(g: Graph) -> BaseGraph:
 # ---------------------------------------------------------------------------
 
 
+# orders up to 62 take one size byte; up to G6_MAX_ORDER, '~' and three 6-bit bytes
+G6_MAX_ORDER = 258047
+
+
 def graph6_encode(g: Graph) -> str:
-    """Header-free graph6 string; supports n <= 62."""
-    if g.n > 62:
-        raise GraphError("graph6 encoder limited to n <= 62")
+    """Header-free graph6 string; supports n <= G6_MAX_ORDER."""
+    if g.n > G6_MAX_ORDER:
+        raise GraphError(f"graph6 encoder limited to n <= {G6_MAX_ORDER}")
     masks = g.neighbor_masks()
     bits = []
     for j in range(1, g.n):
         for i in range(j):
             bits.append((masks[j] >> i) & 1)
-    chars = [chr(63 + g.n)]
+    if g.n <= 62:
+        chars = [chr(63 + g.n)]
+    else:
+        chars = ["~"] + [chr(63 + ((g.n >> shift) & 63)) for shift in (12, 6, 0)]
     for k in range(0, len(bits), 6):
         group = bits[k : k + 6]
         group += [0] * (6 - len(group))
@@ -381,6 +388,14 @@ def graph6_encode(g: Graph) -> str:
     return "".join(chars)
 
 
+def _graph6_values(chars: str) -> list[int]:
+    """The 6-bit value of each graph6 character ('?' is 0, '~' is 63)."""
+    bad = [ch for ch in chars if not "?" <= ch <= "~"]
+    if bad:
+        raise GraphError(f"invalid graph6 character {bad[0]!r}")
+    return [ord(ch) - 63 for ch in chars]
+
+
 def graph6_decode(s: str) -> Graph:
     """Inverse of graph6_encode (vertex order preserved)."""
     s = s.strip()
@@ -388,18 +403,23 @@ def graph6_decode(s: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise GraphError("empty graph6 string")
-    n = ord(s[0]) - 63
-    if not (0 <= n <= 62):
-        raise GraphError("graph6 decoder limited to n <= 62")
+    if s[0] != "~":
+        size, data = s[0], s[1:]
+    elif s[1:2] == "~":
+        raise GraphError(f"graph6 decoder limited to n <= {G6_MAX_ORDER}")
+    else:
+        size, data = s[1:4], s[4:]
+        if len(size) < 3:
+            raise GraphError("truncated graph6 string")
+    n = 0
+    for val in _graph6_values(size):
+        n = (n << 6) | val
     need = (n * (n - 1) // 2 + 5) // 6
-    data = s[1 : 1 + need]
+    data = data[:need]
     if len(data) != need:
         raise GraphError("truncated graph6 string")
     bits = []
-    for ch in data:
-        val = ord(ch) - 63
-        if not (0 <= val < 64):
-            raise GraphError(f"invalid graph6 character {ch!r}")
+    for val in _graph6_values(data):
         bits.extend((val >> (5 - t)) & 1 for t in range(6))
     edges = []
     k = 0

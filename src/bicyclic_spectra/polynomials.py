@@ -7,7 +7,9 @@ coefficients only, in integers: a primitive pseudo-remainder sequence, the
 square-free part by exact division, both bracket ends over one shared
 denominator and every sign by integer Horner), and exact sign evaluation at
 quadratic-surd points r*sqrt(s) (every sign condition in the source material
-evaluates at such a point, so signs are certified without floating point).
+evaluates at such a point, so signs are certified without floating point; one
+positive factor clears every denominator, so the evaluation and the sign
+comparison run on integers).
 """
 
 from __future__ import annotations
@@ -179,8 +181,8 @@ def char_poly(matrix) -> Polynomial:
         return Polynomial([1])
     if not all(isinstance(x, (int, Fraction)) for r in rows for x in r):
         raise PolynomialError("char_poly requires rational entries")
-    d = math.lcm(*(Fraction(x).denominator for r in rows for x in r))
-    a = [[int(x * d) for x in r] for r in rows]
+    d = math.lcm(*(x.denominator for r in rows for x in r))
+    a = [[x.numerator * (d // x.denominator) for x in r] for r in rows]
     m = [[0] * n for _ in range(n)]
     c = [1]  # c[0] multiplies x^n
     for k in range(1, n + 1):
@@ -216,45 +218,40 @@ def descartes_bounds(p: Polynomial) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def eval_at_sqrt(p: Polynomial, r: Fraction, s: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact (U, V) with p(r*sqrt(s)) = U + V*sqrt(s); requires exact coeffs."""
+def _surd_ints(p: Polynomial, r: Fraction, s: Fraction) -> tuple[int, int, int]:
+    """Integers (U, V, F) with F * p(r*sqrt(s)) = U + V*sqrt(s): for r = a/b, s = c/d and
+    den the lcm of p's denominators, F = den * b**deg * d**(deg // 2) > 0 clears them all."""
     if not p.is_exact():
         raise PolynomialError("eval_at_sqrt requires exact coefficients")
-    r, s = Fraction(r), Fraction(s)
     if s < 0:
         raise PolynomialError("sqrt argument must be nonnegative")
-    u = Fraction(0)
-    v = Fraction(0)
-    rk = Fraction(1)
-    for k, c in enumerate(p.coeffs):
-        if c:
-            half = s ** (k // 2)
-            if k % 2 == 0:
-                u += c * rk * half
-            else:
-                v += c * rk * half
-        rk *= r
-    return u, v
+    a, b, c, d = r.numerator, r.denominator, s.numerator, s.denominator
+    deg = max(p.degree, 0)
+    den = math.lcm(*(ck.denominator for ck in p.coeffs))
+    uv = [0, 0]
+    for k, ck in enumerate(p.coeffs):
+        if ck:
+            uv[k % 2] += (ck.numerator * (den // ck.denominator) * a ** k * b ** (deg - k)
+                          * c ** (k // 2) * d ** (deg // 2 - k // 2))
+    return uv[0], uv[1], den * b ** deg * d ** (deg // 2)
+
+
+def eval_at_sqrt(p: Polynomial, r: Fraction, s: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact (U, V) with p(r*sqrt(s)) = U + V*sqrt(s); requires exact coeffs."""
+    u, v, scale = _surd_ints(p, Fraction(r), Fraction(s))
+    return Fraction(u, scale), Fraction(v, scale)
 
 
 def sign_at_sqrt(p: Polynomial, r, s) -> int:
-    """Exact sign of p(r*sqrt(s)) in {-1, 0, +1}."""
-    u, v = eval_at_sqrt(p, Fraction(r), Fraction(s))
+    """Exact sign of p(r*sqrt(s)) in {-1, 0, +1}: that of U when U and V agree, else
+    that of the larger of |U| and |V|*sqrt(c/d), compared as U**2 * d against V**2 * c."""
     s = Fraction(s)
-    if v == 0 or s == 0:
-        return (u > 0) - (u < 0)
-    if u == 0:
-        return 1 if v > 0 else -1
-    if u > 0 and v > 0:
-        return 1
-    if u < 0 and v < 0:
-        return -1
-    # mixed signs: compare |U|^2 against |V|^2 * s
-    lhs, rhs = u * u, v * v * s
-    if lhs == rhs:
-        return 0
-    big_is_u = lhs > rhs
-    return (1 if u > 0 else -1) if big_is_u else (1 if v > 0 else -1)
+    u, v, _ = _surd_ints(p, Fraction(r), s)
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su == sv:
+        return su
+    diff = u * u * s.denominator - v * v * s.numerator
+    return su if diff > 0 else sv if diff < 0 else 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,17 @@ condition used by the verification campaigns is certified with exact
 quadratic-surd arithmetic: each test point has the shape r*sqrt(s) with
 rational r, s.
 
-The layer is exact only.  Refinement signatures and quotient entries are
-Fraction row sums of A_f(G), taken straight from the edge list; a weight
-that is irrational on a degree pair the layer needs raises PartitionError.
+The layer is exact only.  Refinement signatures are row sums of A_f(G) taken
+straight from the edge list, native ints where the weight is integral and
+Fractions otherwise; quotient entries are their Fraction block averages.  A
+weight that is irrational on a degree pair the layer needs raises PartitionError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .graphs import FAMILIES, Graph, refine_partition
 from .polynomials import Polynomial, sign_at_sqrt
@@ -55,7 +56,7 @@ def degree_partition(g: Graph) -> Partition:
     return [blocks[d] for d in sorted(blocks, reverse=True)]
 
 
-def _fval(f: WeightFunction, x: int, y: int) -> Fraction:
+def _fval(f: WeightFunction, x: int, y: int) -> Union[int, Fraction]:
     v = evaluate_exact(f, x, y)
     if v is None:
         raise PartitionError(f"weight {f.label()} is irrational at degrees ({x}, {y}); "
@@ -71,10 +72,13 @@ def _row_sums(g: Graph, f: WeightFunction, parts: Partition) -> list[tuple]:
         for v in block:
             part[v] = i
     sums = [[0] * len(parts) for _ in range(g.n)]
+    weight = {}  # one evaluation per degree pair
     for u, v in g.edges:
-        w = _fval(f, deg[u], deg[v])
-        sums[u][part[v]] += w
-        sums[v][part[u]] += w
+        key = (deg[u], deg[v])
+        if key not in weight:
+            weight[key] = _fval(f, *key)
+        sums[u][part[v]] += weight[key]
+        sums[v][part[u]] += weight[key]
     return [tuple(row) for row in sums]
 
 

@@ -102,10 +102,13 @@ def evaluate(f: WeightFunction, x: Num, y: Num) -> float:
     return float(_evaluate_generic(f, x, y))
 
 
-def evaluate_exact(f: WeightFunction, x: int, y: int) -> Optional[Fraction]:
-    """f(x,y) as an exact rational, or None when the value is irrational."""
+def evaluate_exact(f: WeightFunction, x: int, y: int) -> Optional[Union[int, Fraction]]:
+    """f(x,y) as an exact rational, or None when the value is irrational;
+    an int when the value is integral (so exact callers run on native ints)."""
     val = _evaluate_generic(f, Fraction(x), Fraction(y))
-    return val if isinstance(val, (int, Fraction)) else None
+    if not isinstance(val, (int, Fraction)):
+        return None
+    return val.numerator if val.denominator == 1 else val
 
 
 def _evaluate_generic(f: WeightFunction, x: Num, y: Num) -> Num:
@@ -290,7 +293,7 @@ def _mp_value(f: WeightFunction, x: int, y: int):
 
 
 def _grid_values(f: WeightFunction, d_max: int):
-    """Dense table of f on {1..d_max}^2, exact rationals when available."""
+    """Dense table of f on {1..d_max}^2, exact ints or Fractions when available."""
     probe = evaluate_exact(f, 2, 3)
     exact = probe is not None
     val = {}

@@ -417,6 +417,51 @@ def reference_max_real_root(p: Polynomial, lo=None, hi=None) -> float:
     return float(_reference_refine(q, a, b))
 
 
+# Reference surd evaluation: the package's earlier Fraction route.  U and V of
+# p(r*sqrt(s)) = U + V*sqrt(s) accumulate term by term in Fraction, and the
+# sign compares U**2 with V**2 * s in Fraction.  The package clears every
+# denominator with one positive factor and works in integers.
+
+
+def reference_eval_at_sqrt(p: Polynomial, r, s) -> tuple[Fraction, Fraction]:
+    """(U, V) with p(r*sqrt(s)) = U + V*sqrt(s), summed in Fraction."""
+    if not p.is_exact():
+        raise PolynomialError("eval_at_sqrt requires exact coefficients")
+    r, s = Fraction(r), Fraction(s)
+    if s < 0:
+        raise PolynomialError("sqrt argument must be nonnegative")
+    u = Fraction(0)
+    v = Fraction(0)
+    rk = Fraction(1)
+    for k, c in enumerate(p.coeffs):
+        if c:
+            half = s ** (k // 2)
+            if k % 2 == 0:
+                u += c * rk * half
+            else:
+                v += c * rk * half
+        rk *= r
+    return u, v
+
+
+def reference_sign_at_sqrt(p: Polynomial, r, s) -> int:
+    """Sign of p(r*sqrt(s)) from the Fraction (U, V)."""
+    u, v = reference_eval_at_sqrt(p, Fraction(r), Fraction(s))
+    s = Fraction(s)
+    if v == 0 or s == 0:
+        return (u > 0) - (u < 0)
+    if u == 0:
+        return 1 if v > 0 else -1
+    if u > 0 and v > 0:
+        return 1
+    if u < 0 and v < 0:
+        return -1
+    lhs, rhs = u * u, v * v * s
+    if lhs == rhs:
+        return 0
+    return (1 if u > 0 else -1) if lhs > rhs else (1 if v > 0 else -1)
+
+
 def loop_matrix(g: Graph, f) -> np.ndarray:
     """Reference A_f(G), one weight evaluation per edge."""
     deg = g.degrees()

@@ -19,6 +19,7 @@ from bicyclic_spectra import (
     make_theta,
 )
 from bicyclic_spectra.enumeration import bicyclic_bases
+from bicyclic_spectra.graphs import G6_MAX_ORDER
 from conftest import to_networkx
 
 
@@ -267,9 +268,27 @@ class TestGraph6:
 
     def test_rejects_oversized_and_malformed(self):
         with pytest.raises(GraphError):
-            graph6_encode(Graph.from_edges(63, []))
+            graph6_encode(Graph.from_edges(G6_MAX_ORDER + 1, []))
         with pytest.raises(GraphError):
             graph6_decode("")
         with pytest.raises(GraphError):
             graph6_decode("E")  # truncated 6-vertex graph
+        with pytest.raises(GraphError, match="truncated"):
+            graph6_decode("~?A")  # long size header cut short
+        with pytest.raises(GraphError, match="limited to n <= 258047"):
+            graph6_decode("~~??????")  # the 8-byte header of n > 258047
+        with pytest.raises(GraphError, match="invalid graph6 character"):
+            graph6_decode("~?A\x7f")
+
+    @pytest.mark.parametrize("n", [1, 62, 63, 100, 300])
+    def test_long_size_header_matches_networkx(self, rng, n):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.05]
+        g = Graph.from_edges(n, edges)
+        ours = graph6_encode(g)
+        theirs = nx.to_graph6_bytes(to_networkx(g), header=False).decode().strip()
+        assert ours == theirs
+        assert graph6_decode(ours) == g
+        back = nx.from_graph6_bytes(ours.encode())
+        assert sorted(back.nodes) == list(range(n))
+        assert {tuple(sorted(e)) for e in back.edges} == g.edges
 

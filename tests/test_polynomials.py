@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +14,19 @@ from bicyclic_spectra import (
     count_real_roots,
     descartes_bounds,
     eval_at_sqrt,
+    evaluate_exact,
     max_real_root,
     family_quotient,
+    named_polynomial,
+    phi1_sign_holds,
     polynomials,
     rational_pstar_functions,
     sign_at_sqrt,
 )
+from bicyclic_spectra.quotient import SIGN_LEDGER
 from conftest import (_reference_squarefree, _reference_sturm, reference_char_poly,
-                      reference_count_real_roots, reference_max_real_root, reference_real_roots)
+                      reference_count_real_roots, reference_eval_at_sqrt,
+                      reference_max_real_root, reference_real_roots, reference_sign_at_sqrt)
 
 
 def cauchy_bound(p: Polynomial) -> Fraction:
@@ -50,6 +56,11 @@ class TestPolynomialBasics:
         assert (p + q).coeffs == (0, 2)
         assert (2 * p).coeffs == (2, 2)
         assert p.shift_up(2).coeffs == (0, 0, 1, 1)
+
+    def test_int_and_fraction_coefficients_compare_equal(self):
+        p, q = Polynomial([Fraction(3), 1]), Polynomial([3, 1])
+        assert p == q and hash(p) == hash(q)
+        assert Polynomial([Fraction(1, 2), 1]) != q
 
     def test_call_horner(self):
         p = Polynomial([Fraction(1), Fraction(-2), Fraction(1)])
@@ -291,6 +302,51 @@ class TestSqrtEvaluation:
     def test_requires_exact(self):
         with pytest.raises(PolynomialError):
             eval_at_sqrt(Polynomial([0.5, 1.0]), Fraction(1), Fraction(2))
+        with pytest.raises(PolynomialError):
+            sign_at_sqrt(Polynomial([1, 1]), 1, -2)
+
+
+def same_surd(p: Polynomial, r, s) -> None:
+    """eval_at_sqrt and sign_at_sqrt equal the Fraction reference."""
+    u, v = eval_at_sqrt(p, r, s)
+    assert (u, v) == reference_eval_at_sqrt(p, r, s)
+    assert type(u) is Fraction and type(v) is Fraction
+    assert sign_at_sqrt(p, r, s) == reference_sign_at_sqrt(p, r, s)
+
+
+def random_rational(rng, bound: int, den_max: int):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, den_max))
+
+
+class TestSurdMatchesReference:
+    def test_random_polynomials_and_points(self):
+        rng = random.Random(1501)
+        for trial in range(3000):
+            deg = rng.randint(-1, 8)  # -1 is the zero polynomial
+            coeffs = [rng.randint(-30, 30) if rng.random() < 0.5 else random_rational(rng, 30, 12)
+                      for _ in range(deg + 1)]
+            r = rng.choice([Fraction(0), random_rational(rng, 9, 1), random_rational(rng, 9, 7)])
+            root = Fraction(rng.randint(0, 6), rng.randint(1, 4))
+            s = rng.choice([Fraction(0), root * root, Fraction(rng.randint(0, 60), rng.randint(1, 9))])
+            if trial % 3 == 0 and root * root == s:
+                # a factor vanishing at r*sqrt(s): U and V of opposite signs that cancel
+                coeffs = (Polynomial(coeffs or [1]) * Polynomial([-r * root, 1])).coeffs
+            elif trial % 3 == 1 and rng.random() < 0.3:
+                coeffs = [0 if k % 2 == 0 else c for k, c in enumerate(coeffs)]  # U = 0
+            same_surd(Polynomial(coeffs), r, s)
+
+    def test_sign_ledger_points_to_60(self):
+        for cond in SIGN_LEDGER:
+            for n in range(cond.n_min, 61):
+                r, s = cond.point(n)
+                same_surd(named_polynomial(cond.poly_name, n, cond.weight), r, s)
+
+    def test_phi1_points_every_rational_weight(self):
+        for f in rational_pstar_functions():
+            for n in range(6, 61):
+                p, r = named_polynomial("phi1", n, f), evaluate_exact(f, n - 1, 1)
+                same_surd(p, r, n - 1)
+                assert phi1_sign_holds(f, n) == (reference_sign_at_sqrt(p, r, n - 1) == -1)
 
 
 def family_matrices():

@@ -230,8 +230,12 @@ class TestPaperPolynomials:
     @pytest.mark.parametrize("n", range(6, 13))
     @pytest.mark.parametrize("f", [Z1, HZ, FG, SC3, EXT], ids=lambda f: f.label())
     def test_phi_identities_exact(self, n, f):
-        assert char_poly(quotient_matrix(graph_g2(n), f, FAMILIES["G2"].partition(n)).b) == \
-            named_polynomial("phi1", n, f)
+        # char_poly's coefficients are Fractions, phi1's ints for an integral weight
+        p = char_poly(quotient_matrix(graph_g2(n), f, FAMILIES["G2"].partition(n)).b)
+        phi1 = named_polynomial("phi1", n, f)
+        assert p == phi1 and hash(p) == hash(phi1)
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert all(type(c) is int for c in phi1.coeffs) == (f is not EXT)
         # the full G4 quotient polynomial carries one extra factor of lambda
         assert char_poly(quotient_matrix(graph_g4(n), f, FAMILIES["G4"].partition(n)).b) == \
             named_polynomial("phi2", n, f).shift_up(1)
@@ -331,9 +335,9 @@ class TestSignLedger:
             for n in (6, 10, 25, 60):
                 assert phi1_sign_holds(f, n), (f.label(), n)
 
-    def test_full_ledger_to_40(self):
-        records = evaluate_sign_ledger(rational_pstar_functions(), n_max=40)
-        assert records and all(r["holds"] for r in records)
+    def test_full_ledger_to_200(self):
+        records = evaluate_sign_ledger(rational_pstar_functions(), n_max=200)
+        assert len(records) == 3444 and all(r["holds"] for r in records)
 
     def test_sign_example(self):
         # h_n(sqrt(n)) > 0 and h_n(sqrt(n-3)) < 0 at n=12, exactly

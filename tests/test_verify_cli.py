@@ -518,8 +518,10 @@ class TestCli:
         ["spectral", "--graph", "G1:8", "--f", "custom:x-y"],
         ["theorem41", "--n", "5..70"],
         ["kelmans", "--samples", "5", "--seed", "1", "--f", "zagreb1", "--n", "2"],
+        ["tables", "appendix_n6", "--json", "/nonexistent/x.json"],
+        ["tables", "appendix_n6", "--csv", "/nonexistent/x.csv"],
     ], ids=["enumeration_bound", "extremal_order_bound", "weight_spec", "theorem41_range",
-            "kelmans_order_floor"])
+            "kelmans_order_floor", "unwritable_json", "unwritable_csv"])
     def test_domain_errors_exit_two_without_traceback(self, argv):
         import subprocess, sys
         proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],

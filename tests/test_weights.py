@@ -14,6 +14,7 @@ from bicyclic_spectra import (
     parse_weight,
     rational_pstar_functions,
 )
+from bicyclic_spectra.weights import _evaluate_generic
 
 ALL_BUILTINS = [
     WeightFunction("constant_one"),
@@ -85,6 +86,22 @@ class TestEvaluate:
     def test_exact_is_none_for_irrational(self):
         assert evaluate_exact(WeightFunction("exp_zagreb1"), 2, 3) is None
         assert evaluate_exact(WeightFunction("sum_connectivity", alpha=1.5), 2, 3) is None
+        assert evaluate_exact(parse_weight("sum_connectivity:a=0.5"), 2, 3) is None
+
+    def test_exact_type_is_int_when_integral(self):
+        five_quarters = evaluate_exact(WeightFunction("extended"), 1, 2)
+        assert five_quarters == Fraction(5, 4) and type(five_quarters) is Fraction
+        assert type(evaluate_exact(WeightFunction("extended"), 3, 3)) is int
+        assert type(evaluate_exact(WeightFunction("constant_one"), 1, 2)) is int
+
+    @pytest.mark.parametrize("f", rational_pstar_functions() + (parse_weight("custom:x/y+y/x"),),
+                             ids=lambda f: f.label())
+    def test_exact_equals_fraction_evaluation(self, f):
+        for x in range(1, 21):
+            for y in range(1, 21):
+                v, ref = evaluate_exact(f, x, y), _evaluate_generic(f, Fraction(x), Fraction(y))
+                assert v == ref
+                assert type(v) is (int if ref.denominator == 1 else Fraction)
 
 
 class TestParse:
