@@ -8,13 +8,15 @@ Exit codes: 0 when every asserted case passed, 1 when an asserted case
 failed, 2 when the input is outside the supported domain (a bad argument, an
 order beyond a bound, a malformed weight, an output path that cannot be
 written); the last prints one line,
-`bicyclic-spectra: error: <message>`, on stderr.
+`bicyclic-spectra: error: <message>`, on stderr; 141 when the reader closed
+stdout (`... | head -1`), quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .enumeration import canonical_form, enumerate_bicyclic, enumerate_with_max_degree
@@ -126,7 +128,13 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader left (`... | head -1`): end quietly, and
+        with open(os.devnull, "w") as devnull:  # keep the flush at exit quiet too
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a writer stopped by a closed pipe
     except (ValueError, OSError) as exc:  # OSError: an unwritable --json or --csv path
         return _fail(exc)
 

@@ -131,28 +131,13 @@ def make_infinity(p: int, l: int, q: int) -> Graph:
         raise GraphError(f"B(p,l,q) needs cycle lengths >= 3, got p={p}, q={q}")
     if l < 1:
         raise GraphError(f"B(p,l,q) needs l >= 1, got l={l}")
-    edges = []
-    # C_p on 0..p-1
-    for i in range(p):
-        edges.append((i, (i + 1) % p))
-    if l == 1:
-        u = 0  # shared vertex
-        nxt = p
-    else:
-        # path 0 = w_1, w_2, ..., w_l = u
-        prev = 0
-        nxt = p
-        for _ in range(l - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        u = prev
-    # C_q on u plus nxt..nxt+q-2
-    cyc = [u] + list(range(nxt, nxt + q - 1))
-    for i in range(q):
-        edges.append((cyc[i], cyc[(i + 1) % q]))
-    n = p + q + l - 2
-    return Graph.from_edges(n, edges)
+    edges = [(i, (i + 1) % p) for i in range(p)]  # C_p on 0..p-1
+    path = [0] + list(range(p, p + l - 1))  # w_1 = 0, ..., w_l = u; l = 1 shares vertex 0
+    edges += zip(path, path[1:])
+    # C_q on u plus the next q-1 vertices
+    cyc = [path[-1]] + list(range(p + l - 1, p + l + q - 2))
+    edges += [(cyc[i], cyc[(i + 1) % q]) for i in range(q)]
+    return Graph.from_edges(p + q + l - 2, edges)
 
 
 def make_theta(p: int, l: int, q: int) -> Graph:
@@ -168,17 +153,12 @@ def make_theta(p: int, l: int, q: int) -> Graph:
         raise GraphError(f"P(p,l,q) needs l >= 1, got l={l}")
     if l > min(p, q):
         raise GraphError(f"P(p,l,q) expects l = min, got ({p},{l},{q})")
-    edges = []
-    nxt = 2
+    edges, nxt = [], 2
     for length in (p, l, q):
-        prev = 0
-        for _ in range(length - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, 1))
-    n = p + q + l - 1
-    return Graph.from_edges(n, edges)
+        path = [0] + list(range(nxt, nxt + length - 1)) + [1]
+        edges += zip(path, path[1:])
+        nxt += length - 1
+    return Graph.from_edges(p + q + l - 1, edges)
 
 
 def attach_pendants(g: Graph, v: int, k: int) -> Graph:
@@ -370,21 +350,13 @@ def graph6_encode(g: Graph) -> str:
     if g.n > G6_MAX_ORDER:
         raise GraphError(f"graph6 encoder limited to n <= {G6_MAX_ORDER}")
     masks = g.neighbor_masks()
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append((masks[j] >> i) & 1)
+    bits = "".join(str(masks[j] >> i & 1) for j in range(1, g.n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)  # pad the last group of six
     if g.n <= 62:
         chars = [chr(63 + g.n)]
     else:
         chars = ["~"] + [chr(63 + ((g.n >> shift) & 63)) for shift in (12, 6, 0)]
-    for k in range(0, len(bits), 6):
-        group = bits[k : k + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        chars.append(chr(63 + val))
+    chars += [chr(63 + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6)]
     return "".join(chars)
 
 
@@ -418,14 +390,6 @@ def graph6_decode(s: str) -> Graph:
     data = data[:need]
     if len(data) != need:
         raise GraphError("truncated graph6 string")
-    bits = []
-    for val in _graph6_values(data):
-        bits.extend((val >> (5 - t)) & 1 for t in range(6))
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph.from_edges(n, edges)
+    bits = [(val >> (5 - t)) & 1 for val in _graph6_values(data) for t in range(6)]
+    pairs = ((i, j) for j in range(1, n) for i in range(j))  # the order the bits take
+    return Graph.from_edges(n, (pair for pair, bit in zip(pairs, bits) if bit))

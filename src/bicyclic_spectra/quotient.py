@@ -147,15 +147,7 @@ def named_polynomial(name: str, n: int, f: Optional[WeightFunction] = None) -> P
 
 def _phi(name: str, n: int, f: WeightFunction) -> Polynomial:
     if name == "phi1":
-        c22 = _fval(f, 2, 2)
-        a = _fval(f, n - 1, 2)
-        c = _fval(f, n - 1, 1)
-        return Polynomial([
-            (n - 5) * c * c * c22,
-            -(4 * a * a + (n - 5) * c * c),
-            -c22,
-            1,
-        ])
+        return _phi1(n, f, _fval(f, n - 1, 1))
     if name in ("phi2", "phi2_prime"):
         x1 = _fval(f, n - 2, 2)
         x2 = _fval(f, n - 2, 4)
@@ -183,6 +175,12 @@ def _phi(name: str, n: int, f: WeightFunction) -> Polynomial:
         -y3,
         1,
     ])
+
+
+def _phi1(n: int, f: WeightFunction, c: Union[int, Fraction]) -> Polynomial:
+    """phi1 at order n, given c = f(n-1, 1)."""
+    c22, a = _fval(f, 2, 2), _fval(f, n - 1, 2)
+    return Polynomial([(n - 5) * c * c * c22, -(4 * a * a + (n - 5) * c * c), -c22, 1])
 
 
 def _h(name: str, n: int) -> Polynomial:
@@ -279,9 +277,11 @@ SIGN_LEDGER: list[SignCondition] = [
 
 
 def phi1_sign_holds(f: WeightFunction, n: int) -> bool:
-    """Exact check that phi1(sqrt(n-1) * f(n-1,1)) < 0."""
-    p = named_polynomial("phi1", n, f)
-    return sign_at_sqrt(p, _fval(f, n - 1, 1), Fraction(n - 1)) == -1
+    """Exact check that phi1(sqrt(n-1) * f(n-1,1)) < 0; f(n-1,1) is evaluated once."""
+    if n < _MIN_N["phi1"]:
+        raise ValueError(f"phi1 requires n >= {_MIN_N['phi1']}, got {n}")
+    c = _fval(f, n - 1, 1)  # a coefficient of phi1 and the factor of its test point
+    return sign_at_sqrt(_phi1(n, f, c), c, Fraction(n - 1)) == -1
 
 
 def evaluate_sign_ledger(fs: Sequence[WeightFunction], n_max: int = 60) -> list[dict]:

@@ -20,7 +20,8 @@ RESIDUAL_TOL = 1e-10  # relative eigenpair residual above which an eigensolve ra
 
 def build_matrix(g: Graph, f: WeightFunction) -> np.ndarray:
     """A_f(G), read-only: entry (i,j) is f(d_i,d_j) on edges, 0 elsewhere."""
-    a = _stacked_matrices([g], [f], g.n, [{}])[0, 0]
+    e, (w,) = _edge_weights([g], [f], g.n, [{}])
+    a = _dense(e, w, 1, g.n)[0]
     a.setflags(write=False)
     return a
 
@@ -108,27 +109,33 @@ def spectral_radii(graphs: Sequence[Graph], f: WeightFunction) -> np.ndarray:
         raise ValueError("spectral_radii needs graphs of one order")
     rho, weight = np.zeros(len(graphs)), {}
     for start in range(0, len(graphs) if n else 0, EIGH_CHUNK):
-        a = _stacked_matrices(graphs[start:start + EIGH_CHUNK], [f], n, [weight])[0]
-        rho[start:start + EIGH_CHUNK] = _dominant_eigenpairs(a)[0]
+        chunk = graphs[start:start + EIGH_CHUNK]
+        e, (w,) = _edge_weights(chunk, [f], n, [weight])
+        rho[start:start + EIGH_CHUNK] = _dominant_eigenpairs(_dense(e, w, len(chunk), n))[0]
     return rho
 
 
-def _stacked_matrices(graphs: Sequence[Graph], fs: Sequence[WeightFunction], n: int,
-                      weights: Sequence[dict[int, float]]) -> np.ndarray:
-    """A_f(G) for each weight f and graph G, shape (len(fs), len(graphs), n, n);
-    weights[i] holds fs[i] by degree pair d_u * n + d_v and gains the missing pairs."""
-    # edge endpoints as rows of the stacked (len(graphs) * n, n) array
+def _edge_weights(graphs: Sequence[Graph], fs: Sequence[WeightFunction], n: int,
+                  weights: Sequence[dict[int, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """(e, w): each edge uv of graph i as a row (i * n + u, i * n + v) of e, and
+    w[k] the edges' weights under fs[k]; weights[k] holds fs[k] by degree pair
+    d_u * n + d_v and gains the missing pairs."""
     e = np.array([i * n + x for i, g in enumerate(graphs) for edge in g.edges for x in edge],
                  dtype=np.intp).reshape(-1, 2)
     deg = np.bincount(e.ravel(), minlength=len(graphs) * n)
     keys = (deg[e[:, 0]] * n + deg[e[:, 1]]).tolist()
-    a = np.zeros((len(fs), len(graphs) * n, n))
-    for a_f, f, weight in zip(a, fs, weights):
+    for f, weight in zip(fs, weights):
         for key in set(keys) - weight.keys():
             weight[key] = evaluate(f, key // n, key % n)
-        # (u, v) and (v, u)
-        a_f[e, e[:, ::-1] % n] = np.array([weight[key] for key in keys])[:, None]
-    return a.reshape(len(fs), len(graphs), n, n)
+    return e, np.array([[weight[key] for key in keys] for weight in weights])
+
+
+def _dense(e: np.ndarray, w: np.ndarray, count: int, n: int) -> np.ndarray:
+    """The count stacked n x n matrices whose edge rows e (as _edge_weights
+    gives them) carry weights w, shape (count, n, n)."""
+    a = np.zeros((count * n, n))
+    a[e, e[:, ::-1] % n] = w[:, None]  # (u, v) and (v, u)
+    return a.reshape(count, n, n)
 
 
 def rho_f(g: Graph, f: WeightFunction) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # noqa: F401
                           orderly_classes, targeted_max_degree_family)
 from .graphs import FAMILIES, Graph, base_graph, graph_g1, graph_g2
-from .spectral import EIGH_CHUNK, _dominant_eigenpairs, _stacked_matrices, rho_f, spectral_radii
+from .spectral import EIGH_CHUNK, _dense, _dominant_eigenpairs, _edge_weights, rho_f, spectral_radii
 from .transforms import kelmans, pendant_shift
 from .weights import WeightFunction, check_pstar, parse_weight
 
@@ -314,29 +314,38 @@ class _Leaders:
     """One weight's scored classes that a verdict can still read: those at or
     above the second rho of all classes or the top rho of their base kind.
 
-    rho(A) <= ||A||_inf, the largest absolute row sum, for every real
-    symmetric A.  A class whose bound is below both values, as far as the
-    named families and the classes scored so far show them, is neither in
-    the top two nor its kind's best, so it is never eigensolved.
+    With r the row sums of |A|, rho(A) <= max over edges uv of sqrt(r_u r_v)
+    for every real symmetric A (Berman and Zhang, 2001).  Proof: rho(A) <=
+    rho(|A|); D = diag(sqrt(r)) leaves rho(|A|) unchanged, and row u of
+    D^-1 |A| D sums to sum_v |a_uv| / r_u * sqrt(r_u r_v), a weighted mean
+    over u's neighbours; rho is at most the largest row sum.  A class whose
+    bound is below both values, as far as the named families and the
+    classes scored so far show them, is neither in the top two nor its
+    kind's best, so its A_f is never built nor eigensolved.
     """
 
     def __init__(self, named: list[tuple[float, str]]):
         self.named = _levels(named)  # lower bounds from the distinct named classes
         self.pool: list[tuple[float, Graph, str]] = []
 
-    def offer(self, a: np.ndarray, graphs: Sequence[Graph], kinds: Sequence[str]) -> None:
-        """Score the stacked A_f of graphs unless their bound rules them out."""
+    def offer(self, e: np.ndarray, w: np.ndarray, graphs: Sequence[Graph], kinds: Sequence[str]):
+        """Score graphs, with edges e and weights w from _edge_weights, unless bounded out."""
+        n = graphs[0].n  # every class at order n has n + 1 edges, in e's rows graph by graph
+        r = np.bincount(e.ravel(), np.repeat(np.abs(w), 2), len(graphs) * n)
+        bound = np.sqrt(r[e[:, 0]] * r[e[:, 1]]).reshape(len(graphs), n + 1).max(axis=1)
         (named_second, named_top), (second, top) = self.named, _levels(self.pool)
         second = max(second, named_second)
         cut = {kind: min(second, max(top.get(kind, -math.inf), named_top.get(kind, -math.inf)))
                for kind in set(kinds)}
-        bound = np.abs(a).sum(axis=2).max(axis=1)
-        keep = [i for i, kind in enumerate(kinds)
-                if not bound[i] < cut[kind] - PRUNE_MARGIN * abs(cut[kind])]
-        if not keep:
+        floor = [cut[kind] - PRUNE_MARGIN * abs(cut[kind]) for kind in kinds]
+        keep = np.flatnonzero(~(bound < floor))
+        if not keep.size:
             return
-        rho = _dominant_eigenpairs(a[keep])[0].tolist()
-        self.pool += [(r, graphs[i], kinds[i]) for i, r in zip(keep, rho)]
+        # the kept graphs' edge rows, renumbered as graphs 0, 1, ...
+        rows = e.reshape(len(graphs), n + 1, 2)[keep] % n + n * np.arange(keep.size)[:, None, None]
+        a = _dense(rows.reshape(-1, 2), w.reshape(len(graphs), n + 1)[keep].ravel(), keep.size, n)
+        rho = _dominant_eigenpairs(a)[0].tolist()
+        self.pool += [(rho_i, graphs[i], kinds[i]) for i, rho_i in zip(keep, rho)]
         second, top = _levels(self.pool)
         self.pool = [entry for entry in self.pool if entry[0] >= min(second, top[entry[2]])]
 
@@ -363,15 +372,17 @@ def _rankings(n: int, fs: tuple[WeightFunction, ...]):
     named_kinds = [base_graph(g).kind for g in distinct]
     # one lazily filled degree-pair table per weight serves the whole order
     weights = [{} for _ in fs]
-    a = _stacked_matrices(distinct, fs, n, weights).reshape(-1, n, n)
+    e, w = _edge_weights(distinct, fs, n, weights)
+    a = np.concatenate([_dense(e, w_f, len(distinct), n) for w_f in w])
     named_rho = _dominant_eigenpairs(a)[0].reshape(len(fs), -1).tolist()
     leaders = {f: _Leaders(list(zip(rho, named_kinds))) for f, rho in zip(fs, named_rho)}
     classes, stream = 0, orderly_classes(n)
     while chunk := list(itertools.islice(stream, EIGH_CHUNK)):
         graphs, kinds = zip(*chunk)
         classes += len(chunk)
-        for f, a in zip(fs, _stacked_matrices(graphs, fs, n, weights)):
-            leaders[f].offer(a, graphs, kinds)
+        e, w = _edge_weights(graphs, fs, n, weights)
+        for f, w_f in zip(fs, w):
+            leaders[f].offer(e, w_f, graphs, kinds)
     return classes, certs, {f: leaders[f].ranking() for f in fs}
 
 

@@ -104,8 +104,12 @@ def evaluate(f: WeightFunction, x: Num, y: Num) -> float:
 
 def evaluate_exact(f: WeightFunction, x: int, y: int) -> Optional[Union[int, Fraction]]:
     """f(x,y) as an exact rational, or None when the value is irrational;
-    an int when the value is integral (so exact callers run on native ints)."""
-    val = _evaluate_generic(f, Fraction(x), Fraction(y))
+    an int when the value is integral (so exact callers run on native ints).
+    A float from the int degrees (`int ** -1` is one) is tried again at
+    Fraction degrees, which keep negative integer powers exact."""
+    val = _evaluate_generic(f, x, y)
+    if isinstance(val, float):
+        val = _evaluate_generic(f, Fraction(x), Fraction(y))
     if not isinstance(val, (int, Fraction)):
         return None
     return val.numerator if val.denominator == 1 else val
@@ -116,7 +120,7 @@ def _evaluate_generic(f: WeightFunction, x: Num, y: Num) -> Num:
         raise WeightSpecError(f"weight functions are defined for x,y >= 1, got ({x},{y})")
     k = f.kind
     if k == "constant_one":
-        return Fraction(1)
+        return 1
     if k == "zagreb1":
         return x + y
     if k == "hyper_zagreb":

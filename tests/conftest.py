@@ -14,6 +14,7 @@ from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, Pol
                               spectral_radii)
 from bicyclic_spectra.enumeration import bicyclic_bases, rooted_trees, _weak_compositions
 from bicyclic_spectra.graphs import refine_partition
+from bicyclic_spectra.weights import _evaluate_generic
 
 # bicyclic class counts at n=4..9, on which enumerate_bicyclic and the
 # edge-subset oracle agree (n=10 has 2,678)
@@ -485,6 +486,20 @@ def per_matrix_eigenpairs(a):
     eigensolve per stacked matrix (the other outputs are not compared)."""
     rho = [max(vals[-1], -vals[0]) for vals in (np.linalg.eigh(m)[0] for m in a)]
     return np.array(rho, dtype=float), None, None
+
+
+# Reference exact weight: the package's earlier route, which evaluates every
+# weight at Fraction degrees.  The package runs on the int degrees and goes to
+# Fraction degrees only when the int route gives a float.
+
+
+def reference_evaluate_exact(f, x: int, y: int):
+    """f(x, y) at Fraction degrees: an int when integral, else a Fraction, or
+    None when irrational."""
+    val = _evaluate_generic(f, Fraction(x), Fraction(y))
+    if not isinstance(val, (int, Fraction)):
+        return None
+    return val.numerator if val.denominator == 1 else val
 
 
 # Reference quotient: the package's earlier dense route.  A_f(G) is built as a

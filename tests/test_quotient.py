@@ -34,10 +34,11 @@ from bicyclic_spectra import (
     sign_at_sqrt,
 )
 from bicyclic_spectra.enumeration import orderly_classes
+from bicyclic_spectra import quotient
 from bicyclic_spectra.quotient import PartitionError, degree_partition, validate_partition
 
-from conftest import (random_partition, reference_equitable_refine, reference_quotient,
-                      reference_weight_matrix)
+from conftest import (random_partition, reference_equitable_refine, reference_evaluate_exact,
+                      reference_quotient, reference_weight_matrix)
 
 Z1 = WeightFunction("zagreb1")
 HZ = WeightFunction("hyper_zagreb")
@@ -338,6 +339,31 @@ class TestSignLedger:
     def test_full_ledger_to_200(self):
         records = evaluate_sign_ledger(rational_pstar_functions(), n_max=200)
         assert len(records) == 3444 and all(r["holds"] for r in records)
+
+    def test_ledger_equals_fraction_degree_route(self, monkeypatch):
+        records = evaluate_sign_ledger(rational_pstar_functions(), n_max=200)
+        monkeypatch.setattr(quotient, "evaluate_exact", reference_evaluate_exact)
+        assert records == evaluate_sign_ledger(rational_pstar_functions(), n_max=200)
+
+    def test_phi1_sign_weighs_the_point_once(self, monkeypatch):
+        calls = []
+
+        def counting(f, x, y):
+            calls.append((x, y))
+            return evaluate_exact(f, x, y)
+
+        monkeypatch.setattr(quotient, "evaluate_exact", counting)
+        for f in rational_pstar_functions():
+            for n in (6, 7, 30):
+                calls.clear()
+                phi1 = named_polynomial("phi1", n, f)
+                assert calls.count((n - 1, 1)) == 1
+                calls.clear()
+                holds = phi1_sign_holds(f, n)
+                assert calls.count((n - 1, 1)) == 1 and len(calls) == 3
+                assert holds == (sign_at_sqrt(phi1, evaluate_exact(f, n - 1, 1), n - 1) == -1)
+        with pytest.raises(ValueError, match="phi1 requires n >= 6"):
+            phi1_sign_holds(Z1, 5)
 
     def test_sign_example(self):
         # h_n(sqrt(n)) > 0 and h_n(sqrt(n-3)) < 0 at n=12, exactly

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import random
 
 import numpy as np
@@ -17,6 +18,7 @@ from bicyclic_spectra import (
     graph6_decode,
     graph_g1,
     graph_g2,
+    make_theta,
     parse_weight,
     rho_f,
     run_table,
@@ -256,6 +258,37 @@ class TestStreamingExhaustive:
                 bounds.append(max(sums))
             assert np.all(np.array(bounds) >= verify.spectral_radii(graphs, f))
 
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_edge_bound_holds_for_every_class(self, n):
+        # the prune's premise, rho <= max_uv sqrt(r_u r_v) <= max_v r_v with r
+        # the row sums of |A_f|; K_{2,3} (n = 5) meets the edge bound with
+        # equality, so rho may pass it by roundoff alone
+        graphs = enumerate_bicyclic(n).graphs
+        for f in ORACLE_WEIGHTS:
+            rho = verify.spectral_radii(graphs, f)
+            for g, rho_g in zip(graphs, rho):
+                deg, sums = g.degrees(), [0.0] * n
+                for u, v in g.edges:
+                    w = abs(evaluate(f, deg[u], deg[v]))
+                    sums[u] += w
+                    sums[v] += w
+                edge_bound = max(math.sqrt(sums[u] * sums[v]) for u, v in g.edges)
+                assert rho_g <= edge_bound * (1 + 1e-12), (f.label(), g)
+                assert edge_bound <= max(sums)
+
+    def test_tight_edge_bound_is_scored_at_the_cut(self):
+        # K_{2,3} meets the edge bound with equality (r_u r_v = 6 f(3,2)^2 on
+        # every edge), so a cut at its own rho must still score it, and a cut
+        # clearly above prunes it
+        k23 = make_theta(2, 2, 2)
+        for f in ORACLE_WEIGHTS:
+            rho = rho_f(k23, f)
+            e, (w,) = spectral._edge_weights([k23], [f], 5, [{}])
+            for second, scored in ((rho, 1), (rho * (1 + 1e-6), 0)):
+                leaders = verify._Leaders([(2 * rho, "theta"), (second, "infinity")])
+                leaders.offer(e, w, [k23], ["theta"])
+                assert len(leaders.pool) == scored, (f.label(), second)
+
     def test_certifies_only_what_a_verdict_reads(self, monkeypatch):
         calls = []
 
@@ -310,7 +343,7 @@ class TestStreamingExhaustive:
         monkeypatch.setattr(verify, "_dominant_eigenpairs", counting)
         verify._rankings.cache_clear()
         verify_extremal([10], [Z1], rank="first")
-        assert sum(solved) < 2678 // 2
+        assert sum(solved) < 2678 // 10
 
 
 class TestKelmansCampaign:
@@ -560,6 +593,50 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout.strip().splitlines()[-1])["count"] == 1
+
+    def test_closed_stdout_ends_quietly(self, tmp_path, monkeypatch, capsys):
+        import os
+        import sys
+
+        class ClosedPipe(io.StringIO):
+            """A stdout whose reader has left; fileno is a file the test owns."""
+
+            def __init__(self, fd):
+                super().__init__()
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            for argv in (["enumerate", "--n", "6", "--graph6"],
+                         ["spectral", "--graph", "G1:8", "--f", "zagreb1"]):
+                monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+                code = main(argv)
+                monkeypatch.undo()
+                assert code == 141  # not 2, which means bad input
+                assert capsys.readouterr().err == ""
+                # the descriptor now points at the null device, so the flush at
+                # interpreter exit has a sink
+                assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+
+    def test_closed_pipe_exit_is_quiet(self):
+        # the reader is gone before the first write, as after `| head -1`
+        import subprocess, sys
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bicyclic_spectra", "enumerate", "--n", "8", "--graph6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestParseGraphArgument:

@@ -14,7 +14,9 @@ from bicyclic_spectra import (
     parse_weight,
     rational_pstar_functions,
 )
+from bicyclic_spectra import weights
 from bicyclic_spectra.weights import _evaluate_generic
+from conftest import reference_evaluate_exact
 
 ALL_BUILTINS = [
     WeightFunction("constant_one"),
@@ -102,6 +104,46 @@ class TestEvaluate:
                 v, ref = evaluate_exact(f, x, y), _evaluate_generic(f, Fraction(x), Fraction(y))
                 assert v == ref
                 assert type(v) is (int if ref.denominator == 1 else Fraction)
+
+
+# every catalogue kind, negative integer powers among them, and every valid
+# custom expression the tests use
+EXACT_ROUTE_WEIGHTS = ALL_BUILTINS + list(rational_pstar_functions()) + [parse_weight(t) for t in (
+    "sum_connectivity:a=-1", "sum_connectivity:a=-3", "platt:a=-1", "sombor:a=2,b=-1",
+    "sombor:a=-1,b=2", "sum_connectivity:a=0.5", "custom:x/y+y/x", "custom:(x*y+1)/(x+y)",
+    "custom:(x+y)^3", "custom:x**2+y**2+x+y", "custom:x*y", "custom:x*y+x+y",
+    "custom:x^2+y^2+x*y", "custom:(x+y)^-2", "custom:x^-1+y^-1")]
+
+
+def _outcome(fn, *args):
+    """fn(*args) with its type, or the type of the error it raises."""
+    try:
+        value = fn(*args)
+    except (ZeroDivisionError, OverflowError, WeightSpecError) as exc:
+        return type(exc)
+    return value, type(value)
+
+
+class TestExactRouteMatchesReference:
+    """evaluate_exact on int degrees against the Fraction-degree route."""
+
+    @pytest.mark.parametrize("f", EXACT_ROUTE_WEIGHTS, ids=lambda f: f.label())
+    def test_values_on_grid(self, f):
+        for x in range(1, 21):
+            for y in range(1, 21):
+                assert _outcome(evaluate_exact, f, x, y) == \
+                    _outcome(reference_evaluate_exact, f, x, y), (x, y)
+
+    def test_negative_powers_stay_exact(self):
+        assert evaluate_exact(parse_weight("sum_connectivity:a=-1"), 1, 2) == Fraction(1, 3)
+        assert evaluate_exact(parse_weight("custom:x^-1+y^-1"), 2, 3) == Fraction(5, 6)
+        assert evaluate_exact(WeightFunction("extended"), 2, 3) == Fraction(13, 12)
+
+    @pytest.mark.parametrize("f", EXACT_ROUTE_WEIGHTS, ids=lambda f: f.label())
+    def test_pstar_reports(self, f, monkeypatch):
+        report = _outcome(check_pstar.__wrapped__, f, 20)
+        monkeypatch.setattr(weights, "evaluate_exact", reference_evaluate_exact)
+        assert report == _outcome(check_pstar.__wrapped__, f, 20)
 
 
 class TestParse:
