@@ -21,7 +21,6 @@ from .graphs import (
     graph_g2,
     graph_g3,
     graph_g4,
-    graph_h_n3_2,
     make_infinity,
     make_theta,
     refine_partition,
@@ -59,7 +58,6 @@ from .polynomials import (
     PolynomialError,
     char_poly,
     count_real_roots,
-    descartes_bounds,
     eval_at_sqrt,
     max_real_root,
     sign_at_sqrt,

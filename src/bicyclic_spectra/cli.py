@@ -6,10 +6,9 @@ written to files, with CSV alongside).
 
 Exit codes: 0 when every asserted case passed, 1 when an asserted case
 failed, 2 when the input is outside the supported domain (a bad argument, an
-order beyond a bound, a malformed weight, an output path that cannot be
-written); the last prints one line,
-`bicyclic-spectra: error: <message>`, on stderr; 141 when the reader closed
-stdout (`... | head -1`), quietly.
+order beyond a bound, a malformed weight or one beyond float range, an output
+path that cannot be written; one line, `bicyclic-spectra: error: <message>`,
+on stderr); 141 when the reader closed stdout (`... | head -1`), quietly.
 """
 
 from __future__ import annotations
@@ -17,11 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .enumeration import canonical_form, enumerate_bicyclic, enumerate_with_max_degree
 from .graphs import FAMILIES, Graph, graph6_decode, graph6_encode, make_infinity, make_theta
-from .spectral import build_matrix, full_spectrum, spectral_radius
+from .spectral import SpectralError, build_matrix, full_spectrum, spectral_radius
 from .verify import VerificationReport, run_table, verify_extremal, verify_kelmans, verify_theorem41
 from .weights import parse_weight
 
@@ -39,8 +39,16 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _parse_weights(text: str):
+    """Comma-separated weight specs; a comma inside parentheses or before a
+    parameter (`a=`, `b=`, `alpha=`, `beta=`) stays within its spec."""
+    specs, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and not depth and not re.match(r"(?i)\s*(a|b|alpha|beta)\s*=", text[i + 1:]):
+            specs.append(text[start:i])
+            start = i + 1
     try:
-        return [parse_weight(tok) for tok in text.split(",") if tok.strip()]
+        return [parse_weight(tok) for tok in specs + [text[start:]] if tok.strip()]
     except ValueError as exc:  # WeightSpecError: the spec's reason
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -135,7 +143,8 @@ def main(argv=None) -> int:
         with open(os.devnull, "w") as devnull:  # keep the flush at exit quiet too
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a writer stopped by a closed pipe
-    except (ValueError, OSError) as exc:  # OSError: an unwritable --json or --csv path
+    # OSError: an unwritable --json or --csv path; SpectralError: a matrix LAPACK cannot take
+    except (ValueError, OSError, SpectralError) as exc:
         return _fail(exc)
 
 

@@ -202,17 +202,6 @@ def graph_g4(n: int) -> Graph:
     return attach_pendants(attach_pendants(make_theta(2, 1, 2), 0, n - 5), 1, 1)
 
 
-def graph_h_n3_2(n: int) -> Graph:
-    """P(2,1,2) with n-6 pendants on hub 0 and two pendants on hub 1.
-
-    Candidate realization of the maximum-degree n-3 bicyclic extremal graph;
-    its adjacency characteristic polynomial is pinned by tests.
-    """
-    if n < 7:
-        raise GraphError("H(n,n-3,2) requires n >= 7")
-    return attach_pendants(attach_pendants(make_theta(2, 1, 2), 0, n - 6), 1, 2)
-
-
 @dataclass(frozen=True)
 class Family:
     """A named family: smallest order, builder, and an equitable partition

@@ -1,15 +1,16 @@
 """Univariate polynomials with exact rational coefficients.
 
-Provides the pieces the verification campaigns lean on: characteristic
-polynomials via fraction-free Faddeev-LeVerrier, Descartes sign-variation
-bounds, Sturm root counting and bisection to the largest real root (exact
-coefficients only, in integers: a primitive pseudo-remainder sequence, the
-square-free part by exact division, both bracket ends over one shared
-denominator and every sign by integer Horner), and exact sign evaluation at
-quadratic-surd points r*sqrt(s) (every sign condition in the source material
-evaluates at such a point, so signs are certified without floating point; one
-positive factor clears every denominator, so the evaluation and the sign
-comparison run on integers).
+Provides what the exact verdicts use: characteristic polynomials via
+fraction-free Faddeev-LeVerrier, Sturm root counting and bisection to the
+largest real root (exact coefficients only, in integers: a primitive
+pseudo-remainder sequence, the square-free part by exact division, both
+bracket ends over one shared denominator and every sign by integer Horner),
+and exact sign evaluation at quadratic-surd points r*sqrt(s) (every sign
+condition in the source material evaluates at such a point, so signs are
+certified without floating point; one positive factor clears every
+denominator, so the evaluation and the sign comparison run on integers).
+Polynomial division and gcds over Fraction live in the tests, as the
+reference the integer routines are checked against.
 """
 
 from __future__ import annotations
@@ -96,15 +97,6 @@ class Polynomial:
             return self
         return Polynomial([0] * k + list(self.coeffs))
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Polynomial([Fraction(c) / lead for c in self.coeffs])
-
     def __repr__(self):
         return f"Polynomial({self.to_descending_str()})"
 
@@ -123,42 +115,6 @@ class Polynomial:
             terms.append(("- " if c < 0 else "+ ") + body)
         head = terms[0].replace("+ ", "").replace("- ", "-")
         return " ".join([head] + terms[1:])
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "coefficients_ascending": [
-                str(c) if isinstance(c, Fraction) else c for c in self.coeffs
-            ],
-            "exact": self.is_exact(),
-        }
-
-    # -- exact division / gcd ----------------------------------------------
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
-            raise PolynomialError("division by zero polynomial")
-        rem = [Fraction(c) for c in self.coeffs]
-        den = [Fraction(c) for c in other.coeffs]
-        dq = len(rem) - len(den)
-        if dq < 0:
-            return Polynomial([]), Polynomial(rem)
-        quot = [Fraction(0)] * (dq + 1)
-        for k in range(dq, -1, -1):
-            factor = rem[k + len(den) - 1] / den[-1]
-            quot[k] = factor
-            if factor:
-                for i, d in enumerate(den):
-                    rem[k + i] -= factor * d
-        return Polynomial(quot), Polynomial(rem)
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-            if not b.is_zero():
-                b = b.monic()
-        return a.monic() if not a.is_zero() else a
 
 
 # ---------------------------------------------------------------------------
@@ -192,25 +148,6 @@ def char_poly(matrix) -> Polynomial:
         m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in a]
         c.append(-sum(m[i][i] for i in range(n)) // k)
     return Polynomial([Fraction(ck, d ** k) for k, ck in reversed(list(enumerate(c)))])
-
-
-# ---------------------------------------------------------------------------
-# Descartes' rule of signs
-# ---------------------------------------------------------------------------
-
-
-def _sign_variations(coeffs: Sequence[Coeff]) -> int:
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def descartes_bounds(p: Polynomial) -> tuple[int, int]:
-    """(bound on positive roots, bound on negative roots) by sign variations."""
-    if p.is_zero():
-        raise PolynomialError("Descartes bounds undefined for the zero polynomial")
-    pos = _sign_variations(p.coeffs)
-    neg = _sign_variations([c if k % 2 == 0 else -c for k, c in enumerate(p.coeffs)])
-    return pos, neg
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +250,11 @@ def _sign_at(q: tuple[int, ...], num: int, den: int) -> int:
     for c in q:
         acc, scale = acc * num + c * scale, scale * den
     return (acc > 0) - (acc < 0)
+
+
+def _sign_variations(coeffs: Sequence[Coeff]) -> int:
+    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _variations_at(seq: list[tuple[int, ...]], num: int, den: int) -> int:

@@ -257,11 +257,11 @@ def _run_extended_table1() -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 SECOND_RANK_THRESHOLDS = {"zagreb1": 10, "hyper_zagreb": 9, "forgotten": 8}
+RANK_GAP = 1e-9  # a rank verdict needs its winner's rho above the next one's by more
 
 
 def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
-                    rank: str = "first", mode: str = "exhaustive",
-                    min_gap: float = 1e-9) -> VerificationReport:
+                    rank: str = "first", mode: str = "exhaustive") -> VerificationReport:
     """Extremality of G1 (rank 1) / the second-rank candidates over all classes.
 
     exhaustive mode streams every bicyclic class once per order for all
@@ -291,7 +291,7 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
                 note="weight lacks property P*; campaign not applicable",
             ))
             continue
-        cases += [_exhaustive_case(n, f, rank, min_gap, applicable) if mode == "exhaustive"
+        cases += [_exhaustive_case(n, f, rank, applicable) if mode == "exhaustive"
                   else _candidate_case(n, f, rank) for n in n_range]
     report.cases.extend(cases)
     report.runtime_seconds = time.perf_counter() - t0
@@ -386,7 +386,7 @@ def _rankings(n: int, fs: tuple[WeightFunction, ...]):
     return classes, certs, {f: leaders[f].ranking() for f in fs}
 
 
-def _exhaustive_case(n: int, f: WeightFunction, rank: str, min_gap: float,
+def _exhaustive_case(n: int, f: WeightFunction, rank: str,
                      fs: tuple[WeightFunction, ...]) -> CaseRecord:
     classes, named, rankings = _rankings(n, fs)
     scored, family_best = rankings[f]
@@ -395,8 +395,8 @@ def _exhaustive_case(n: int, f: WeightFunction, rank: str, min_gap: float,
     top_rho, top_cert = scored[0]
     gap = top_rho - scored[1][0] if len(scored) > 1 else float("inf")
     if rank == "first":
-        ok = top_cert == named["G1"] and gap > min_gap
-        note = "" if gap > min_gap else (
+        ok = top_cert == named["G1"] and gap > RANK_GAP
+        note = "" if gap > RANK_GAP else (
             f"near-tie at the top: gap {gap:.3e}; certificates "
             f"{top_cert} vs {scored[1][1]}")
         # per-base-family maxima (informative): G2 should top the
@@ -448,7 +448,7 @@ def _candidate_case(n: int, f: WeightFunction, rank: str) -> CaseRecord:
             note="below threshold or no stated winner; informative only",
         )
     others = max(v for k, v in rhos.items() if k != "G2")
-    ok = winner == "G2" and rhos["G2"] > others + 1e-9
+    ok = winner == "G2" and rhos["G2"] > others + RANK_GAP
     return CaseRecord(
         case_id=f"extremal/candidate/{f.label()}/n={n}",
         inputs=inputs, computed=computed,

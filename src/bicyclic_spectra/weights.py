@@ -8,7 +8,8 @@ on the integer degree grid {1..d_max}^2:
   (iii) f(x1,y1) >= f(x2,y2) whenever |x1-y1| > |x2-y2| and x1+y1 = x2+y2.
 
 "Increasing" and "convex" are read non-strictly so the constant function
-qualifies; a report flags passes that rely on equality somewhere.
+qualifies; a report flags passes that rely on equality somewhere.  An exp_
+kind e**g is checked on the table of its exponent g, within float range.
 """
 
 from __future__ import annotations
@@ -98,8 +99,15 @@ def _pow(base: Num, expo: float) -> Num:
 
 
 def evaluate(f: WeightFunction, x: Num, y: Num) -> float:
-    """f(x,y) as a float; defined for x,y >= 1."""
-    return float(_evaluate_generic(f, x, y))
+    """f(x,y) as a float; defined for x,y >= 1.  A value beyond float range
+    raises WeightSpecError naming the weight and the degree pair."""
+    try:
+        val = float(_evaluate_generic(f, x, y))
+    except OverflowError:
+        val = math.inf
+    if math.isinf(val):
+        raise WeightSpecError(f"{f.label()} overflows a float at degrees ({x},{y})")
+    return val
 
 
 def evaluate_exact(f: WeightFunction, x: int, y: int) -> Optional[Union[int, Fraction]]:
@@ -107,9 +115,12 @@ def evaluate_exact(f: WeightFunction, x: int, y: int) -> Optional[Union[int, Fra
     an int when the value is integral (so exact callers run on native ints).
     A float from the int degrees (`int ** -1` is one) is tried again at
     Fraction degrees, which keep negative integer powers exact."""
-    val = _evaluate_generic(f, x, y)
-    if isinstance(val, float):
-        val = _evaluate_generic(f, Fraction(x), Fraction(y))
+    try:
+        val = _evaluate_generic(f, x, y)
+        if isinstance(val, float):
+            val = _evaluate_generic(f, Fraction(x), Fraction(y))
+    except OverflowError:  # a float beyond range is no rational value either
+        return None
     if not isinstance(val, (int, Fraction)):
         return None
     return val.numerator if val.denominator == 1 else val
@@ -133,12 +144,8 @@ def _evaluate_generic(f: WeightFunction, x: Num, y: Num) -> Num:
         return _pow(x + y - 2, f.alpha)
     if k == "sombor":
         return _pow(_pow(x, f.alpha) + _pow(y, f.alpha), f.beta)
-    if k == "exp_zagreb1":
-        return math.exp(x + y)
-    if k == "exp_sum_connectivity":
-        return math.exp(_pow(x + y, f.alpha))
-    if k == "exp_sombor":
-        return math.exp(_pow(_pow(x, f.alpha) + _pow(y, f.alpha), f.beta))
+    if k.startswith("exp_"):
+        return math.exp(_evaluate_generic(WeightFunction(k[4:], f.alpha, f.beta), x, y))
     if k == "extended":
         if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
             return Fraction(x, 2 * y) + Fraction(y, 2 * x)
@@ -163,6 +170,7 @@ _BINOPS = {
 _FUNCS = {"exp": math.exp, "sqrt": math.sqrt, "log": math.log, "min": min, "max": max}
 
 
+@lru_cache
 def _parse_expr(expr: str) -> ast.expr:
     try:
         tree = ast.parse(expr.replace("^", "**"), mode="eval")
@@ -212,9 +220,12 @@ def _validate_custom(expr: str) -> None:
     env = {"e": math.e, "pi": math.pi}
     for x in range(1, CUSTOM_CHECK_GRID + 1):
         for y in range(x, CUSTOM_CHECK_GRID + 1):
-            vxy = _eval_node(node, {**env, "x": Fraction(x), "y": Fraction(y)})
-            vyx = _eval_node(node, {**env, "x": Fraction(y), "y": Fraction(x)})
-            fxy, fyx = float(vxy), float(vyx)
+            try:
+                vxy = _eval_node(node, {**env, "x": Fraction(x), "y": Fraction(y)})
+                vyx = _eval_node(node, {**env, "x": Fraction(y), "y": Fraction(x)})
+                fxy, fyx = float(vxy), float(vyx)
+            except OverflowError:
+                fxy = fyx = math.inf
             if not (math.isfinite(fxy) and math.isfinite(fyx)):
                 raise WeightSpecError(f"custom expression is non-finite at ({x},{y})")
             if fxy <= 0:
@@ -285,43 +296,17 @@ class PStarReport:
         assert (self.witness is not None) == (not self.passes)
 
 
-def _mp_value(f: WeightFunction, x: int, y: int):
-    """Arbitrary-precision value for exponential kinds whose float value
-    overflows (the exponent itself stays small)."""
-    import mpmath
-
-    inner = {"exp_zagreb1": "zagreb1", "exp_sum_connectivity": "sum_connectivity",
-             "exp_sombor": "sombor"}
-    g = WeightFunction(inner[f.kind], alpha=f.alpha, beta=f.beta)
-    return mpmath.exp(mpmath.mpf(evaluate(g, x, y)))
-
-
 def _grid_values(f: WeightFunction, d_max: int):
     """Dense table of f on {1..d_max}^2, exact ints or Fractions when available."""
-    probe = evaluate_exact(f, 2, 3)
-    exact = probe is not None
+    exact = evaluate_exact(f, 2, 3) is not None
     val = {}
-    overflow = False
     for x in range(1, d_max + 1):
         for y in range(x, d_max + 1):
-            try:
-                v = evaluate_exact(f, x, y) if exact else evaluate(f, x, y)
-                if v is None:
-                    exact = False
-                    v = evaluate(f, x, y)
-                if not exact and math.isinf(v):
-                    overflow = True
-            except OverflowError:
-                overflow = True
-                v = math.inf
+            v = evaluate_exact(f, x, y) if exact else None
+            if v is None:
+                exact = False
+                v = evaluate(f, x, y)
             val[(x, y)] = val[(y, x)] = v
-    if overflow:
-        if not f.kind.startswith("exp_"):
-            raise WeightSpecError(f"{f.label()} overflows on the grid up to {d_max}")
-        for x in range(1, d_max + 1):
-            for y in range(x, d_max + 1):
-                val[(x, y)] = val[(y, x)] = _mp_value(f, x, y)
-        exact = False
     return val, exact
 
 
@@ -330,15 +315,21 @@ def check_pstar(f: WeightFunction, d_max: int = 20) -> PStarReport:
     """Check P* conditions (i)-(iii) on the integer grid {1..d_max}^2.
 
     Comparisons are exact for rational-valued weights; otherwise a relative
-    slack of 1e-12 absorbs floating-point noise.  Returns the first violating
-    witness, scanning condition (i), then (ii), then (iii).  Memoised per
-    (f, d_max): f is frozen and the report immutable.
+    slack of 1e-12 absorbs floating-point noise.  An exp_ kind f = e**g is
+    checked on g's table, so no value leaves float range: exp is increasing,
+    so (i) and (iii) compare g (exactly when g is rational), and (ii) takes
+    the sign of the second difference over f(x+1,y),
+    e**(g(x+2,y)-g(x+1,y)) - 2 + e**(g(x,y)-g(x+1,y)), an overflow read as
+    +inf; the witnesses carry these g values and quotients.  Returns the
+    first violating witness, scanning condition (i), then (ii), then (iii).
+    Memoised per (f, d_max): f is frozen and the report immutable.
     """
     if d_max < 2:
         raise WeightSpecError("check_pstar requires d_max >= 2")
-    val, exact = _grid_values(f, d_max)
+    expo = f.kind.startswith("exp_")
+    val, exact = _grid_values(WeightFunction(f.kind[4:], f.alpha, f.beta) if expo else f, d_max)
 
-    def lt(a, b):  # a < b beyond tolerance
+    def lt(a, b, exact=exact):  # a < b beyond tolerance
         if exact:
             return a < b
         return a < b - 1e-12 * max(1.0, abs(a), abs(b))
@@ -354,8 +345,11 @@ def check_pstar(f: WeightFunction, d_max: int = 20) -> PStarReport:
     # (ii) convex in x
     for y in range(1, d_max + 1):
         for x in range(1, d_max - 1):
-            second = val[(x + 2, y)] - 2 * val[(x + 1, y)] + val[(x, y)]
-            if lt(second, 0):
+            lo, mid, hi = val[(x, y)], val[(x + 1, y)], val[(x + 2, y)]
+            # over f(x+1,y) for exp_; e**709 - 2 > 0, so the caps keep an overflow's sign
+            second = (math.exp(min(hi - mid, 709)) - 2 + math.exp(min(lo - mid, 709)) if expo
+                      else hi - 2 * mid + lo)
+            if lt(second, 0, exact and not expo):
                 return PStarReport(False, "ii_convex", ((x, y), (x + 1, y), (x + 2, y), second))
             tie = tie or second == 0
     # (iii) spread condition at equal degree sums

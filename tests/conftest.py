@@ -1,6 +1,8 @@
+import decimal
 import heapq
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -262,15 +264,55 @@ def reference_char_poly(rows) -> Polynomial:
     return Polynomial(list(reversed(c)))
 
 
+def poly_derivative(p: Polynomial) -> Polynomial:
+    return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def poly_monic(p: Polynomial) -> Polynomial:
+    if p.is_zero():
+        return p
+    lead = p.coeffs[-1]
+    return Polynomial([Fraction(c) / lead for c in p.coeffs])
+
+
+def poly_divmod(p: Polynomial, other: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(quotient, remainder) of p by other, long division over Fraction."""
+    if other.is_zero():
+        raise PolynomialError("division by zero polynomial")
+    rem = [Fraction(c) for c in p.coeffs]
+    den = [Fraction(c) for c in other.coeffs]
+    dq = len(rem) - len(den)
+    if dq < 0:
+        return Polynomial([]), Polynomial(rem)
+    quot = [Fraction(0)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        factor = rem[k + len(den) - 1] / den[-1]
+        quot[k] = factor
+        if factor:
+            for i, d in enumerate(den):
+                rem[k + i] -= factor * d
+    return Polynomial(quot), Polynomial(rem)
+
+
+def poly_gcd(p: Polynomial, other: Polynomial) -> Polynomial:
+    """Monic gcd by the Euclidean algorithm over Fraction (zero if both are)."""
+    a, b = p, other
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+        if not b.is_zero():
+            b = poly_monic(b)
+    return poly_monic(a)
+
+
 def _reference_sign_variations(values) -> int:
     signs = [1 if c > 0 else -1 for c in values if c != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _reference_sturm(p: Polynomial) -> list[Polynomial]:
-    seq = [p, p.derivative()]
+    seq = [p, poly_derivative(p)]
     while not seq[-1].is_zero() and seq[-1].degree > 0:
-        rem = seq[-2].divmod(seq[-1])[1]
+        rem = poly_divmod(seq[-2], seq[-1])[1]
         if rem.is_zero():
             break
         seq.append(-1 * rem)
@@ -282,25 +324,25 @@ def _reference_variations(seq, x: Fraction) -> int:
 
 
 def _reference_squarefree(p: Polynomial) -> Polynomial:
-    g = p.gcd(p.derivative())
-    return p if g.degree <= 0 else p.divmod(g)[0]
+    g = poly_gcd(p, poly_derivative(p))
+    return p if g.degree <= 0 else poly_divmod(p, g)[0]
 
 
 def _reference_multiplicity_chain(p: Polynomial) -> list:
     chain = [p]
     while chain[-1].degree > 0:
-        g = chain[-1].gcd(chain[-1].derivative())
+        g = poly_gcd(chain[-1], poly_derivative(chain[-1]))
         if g.degree <= 0:
             break
         chain.append(g)
     us = []
     for k in range(len(chain)):
         nxt = chain[k + 1] if k + 1 < len(chain) else Polynomial([1])
-        us.append(chain[k].divmod(nxt)[0])
+        us.append(poly_divmod(chain[k], nxt)[0])
     out = []
     for k in range(len(us)):
         nxt = us[k + 1] if k + 1 < len(us) else Polynomial([1])
-        qk = us[k].divmod(nxt)[0]
+        qk = poly_divmod(us[k], nxt)[0]
         if qk.degree > 0:
             out.append((qk, k + 1))
     return out
@@ -500,6 +542,49 @@ def reference_evaluate_exact(f, x: int, y: int):
     if not isinstance(val, (int, Fraction)):
         return None
     return val.numerator if val.denominator == 1 else val
+
+
+# Reference P* for the exponential weights: the values e**g themselves, in
+# decimal with the exponent range raised so that none overflows, checked as a
+# float table is checked (relative slack 1e-12).  The package checks the
+# exponent table g and never leaves float range.
+
+_WIDE = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def reference_exp_pstar(f, d_max: int) -> tuple:
+    """(passes, failed_condition, the witness's degree pairs, only_nonstrict)
+    of an exp_ weight f = e**g on {1..d_max}^2, from the decimal values e**g."""
+    inner = WeightFunction(f.kind[4:], f.alpha, f.beta)
+    with decimal.localcontext(_WIDE):
+        val = {}
+        for x in range(1, d_max + 1):
+            for y in range(x, d_max + 1):
+                val[(x, y)] = val[(y, x)] = Decimal(evaluate(inner, x, y)).exp()
+
+        def lt(a, b):
+            return a < b - Decimal("1e-12") * max(1, abs(a), abs(b))
+
+        tie = False
+        for y in range(1, d_max + 1):
+            for x in range(1, d_max):
+                if lt(val[(x + 1, y)], val[(x, y)]):
+                    return False, "i_monotone", ((x, y), (x + 1, y)), False
+                tie = tie or val[(x + 1, y)] == val[(x, y)]
+        for y in range(1, d_max + 1):
+            for x in range(1, d_max - 1):
+                second = val[(x + 2, y)] - 2 * val[(x + 1, y)] + val[(x, y)]
+                if lt(second, 0):
+                    return False, "ii_convex", ((x, y), (x + 1, y), (x + 2, y)), False
+                tie = tie or second == 0
+        for s in range(2, 2 * d_max + 1):
+            pairs = sorted(((x, s - x) for x in range((s + 1) // 2, d_max + 1) if 1 <= s - x <= x),
+                           key=lambda p: p[0] - p[1])
+            for low, high in zip(pairs, pairs[1:]):
+                if lt(val[high], val[low]):
+                    return False, "iii_spread", (high, low), False
+                tie = tie or val[high] == val[low]
+    return True, None, None, tie
 
 
 # Reference quotient: the package's earlier dense route.  A_f(G) is built as a

@@ -13,7 +13,7 @@ from bicyclic_spectra import (
     WeightFunction,
     build_matrix,
     char_poly,
-    descartes_bounds,
+    count_real_roots,
     equitable_refine,
     evaluate_exact,
     evaluate_sign_ledger,
@@ -21,7 +21,6 @@ from bicyclic_spectra import (
     graph_g2,
     graph_g3,
     graph_g4,
-    graph_h_n3_2,
     make_theta,
     attach_pendants,
     max_real_root,
@@ -269,7 +268,9 @@ class TestPaperPolynomials:
 
     @pytest.mark.parametrize("n", range(12, 18))
     def test_h_family_factorizations(self, n):
-        adj = exact_matrix(graph_h_n3_2(n), WeightFunction("constant_one"))
+        # H(n, n-3, 2): P(2,1,2), n-6 pendants on hub 0 and two on hub 1
+        h = attach_pendants(attach_pendants(make_theta(2, 1, 2), 0, n - 6), 1, 2)
+        adj = exact_matrix(h, WeightFunction("constant_one"))
         assert char_poly(adj) == named_polynomial("h_n", n).shift_up(n - 4)
         cp = char_poly(exact_matrix(graph_g1_local(n), EXT))
         assert cp == named_polynomial("h_n1", n).shift_up(n - 4) * Fraction(1, 288 * (n - 1) ** 2)
@@ -322,12 +323,21 @@ class TestRootsAgainstTables:
         assert root > n * math.sqrt(n - 1)
 
     def test_phi1_descartes_signature(self):
-        # two sign changes: r1 >= r2 > 0 > r3
-        assert descartes_bounds(named_polynomial("phi1", 10, Z1)) == (2, 1)
+        # the counts Descartes' rule bounds hold exactly: r1 > r2 > 0 > r3
+        assert root_signature(named_polynomial("phi1", 10, Z1)) == (2, 1)
 
     def test_phi2_phi3_descartes_signature(self):
-        assert descartes_bounds(named_polynomial("phi2", 10, Z1)) == (2, 2)
-        assert descartes_bounds(named_polynomial("phi3", 10, Z1)) == (2, 2)
+        assert root_signature(named_polynomial("phi2", 10, Z1)) == (2, 2)
+        assert root_signature(named_polynomial("phi3", 10, Z1)) == (2, 2)
+
+
+def root_signature(p: Polynomial) -> tuple[int, int]:
+    """(positive, negative) real roots of p by exact Sturm counts; every root
+    must be simple and nonzero."""
+    bound = 1 + max(abs(Fraction(c)) for c in p.coeffs) / abs(p.coeffs[-1])
+    pos, neg = count_real_roots(p, 0, bound), count_real_roots(p, -bound, 0)
+    assert p(0) != 0 and pos + neg == p.degree
+    return pos, neg
 
 
 class TestSignLedger:

@@ -172,9 +172,10 @@ class TestExtremalCampaign:
 
 
 class TestNearTiePolicy:
-    def test_artificial_gap_requirement_fails_loudly(self):
+    def test_artificial_gap_requirement_fails_loudly(self, monkeypatch):
         # demanding an absurd winning gap must fail with both certificates shown
-        rep = verify_extremal([6], [Z1], rank="first", mode="exhaustive", min_gap=1e9)
+        monkeypatch.setattr(verify, "RANK_GAP", 1e9)
+        rep = verify_extremal([6], [Z1], rank="first", mode="exhaustive")
         case = rep.cases[0]
         assert case.passed is False
         assert "near-tie" in case.note and "certificates" in case.note
@@ -239,7 +240,7 @@ class TestStreamingExhaustive:
         # all six weights ranked in one stream, against certify-and-sort per weight
         for rank in ("first", "second"):
             for f in ORACLE_WEIGHTS:
-                case = verify._exhaustive_case(n, f, rank, 1e-9, ORACLE_WEIGHTS)
+                case = verify._exhaustive_case(n, f, rank, ORACLE_WEIGHTS)
                 assert case.to_dict() == reference_exhaustive_case(n, f, rank).to_dict()
 
     @pytest.mark.parametrize("n", range(4, 11))
@@ -434,6 +435,18 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and payload["summary"]["failed"] == 0
 
+    @pytest.mark.parametrize("spec,labels", [
+        ("sombor:a=2,b=2", ["sombor:a=2,b=2"]),
+        ("custom:min(x,y)+x+y", ["custom:min(x,y)+x+y"]),
+        ("sombor:a=2, B=2,zagreb1,custom:max(x,y)*(x+y),platt:alpha=2",
+         ["sombor:a=2,b=2", "zagreb1", "custom:max(x,y)*(x+y)", "platt:a=2"]),
+    ], ids=["two_parameters", "parenthesised_comma", "mixed_list"])
+    def test_weights_with_commas(self, spec, labels, capsys):
+        code = main(["extremal", "--n", "6", "--f", spec, "--mode", "candidate"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [case["inputs"]["weight"] for case in payload["cases"]] == labels
+
     def test_kelmans_subcommand_requires_seed(self, capsys):
         with pytest.raises(SystemExit):
             main(["kelmans", "--samples", "10", "--f", "zagreb1"])
@@ -553,8 +566,15 @@ class TestCli:
         ["kelmans", "--samples", "5", "--seed", "1", "--f", "zagreb1", "--n", "2"],
         ["tables", "appendix_n6", "--json", "/nonexistent/x.json"],
         ["tables", "appendix_n6", "--csv", "/nonexistent/x.csv"],
+        # weights beyond float range: the eigensolver fails on entries from e**8 to
+        # 2.3e222, or a weight overflows
+        ["extremal", "--n", "4..6", "--f", "exp_sum_connectivity:a=3", "--mode", "exhaustive"],
+        ["kelmans", "--samples", "20", "--seed", "1", "--f", "exp_sum_connectivity:a=3"],
+        ["spectral", "--graph", "G1:12", "--f", "exp_sum_connectivity:a=3"],
+        ["extremal", "--n", "4..5", "--f", "sum_connectivity:a=500.5"],
     ], ids=["enumeration_bound", "extremal_order_bound", "weight_spec", "theorem41_range",
-            "kelmans_order_floor", "unwritable_json", "unwritable_csv"])
+            "kelmans_order_floor", "unwritable_json", "unwritable_csv", "eigensolve_exhaustive",
+            "eigensolve_kelmans", "overflow_spectral", "overflow_pstar"])
     def test_domain_errors_exit_two_without_traceback(self, argv):
         import subprocess, sys
         proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],
@@ -573,10 +593,11 @@ class TestCli:
         (["extremal", "--n", "9..3", "--f", "zagreb1"], "empty range '9..3'"),
         (["extremal", "--n", "9..x", "--f", "zagreb1"], "argument --n: '9..x': invalid literal"),
         (["extremal", "--n", "4..6", "--f", "zorg"], "argument --f: unknown weight kind 'zorg'"),
+        (["extremal", "--n", "4..6", "--f", "custom:exp(exp(x*y))"], "non-finite at (1,7)"),
         (["kelmans", "--samples", "5", "--f", "zagreb1"], "required: --seed"),
         (["frobnicate"], "invalid choice: 'frobnicate'"),
     ], ids=["named_order", "named_int", "named_params", "graph6", "empty_range",
-            "range_int", "weight_kind", "missing_option", "unknown_command"])
+            "range_int", "weight_kind", "weight_overflow", "missing_option", "unknown_command"])
     def test_argument_errors_print_one_line(self, argv, message):
         import subprocess, sys
         proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from bicyclic_spectra import (
 )
 from bicyclic_spectra import weights
 from bicyclic_spectra.weights import _evaluate_generic
-from conftest import reference_evaluate_exact
+from conftest import reference_evaluate_exact, reference_exp_pstar
 
 ALL_BUILTINS = [
     WeightFunction("constant_one"),
@@ -58,6 +59,26 @@ class TestEvaluate:
         assert evaluate(WeightFunction("exp_zagreb1"), 1, 2) == pytest.approx(math.exp(3))
         assert evaluate(WeightFunction("exp_sombor", alpha=2, beta=1), 1, 2) == \
             pytest.approx(math.exp(5))
+
+    def test_exp_kind_is_exp_of_its_exponent(self):
+        # bit for bit the closed forms e**(x+y), e**((x+y)**a), e**((x**a+y**a)**b)
+        for a, b in ((1, 1), (1.5, 1.5), (2, 0.5)):
+            for x in range(1, 7):
+                for y in range(1, 7):
+                    assert evaluate(WeightFunction("exp_zagreb1"), x, y) == math.exp(x + y)
+                    assert evaluate(WeightFunction("exp_sum_connectivity", alpha=a), x, y) == \
+                        math.exp((x + y) ** a)
+                    assert evaluate(WeightFunction("exp_sombor", alpha=a, beta=b), x, y) == \
+                        math.exp((x ** a + y ** a) ** b)
+
+    def test_overflow_names_weight_and_degrees(self):
+        f = parse_weight("exp_sum_connectivity:a=3")
+        assert evaluate(f, 5, 3) == math.exp(512)
+        with pytest.raises(WeightSpecError, match=r"exp_sum_connectivity:a=3 .*\(11,2\)"):
+            evaluate(f, 11, 2)
+        with pytest.raises(WeightSpecError, match=r"\(1,4\)"):
+            evaluate(parse_weight("sum_connectivity:a=500.5"), 1, 4)
+        assert evaluate_exact(parse_weight("sum_connectivity:a=500.5"), 1, 4) is None
 
     def test_domain_validation(self):
         with pytest.raises(WeightSpecError):
@@ -244,9 +265,54 @@ class TestPStar:
                 f = WeightFunction(kind, alpha=a, beta=b)
                 assert check_pstar(f, 50).passes, f.label()
 
+    def test_exp_kinds_need_no_mpmath(self, monkeypatch):
+        # e**((x+y)**2) leaves float range at x + y = 27; the exponent table does not
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        assert check_pstar.__wrapped__(parse_weight("exp_sum_connectivity:a=2"), 50).passes
+
+    def test_exp_kinds_match_decimal_values(self):
+        params = [0.25, 0.5, 1, 1.5, 2, 3]
+        fs = [WeightFunction("exp_zagreb1")]
+        fs += [WeightFunction("exp_sum_connectivity", alpha=a) for a in params]
+        fs += [WeightFunction("exp_sombor", alpha=a, beta=b) for a in params for b in params]
+        seen = set()
+        for f in fs:
+            for d_max in (2, 3, 8, 12, 20, 50):
+                rep = check_pstar.__wrapped__(f, d_max)
+                pairs = None if rep.passes else tuple(w for w in rep.witness if isinstance(w, tuple))
+                got = (rep.passes, rep.failed_condition, pairs, rep.only_nonstrict)
+                assert got == reference_exp_pstar(f, d_max), (f.label(), d_max)
+                seen.add(got[:2])
+        # the sweep reaches passes and failures of (ii) and (iii)
+        assert {(True, None), (False, "ii_convex"), (False, "iii_spread")} <= seen
+
+    def test_exp_sombor_beyond_float_range_gets_a_report(self):
+        # e**g overflows already at (2, 3) for these parameters
+        for a, b in ((2, 3), (3, 2), (3, 3)):
+            f = WeightFunction("exp_sombor", alpha=a, beta=b)
+            for d_max in (2, 3, 8, 12, 20, 50):
+                assert check_pstar.__wrapped__(f, d_max).passes
+
     def test_dmax_validation(self):
         with pytest.raises(WeightSpecError):
             check_pstar(WeightFunction("zagreb1"), 1)
+
+    def test_custom_expression_parsed_once(self, monkeypatch):
+        import ast
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return parse(*args, **kwargs)
+
+        parse = ast.parse
+        monkeypatch.setattr(ast, "parse", counted)
+        weights._parse_expr.cache_clear()
+        check_pstar.__wrapped__(parse_weight("custom:x**2+y**2+x+y"), 20)
+        assert calls == ["x**2+y**2+x+y"]
+        for _ in range(2):  # a malformed expression raises every time
+            with pytest.raises(WeightSpecError, match="cannot parse"):
+                parse_weight("custom:(x+y")
 
     def test_memoised_per_weight_and_dmax(self):
         f = parse_weight("custom:x^2+y^2+x*y")
