@@ -16,14 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .enumeration import canonical_form, enumerate_bicyclic, enumerate_with_max_degree
 from .graphs import FAMILIES, Graph, graph6_decode, graph6_encode, make_infinity, make_theta
 from .spectral import SpectralError, build_matrix, full_spectrum, spectral_radius
 from .verify import VerificationReport, run_table, verify_extremal, verify_kelmans, verify_theorem41
-from .weights import parse_weight
+from .weights import _PARAMETERS, parse_weight
 
 
 def _parse_range(text: str) -> list[int]:
@@ -44,7 +43,8 @@ def _parse_weights(text: str):
     specs, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         depth += (ch == "(") - (ch == ")")
-        if ch == "," and not depth and not re.match(r"(?i)\s*(a|b|alpha|beta)\s*=", text[i + 1:]):
+        key, eq, _ = text[i + 1:].partition("=")
+        if ch == "," and not depth and not (eq and key.strip().lower() in _PARAMETERS):
             specs.append(text[start:i])
             start = i + 1
     try:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .graphs import FAMILIES, Graph, refine_partition
 from .polynomials import Polynomial, sign_at_sqrt
@@ -120,10 +120,9 @@ def family_quotient(tag: str, n: int, f: WeightFunction) -> QuotientMatrix:
 # Named polynomials
 # ---------------------------------------------------------------------------
 
-NAMED_POLYNOMIALS = ("phi1", "phi2", "phi2_prime", "phi3", "h_n", "h_n1", "h_n2", "h_n3")
-
 _MIN_N = {"phi1": 6, "phi2": 6, "phi2_prime": 6, "phi3": 5,
           "h_n": 12, "h_n1": 12, "h_n2": 12, "h_n3": 12}
+NAMED_POLYNOMIALS = tuple(_MIN_N)
 
 
 def named_polynomial(name: str, n: int, f: Optional[WeightFunction] = None) -> Polynomial:
@@ -221,16 +220,14 @@ def _h(name: str, n: int) -> Polynomial:
 
 @dataclass(frozen=True)
 class SignCondition:
-    """p(r*sqrt(s)) has `expected` sign for every integer n >= n_min."""
+    """p(r*sqrt(s)) has `expected` sign for every integer n >= n_min, (r, s) = point(n)."""
 
     condition_id: str
     poly_name: str
     weight: Optional[WeightFunction]
     n_min: int
     expected: int  # +1 or -1
-
-    def point(self, n: int) -> tuple[Fraction, Fraction]:
-        return _LEDGER_POINTS[self.condition_id](n)
+    point: Callable[[int], tuple[Fraction, Fraction]]
 
     def holds_at(self, n: int) -> bool:
         p = named_polynomial(self.poly_name, n, self.weight)
@@ -245,34 +242,31 @@ def _half_bound(n: int) -> Fraction:
     return (Fraction(n) - Fraction(9, 10)) / 2
 
 
-_LEDGER_POINTS = {
-    "phi2_pos_at_n_sqrt": lambda n: (Fraction(n), Fraction(n - 1)),
-    "phi2_neg_at_n5_sqrt": lambda n: (Fraction(n - 5), Fraction(n - 1)),
-    "phi3_pos_at_n_sqrt": lambda n: (Fraction(n), Fraction(n - 1)),
-    "phi3_neg_at_n5_sqrt": lambda n: (Fraction(n - 5), Fraction(n - 1)),
-    "h_n_neg_at_sqrt_n_minus_3": lambda n: (Fraction(1), Fraction(n - 3)),
-    "h_n_pos_at_sqrt_n": lambda n: (Fraction(1), Fraction(n)),
-    "h_n_pos_at_sqrt_n_minus_1p2": lambda n: (Fraction(1), n - Fraction(6, 5)),
-    "h_n1_neg_at_upper": lambda n: (_half_bound(n), n - Fraction(19, 5)),
-    "h_n2_pos_at_upper": lambda n: (_half_bound(n), n - Fraction(19, 5)),
-    "h_n2_neg_at_lower": lambda n: (_half_bound(n), Fraction(n - 5)),
-    "h_n3_pos_at_lower": lambda n: (_half_bound(n), Fraction(n - 5)),
-    "h_n3_neg_at_deeper": lambda n: (_half_bound(n), Fraction(n - 7)),
-}
-
 SIGN_LEDGER: list[SignCondition] = [
-    SignCondition("phi2_pos_at_n_sqrt", "phi2", _Z1, 10, +1),
-    SignCondition("phi2_neg_at_n5_sqrt", "phi2", _Z1, 7, -1),
-    SignCondition("phi3_pos_at_n_sqrt", "phi3", _Z1, 9, +1),
-    SignCondition("phi3_neg_at_n5_sqrt", "phi3", _Z1, 8, -1),
-    SignCondition("h_n_neg_at_sqrt_n_minus_3", "h_n", None, 12, -1),
-    SignCondition("h_n_pos_at_sqrt_n", "h_n", None, 12, +1),
-    SignCondition("h_n_pos_at_sqrt_n_minus_1p2", "h_n", None, 20, +1),
-    SignCondition("h_n1_neg_at_upper", "h_n1", None, 12, -1),
-    SignCondition("h_n2_pos_at_upper", "h_n2", None, 12, +1),
-    SignCondition("h_n2_neg_at_lower", "h_n2", None, 12, -1),
-    SignCondition("h_n3_pos_at_lower", "h_n3", None, 12, +1),
-    SignCondition("h_n3_neg_at_deeper", "h_n3", None, 12, -1),
+    SignCondition("phi2_pos_at_n_sqrt", "phi2", _Z1, 10, +1,
+                  lambda n: (Fraction(n), Fraction(n - 1))),
+    SignCondition("phi2_neg_at_n5_sqrt", "phi2", _Z1, 7, -1,
+                  lambda n: (Fraction(n - 5), Fraction(n - 1))),
+    SignCondition("phi3_pos_at_n_sqrt", "phi3", _Z1, 9, +1,
+                  lambda n: (Fraction(n), Fraction(n - 1))),
+    SignCondition("phi3_neg_at_n5_sqrt", "phi3", _Z1, 8, -1,
+                  lambda n: (Fraction(n - 5), Fraction(n - 1))),
+    SignCondition("h_n_neg_at_sqrt_n_minus_3", "h_n", None, 12, -1,
+                  lambda n: (Fraction(1), Fraction(n - 3))),
+    SignCondition("h_n_pos_at_sqrt_n", "h_n", None, 12, +1,
+                  lambda n: (Fraction(1), Fraction(n))),
+    SignCondition("h_n_pos_at_sqrt_n_minus_1p2", "h_n", None, 20, +1,
+                  lambda n: (Fraction(1), n - Fraction(6, 5))),
+    SignCondition("h_n1_neg_at_upper", "h_n1", None, 12, -1,
+                  lambda n: (_half_bound(n), n - Fraction(19, 5))),
+    SignCondition("h_n2_pos_at_upper", "h_n2", None, 12, +1,
+                  lambda n: (_half_bound(n), n - Fraction(19, 5))),
+    SignCondition("h_n2_neg_at_lower", "h_n2", None, 12, -1,
+                  lambda n: (_half_bound(n), Fraction(n - 5))),
+    SignCondition("h_n3_pos_at_lower", "h_n3", None, 12, +1,
+                  lambda n: (_half_bound(n), Fraction(n - 5))),
+    SignCondition("h_n3_neg_at_deeper", "h_n3", None, 12, -1,
+                  lambda n: (_half_bound(n), Fraction(n - 7))),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +21,7 @@ RESIDUAL_TOL = 1e-10  # relative eigenpair residual above which an eigensolve ra
 
 def build_matrix(g: Graph, f: WeightFunction) -> np.ndarray:
     """A_f(G), read-only: entry (i,j) is f(d_i,d_j) on edges, 0 elsewhere."""
-    e, (w,) = _edge_weights([g], [f], g.n, [{}])
+    e, (w,) = _edge_weights([g], [f], g.n)
     a = _dense(e, w, 1, g.n)[0]
     a.setflags(write=False)
     return a
@@ -107,26 +108,34 @@ def spectral_radii(graphs: Sequence[Graph], f: WeightFunction) -> np.ndarray:
     n = graphs[0].n if graphs else 0
     if any(g.n != n for g in graphs):
         raise ValueError("spectral_radii needs graphs of one order")
-    rho, weight = np.zeros(len(graphs)), {}
+    rho = np.zeros(len(graphs))
     for start in range(0, len(graphs) if n else 0, EIGH_CHUNK):
         chunk = graphs[start:start + EIGH_CHUNK]
-        e, (w,) = _edge_weights(chunk, [f], n, [weight])
-        rho[start:start + EIGH_CHUNK] = _dominant_eigenpairs(_dense(e, w, len(chunk), n))[0]
+        e, (w,) = _edge_weights(chunk, [f], n)
+        with _naming(f, n):
+            rho[start:start + EIGH_CHUNK] = _dominant_eigenpairs(_dense(e, w, len(chunk), n))[0]
     return rho
 
 
-def _edge_weights(graphs: Sequence[Graph], fs: Sequence[WeightFunction], n: int,
-                  weights: Sequence[dict[int, float]]) -> tuple[np.ndarray, np.ndarray]:
+@contextmanager
+def _naming(f: WeightFunction, n: int):
+    """Name the weight f and the order n in a SpectralError raised within."""
+    try:
+        yield
+    except SpectralError as exc:
+        raise SpectralError(f"{f.label()} at n={n}: {exc}") from exc
+
+
+def _edge_weights(graphs: Sequence[Graph], fs: Sequence[WeightFunction],
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """(e, w): each edge uv of graph i as a row (i * n + u, i * n + v) of e, and
-    w[k] the edges' weights under fs[k]; weights[k] holds fs[k] by degree pair
-    d_u * n + d_v and gains the missing pairs."""
+    w[k] the edges' weights under fs[k], one evaluate per distinct degree pair."""
     e = np.array([i * n + x for i, g in enumerate(graphs) for edge in g.edges for x in edge],
                  dtype=np.intp).reshape(-1, 2)
     deg = np.bincount(e.ravel(), minlength=len(graphs) * n)
     keys = (deg[e[:, 0]] * n + deg[e[:, 1]]).tolist()
-    for f, weight in zip(fs, weights):
-        for key in set(keys) - weight.keys():
-            weight[key] = evaluate(f, key // n, key % n)
+    pairs = set(keys)
+    weights = [{key: evaluate(f, key // n, key % n) for key in pairs} for f in fs]
     return e, np.array([[weight[key] for key in keys] for weight in weights])
 
 

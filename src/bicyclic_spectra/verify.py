@@ -30,7 +30,8 @@ import numpy as np
 from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # noqa: F401
                           orderly_classes, targeted_max_degree_family)
 from .graphs import FAMILIES, Graph, base_graph, graph_g1, graph_g2
-from .spectral import EIGH_CHUNK, _dense, _dominant_eigenpairs, _edge_weights, rho_f, spectral_radii
+from .spectral import (EIGH_CHUNK, _dense, _dominant_eigenpairs, _edge_weights, _naming,
+                       rho_f, spectral_radii)
 from .transforms import kelmans, pendant_shift
 from .weights import WeightFunction, check_pstar, parse_weight
 
@@ -107,9 +108,9 @@ class VerificationReport:
 # Published tables
 # ---------------------------------------------------------------------------
 
-TABLE_COLUMNS = ["constant_one", "zagreb1", "hyper_zagreb", "sum_connectivity:a=3"]
 COLUMN_DISPLAY = {"constant_one": "1", "zagreb1": "x+y",
                   "hyper_zagreb": "(x+y)^2", "sum_connectivity:a=3": "(x+y)^3"}
+TABLE_COLUMNS = list(COLUMN_DISPLAY)
 
 # Printed entries, row-major over (G2, G3, G4); bold marks the row maximum of
 # each column.  Errata map coordinates to the recomputed reference value
@@ -191,18 +192,13 @@ def _run_appendix_table(table: str) -> VerificationReport:
             computed[(row, col)] = value
             tol = printed_tolerance(printed)
             erratum = spec["errata"].get((row, col))
-            if erratum is None:
-                ok = abs(value - float(printed)) <= tol
-                note = ""
-                expected = {"table": table, "row": row, "column": COLUMN_DISPLAY[col],
-                            "printed": printed}
-            else:
+            ok, note = abs(value - float(printed)) <= tol, ""
+            expected = {"table": table, "row": row, "column": COLUMN_DISPLAY[col], "printed": printed}
+            if erratum is not None:
+                expected.update(recomputed=erratum, matches_printed=ok)
                 ok = abs(value - erratum) <= tol
                 note = (f"printed value {printed} is an erratum (inconsistent with the "
                         f"published quotient polynomial); recomputed reference {erratum}")
-                expected = {"table": table, "row": row, "column": COLUMN_DISPLAY[col],
-                            "printed": printed, "recomputed": erratum,
-                            "matches_printed": abs(value - float(printed)) <= tol}
             report.cases.append(CaseRecord(
                 case_id=f"{table}/{row}/{COLUMN_DISPLAY[col]}",
                 inputs={"n": n, "graph": row, "weight": col},
@@ -370,19 +366,20 @@ def _rankings(n: int, fs: tuple[WeightFunction, ...]):
     certs = {tag: None if g is None else canonical_form(g) for tag, g in named.items()}
     distinct = list({cert: named[tag] for tag, cert in certs.items() if cert is not None}.values())
     named_kinds = [base_graph(g).kind for g in distinct]
-    # one lazily filled degree-pair table per weight serves the whole order
-    weights = [{} for _ in fs]
-    e, w = _edge_weights(distinct, fs, n, weights)
-    a = np.concatenate([_dense(e, w_f, len(distinct), n) for w_f in w])
-    named_rho = _dominant_eigenpairs(a)[0].reshape(len(fs), -1).tolist()
-    leaders = {f: _Leaders(list(zip(rho, named_kinds))) for f, rho in zip(fs, named_rho)}
+    e, w = _edge_weights(distinct, fs, n)
+    leaders = {}
+    for f, w_f in zip(fs, w):
+        with _naming(f, n):
+            rho = _dominant_eigenpairs(_dense(e, w_f, len(distinct), n))[0].tolist()
+        leaders[f] = _Leaders(list(zip(rho, named_kinds)))
     classes, stream = 0, orderly_classes(n)
     while chunk := list(itertools.islice(stream, EIGH_CHUNK)):
         graphs, kinds = zip(*chunk)
         classes += len(chunk)
-        e, w = _edge_weights(graphs, fs, n, weights)
+        e, w = _edge_weights(graphs, fs, n)
         for f, w_f in zip(fs, w):
-            leaders[f].offer(e, w_f, graphs, kinds)
+            with _naming(f, n):
+                leaders[f].offer(e, w_f, graphs, kinds)
     return classes, certs, {f: leaders[f].ranking() for f in fs}
 
 
@@ -430,31 +427,21 @@ def _exhaustive_case(n: int, f: WeightFunction, rank: str,
 def _candidate_case(n: int, f: WeightFunction, rank: str) -> CaseRecord:
     rhos = {tag: rho_f(FAMILIES[tag].build(n), f)
             for tag in ("G2", "G3", "G4") if n >= FAMILIES[tag].min_n}
+    case_id = f"extremal/candidate/{f.label()}/n={n}"
+    inputs = {"n": n, "weight": f.label(), "rank": rank}
     if not rhos:
-        return CaseRecord(
-            case_id=f"extremal/candidate/{f.label()}/n={n}",
-            inputs={"n": n, "weight": f.label(), "rank": rank},
-            computed={}, passed=None,
-            note="no candidate family exists at this order",
-        )
+        return CaseRecord(case_id, inputs, {}, passed=None,
+                          note="no candidate family exists at this order")
     winner = max(rhos, key=rhos.get)
     threshold = SECOND_RANK_THRESHOLDS.get(f.kind)
-    inputs = {"n": n, "weight": f.label(), "rank": rank}
     computed = {"rho": rhos, "winner": winner}
     if threshold is None or n < threshold:
-        return CaseRecord(
-            case_id=f"extremal/candidate/{f.label()}/n={n}",
-            inputs=inputs, computed=computed, passed=None,
-            note="below threshold or no stated winner; informative only",
-        )
+        return CaseRecord(case_id, inputs, computed, passed=None,
+                          note="below threshold or no stated winner; informative only")
     others = max(v for k, v in rhos.items() if k != "G2")
     ok = winner == "G2" and rhos["G2"] > others + RANK_GAP
-    return CaseRecord(
-        case_id=f"extremal/candidate/{f.label()}/n={n}",
-        inputs=inputs, computed=computed,
-        expected={"winner": "G2", "n_threshold": threshold},
-        passed=ok,
-    )
+    return CaseRecord(case_id, inputs, computed, passed=ok,
+                      expected={"winner": "G2", "n_threshold": threshold})
 
 
 # ---------------------------------------------------------------------------

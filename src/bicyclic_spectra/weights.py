@@ -29,25 +29,6 @@ class WeightSpecError(ValueError):
     """Malformed or invalid weight-function specification."""
 
 
-BUILTIN_KINDS = (
-    "constant_one",
-    "zagreb1",
-    "hyper_zagreb",
-    "forgotten",
-    "sum_connectivity",
-    "platt",
-    "sombor",
-    "exp_zagreb1",
-    "exp_sum_connectivity",
-    "exp_sombor",
-    "extended",
-    "custom",
-)
-
-_NEEDS_ALPHA = {"sum_connectivity", "platt", "sombor", "exp_sum_connectivity", "exp_sombor"}
-_NEEDS_BETA = {"sombor", "exp_sombor"}
-
-
 @dataclass(frozen=True)
 class WeightFunction:
     """Tagged description of a symmetric weight function f(x,y)."""
@@ -58,12 +39,11 @@ class WeightFunction:
     expression: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in BUILTIN_KINDS:
+        if self.kind not in _CATALOGUE:
             raise WeightSpecError(f"unknown weight kind {self.kind!r}")
-        if self.kind in _NEEDS_ALPHA and self.alpha is None:
-            raise WeightSpecError(f"{self.kind} requires parameter alpha")
-        if self.kind in _NEEDS_BETA and self.beta is None:
-            raise WeightSpecError(f"{self.kind} requires parameter beta")
+        for param in _CATALOGUE[self.kind][0]:
+            if getattr(self, param) is None:
+                raise WeightSpecError(f"{self.kind} requires parameter {param}")
         if self.kind == "custom":
             if not self.expression:
                 raise WeightSpecError("custom weight requires an expression")
@@ -72,11 +52,8 @@ class WeightFunction:
     def label(self) -> str:
         if self.kind == "custom":
             return f"custom:{self.expression}"
-        parts = []
-        if self.alpha is not None:
-            parts.append(f"a={_fmt_param(self.alpha)}")
-        if self.beta is not None:
-            parts.append(f"b={_fmt_param(self.beta)}")
+        parts = [f"{key}={_fmt_param(val)}" for key, val in (("a", self.alpha), ("b", self.beta))
+                 if val is not None]
         return self.kind + (":" + ",".join(parts) if parts else "")
 
 
@@ -95,12 +72,13 @@ def _pow(base: Num, expo: float) -> Num:
         if isinstance(base, (int, Fraction)) and (base != 0 or e >= 0):
             return base ** e
         return float(base) ** e
-    return float(base) ** float(expo)
+    return math.pow(float(base), float(expo))  # a negative base raises ValueError, not a complex
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: int and Fraction degrees give different floats
 def evaluate(f: WeightFunction, x: Num, y: Num) -> float:
-    """f(x,y) as a float; defined for x,y >= 1.  A value beyond float range
-    raises WeightSpecError naming the weight and the degree pair."""
+    """f(x,y) as a float; defined for x,y >= 1, memoised per (f, x, y).  A value
+    beyond float range raises WeightSpecError naming the weight and the degree pair."""
     try:
         val = float(_evaluate_generic(f, x, y))
     except OverflowError:
@@ -126,33 +104,43 @@ def evaluate_exact(f: WeightFunction, x: int, y: int) -> Optional[Union[int, Fra
     return val.numerator if val.denominator == 1 else val
 
 
+def _extended(x: Num, y: Num, alpha, beta) -> Num:
+    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+        return Fraction(x, 2 * y) + Fraction(y, 2 * x)
+    return 0.5 * (x / y + y / x)
+
+
+# kind -> (parameters it requires, f(x, y, alpha, beta)), in BUILTIN_KINDS order;
+# an exp_ kind is e**(its inner kind), and a custom kind evaluates its expression
+_CATALOGUE = {
+    "constant_one": ((), lambda x, y, a, b: 1),
+    "zagreb1": ((), lambda x, y, a, b: x + y),
+    "hyper_zagreb": ((), lambda x, y, a, b: (x + y) ** 2),
+    "forgotten": ((), lambda x, y, a, b: x * x + y * y),
+    "sum_connectivity": (("alpha",), lambda x, y, a, b: _pow(x + y, a)),
+    "platt": (("alpha",), lambda x, y, a, b: _pow(x + y - 2, a)),
+    "sombor": (("alpha", "beta"), lambda x, y, a, b: _pow(_pow(x, a) + _pow(y, a), b)),
+    "exp_zagreb1": ((), None),
+    "exp_sum_connectivity": (("alpha",), None),
+    "exp_sombor": (("alpha", "beta"), None),
+    "extended": ((), _extended),
+    "custom": ((), None),
+}
+BUILTIN_KINDS = tuple(_CATALOGUE)
+
+
 def _evaluate_generic(f: WeightFunction, x: Num, y: Num) -> Num:
     if x < 1 or y < 1:
         raise WeightSpecError(f"weight functions are defined for x,y >= 1, got ({x},{y})")
-    k = f.kind
-    if k == "constant_one":
-        return 1
-    if k == "zagreb1":
-        return x + y
-    if k == "hyper_zagreb":
-        return (x + y) ** 2
-    if k == "forgotten":
-        return x * x + y * y
-    if k == "sum_connectivity":
-        return _pow(x + y, f.alpha)
-    if k == "platt":
-        return _pow(x + y - 2, f.alpha)
-    if k == "sombor":
-        return _pow(_pow(x, f.alpha) + _pow(y, f.alpha), f.beta)
-    if k.startswith("exp_"):
-        return math.exp(_evaluate_generic(WeightFunction(k[4:], f.alpha, f.beta), x, y))
-    if k == "extended":
-        if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
-            return Fraction(x, 2 * y) + Fraction(y, 2 * x)
-        return 0.5 * (x / y + y / x)
-    if k == "custom":
-        return _eval_custom(f.expression, x, y)
-    raise WeightSpecError(f"unknown weight kind {k!r}")
+    kind = f.kind.removeprefix("exp_")
+    try:
+        val = (_eval_custom(f.expression, x, y) if kind == "custom"
+               else _CATALOGUE[kind][1](x, y, f.alpha, f.beta))
+    except WeightSpecError:
+        raise
+    except (ZeroDivisionError, ValueError) as exc:  # 0 to a negative power, log(0), ...
+        raise WeightSpecError(f"{f.label()} is undefined at degrees ({x},{y})") from exc
+    return val if kind == f.kind else math.exp(val)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +214,10 @@ def _validate_custom(expr: str) -> None:
                 fxy, fyx = float(vxy), float(vyx)
             except OverflowError:
                 fxy = fyx = math.inf
+            except WeightSpecError:
+                raise
+            except (ZeroDivisionError, ValueError) as exc:
+                raise WeightSpecError(f"custom expression {expr!r} is undefined at ({x},{y})") from exc
             if not (math.isfinite(fxy) and math.isfinite(fyx)):
                 raise WeightSpecError(f"custom expression is non-finite at ({x},{y})")
             if fxy <= 0:
@@ -239,6 +231,7 @@ def _validate_custom(expr: str) -> None:
 # ---------------------------------------------------------------------------
 
 _ALIASES = {"1": "constant_one", "one": "constant_one", "const": "constant_one"}
+_PARAMETERS = {"a": "alpha", "alpha": "alpha", "b": "beta", "beta": "beta"}  # spelling -> field
 
 
 def parse_weight(text: str) -> WeightFunction:
@@ -249,7 +242,7 @@ def parse_weight(text: str) -> WeightFunction:
         return WeightFunction("custom", expression=rest)
     if head not in BUILTIN_KINDS:
         raise WeightSpecError(f"unknown weight kind {head!r}")
-    alpha = beta = None
+    params = {}
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
@@ -258,13 +251,10 @@ def parse_weight(text: str) -> WeightFunction:
                 num = float(val)
             except ValueError as exc:
                 raise WeightSpecError(f"bad parameter value {val!r}") from exc
-            if key in ("a", "alpha"):
-                alpha = num
-            elif key in ("b", "beta"):
-                beta = num
-            else:
+            if key not in _PARAMETERS:
                 raise WeightSpecError(f"unknown parameter {key!r}")
-    return WeightFunction(head, alpha=alpha, beta=beta)
+            params[_PARAMETERS[key]] = num
+    return WeightFunction(head, **params)
 
 
 # ---------------------------------------------------------------------------

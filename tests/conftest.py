@@ -1,6 +1,7 @@
 import decimal
 import heapq
 import itertools
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -16,7 +17,7 @@ from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, Pol
                               spectral_radii)
 from bicyclic_spectra.enumeration import bicyclic_bases, rooted_trees, _weak_compositions
 from bicyclic_spectra.graphs import refine_partition
-from bicyclic_spectra.weights import _evaluate_generic
+from bicyclic_spectra.weights import WeightSpecError, _eval_custom, _evaluate_generic, _pow
 
 # bicyclic class counts at n=4..9, on which enumerate_bicyclic and the
 # edge-subset oracle agree (n=10 has 2,678)
@@ -542,6 +543,95 @@ def reference_evaluate_exact(f, x: int, y: int):
     if not isinstance(val, (int, Fraction)):
         return None
     return val.numerator if val.denominator == 1 else val
+
+
+# Reference weight catalogue: the package's earlier per-kind if-chain and text
+# parser, copied verbatim but for names, with their own kind list and parameter
+# sets.  The package declares each kind once, in one table; these catch an entry
+# of that table that drifts.  _pow and _eval_custom are shared: neither declares
+# a kind.  The parameter check that WeightFunction made is made here, first.
+
+REFERENCE_KINDS = (
+    "constant_one",
+    "zagreb1",
+    "hyper_zagreb",
+    "forgotten",
+    "sum_connectivity",
+    "platt",
+    "sombor",
+    "exp_zagreb1",
+    "exp_sum_connectivity",
+    "exp_sombor",
+    "extended",
+    "custom",
+)
+
+_REFERENCE_NEEDS_ALPHA = {"sum_connectivity", "platt", "sombor", "exp_sum_connectivity",
+                          "exp_sombor"}
+_REFERENCE_NEEDS_BETA = {"sombor", "exp_sombor"}
+_REFERENCE_ALIASES = {"1": "constant_one", "one": "constant_one", "const": "constant_one"}
+
+
+def reference_evaluate_generic(f, x, y):
+    """f(x, y) by the earlier if-chain; domain errors (0 to a negative power,
+    log(0)) propagate as Python raises them."""
+    if x < 1 or y < 1:
+        raise WeightSpecError(f"weight functions are defined for x,y >= 1, got ({x},{y})")
+    k = f.kind
+    if k == "constant_one":
+        return 1
+    if k == "zagreb1":
+        return x + y
+    if k == "hyper_zagreb":
+        return (x + y) ** 2
+    if k == "forgotten":
+        return x * x + y * y
+    if k == "sum_connectivity":
+        return _pow(x + y, f.alpha)
+    if k == "platt":
+        return _pow(x + y - 2, f.alpha)
+    if k == "sombor":
+        return _pow(_pow(x, f.alpha) + _pow(y, f.alpha), f.beta)
+    if k.startswith("exp_"):
+        return math.exp(reference_evaluate_generic(WeightFunction(k[4:], f.alpha, f.beta), x, y))
+    if k == "extended":
+        if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+            return Fraction(x, 2 * y) + Fraction(y, 2 * x)
+        return 0.5 * (x / y + y / x)
+    if k == "custom":
+        return _eval_custom(f.expression, x, y)
+    raise WeightSpecError(f"unknown weight kind {k!r}")
+
+
+def reference_parse_weight(text: str):
+    """The earlier text parser, with the earlier parameter check."""
+    text = text.strip()
+    head, _, rest = text.partition(":")
+    head = _REFERENCE_ALIASES.get(head, head)
+    if head == "custom":
+        return WeightFunction("custom", expression=rest)
+    if head not in REFERENCE_KINDS:
+        raise WeightSpecError(f"unknown weight kind {head!r}")
+    alpha = beta = None
+    if rest:
+        for item in rest.split(","):
+            key, _, val = item.partition("=")
+            key = key.strip().lower()
+            try:
+                num = float(val)
+            except ValueError as exc:
+                raise WeightSpecError(f"bad parameter value {val!r}") from exc
+            if key in ("a", "alpha"):
+                alpha = num
+            elif key in ("b", "beta"):
+                beta = num
+            else:
+                raise WeightSpecError(f"unknown parameter {key!r}")
+    if head in _REFERENCE_NEEDS_ALPHA and alpha is None:
+        raise WeightSpecError(f"{head} requires parameter alpha")
+    if head in _REFERENCE_NEEDS_BETA and beta is None:
+        raise WeightSpecError(f"{head} requires parameter beta")
+    return WeightFunction(head, alpha=alpha, beta=beta)
 
 
 # Reference P* for the exponential weights: the values e**g themselves, in

@@ -18,7 +18,7 @@ from bicyclic_spectra import (
     spectral_radii,
     spectral_radius,
 )
-from bicyclic_spectra import spectral
+from bicyclic_spectra import spectral, weights
 from bicyclic_spectra.quotient import PartitionError
 from bicyclic_spectra.verify import random_connected_graph
 from conftest import loop_matrix, per_graph_radii
@@ -213,17 +213,31 @@ class TestSpectralRadii:
         assert spectral_radii(graphs, weight_hyper).tolist() == expected
 
     def test_one_weight_table_per_call(self, weight_hyper, rng, monkeypatch):
-        calls, evaluate = [], spectral.evaluate
+        # each (f, x, y) is computed at most once per process: the memo serves
+        # every later chunk and every later call
+        calls, compute = [], weights._evaluate_generic
 
         def counting(f, x, y):
-            calls.append((x, y))
-            return evaluate(f, x, y)
+            calls.append((f, x, y))
+            return compute(f, x, y)
 
         graphs = [random_connected_graph(rng, 9) for _ in range(2 * spectral.EIGH_CHUNK + 5)]
         expected = per_graph_radii(graphs, weight_hyper).tolist()
-        monkeypatch.setattr(spectral, "evaluate", counting)
+        weights.evaluate.cache_clear()
+        monkeypatch.setattr(weights, "_evaluate_generic", counting)
         assert spectral_radii(graphs, weight_hyper).tolist() == expected
         assert calls and len(calls) == len(set(calls))
+        computed = len(calls)
+        assert spectral_radii(graphs, weight_hyper).tolist() == expected
+        assert len(calls) == computed
+
+    def test_eigensolver_failure_names_weight_and_order(self, weight_hyper, monkeypatch):
+        def failing(a):
+            raise SpectralError("symmetric eigensolver did not converge: test")
+
+        monkeypatch.setattr(spectral, "_dominant_eigenpairs", failing)
+        with pytest.raises(SpectralError, match=r"^hyper_zagreb at n=7: symmetric eigensolver did not"):
+            spectral_radii([graph_g2(7)], weight_hyper)
 
     def test_rho_f_is_the_one_graph_case(self, weight_forgotten):
         g = graph_g3(9)

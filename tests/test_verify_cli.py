@@ -13,6 +13,7 @@ from bicyclic_spectra import (
     WeightFunction,
     base_graph,
     canonical_form,
+    check_pstar,
     enumerate_bicyclic,
     evaluate,
     graph6_decode,
@@ -26,7 +27,7 @@ from bicyclic_spectra import (
     verify_kelmans,
     verify_theorem41,
 )
-from bicyclic_spectra import spectral, verify
+from bicyclic_spectra import spectral, verify, weights
 from bicyclic_spectra.cli import main, parse_graph_argument
 from bicyclic_spectra.verify import printed_tolerance
 from conftest import (per_graph_radii, per_matrix_eigenpairs, reference_exhaustive_case,
@@ -284,7 +285,7 @@ class TestStreamingExhaustive:
         k23 = make_theta(2, 2, 2)
         for f in ORACLE_WEIGHTS:
             rho = rho_f(k23, f)
-            e, (w,) = spectral._edge_weights([k23], [f], 5, [{}])
+            e, (w,) = spectral._edge_weights([k23], [f], 5)
             for second, scored in ((rho, 1), (rho * (1 + 1e-6), 0)):
                 leaders = verify._Leaders([(2 * rho, "theta"), (second, "infinity")])
                 leaders.offer(e, w, [k23], ["theta"])
@@ -321,17 +322,28 @@ class TestStreamingExhaustive:
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_each_degree_pair_weighed_once_per_order(self, n, monkeypatch):
-        calls = []
+        # each (f, x, y) is computed at most once per process: a second stream
+        # of the same order is served by the memo alone
+        calls, compute = [], weights._evaluate_generic
 
         def counting(f, x, y):
             calls.append((f, x, y))
-            return evaluate(f, x, y)
+            return compute(f, x, y)
 
-        monkeypatch.setattr(spectral, "evaluate", counting)
-        verify._rankings.cache_clear()
-        for rank in ("first", "second"):
-            verify_extremal([n], ORACLE_WEIGHTS, rank=rank)
+        def stream():
+            verify._rankings.cache_clear()
+            for rank in ("first", "second"):
+                verify_extremal([n], ORACLE_WEIGHTS, rank=rank)
+
+        for f in ORACLE_WEIGHTS:  # P* runs on the exact route, which has no memo
+            check_pstar(f, d_max=max(n, 8))
+        evaluate.cache_clear()
+        monkeypatch.setattr(weights, "_evaluate_generic", counting)
+        stream()
         assert calls and len(calls) == len(set(calls))
+        computed = len(calls)
+        stream()
+        assert len(calls) == computed
 
     def test_prune_skips_most_eigensolves(self, monkeypatch):
         solved = []
@@ -572,9 +584,17 @@ class TestCli:
         ["kelmans", "--samples", "20", "--seed", "1", "--f", "exp_sum_connectivity:a=3"],
         ["spectral", "--graph", "G1:12", "--f", "exp_sum_connectivity:a=3"],
         ["extremal", "--n", "4..5", "--f", "sum_connectivity:a=500.5"],
+        # weights undefined on a degree pair: 0 to a negative power, a division by zero
+        ["extremal", "--n", "6", "--f", "platt:a=-1", "--mode", "exhaustive"],
+        ["kelmans", "--samples", "10", "--seed", "1", "--f", "platt:a=-1"],
+        ["spectral", "--graph", "A_", "--f", "platt:a=-1"],
+        ["spectral", "--graph", "G1:6", "--f", "custom:1/(x-y)**2+1"],
+        ["spectral", "--graph", "G1:6", "--f", "custom:(x-1)**-1+1"],
     ], ids=["enumeration_bound", "extremal_order_bound", "weight_spec", "theorem41_range",
             "kelmans_order_floor", "unwritable_json", "unwritable_csv", "eigensolve_exhaustive",
-            "eigensolve_kelmans", "overflow_spectral", "overflow_pstar"])
+            "eigensolve_kelmans", "overflow_spectral", "overflow_pstar", "undefined_extremal",
+            "undefined_kelmans", "undefined_spectral", "undefined_custom_division",
+            "undefined_custom_power"])
     def test_domain_errors_exit_two_without_traceback(self, argv):
         import subprocess, sys
         proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],
@@ -596,8 +616,25 @@ class TestCli:
         (["extremal", "--n", "4..6", "--f", "custom:exp(exp(x*y))"], "non-finite at (1,7)"),
         (["kelmans", "--samples", "5", "--f", "zagreb1"], "required: --seed"),
         (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["extremal", "--n", "6", "--f", "platt:a=-1", "--mode", "exhaustive"],
+         "platt:a=-1 is undefined at degrees (1,1)"),
+        (["kelmans", "--samples", "10", "--seed", "1", "--f", "platt:a=-1"],
+         "platt:a=-1 is undefined at degrees (1,1)"),
+        (["spectral", "--graph", "A_", "--f", "platt:a=-1"],
+         "platt:a=-1 is undefined at degrees (1,1)"),
+        (["spectral", "--graph", "G1:6", "--f", "custom:1/(x-y)**2+1"],
+         "custom expression '1/(x-y)**2+1' is undefined at (1,1)"),
+        (["spectral", "--graph", "G1:6", "--f", "custom:(x-1)**-1+1"],
+         "custom expression '(x-1)**-1+1' is undefined at (1,1)"),
+        (["spectral", "--graph", "G1:6", "--f", "custom:log(x-1)+5"],
+         "custom expression 'log(x-1)+5' is undefined at (1,1)"),
+        (["spectral", "--graph", "G1:6", "--f", "custom:(x-2)**0.5+5"],
+         "custom expression '(x-2)**0.5+5' is undefined at (1,1)"),
     ], ids=["named_order", "named_int", "named_params", "graph6", "empty_range",
-            "range_int", "weight_kind", "weight_overflow", "missing_option", "unknown_command"])
+            "range_int", "weight_kind", "weight_overflow", "missing_option", "unknown_command",
+            "undefined_extremal", "undefined_kelmans", "undefined_spectral",
+            "undefined_custom_division", "undefined_custom_power", "undefined_custom_log",
+            "undefined_custom_root"])
     def test_argument_errors_print_one_line(self, argv, message):
         import subprocess, sys
         proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],
@@ -606,6 +643,21 @@ class TestCli:
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert line.startswith("bicyclic-spectra: error: ") and message in line
+
+    @pytest.mark.parametrize("argv,order", [
+        (["extremal", "--n", "6", "--f", "exp_sum_connectivity:a=3", "--mode", "exhaustive"], 6),
+        (["kelmans", "--samples", "20", "--seed", "1", "--f", "exp_sum_connectivity:a=3"], None),
+    ], ids=["extremal", "kelmans"])
+    def test_eigensolver_failure_names_weight_and_order(self, argv, order, capsys):
+        # LAPACK does not converge on entries from e**8 to 2.3e222
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert out == "" and line.startswith(
+            "bicyclic-spectra: error: exp_sum_connectivity:a=3 at n=")
+        assert "symmetric eigensolver did not converge" in line
+        if order is not None:
+            assert f"at n={order}:" in line
 
     def test_module_entry_point(self):
         import subprocess, sys

@@ -17,7 +17,8 @@ from bicyclic_spectra import (
 )
 from bicyclic_spectra import weights
 from bicyclic_spectra.weights import _evaluate_generic
-from conftest import reference_evaluate_exact, reference_exp_pstar
+from conftest import (REFERENCE_KINDS, reference_evaluate_exact, reference_evaluate_generic,
+                      reference_exp_pstar, reference_parse_weight)
 
 ALL_BUILTINS = [
     WeightFunction("constant_one"),
@@ -165,6 +166,142 @@ class TestExactRouteMatchesReference:
         report = _outcome(check_pstar.__wrapped__, f, 20)
         monkeypatch.setattr(weights, "evaluate_exact", reference_evaluate_exact)
         assert report == _outcome(check_pstar.__wrapped__, f, 20)
+
+
+# every kind, every alias, negative and fractional alpha and beta, and weights
+# undefined or beyond float range on part of the degree grid
+CATALOGUE_SPECS = [
+    "constant_one", "1", "one", "const", "zagreb1", "hyper_zagreb", "forgotten",
+    "sum_connectivity:a=3", "sum_connectivity:a=-1", "sum_connectivity:alpha=0.5",
+    "sum_connectivity:a=-1.5", "platt:a=2", "platt:a=-1", "platt:a=0.5", "platt:a=-0.5",
+    "sombor:a=2,b=2", "sombor:a=-1,b=2", "sombor:a=0.5,b=-1.5", "sombor:alpha=-2,beta=0.5",
+    "exp_zagreb1", "exp_sum_connectivity:a=-1", "exp_sum_connectivity:a=0.5",
+    "exp_sum_connectivity:a=3", "exp_sombor:a=2,b=0.5", "exp_sombor:a=-1,b=-2", "extended",
+    "zagreb1:a=2", "platt:a=1,a=-2", "custom:(x+y)^3", "custom:x^-1+y^-1", "custom:sqrt(x*y)",
+    "custom:sqrt(13-x)+sqrt(13-y)+1", "custom:log(x*y)+1",
+]
+# missing, unknown and malformed parameters, unknown kinds, rejected expressions
+REJECTED_SPECS = [
+    "sum_connectivity", "platt", "sombor:a=2", "sombor:b=2", "exp_sum_connectivity",
+    "exp_sombor:a=1", "zagreb1:c=1", "sombor:a=1,q=2", "zagreb1:a=x", "sombor:q=x",
+    "zorg", "exp_extended", "custom:", "custom:x-y", "custom:1/(x-y)+1",
+]
+CATALOGUE_DEGREES = (1, 2, 3, 7, 12)
+
+
+def _reference_outcome(fn, f, x, y):
+    """The oracle's outcome; a domain error of the earlier route is the
+    package's one-line WeightSpecError naming the weight and the pair."""
+    try:
+        value = fn(f, x, y)
+    except WeightSpecError as exc:
+        return WeightSpecError, str(exc)
+    except (ZeroDivisionError, ValueError):
+        return WeightSpecError, f"{f.label()} is undefined at degrees ({x},{y})"
+    except OverflowError as exc:
+        return OverflowError, str(exc)
+    return value, type(value)
+
+
+def _package_outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    return value, type(value)
+
+
+def _reference_float(f, x, y):
+    """The earlier evaluate on the oracle: a float, an overflow named."""
+    try:
+        val = float(reference_evaluate_generic(f, x, y))
+    except OverflowError:
+        val = math.inf
+    if math.isinf(val):
+        raise WeightSpecError(f"{f.label()} overflows a float at degrees ({x},{y})")
+    return val
+
+
+def _reference_exact(f, x, y):
+    """The earlier evaluate_exact on the oracle."""
+    try:
+        val = reference_evaluate_generic(f, x, y)
+        if isinstance(val, float):
+            val = reference_evaluate_generic(f, Fraction(x), Fraction(y))
+    except OverflowError:
+        return None
+    if not isinstance(val, (int, Fraction)):
+        return None
+    return val.numerator if val.denominator == 1 else val
+
+
+class TestCatalogueMatchesReference:
+    """The one catalogue table against the earlier if-chain, copied into conftest."""
+
+    def test_builtin_kinds_in_order(self):
+        assert weights.BUILTIN_KINDS == REFERENCE_KINDS
+
+    @pytest.mark.parametrize("text", CATALOGUE_SPECS + REJECTED_SPECS)
+    def test_parse_weight(self, text):
+        assert _package_outcome(parse_weight, text) == _package_outcome(reference_parse_weight, text)
+
+    @pytest.mark.parametrize("text", CATALOGUE_SPECS)
+    def test_values_types_and_errors(self, text):
+        f = reference_parse_weight(text)
+        for cast in (int, float, Fraction):
+            for x in map(cast, CATALOGUE_DEGREES):
+                for y in map(cast, CATALOGUE_DEGREES):
+                    where = (f.label(), x, y)
+                    assert _package_outcome(_evaluate_generic, f, x, y) == \
+                        _reference_outcome(reference_evaluate_generic, f, x, y), where
+                    assert _package_outcome(evaluate, f, x, y) == \
+                        _reference_outcome(_reference_float, f, x, y), where
+                    assert _package_outcome(evaluate_exact, f, x, y) == \
+                        _reference_outcome(_reference_exact, f, x, y), where
+
+    def test_specs_cover_every_kind_and_every_rejection(self):
+        assert {reference_parse_weight(t).kind for t in CATALOGUE_SPECS} == set(REFERENCE_KINDS)
+        for text in REJECTED_SPECS:
+            with pytest.raises(WeightSpecError):
+                reference_parse_weight(text)
+
+    def test_memo_keeps_int_and_fraction_degrees_apart(self):
+        # int ** -1 is a float and Fraction ** -1 exact, so the two round differently
+        f = parse_weight("sombor:a=-1,b=2")
+        evaluate.cache_clear()
+        at_ints = evaluate(f, 1, 12)
+        at_fractions = evaluate(f, Fraction(1), Fraction(12))
+        assert at_ints == float(reference_evaluate_generic(f, 1, 12)) == 1.173611111111111
+        assert at_fractions == float(reference_evaluate_generic(f, Fraction(1), Fraction(12)))
+        assert at_fractions == 1.1736111111111112 != at_ints
+
+    def test_undefined_weight_names_weight_and_pair(self):
+        with pytest.raises(WeightSpecError, match=r"^platt:a=-1 is undefined at degrees \(1,1\)$"):
+            evaluate(parse_weight("platt:a=-1"), 1, 1)
+        with pytest.raises(WeightSpecError, match=r"platt:a=-1 is undefined at degrees \(1,1\)"):
+            check_pstar(parse_weight("platt:a=-1"), 8)
+        for text, pair in (("custom:1/(x-y)**2+1", "(1,1)"), ("custom:(x-1)**-1+1", "(1,1)"),
+                           ("custom:log(x-1)+5", "(1,1)"), ("custom:sqrt(3-x*y)+1", "(1,4)")):
+            with pytest.raises(WeightSpecError) as err:
+                parse_weight(text)
+            assert str(err.value) == f"custom expression {text[7:]!r} is undefined at {pair}"
+
+    def test_undefined_beyond_the_custom_grid(self):
+        for text in ("custom:sqrt(13-x)+sqrt(13-y)+1", "custom:(13-x)^0.5+(13-y)^0.5+1"):
+            with pytest.raises(WeightSpecError, match=r"is undefined at degrees \(14,2\)$"):
+                evaluate(parse_weight(text), 14, 2)
+
+    def test_negative_base_to_a_fractional_power_is_undefined(self):
+        # a real weight has no value there; Python's float power returns a complex
+        with pytest.raises(WeightSpecError) as err:
+            parse_weight("custom:(x-2)^0.5+5")
+        assert str(err.value) == "custom expression '(x-2)^0.5+5' is undefined at (1,1)"
+
+    def test_spec_errors_are_not_rewrapped(self):
+        with pytest.raises(WeightSpecError, match="defined for x,y >= 1"):
+            evaluate(parse_weight("platt:a=-1"), 0, 1)
+        with pytest.raises(WeightSpecError, match="unknown name 'z'"):
+            parse_weight("custom:x+z")
 
 
 class TestParse:
