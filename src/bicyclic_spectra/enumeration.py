@@ -19,9 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .graphs import Graph, base_graph, make_infinity, make_theta
+from .spectral import EIGH_CHUNK
 
 # largest order enumerate_bicyclic runs at
 ORDER_BOUND = 10
@@ -62,32 +66,36 @@ def rooted_trees(size: int) -> tuple[_TreeShape, ...]:
     return tuple(sorted(out))
 
 
-def _forest_graph(base: Graph, shapes: tuple[_TreeShape, ...]) -> Graph:
-    """base with shapes[v] hung at each base vertex v, new vertices numbered
-    depth first in preorder, one base vertex after another."""
-    edges, count = list(base.edges), base.n
-    stack = [(v, child) for v in reversed(range(base.n)) for child in reversed(shapes[v])]
-    while stack:
-        root, shape = stack.pop()
-        edges.append((root, count))
-        stack.extend((count, child) for child in reversed(shape))
-        count += 1
-    return Graph(count, frozenset(edges))
+@lru_cache(maxsize=None)
+def _hung_trees(v: int, size: int, offset: int) -> tuple[tuple[int, ...], ...]:
+    """Each shape of rooted_trees(size) hung at v, its other vertices numbered
+    from offset in preorder: the edges (parent, child) to them, flattened."""
+    def walk(shape: _TreeShape, parent: int, out: list[int]) -> list[int]:
+        for child in shape:
+            out += (parent, offset + len(out) // 2)
+            walk(child, out[-1], out)
+        return out
+
+    return tuple(tuple(walk(shape, v, [])) for shape in rooted_trees(size))
 
 
 def isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
     """Every isomorphism p from g onto h, a graph of the same order (v goes to
-    p[v]), extending partial maps one vertex of g at a time and checking
-    degree and adjacency to those mapped.  Few partial maps survive when each
-    vertex of g except a path's first has a smaller-labelled neighbour, as in
-    the standard bases."""
+    p[v]), extending partial maps one vertex of g at a time: w takes v if it
+    is unused (a map carries its targets' mask), of v's degree, and its
+    neighbours among the used targets are the images of v's lower ones.  Few
+    partial maps survive when each vertex of g except a path's first has a
+    smaller-labelled neighbour, as in the standard bases."""
     g_masks, g_deg = g.neighbor_masks(), g.degrees()
     h_masks, h_deg = h.neighbor_masks(), h.degrees()
-    maps = [()]
+    maps = [((), 0)]
     for v in range(g.n):
-        maps = [p + (w,) for p in maps for w in range(h.n) if w not in p and h_deg[w] == g_deg[v]
-                and all((g_masks[v] >> u & 1) == (h_masks[w] >> p[u] & 1) for u in range(v))]
-    return maps
+        lower = [u for u in range(v) if g_masks[v] >> u & 1]
+        targets = [w for w in range(h.n) if h_deg[w] == g_deg[v]]
+        maps = [(p + (w,), used | 1 << w) for p, used in maps
+                for image in [sum(1 << p[u] for u in lower)] for w in targets
+                if not used >> w & 1 and h_masks[w] & used == image]
+    return [p for p, _ in maps]
 
 
 @lru_cache(maxsize=None)
@@ -112,33 +120,58 @@ def bicyclic_bases(max_order: int) -> list[Graph]:
     return out
 
 
-def orderly_classes(n: int) -> Iterator[tuple[Graph, str]]:
-    """One labelled graph per bicyclic class on n vertices, lazily, with its
-    base kind ("infinity" or "theta"), in class-key order.
+def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, list[str]]]:
+    """One labelled graph per bicyclic class on n vertices, lazily, in
+    class-key order, in chunks (rows, kinds) of EIGH_CHUNK classes: rows[i],
+    of an int array (C, n + 1, 2), holds the edges (u, v), u < v, of class i
+    and kinds[i] its base kind ("infinity" or "theta").  A class's rows are its
+    base's edges, then row x + 1 joins new vertex x to its parent, the trees
+    numbered in preorder one base vertex after another.
 
     A forest assignment, keyed (composition, shape indices) in loop order, is
     kept only when no base automorphism maps it to a smaller key (the group
     is closed under inverses, so the keys read at p[v] are all the images).
     The base (the 2-core) is an isomorphism invariant, the bases are pairwise
-    non-isomorphic and rooted-tree shapes are canonical, so no two yields are
-    isomorphic.
+    non-isomorphic and rooted-tree shapes are canonical, so no two classes
+    are isomorphic.
     """
+    flat, kinds = [], []
     for base in bicyclic_bases(n):
         group, kind = _base_symmetry(base)
+        moves = [itemgetter(*p) for p in group[1:]]  # group[0] is the identity
+        edges = tuple(itertools.chain.from_iterable(sorted(base.edges)))
         for comp in _weak_compositions(n - base.n, base.n):
             stabiliser = []
-            for p in group:
-                image = tuple(comp[i] for i in p)
+            for move in moves:
+                image = move(comp)
                 if image < comp:
                     break
                 if image == comp:
-                    stabiliser.append(p)
+                    stabiliser.append(move)
             else:
-                shape_lists = [rooted_trees(c + 1) for c in comp]
-                for idx in itertools.product(*(range(len(shapes)) for shapes in shape_lists)):
-                    if all(tuple(idx[i] for i in p) >= idx for p in stabiliser):
-                        forest = tuple(shapes[i] for shapes, i in zip(shape_lists, idx))
-                        yield _forest_graph(base, forest), kind
+                trees = [_hung_trees(v, c + 1, offset) for v, (c, offset)
+                         in enumerate(zip(comp, itertools.accumulate(comp, initial=base.n)))]
+                for idx in itertools.product(*(range(len(shapes)) for shapes in trees)):
+                    if all(move(idx) >= idx for move in stabiliser):
+                        flat += edges
+                        flat += itertools.chain.from_iterable(map(getitem, trees, idx))
+                        kinds.append(kind)
+                        if len(kinds) == EIGH_CHUNK:
+                            yield np.array(flat).reshape(-1, n + 1, 2), kinds
+                            flat, kinds = [], []
+    if kinds:
+        yield np.array(flat).reshape(-1, n + 1, 2), kinds
+
+
+def rows_graph(rows: np.ndarray) -> Graph:
+    """The bicyclic graph whose n + 1 edges (u, v), u < v, are rows."""
+    return Graph(len(rows) - 1, frozenset(map(tuple, rows.tolist())))
+
+
+def orderly_classes(n: int) -> Iterator[tuple[Graph, str]]:
+    """The classes of orderly_rows(n) one by one, as (Graph, base kind)."""
+    for rows, kinds in orderly_rows(n):
+        yield from zip(map(rows_graph, rows), kinds)
 
 
 def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +22,8 @@ RESIDUAL_TOL = 1e-10  # relative eigenpair residual above which an eigensolve ra
 
 def build_matrix(g: Graph, f: WeightFunction) -> np.ndarray:
     """A_f(G), read-only: entry (i,j) is f(d_i,d_j) on edges, 0 elsewhere."""
-    e, (w,) = _edge_weights([g], [f], g.n)
-    a = _dense(e, w, 1, g.n)[0]
+    e = _rows([g], g.n)
+    a = _dense(e, _edge_weights(e, [f], g.n)[0], 1, g.n)[0]
     a.setflags(write=False)
     return a
 
@@ -111,9 +112,10 @@ def spectral_radii(graphs: Sequence[Graph], f: WeightFunction) -> np.ndarray:
     rho = np.zeros(len(graphs))
     for start in range(0, len(graphs) if n else 0, EIGH_CHUNK):
         chunk = graphs[start:start + EIGH_CHUNK]
-        e, (w,) = _edge_weights(chunk, [f], n)
+        e = _rows(chunk, n)
+        a = _dense(e, _edge_weights(e, [f], n)[0], len(chunk), n)
         with _naming(f, n):
-            rho[start:start + EIGH_CHUNK] = _dominant_eigenpairs(_dense(e, w, len(chunk), n))[0]
+            rho[start:start + EIGH_CHUNK] = _dominant_eigenpairs(a)[0]
     return rho
 
 
@@ -126,22 +128,29 @@ def _naming(f: WeightFunction, n: int):
         raise SpectralError(f"{f.label()} at n={n}: {exc}") from exc
 
 
-def _edge_weights(graphs: Sequence[Graph], fs: Sequence[WeightFunction],
-                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(e, w): each edge uv of graph i as a row (i * n + u, i * n + v) of e, and
-    w[k] the edges' weights under fs[k], one evaluate per distinct degree pair."""
-    e = np.array([i * n + x for i, g in enumerate(graphs) for edge in g.edges for x in edge],
-                 dtype=np.intp).reshape(-1, 2)
-    deg = np.bincount(e.ravel(), minlength=len(graphs) * n)
-    keys = (deg[e[:, 0]] * n + deg[e[:, 1]]).tolist()
-    pairs = set(keys)
-    weights = [{key: evaluate(f, key // n, key % n) for key in pairs} for f in fs]
-    return e, np.array([[weight[key] for key in keys] for weight in weights])
+def _rows(graphs: Sequence[Graph], n: int) -> np.ndarray:
+    """Each edge uv of graph i, of order n, as a row (i * n + u, i * n + v)."""
+    m = [g.m for g in graphs]
+    e = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
+                    np.intp, 2 * sum(m)).reshape(-1, 2)
+    return e + np.repeat(n * np.arange(len(graphs)), m)[:, None]
+
+
+def _edge_weights(e: np.ndarray, fs: Sequence[WeightFunction], n: int) -> np.ndarray:
+    """w[k] the weights under fs[k] of the edges e, rows as _rows gives them
+    for graphs of order n: one evaluate per distinct degree pair, spread to
+    the edges in numpy."""
+    deg = np.bincount(e.ravel())
+    keys = deg[e[:, 0]] * n + deg[e[:, 1]]
+    pairs = np.flatnonzero(np.bincount(keys)).tolist()
+    table = np.zeros((len(fs), n * n))
+    table[:, pairs] = [[evaluate(f, *divmod(key, n)) for key in pairs] for f in fs]
+    return table[:, keys]
 
 
 def _dense(e: np.ndarray, w: np.ndarray, count: int, n: int) -> np.ndarray:
-    """The count stacked n x n matrices whose edge rows e (as _edge_weights
-    gives them) carry weights w, shape (count, n, n)."""
+    """The count stacked n x n matrices whose edge rows e (as _rows gives
+    them) carry weights w, shape (count, n, n)."""
     a = np.zeros((count * n, n))
     a[e, e[:, ::-1] % n] = w[:, None]  # (u, v) and (v, u)
     return a.reshape(count, n, n)

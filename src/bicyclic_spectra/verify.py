@@ -28,10 +28,10 @@ import numpy as np
 
 # enumerate_bicyclic stays importable here: perfbench/layers.py wraps it
 from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # noqa: F401
-                          orderly_classes, targeted_max_degree_family)
+                          orderly_rows, rows_graph, targeted_max_degree_family)
 from .graphs import FAMILIES, Graph, base_graph, graph_g1, graph_g2
-from .spectral import (EIGH_CHUNK, _dense, _dominant_eigenpairs, _edge_weights, _naming,
-                       rho_f, spectral_radii)
+from .spectral import (_dense, _dominant_eigenpairs, _edge_weights, _naming, _rows, rho_f,
+                       spectral_radii)
 from .transforms import kelmans, pendant_shift
 from .weights import WeightFunction, check_pstar, parse_weight
 
@@ -317,18 +317,19 @@ class _Leaders:
     over u's neighbours; rho is at most the largest row sum.  A class whose
     bound is below both values, as far as the named families and the
     classes scored so far show them, is neither in the top two nor its
-    kind's best, so its A_f is never built nor eigensolved.
+    kind's best, so neither its Graph nor its A_f is ever built.
     """
 
     def __init__(self, named: list[tuple[float, str]]):
         self.named = _levels(named)  # lower bounds from the distinct named classes
         self.pool: list[tuple[float, Graph, str]] = []
 
-    def offer(self, e: np.ndarray, w: np.ndarray, graphs: Sequence[Graph], kinds: Sequence[str]):
-        """Score graphs, with edges e and weights w from _edge_weights, unless bounded out."""
-        n = graphs[0].n  # every class at order n has n + 1 edges, in e's rows graph by graph
-        r = np.bincount(e.ravel(), np.repeat(np.abs(w), 2), len(graphs) * n)
-        bound = np.sqrt(r[e[:, 0]] * r[e[:, 1]]).reshape(len(graphs), n + 1).max(axis=1)
+    def offer(self, e: np.ndarray, w: np.ndarray, kinds: Sequence[str]):
+        """Score the classes of base kinds `kinds`, n + 1 edges each in the rows
+        e (as _rows gives them) with weights w, unless bounded out."""
+        count, n = len(kinds), len(e) // len(kinds) - 1
+        r = np.bincount(e.ravel(), np.repeat(np.abs(w), 2), count * n)
+        bound = np.sqrt(r[e[:, 0]] * r[e[:, 1]]).reshape(count, n + 1).max(axis=1)
         (named_second, named_top), (second, top) = self.named, _levels(self.pool)
         second = max(second, named_second)
         cut = {kind: min(second, max(top.get(kind, -math.inf), named_top.get(kind, -math.inf)))
@@ -337,11 +338,12 @@ class _Leaders:
         keep = np.flatnonzero(~(bound < floor))
         if not keep.size:
             return
-        # the kept graphs' edge rows, renumbered as graphs 0, 1, ...
-        rows = e.reshape(len(graphs), n + 1, 2)[keep] % n + n * np.arange(keep.size)[:, None, None]
-        a = _dense(rows.reshape(-1, 2), w.reshape(len(graphs), n + 1)[keep].ravel(), keep.size, n)
+        rows = e.reshape(count, n + 1, 2)[keep] % n  # the kept classes' own edges
+        a = _dense((rows + n * np.arange(keep.size)[:, None, None]).reshape(-1, 2),
+                   w.reshape(count, n + 1)[keep].ravel(), keep.size, n)
         rho = _dominant_eigenpairs(a)[0].tolist()
-        self.pool += [(rho_i, graphs[i], kinds[i]) for i, rho_i in zip(keep, rho)]
+        self.pool += [(rho_i, rows_graph(rows_i), kinds[i])
+                      for i, rows_i, rho_i in zip(keep, rows, rho)]
         second, top = _levels(self.pool)
         self.pool = [entry for entry in self.pool if entry[0] >= min(second, top[entry[2]])]
 
@@ -359,27 +361,28 @@ class _Leaders:
 @lru_cache(maxsize=32)
 def _rankings(n: int, fs: tuple[WeightFunction, ...]):
     """(classes, named class keys, {f: _Leaders.ranking()}) at order n from
-    one stream of the orderly classes, scored for every weight in fs."""
+    one stream of orderly_rows(n), scored for every weight in fs."""
     check_order(n)
     named = {tag: family.build(n) if n >= family.min_n else None
              for tag, family in FAMILIES.items()}
     certs = {tag: None if g is None else canonical_form(g) for tag, g in named.items()}
     distinct = list({cert: named[tag] for tag, cert in certs.items() if cert is not None}.values())
     named_kinds = [base_graph(g).kind for g in distinct]
-    e, w = _edge_weights(distinct, fs, n)
+    e = _rows(distinct, n)
+    w = _edge_weights(e, fs, n)
     leaders = {}
     for f, w_f in zip(fs, w):
         with _naming(f, n):
             rho = _dominant_eigenpairs(_dense(e, w_f, len(distinct), n))[0].tolist()
         leaders[f] = _Leaders(list(zip(rho, named_kinds)))
-    classes, stream = 0, orderly_classes(n)
-    while chunk := list(itertools.islice(stream, EIGH_CHUNK)):
-        graphs, kinds = zip(*chunk)
-        classes += len(chunk)
-        e, w = _edge_weights(graphs, fs, n)
+    classes = 0
+    for rows, kinds in orderly_rows(n):
+        classes += len(kinds)
+        e = (rows + n * np.arange(len(kinds))[:, None, None]).reshape(-1, 2)
+        w = _edge_weights(e, fs, n)
         for f, w_f in zip(fs, w):
             with _naming(f, n):
-                leaders[f].offer(e, w_f, graphs, kinds)
+                leaders[f].offer(e, w_f, kinds)
     return classes, certs, {f: leaders[f].ranking() for f in fs}
 
 

@@ -196,6 +196,54 @@ def reference_enumerate_constructive(n: int) -> dict[bytes, Graph]:
     return found
 
 
+def reference_forest_graph(base: Graph, shapes) -> Graph:
+    """base with shapes[v] hung at each base vertex v, new vertices numbered
+    depth first in preorder, one base vertex after another: the generator's
+    earlier stack walk."""
+    edges, count = list(base.edges), base.n
+    stack = [(v, child) for v in reversed(range(base.n)) for child in reversed(shapes[v])]
+    while stack:
+        root, shape = stack.pop()
+        edges.append((root, count))
+        stack.extend((count, child) for child in reversed(shape))
+        count += 1
+    return Graph(count, frozenset(edges))
+
+
+def reference_orderly_classes(n: int):
+    """The generator's earlier stream: (Graph, base kind) per class, each
+    built by reference_forest_graph from its orderly key, in key order."""
+    for base in bicyclic_bases(n):
+        group, kind = reference_isomorphisms(base, base), base_graph(base).kind
+        for comp in _weak_compositions(n - base.n, base.n):
+            stabiliser = []
+            for p in group:
+                image = tuple(comp[i] for i in p)
+                if image < comp:
+                    break
+                if image == comp:
+                    stabiliser.append(p)
+            else:
+                shape_lists = [rooted_trees(c + 1) for c in comp]
+                for idx in itertools.product(*(range(len(shapes)) for shapes in shape_lists)):
+                    if all(tuple(idx[i] for i in p) >= idx for p in stabiliser):
+                        forest = tuple(shapes[i] for shapes, i in zip(shape_lists, idx))
+                        yield reference_forest_graph(base, forest), kind
+
+
+def reference_isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
+    """Every isomorphism from g onto h, partial maps extended one vertex of g
+    at a time with adjacency tested bit by bit: the package's earlier
+    routine."""
+    g_masks, g_deg = g.neighbor_masks(), g.degrees()
+    h_masks, h_deg = h.neighbor_masks(), h.degrees()
+    maps = [()]
+    for v in range(g.n):
+        maps = [p + (w,) for p in maps for w in range(h.n) if w not in p and h_deg[w] == g_deg[v]
+                and all((g_masks[v] >> u & 1) == (h_masks[w] >> p[u] & 1) for u in range(v))]
+    return maps
+
+
 def reference_exhaustive_case(n: int, f, rank: str, min_gap: float = 1e-9) -> CaseRecord:
     """Reference exhaustive extremal case: score every class, key every class
     and sort them all by (rho, class key)."""

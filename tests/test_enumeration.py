@@ -23,10 +23,12 @@ from bicyclic_spectra import (
 )
 from bicyclic_spectra import enumeration
 from bicyclic_spectra.enumeration import bicyclic_bases, isomorphisms, rooted_trees
+from bicyclic_spectra.spectral import EIGH_CHUNK
 from conftest import (GOLDEN_COUNTS, brute_force_bicyclic_classes, burnside_class_count,
                       edge_subset_classes, graph_from_certificate, reference_canonical_form,
-                      reference_enumerate_constructive, reference_weak_compositions,
-                      to_networkx)
+                      reference_enumerate_constructive, reference_forest_graph,
+                      reference_isomorphisms, reference_orderly_classes,
+                      reference_weak_compositions, to_networkx)
 
 
 class TestCanonicalForm:
@@ -156,7 +158,7 @@ class TestClassKey:
         # automorphism fixes: its code is the key entry after the composition
         base = make_infinity(3, 1, 4)
         for size in range(1, 11):
-            codes = [canonical_form(enumeration._forest_graph(
+            codes = [canonical_form(reference_forest_graph(
                 base, (shape,) + ((),) * (base.n - 1)))[4 + base.n]
                 for shape in rooted_trees(size)]
             assert codes == sorted(set(codes))
@@ -196,7 +198,46 @@ class TestBurnsideCounts:
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_orderly_count_matches_burnside(self, n):
-        assert sum(1 for _ in enumeration.orderly_classes(n)) == burnside_class_count(n)
+        assert sum(len(kinds) for _, kinds in enumeration.orderly_rows(n)) == burnside_class_count(n)
+
+
+class TestOrderlyRows:
+    """The edge rows built from the orderly key against the earlier
+    generator, which built each class as a Graph by a stack walk."""
+
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_rows_are_the_reference_graphs(self, n):
+        chunks = list(enumeration.orderly_rows(n))
+        rows = [r for chunk, _ in chunks for r in chunk.tolist()]
+        kinds = [kind for _, chunk_kinds in chunks for kind in chunk_kinds]
+        ref = list(reference_orderly_classes(n))
+        assert len(rows) == len(ref)
+        assert [frozenset(map(tuple, r)) for r in rows] == [g.edges for g, _ in ref]
+        assert kinds == [kind for _, kind in ref]
+
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_chunks(self, n):
+        # whole chunks of EIGH_CHUNK classes but the last; in each class the
+        # base's edges, then row x + 1 joins new vertex x to an earlier parent
+        chunks = list(enumeration.orderly_rows(n))
+        assert [len(kinds) for _, kinds in chunks[:-1]] == [EIGH_CHUNK] * (len(chunks) - 1)
+        assert 0 < len(chunks[-1][1]) <= EIGH_CHUNK
+        for rows, kinds in chunks:
+            assert rows.dtype.kind == "i" and rows.shape == (len(kinds), n + 1, 2)
+            assert (rows[:, :, 0] < rows[:, :, 1]).all() and (rows < n).all()
+            for r, kind in zip(rows, kinds):
+                base = base_graph(enumeration.rows_graph(r))
+                assert base.kind == kind
+                b = len(base.kept_vertices)
+                assert r[b + 1:, 1].tolist() == list(range(b, n))
+                assert (r[b + 1:, 0] < r[b + 1:, 1]).all()
+
+    def test_classes_are_graphs_of_the_rows(self):
+        for n in range(4, 9):
+            stream = [(g, kind) for rows, kinds in enumeration.orderly_rows(n)
+                      for g, kind in zip(map(enumeration.rows_graph, rows), kinds)]
+            assert list(enumeration.orderly_classes(n)) == stream
+            assert enumerate_bicyclic(n).graphs == [g for g, _ in stream]
 
 
 class TestWeakCompositions:
@@ -229,6 +270,32 @@ class TestBases:
             assert isomorphisms(b, b) == brute
         # K_{2,3} = theta(2,2,2) has the largest group among the bases
         assert len(isomorphisms(make_theta(2, 2, 2), make_theta(2, 2, 2))) == 12
+
+    def test_isomorphisms_match_reference_on_every_base(self):
+        # the same maps in the same order
+        for b in bicyclic_bases(10):
+            assert isomorphisms(b, b) == reference_isomorphisms(b, b)
+
+    def test_core_isomorphisms_match_reference(self, monkeypatch, rng):
+        # every isomorphism search canonical_form makes for the classes at
+        # n <= 10, and for a relabelled copy of each
+        calls = []
+
+        def recording(g, h):
+            maps = isomorphisms(g, h)
+            calls.append((g, h, maps))
+            return maps
+
+        monkeypatch.setattr(enumeration, "isomorphisms", recording)
+        for n in range(4, 11):
+            for g, _ in enumeration.orderly_classes(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                canonical_form.__wrapped__(g)
+                canonical_form.__wrapped__(g.relabel(perm))
+        assert len(calls) == 2 * 3803
+        for g, h, maps in calls:
+            assert maps == reference_isomorphisms(g, h)
 
     def test_isomorphisms_onto_a_relabelled_copy(self, rng):
         for b in bicyclic_bases(8):

@@ -9,6 +9,7 @@ import pytest
 
 from bicyclic_spectra import (
     CaseRecord,
+    Graph,
     VerificationReport,
     WeightFunction,
     base_graph,
@@ -285,10 +286,11 @@ class TestStreamingExhaustive:
         k23 = make_theta(2, 2, 2)
         for f in ORACLE_WEIGHTS:
             rho = rho_f(k23, f)
-            e, (w,) = spectral._edge_weights([k23], [f], 5)
+            e = spectral._rows([k23], 5)
+            (w,) = spectral._edge_weights(e, [f], 5)
             for second, scored in ((rho, 1), (rho * (1 + 1e-6), 0)):
                 leaders = verify._Leaders([(2 * rho, "theta"), (second, "infinity")])
-                leaders.offer(e, w, [k23], ["theta"])
+                leaders.offer(e, w, ["theta"])
                 assert len(leaders.pool) == scored, (f.label(), second)
 
     def test_certifies_only_what_a_verdict_reads(self, monkeypatch):
@@ -308,17 +310,33 @@ class TestStreamingExhaustive:
 
     def test_ranks_share_one_stream_per_order(self, monkeypatch):
         streams = []
-        original = verify.orderly_classes
+        original = verify.orderly_rows
 
         def counting(n):
             streams.append(n)
             return original(n)
 
-        monkeypatch.setattr(verify, "orderly_classes", counting)
+        monkeypatch.setattr(verify, "orderly_rows", counting)
         verify._rankings.cache_clear()
         for rank in ("first", "second"):
             verify_extremal(range(6, 9), ORACLE_WEIGHTS[:3], rank=rank)
         assert streams == [6, 7, 8]
+
+    def test_builds_a_graph_only_for_scored_classes(self, monkeypatch):
+        # every Graph made while ranking n = 10, named families and class keys
+        # included; the earlier stream built one per class, 2,678
+        built = []
+        post_init = Graph.__post_init__
+
+        def counting(g):
+            built.append(g)
+            post_init(g)
+
+        monkeypatch.setattr(Graph, "__post_init__", counting)
+        verify._rankings.cache_clear()
+        classes, _, _ = verify._rankings(10, tuple(WEIGHTS))
+        assert classes == 2678
+        assert 0 < len(built) < 2678 // 5
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_each_degree_pair_weighed_once_per_order(self, n, monkeypatch):
