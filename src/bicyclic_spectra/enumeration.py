@@ -168,12 +168,6 @@ def rows_graph(rows: np.ndarray) -> Graph:
     return Graph(len(rows) - 1, frozenset(map(tuple, rows.tolist())))
 
 
-def orderly_classes(n: int) -> Iterator[tuple[Graph, str]]:
-    """The classes of orderly_rows(n) one by one, as (Graph, base kind)."""
-    for rows, kinds in orderly_rows(n):
-        yield from zip(map(rows_graph, rows), kinds)
-
-
 def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
     """Tuples of `parts` non-negative ints summing to total, in lexicographic
     order: stars and bars, as the ascending parts - 1 bar slots run in order."""
@@ -192,7 +186,7 @@ def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
 @lru_cache(maxsize=1 << 16)
 def canonical_form(g: Graph) -> tuple[int, ...]:
     """Class key of a connected bicyclic graph, at any order: the key
-    `orderly_classes` keeps for its class, as a flat tuple of ints.
+    `orderly_rows` keeps for its class, as a flat tuple of ints.
 
     The base (kind 0 for infinity, 1 for theta, then its parameters in
     `bicyclic_bases` loop order), then the least (composition, shape codes)
@@ -243,7 +237,7 @@ def enumerate_bicyclic(n: int) -> EnumerationReport:
     """All connected bicyclic graphs on n vertices up to isomorphism, in
     class-key order."""
     check_order(n)
-    graphs = [g for g, _ in orderly_classes(n)]
+    graphs = [rows_graph(r) for rows, _ in orderly_rows(n) for r in rows]
     return EnumerationReport(n, len(graphs), "constructive", graphs)
 
 
@@ -259,8 +253,9 @@ def enumerate_with_max_degree(n: int, delta: int) -> EnumerationReport:
     if n > ORDER_BOUND and delta == n - 2:
         graphs = targeted_max_degree_family(n)
         return EnumerationReport(n, len(graphs), f"targeted/max_degree={delta}", graphs)
-    rep = enumerate_bicyclic(n)
-    graphs = [g for g in rep.graphs if max(g.degrees()) == delta]
+    check_order(n)
+    graphs = [rows_graph(r) for rows, _ in orderly_rows(n) for r in rows
+              if np.bincount(r.ravel()).max() == delta]
     return EnumerationReport(n, len(graphs), f"constructive/max_degree={delta}", graphs)
 
 

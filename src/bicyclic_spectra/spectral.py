@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -114,18 +113,30 @@ def spectral_radii(graphs: Sequence[Graph], f: WeightFunction) -> np.ndarray:
         chunk = graphs[start:start + EIGH_CHUNK]
         e = _rows(chunk, n)
         a = _dense(e, _edge_weights(e, [f], n)[0], len(chunk), n)
-        with _naming(f, n):
+        try:
             rho[start:start + EIGH_CHUNK] = _dominant_eigenpairs(a)[0]
+        except SpectralError as exc:
+            raise SpectralError(f"{f.label()} at n={n}: {exc}") from exc
     return rho
 
 
-@contextmanager
-def _naming(f: WeightFunction, n: int):
-    """Name the weight f and the order n in a SpectralError raised within."""
-    try:
-        yield
-    except SpectralError as exc:
-        raise SpectralError(f"{f.label()} at n={n}: {exc}") from exc
+def edge_bounds(rows: np.ndarray, fs: Sequence[WeightFunction], n: int) -> np.ndarray:
+    """b[k, i] >= rho(A_fs[k](G_i)) for the graphs G_i of order n whose edges
+    (u, v) are rows[i], as orderly_rows(n) gives a chunk: the largest
+    sqrt(r_u r_v) over the edges uv of G_i, with r the row sums of |A|.
+
+    This holds for every real symmetric A (Berman and Zhang, 2001).  Proof:
+    rho(A) <= rho(|A|); D = diag(sqrt(r)) leaves rho(|A|) unchanged, and row
+    u of D^-1 |A| D sums to sum_v |a_uv| / r_u * sqrt(r_u r_v), a weighted
+    mean over u's neighbours; rho is at most the largest row sum.
+    """
+    count = len(rows)
+    e = (rows + n * np.arange(count)[:, None, None]).reshape(-1, 2)
+    out = []
+    for w in np.abs(_edge_weights(e, fs, n)):
+        r = np.bincount(e.ravel(), np.repeat(w, 2), count * n)
+        out.append(np.sqrt(r[e[:, 0]] * r[e[:, 1]]).reshape(count, -1).max(axis=1))
+    return np.array(out)
 
 
 def _rows(graphs: Sequence[Graph], n: int) -> np.ndarray:
@@ -138,10 +149,11 @@ def _rows(graphs: Sequence[Graph], n: int) -> np.ndarray:
 
 def _edge_weights(e: np.ndarray, fs: Sequence[WeightFunction], n: int) -> np.ndarray:
     """w[k] the weights under fs[k] of the edges e, rows as _rows gives them
-    for graphs of order n: one evaluate per distinct degree pair, spread to
-    the edges in numpy."""
+    for graphs of order n: one evaluate per distinct unordered degree pair
+    x <= y, spread to the edges in numpy."""
     deg = np.bincount(e.ravel())
-    keys = deg[e[:, 0]] * n + deg[e[:, 1]]
+    du, dv = deg[e[:, 0]], deg[e[:, 1]]
+    keys = np.minimum(du, dv) * n + np.maximum(du, dv)
     pairs = np.flatnonzero(np.bincount(keys)).tolist()
     table = np.zeros((len(fs), n * n))
     table[:, pairs] = [[evaluate(f, *divmod(key, n)) for key in pairs] for f in fs]

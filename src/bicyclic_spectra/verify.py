@@ -30,8 +30,7 @@ import numpy as np
 from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # noqa: F401
                           orderly_rows, rows_graph, targeted_max_degree_family)
 from .graphs import FAMILIES, Graph, base_graph, graph_g1, graph_g2
-from .spectral import (_dense, _dominant_eigenpairs, _edge_weights, _naming, _rows, rho_f,
-                       spectral_radii)
+from .spectral import edge_bounds, rho_f, spectral_radii
 from .transforms import kelmans, pendant_shift
 from .weights import WeightFunction, check_pstar, parse_weight
 
@@ -262,14 +261,16 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
 
     exhaustive mode streams every bicyclic class once per order for all
     applicable weights and ranks spectral radii (see _Leaders); candidate
-    mode compares G2, G3, G4 directly (the proven candidate set) and asserts
-    the known per-weight winner beyond its threshold order.
+    mode, rank 2 only, compares G2, G3, G4 directly (the proven candidate
+    set) and asserts the known per-weight winner beyond its threshold order.
     Weights failing the P* check are reported as not-applicable.
     """
     if rank not in ("first", "second"):
         raise ValueError("rank must be 'first' or 'second'")
     if mode not in ("exhaustive", "candidate"):
         raise ValueError("mode must be 'exhaustive' or 'candidate'")
+    if mode == "candidate" and rank == "first":
+        raise ValueError("candidate mode checks the second rank only (G2 against G3 and G4)")
     t0 = time.perf_counter()
     report = VerificationReport(f"extremal/{mode}/rank={rank}")
     d_max = max(max(n_range), 8)
@@ -297,93 +298,69 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
 PRUNE_MARGIN = 1e-9  # relative; a class is skipped only when its bound is clearly below
 
 
-def _levels(entries) -> tuple[float, dict[str, float]]:
-    """(second rho, {kind: top rho}) of distinct classes' (rho, ..., kind) entries."""
-    rhos = sorted(entry[0] for entry in entries)
-    top: dict[str, float] = {}
-    for entry in entries:
-        top[entry[-1]] = max(top.get(entry[-1], -math.inf), entry[0])
-    return (rhos[-2] if len(rhos) > 1 else -math.inf), top
+def _levels(rho: Sequence[float], kinds: Sequence[str]) -> tuple[float, dict[str, float]]:
+    """(second rho, {kind: top rho}) of distinct classes' radii rho and base kinds."""
+    top = {kind: max(r for r, k in zip(rho, kinds) if k == kind) for kind in set(kinds)}
+    return (sorted(rho)[-2] if len(rho) > 1 else -math.inf), top
 
 
 class _Leaders:
-    """One weight's scored classes that a verdict can still read: those at or
-    above the second rho of all classes or the top rho of their base kind.
+    """One weight's classes that a verdict can read: those at or above the
+    second rho of all classes or the top rho of their base kind.
 
-    With r the row sums of |A|, rho(A) <= max over edges uv of sqrt(r_u r_v)
-    for every real symmetric A (Berman and Zhang, 2001).  Proof: rho(A) <=
-    rho(|A|); D = diag(sqrt(r)) leaves rho(|A|) unchanged, and row u of
-    D^-1 |A| D sums to sum_v |a_uv| / r_u * sqrt(r_u r_v), a weighted mean
-    over u's neighbours; rho is at most the largest row sum.  A class whose
-    bound is below both values, as far as the named families and the
-    classes scored so far show them, is neither in the top two nor its
-    kind's best, so neither its Graph nor its A_f is ever built.
+    The named families bound both values from below, so each kind's cut is
+    fixed once per order: min(named second rho, named top rho of the kind).
+    A class whose edge_bounds value is clearly below its kind's cut is
+    neither in the top two nor its kind's best, so neither its Graph nor its
+    A_f is ever built.
     """
 
-    def __init__(self, named: list[tuple[float, str]]):
-        self.named = _levels(named)  # lower bounds from the distinct named classes
-        self.pool: list[tuple[float, Graph, str]] = []
+    def __init__(self, f: WeightFunction, rho: Sequence[float], kinds: Sequence[str]):
+        """rho and kinds of the distinct named classes under f."""
+        second, top = _levels(rho, kinds)
+        self.f, self.kept = f, []
+        self.floor = {kind: cut - PRUNE_MARGIN * abs(cut)
+                      for kind, top_rho in top.items() for cut in [min(second, top_rho)]}
 
-    def offer(self, e: np.ndarray, w: np.ndarray, kinds: Sequence[str]):
-        """Score the classes of base kinds `kinds`, n + 1 edges each in the rows
-        e (as _rows gives them) with weights w, unless bounded out."""
-        count, n = len(kinds), len(e) // len(kinds) - 1
-        r = np.bincount(e.ravel(), np.repeat(np.abs(w), 2), count * n)
-        bound = np.sqrt(r[e[:, 0]] * r[e[:, 1]]).reshape(count, n + 1).max(axis=1)
-        (named_second, named_top), (second, top) = self.named, _levels(self.pool)
-        second = max(second, named_second)
-        cut = {kind: min(second, max(top.get(kind, -math.inf), named_top.get(kind, -math.inf)))
-               for kind in set(kinds)}
-        floor = [cut[kind] - PRUNE_MARGIN * abs(cut[kind]) for kind in kinds]
-        keep = np.flatnonzero(~(bound < floor))
-        if not keep.size:
-            return
-        rows = e.reshape(count, n + 1, 2)[keep] % n  # the kept classes' own edges
-        a = _dense((rows + n * np.arange(keep.size)[:, None, None]).reshape(-1, 2),
-                   w.reshape(count, n + 1)[keep].ravel(), keep.size, n)
-        rho = _dominant_eigenpairs(a)[0].tolist()
-        self.pool += [(rho_i, rows_graph(rows_i), kinds[i])
-                      for i, rows_i, rho_i in zip(keep, rows, rho)]
-        second, top = _levels(self.pool)
-        self.pool = [entry for entry in self.pool if entry[0] >= min(second, top[entry[2]])]
+    def offer(self, rows: np.ndarray, bound: np.ndarray, kinds: Sequence[str]):
+        """Keep the classes of base kinds `kinds`, edges rows[i], whose
+        edge_bounds value bound[i] reaches their kind's floor."""
+        self.kept += [(rows_graph(rows_i), kind)
+                      for rows_i, bound_i, kind in zip(rows, bound.tolist(), kinds)
+                      if not bound_i < self.floor.get(kind, -math.inf)]
 
     def ranking(self) -> tuple[list[tuple[float, tuple]], dict[str, tuple]]:
         """The first two (rho, class key) of all classes in descending order,
-        ties by key, and each kind's first key, keying only the pool."""
-        ranked = sorted(((rho, canonical_form(g), kind) for rho, g, kind in self.pool),
-                        reverse=True)
+        ties by key, and each kind's first key, keying only the classes at or
+        above the second rho or their kind's top rho."""
+        rho = spectral_radii([g for g, _ in self.kept], self.f).tolist()
+        second, top = _levels(rho, [kind for _, kind in self.kept])
+        ranked = sorted(((rho_i, canonical_form(g), kind)
+                         for rho_i, (g, kind) in zip(rho, self.kept)
+                         if rho_i >= min(second, top[kind])), reverse=True)
         kind_best: dict[str, tuple] = {}
         for _, cert, kind in ranked:
             kind_best.setdefault(kind, cert)
-        return [(rho, cert) for rho, cert, _ in ranked[:2]], kind_best
+        return [(rho_i, cert) for rho_i, cert, _ in ranked[:2]], kind_best
 
 
 @lru_cache(maxsize=32)
 def _rankings(n: int, fs: tuple[WeightFunction, ...]):
     """(classes, named class keys, {f: _Leaders.ranking()}) at order n from
-    one stream of orderly_rows(n), scored for every weight in fs."""
+    one stream of orderly_rows(n), bounded for every weight in fs."""
     check_order(n)
     named = {tag: family.build(n) if n >= family.min_n else None
              for tag, family in FAMILIES.items()}
     certs = {tag: None if g is None else canonical_form(g) for tag, g in named.items()}
     distinct = list({cert: named[tag] for tag, cert in certs.items() if cert is not None}.values())
     named_kinds = [base_graph(g).kind for g in distinct]
-    e = _rows(distinct, n)
-    w = _edge_weights(e, fs, n)
-    leaders = {}
-    for f, w_f in zip(fs, w):
-        with _naming(f, n):
-            rho = _dominant_eigenpairs(_dense(e, w_f, len(distinct), n))[0].tolist()
-        leaders[f] = _Leaders(list(zip(rho, named_kinds)))
+    leaders = [_Leaders(f, spectral_radii(distinct, f).tolist(), named_kinds) for f in fs]
     classes = 0
     for rows, kinds in orderly_rows(n):
         classes += len(kinds)
-        e = (rows + n * np.arange(len(kinds))[:, None, None]).reshape(-1, 2)
-        w = _edge_weights(e, fs, n)
-        for f, w_f in zip(fs, w):
-            with _naming(f, n):
-                leaders[f].offer(e, w_f, kinds)
-    return classes, certs, {f: leaders[f].ranking() for f in fs}
+        for leaders_f, bound in zip(leaders, edge_bounds(rows, fs, n)):
+            leaders_f.offer(rows, bound, kinds)
+    return classes, certs, {f: leaders_f.ranking() for f, leaders_f in zip(fs, leaders)}
 
 
 def _exhaustive_case(n: int, f: WeightFunction, rank: str,

@@ -572,13 +572,6 @@ def per_graph_radii(graphs, f) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def per_matrix_eigenpairs(a):
-    """Reference for the radii of spectral._dominant_eigenpairs: one
-    eigensolve per stacked matrix (the other outputs are not compared)."""
-    rho = [max(vals[-1], -vals[0]) for vals in (np.linalg.eigh(m)[0] for m in a)]
-    return np.array(rho, dtype=float), None, None
-
-
 # Reference exact weight: the package's earlier route, which evaluates every
 # weight at Fraction degrees.  The package runs on the int degrees and goes to
 # Fraction degrees only when the int route gives a float.

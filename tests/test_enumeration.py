@@ -134,7 +134,7 @@ def random_bicyclic(rng: random.Random, bases: list[Graph], n: int) -> Graph:
 class TestClassKey:
     @pytest.fixture(scope="class")
     def classes(self):
-        return {n: [g for g, _ in enumeration.orderly_classes(n)] for n in range(4, 11)}
+        return {n: enumerate_bicyclic(n).graphs for n in range(4, 11)}
 
     def test_distinct_and_invariant_under_relabelling(self, classes):
         rng = random.Random(7)
@@ -236,7 +236,6 @@ class TestOrderlyRows:
         for n in range(4, 9):
             stream = [(g, kind) for rows, kinds in enumeration.orderly_rows(n)
                       for g, kind in zip(map(enumeration.rows_graph, rows), kinds)]
-            assert list(enumeration.orderly_classes(n)) == stream
             assert enumerate_bicyclic(n).graphs == [g for g, _ in stream]
 
 
@@ -288,7 +287,7 @@ class TestBases:
 
         monkeypatch.setattr(enumeration, "isomorphisms", recording)
         for n in range(4, 11):
-            for g, _ in enumeration.orderly_classes(n):
+            for g in enumerate_bicyclic(n).graphs:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 canonical_form.__wrapped__(g)
@@ -328,7 +327,8 @@ class TestEnumerate:
         monkeypatch.setattr(enumeration, "isomorphisms", counting)
         enumeration._base_symmetry.cache_clear()
         try:
-            counts = [sum(1 for _ in enumeration.orderly_classes(n)) for n in range(4, 11)]
+            counts = [sum(len(kinds) for _, kinds in enumeration.orderly_rows(n))
+                      for n in range(4, 11)]
         finally:
             enumeration._base_symmetry.cache_clear()
         assert counts[:6] == [GOLDEN_COUNTS[n] for n in range(4, 10)] and counts[6] == 2678
@@ -337,7 +337,8 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_stream_tags_each_class_with_its_base_kind(self, n):
-        stream = list(enumeration.orderly_classes(n))
+        stream = [(enumeration.rows_graph(r), kind) for rows, kinds in enumeration.orderly_rows(n)
+                  for r, kind in zip(rows, kinds)]
         assert len(stream) == GOLDEN_COUNTS[n]
         assert all(kind == base_graph(g).kind for g, kind in stream)
 
@@ -415,6 +416,29 @@ class TestMaxDegree:
         assert rep.count == 2
         assert ({canonical_form(g) for g in rep.graphs}
                 == {canonical_form(graph_g1(n)), canonical_form(graph_g2(n))})
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_filters_the_classes_by_top_degree(self, n):
+        graphs = enumerate_bicyclic(n).graphs
+        for delta in range(2, n):
+            assert enumerate_with_max_degree(n, delta).graphs == [
+                g for g in graphs if max(g.degrees()) == delta]
+
+    def test_builds_only_the_classes_it_returns(self, monkeypatch):
+        # the degrees are read from the rows: besides the 66 bases the
+        # generator lays out, a Graph for each of the two classes returned
+        enumerate_with_max_degree(10, 9)  # the bases' symmetry, once per process
+        bases = len(bicyclic_bases(10))
+        built, post_init = [], Graph.__post_init__
+
+        def counting(g):
+            built.append(g)
+            post_init(g)
+
+        monkeypatch.setattr(Graph, "__post_init__", counting)
+        rep = enumerate_with_max_degree(10, 9)
+        assert rep.count == 2
+        assert len(built) == bases + 2 == 68
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_degree_two_impossible(self, n):

@@ -32,7 +32,7 @@ from bicyclic_spectra import (
     rho_f,
     sign_at_sqrt,
 )
-from bicyclic_spectra.enumeration import orderly_classes
+from bicyclic_spectra.enumeration import enumerate_bicyclic
 from bicyclic_spectra import quotient
 from bicyclic_spectra.quotient import PartitionError, degree_partition, validate_partition
 
@@ -176,7 +176,7 @@ class TestReferenceQuotient:
     @pytest.mark.parametrize("f", ORACLE_WEIGHTS, ids=lambda f: f.kind)
     def test_every_class(self, n, f):
         rng = random.Random(1000 * n + ORACLE_WEIGHTS.index(f))
-        for g, _ in orderly_classes(n):
+        for g in enumerate_bicyclic(n).graphs:
             p = random_partition(rng, n)
             q = quotient_matrix(g, f, p)
             assert (q.b, q.equitable) == reference_quotient(g, f, p)

@@ -18,7 +18,7 @@ from bicyclic_spectra import (
     spectral_radii,
     spectral_radius,
 )
-from bicyclic_spectra import spectral, weights
+from bicyclic_spectra import enumeration, spectral, weights
 from bicyclic_spectra.quotient import PartitionError
 from bicyclic_spectra.verify import random_connected_graph
 from conftest import loop_matrix, per_graph_radii
@@ -263,3 +263,32 @@ class TestSpectralRadii:
         monkeypatch.setattr(spectral.np.linalg, "eigh", skewed)
         with pytest.raises(SpectralError, match="residual"):
             spectral_radii([graph_g2(6), graph_g4(6)], weight_zagreb1)
+
+
+class TestEdgeBounds:
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_per_class_formula_and_bound(self, n):
+        # b = max over edges uv of sqrt(r_u r_v), r the row sums of |A_f|, for
+        # each weight of a chunk, and b >= rho
+        fs = [parse_weight(w) for w in ("zagreb1", "constant_one", "sum_connectivity:a=-1")]
+        for rows, _ in enumeration.orderly_rows(n):
+            bounds = spectral.edge_bounds(rows, fs, n)
+            assert bounds.shape == (len(fs), len(rows))
+            graphs = [enumeration.rows_graph(r) for r in rows]
+            for f, bound in zip(fs, bounds):
+                expected = []
+                for g in graphs:
+                    r = loop_matrix(g, f).sum(axis=1)
+                    expected.append(max(np.sqrt(r[u] * r[v]) for u, v in g.edges))
+                assert bound == pytest.approx(expected, rel=1e-12)
+                assert np.all(bound * (1 + 1e-12) >= spectral_radii(graphs, f))
+
+    def test_row_sums_of_absolute_values(self, monkeypatch):
+        # every weight of the catalogue is positive; flipping the sign of
+        # some degree pairs gives the same |A_f| and so the same bounds
+        fs = [parse_weight(w) for w in ("zagreb1", "constant_one")]
+        rows, _ = next(enumeration.orderly_rows(8))
+        positive = spectral.edge_bounds(rows, fs, 8)
+        evaluate = spectral.evaluate
+        monkeypatch.setattr(spectral, "evaluate", lambda f, x, y: (-1) ** (x + y) * evaluate(f, x, y))
+        assert np.array_equal(spectral.edge_bounds(rows, fs, 8), positive)

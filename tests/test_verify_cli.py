@@ -31,7 +31,7 @@ from bicyclic_spectra import (
 from bicyclic_spectra import spectral, verify, weights
 from bicyclic_spectra.cli import main, parse_graph_argument
 from bicyclic_spectra.verify import printed_tolerance
-from conftest import (per_graph_radii, per_matrix_eigenpairs, reference_exhaustive_case,
+from conftest import (per_graph_radii, reference_exhaustive_case,
                       reference_random_connected_graph, stepwise_random_connected_graph)
 
 Z1 = WeightFunction("zagreb1")
@@ -135,6 +135,10 @@ class TestExtremalCampaign:
         assert rep.ok
         assert all(c.computed["second_class"] in ("G2", "G3", "G4") for c in rep.cases)
 
+    def test_candidate_mode_checks_the_second_rank_only(self):
+        with pytest.raises(ValueError, match="second rank only"):
+            verify_extremal([10], [Z1], rank="first", mode="candidate")
+
     def test_candidate_below_threshold_informative(self):
         rep = verify_extremal([6], [Z1], rank="second", mode="candidate")
         case = rep.cases[0]
@@ -203,9 +207,8 @@ class TestBatchedScoring:
     @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
     def test_report_matches_per_graph_scoring(self, name, monkeypatch):
         batched = timeless(CAMPAIGNS[name]())
+        # every rho of every report, the exhaustive ones included, is scored here
         monkeypatch.setattr(verify, "spectral_radii", per_graph_radii)
-        # the exhaustive stream eigensolves its stacked matrices directly
-        monkeypatch.setattr(verify, "_dominant_eigenpairs", per_matrix_eigenpairs)
         verify._rankings.cache_clear()
         assert batched == timeless(CAMPAIGNS[name]())
 
@@ -284,14 +287,17 @@ class TestStreamingExhaustive:
         # every edge), so a cut at its own rho must still score it, and a cut
         # clearly above prunes it
         k23 = make_theta(2, 2, 2)
+        rows = np.array([sorted(k23.edges)])
         for f in ORACLE_WEIGHTS:
             rho = rho_f(k23, f)
-            e = spectral._rows([k23], 5)
-            (w,) = spectral._edge_weights(e, [f], 5)
+            (bound,) = spectral.edge_bounds(rows, [f], 5)
+            assert bound[0] == pytest.approx(rho, rel=1e-12)
             for second, scored in ((rho, 1), (rho * (1 + 1e-6), 0)):
-                leaders = verify._Leaders([(2 * rho, "theta"), (second, "infinity")])
-                leaders.offer(e, w, ["theta"])
-                assert len(leaders.pool) == scored, (f.label(), second)
+                leaders = verify._Leaders(f, [2 * rho, second], ["theta", "infinity"])
+                leaders.offer(rows, bound, ["theta"])
+                assert len(leaders.kept) == scored, (f.label(), second)
+                if scored:
+                    assert leaders.kept[0] == (k23, "theta")
 
     def test_certifies_only_what_a_verdict_reads(self, monkeypatch):
         calls = []
@@ -359,22 +365,60 @@ class TestStreamingExhaustive:
         monkeypatch.setattr(weights, "_evaluate_generic", counting)
         stream()
         assert calls and len(calls) == len(set(calls))
+        assert all(x <= y for _, x, y in calls)  # one value per unordered pair
         computed = len(calls)
         stream()
         assert len(calls) == computed
 
     def test_prune_skips_most_eigensolves(self, monkeypatch):
+        # 139 matrices for zagreb1 at n = 10, the named families included
         solved = []
-        original = verify._dominant_eigenpairs
+        original = verify.spectral_radii
 
-        def counting(a):
-            solved.append(len(a))
-            return original(a)
+        def counting(graphs, f):
+            solved.append(len(graphs))
+            return original(graphs, f)
 
-        monkeypatch.setattr(verify, "_dominant_eigenpairs", counting)
+        monkeypatch.setattr(verify, "spectral_radii", counting)
         verify._rankings.cache_clear()
         verify_extremal([10], [Z1], rank="first")
-        assert sum(solved) < 2678 // 10
+        assert sum(solved) == 139 < 2678 // 10
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_scores_once_per_weight_after_the_stream(self, n, monkeypatch):
+        # one spectral_radii call per weight for the named families and one
+        # for the classes the edge bound keeps
+        calls = []
+        original = verify.spectral_radii
+
+        def counting(graphs, f):
+            calls.append(f)
+            return original(graphs, f)
+
+        monkeypatch.setattr(verify, "spectral_radii", counting)
+        verify._rankings.cache_clear()
+        verify._rankings(n, ORACLE_WEIGHTS)
+        assert sorted(calls, key=ORACLE_WEIGHTS.index) == [f for f in ORACLE_WEIGHTS
+                                                            for _ in range(2)]
+
+    def test_graphs_built_for_three_weights(self):
+        # every Graph a fresh process makes for _rankings(10, ...): the 2,678
+        # classes come out as rows, and the bases, named families, kept
+        # classes and class keys make 321
+        import subprocess, sys
+        script = (
+            "from bicyclic_spectra import Graph, verify, parse_weight\n"
+            "built, post_init = [], Graph.__post_init__\n"
+            "def counting(g):\n"
+            "    built.append(g)\n"
+            "    post_init(g)\n"
+            "Graph.__post_init__ = counting\n"
+            "fs = tuple(map(parse_weight, ('zagreb1', 'hyper_zagreb', 'forgotten')))\n"
+            "assert verify._rankings(10, fs)[0] == 2678\n"
+            "print(len(built))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == 321
 
 
 class TestKelmansCampaign:
@@ -472,7 +516,7 @@ class TestCli:
          ["sombor:a=2,b=2", "zagreb1", "custom:max(x,y)*(x+y)", "platt:a=2"]),
     ], ids=["two_parameters", "parenthesised_comma", "mixed_list"])
     def test_weights_with_commas(self, spec, labels, capsys):
-        code = main(["extremal", "--n", "6", "--f", spec, "--mode", "candidate"])
+        code = main(["extremal", "--n", "6", "--f", spec, "--rank", "2", "--mode", "candidate"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert [case["inputs"]["weight"] for case in payload["cases"]] == labels
@@ -608,11 +652,13 @@ class TestCli:
         ["spectral", "--graph", "A_", "--f", "platt:a=-1"],
         ["spectral", "--graph", "G1:6", "--f", "custom:1/(x-y)**2+1"],
         ["spectral", "--graph", "G1:6", "--f", "custom:(x-1)**-1+1"],
+        # candidate mode asserts the rank-2 claim only
+        ["extremal", "--n", "10", "--f", "zagreb1", "--mode", "candidate"],
     ], ids=["enumeration_bound", "extremal_order_bound", "weight_spec", "theorem41_range",
             "kelmans_order_floor", "unwritable_json", "unwritable_csv", "eigensolve_exhaustive",
             "eigensolve_kelmans", "overflow_spectral", "overflow_pstar", "undefined_extremal",
             "undefined_kelmans", "undefined_spectral", "undefined_custom_division",
-            "undefined_custom_power"])
+            "undefined_custom_power", "candidate_rank_one"])
     def test_domain_errors_exit_two_without_traceback(self, argv):
         import subprocess, sys
         proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],
