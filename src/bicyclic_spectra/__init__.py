@@ -47,10 +47,8 @@ from .spectral import (
 from .transforms import TransformError, TransformOutcome, kelmans, pendant_shift
 from .enumeration import (
     EnumerationError,
-    EnumerationReport,
     canonical_form,
     enumerate_bicyclic,
-    enumerate_with_max_degree,
     targeted_max_degree_family,
 )
 from .polynomials import (

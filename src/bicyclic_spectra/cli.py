@@ -18,8 +18,9 @@ import json
 import os
 import sys
 
-from .enumeration import canonical_form, enumerate_bicyclic, enumerate_with_max_degree
-from .graphs import FAMILIES, Graph, graph6_decode, graph6_encode, make_infinity, make_theta
+from .enumeration import canonical_form, enumerate_bicyclic
+from .graphs import (FAMILIES, Graph, graph6_decode, graph6_encode, make_infinity, make_theta,
+                     rows_graph)
 from .spectral import SpectralError, build_matrix, full_spectrum, spectral_radius
 from .verify import VerificationReport, run_table, verify_extremal, verify_kelmans, verify_theorem41
 from .weights import _PARAMETERS, parse_weight
@@ -159,14 +160,14 @@ def _run(args) -> int:
     if args.command == "theorem41":
         return _emit(verify_theorem41(args.n), args)
     if args.command == "enumerate":
-        if args.max_degree is not None:
-            rep = enumerate_with_max_degree(args.n, args.max_degree)
-        else:
-            rep = enumerate_bicyclic(args.n)
-        if args.graph6:
-            for g in rep.graphs:
-                print(graph6_encode(g))
-        print(json.dumps({"n": rep.n, "method": rep.method, "count": rep.count}))
+        method, chunks = enumerate_bicyclic(args.n, args.max_degree)
+        count = 0
+        for rows in chunks:
+            count += len(rows)
+            if args.graph6:
+                for r in rows:
+                    print(graph6_encode(rows_graph(r)))
+        print(json.dumps({"n": args.n, "method": method, "count": count}))
         return 0
     if args.command == "spectral":
         f = parse_weight(args.f)

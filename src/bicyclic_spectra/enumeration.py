@@ -17,14 +17,13 @@ classes in key order, so enumeration needs no certificate and no sort.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, base_graph, make_infinity, make_theta
+from .graphs import Graph, base_graph, graph_rows, make_infinity, make_theta, union_edges
 from .spectral import EIGH_CHUNK
 
 # largest order enumerate_bicyclic runs at
@@ -104,29 +103,29 @@ def _base_symmetry(base: Graph) -> tuple[tuple[tuple[int, ...], ...], str]:
     return tuple(isomorphisms(base, base)), base_graph(base).kind
 
 
+@lru_cache(maxsize=None)
+def _bases(order: int) -> tuple[tuple[tuple[int, ...], Graph], ...]:
+    """(class-key head, base) of every pendant-free bicyclic graph of this order."""
+    infinity = [((0, p, q, l), make_infinity(p, l, q)) for p in range(3, order)
+                for q in range(p, order) for l in [order + 2 - p - q] if l >= 1]
+    theta = [((1, hi, mid, lo), make_theta(hi, lo, mid)) for hi in range(2, order)
+             for mid in range(2, hi + 1) for lo in [order + 1 - hi - mid] if 1 <= lo <= mid]
+    return tuple(infinity + theta)
+
+
 def bicyclic_bases(max_order: int) -> list[Graph]:
-    """Every pendant-free bicyclic graph with at most max_order vertices."""
-    out = []
-    for p in range(3, max_order + 1):
-        for q in range(p, max_order + 1):
-            for l in range(1, max_order + 1):
-                if p + q + l - 2 <= max_order:
-                    out.append(make_infinity(p, l, q))
-    for hi in range(2, max_order + 1):
-        for mid in range(2, hi + 1):
-            for lo in range(1, mid + 1):
-                if hi + mid + lo - 1 <= max_order:
-                    out.append(make_theta(hi, lo, mid))
-    return out
+    """Every pendant-free bicyclic graph with at most max_order vertices, by
+    class-key head: infinity by (p, q, l), then theta by (hi, mid, lo)."""
+    return [base for _, base in sorted(itertools.chain(*map(_bases, range(4, max_order + 1))))]
 
 
-def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, list[str]]]:
+def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """One labelled graph per bicyclic class on n vertices, lazily, in
     class-key order, in chunks (rows, kinds) of EIGH_CHUNK classes: rows[i],
-    of an int array (C, n + 1, 2), holds the edges (u, v), u < v, of class i
-    and kinds[i] its base kind ("infinity" or "theta").  A class's rows are its
-    base's edges, then row x + 1 joins new vertex x to its parent, the trees
-    numbered in preorder one base vertex after another.
+    of an int16 array (C, n + 1, 2), holds the edges (u, v), u < v, of class
+    i and kinds[i] its base kind, "infinity" or "theta" (an object array).  A
+    class's rows are its base's edges, then row x + 1 joins new vertex x to
+    its parent, the trees numbered in preorder one base vertex after another.
 
     A forest assignment, keyed (composition, shape indices) in loop order, is
     kept only when no base automorphism maps it to a smaller key (the group
@@ -157,15 +156,11 @@ def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, list[str]]]:
                         flat += itertools.chain.from_iterable(map(getitem, trees, idx))
                         kinds.append(kind)
                         if len(kinds) == EIGH_CHUNK:
-                            yield np.array(flat).reshape(-1, n + 1, 2), kinds
+                            yield (np.array(flat, np.int16).reshape(-1, n + 1, 2),
+                                   np.array(kinds, object))
                             flat, kinds = [], []
     if kinds:
-        yield np.array(flat).reshape(-1, n + 1, 2), kinds
-
-
-def rows_graph(rows: np.ndarray) -> Graph:
-    """The bicyclic graph whose n + 1 edges (u, v), u < v, are rows."""
-    return Graph(len(rows) - 1, frozenset(map(tuple, rows.tolist())))
+        yield np.array(flat, np.int16).reshape(-1, n + 1, 2), np.array(kinds, object)
 
 
 def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
@@ -215,16 +210,8 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Reports and public entry points
+# Public entry points
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class EnumerationReport:
-    n: int
-    count: int
-    method: str
-    graphs: list[Graph] = field(repr=False)
 
 
 def check_order(n: int) -> None:
@@ -233,30 +220,32 @@ def check_order(n: int) -> None:
         raise EnumerationError(f"bicyclic classes are enumerated for 4 <= n <= {ORDER_BOUND}")
 
 
-def enumerate_bicyclic(n: int) -> EnumerationReport:
-    """All connected bicyclic graphs on n vertices up to isomorphism, in
-    class-key order."""
-    check_order(n)
-    graphs = [rows_graph(r) for rows, _ in orderly_rows(n) for r in rows]
-    return EnumerationReport(n, len(graphs), "constructive", graphs)
+def enumerate_bicyclic(n: int, max_degree: int | None = None) -> tuple[str, Iterable[np.ndarray]]:
+    """(method, chunks): the connected bicyclic graphs on n vertices up to
+    isomorphism, lazily in class-key order, as the edge rows of
+    orderly_rows(n); with max_degree, only those of that maximum degree.
 
-
-def enumerate_with_max_degree(n: int, delta: int) -> EnumerationReport:
-    """Bicyclic classes on n vertices whose maximum degree is exactly delta.
-
-    Beyond `ORDER_BOUND`, the delta = n-2 family is still available through
-    the targeted generator (cross-checked against full enumeration at the
+    Beyond ORDER_BOUND, max_degree = n - 2 is still answered, as one chunk,
+    by the targeted generator (cross-checked against full enumeration at the
     orders where both run).
     """
-    if delta > n - 1:
+    if max_degree is None:
+        check_order(n)
+        return "constructive", (rows for rows, _ in orderly_rows(n))
+    if max_degree < 0:
+        raise EnumerationError("delta must be >= 0")
+    if max_degree > n - 1:
         raise EnumerationError("delta exceeds n - 1")
-    if n > ORDER_BOUND and delta == n - 2:
-        graphs = targeted_max_degree_family(n)
-        return EnumerationReport(n, len(graphs), f"targeted/max_degree={delta}", graphs)
+    if n > ORDER_BOUND and max_degree == n - 2:
+        return f"targeted/max_degree={max_degree}", [graph_rows(targeted_max_degree_family(n))]
     check_order(n)
-    graphs = [rows_graph(r) for rows, _ in orderly_rows(n) for r in rows
-              if np.bincount(r.ravel()).max() == delta]
-    return EnumerationReport(n, len(graphs), f"constructive/max_degree={delta}", graphs)
+
+    def filtered():
+        for rows, _ in orderly_rows(n):
+            deg = np.bincount(union_edges(rows, n).ravel(), minlength=len(rows) * n)
+            yield rows[deg.reshape(-1, n).max(axis=1) == max_degree]
+
+    return f"constructive/max_degree={max_degree}", filtered()
 
 
 def targeted_max_degree_family(n: int) -> list[Graph]:

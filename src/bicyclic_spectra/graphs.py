@@ -1,5 +1,5 @@
-"""Simple undirected graphs, the named-family registry, equitable refinement
-and graph6 I/O.
+"""Simple undirected graphs, the named-family registry, equitable refinement,
+graph6 I/O and edge rows.
 
 Vertices are 0-indexed contiguous integers.  Constructors put base vertices
 first and attachment vertices last, so tests can address e.g. "the hub" by a
@@ -9,7 +9,10 @@ fixed index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -112,6 +115,27 @@ class Graph:
 
     def is_bicyclic(self) -> bool:
         return self.is_connected() and self.cyclomatic_number() == 2
+
+
+def graph_rows(graphs: list[Graph]) -> np.ndarray:
+    """Edge rows of graphs of one order and size m: rows[i], of an int array
+    (C, m, 2), holds the edges (u, v), u < v, of graphs[i]."""
+    if len({(g.n, len(g.edges)) for g in graphs}) > 1:
+        raise ValueError("edge rows need graphs of one order and size")
+    m = graphs[0].m if graphs else 0
+    flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
+    return np.fromiter(flat, np.intp, 2 * m * len(graphs)).reshape(len(graphs), m, 2)
+
+
+def rows_graph(rows: np.ndarray) -> Graph:
+    """The bicyclic graph whose n + 1 edges (u, v), u < v, are rows."""
+    return Graph(len(rows) - 1, frozenset(map(tuple, rows.tolist())))
+
+
+def union_edges(rows: np.ndarray, n: int) -> np.ndarray:
+    """The edges of the disjoint union of the graphs of order n whose edges
+    are rows[i], vertex v of graph i numbered i * n + v: an int array (C * m, 2)."""
+    return (rows + n * np.arange(len(rows))[:, None, None]).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------

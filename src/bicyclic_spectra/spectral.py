@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, graph_rows, union_edges
 from .weights import WeightFunction, evaluate
 
 
@@ -21,8 +20,7 @@ RESIDUAL_TOL = 1e-10  # relative eigenpair residual above which an eigensolve ra
 
 def build_matrix(g: Graph, f: WeightFunction) -> np.ndarray:
     """A_f(G), read-only: entry (i,j) is f(d_i,d_j) on edges, 0 elsewhere."""
-    e = _rows([g], g.n)
-    a = _dense(e, _edge_weights(e, [f], g.n)[0], 1, g.n)[0]
+    a = _dense(graph_rows([g]), f, g.n)[0]
     a.setflags(write=False)
     return a
 
@@ -99,20 +97,13 @@ def full_spectrum(m) -> np.ndarray:
 EIGH_CHUNK = 64  # matrices per batched eigensolve; bounds the stacked arrays' memory
 
 
-def spectral_radii(graphs: Sequence[Graph], f: WeightFunction) -> np.ndarray:
-    """Spectral radii of A_f(G) for graphs of one order, in input order.
-
-    Each equals spectral_radius(build_matrix(g, f)).rho; one eigensolve call per EIGH_CHUNK graphs.
-    """
-    graphs = list(graphs)
-    n = graphs[0].n if graphs else 0
-    if any(g.n != n for g in graphs):
-        raise ValueError("spectral_radii needs graphs of one order")
-    rho = np.zeros(len(graphs))
-    for start in range(0, len(graphs) if n else 0, EIGH_CHUNK):
-        chunk = graphs[start:start + EIGH_CHUNK]
-        e = _rows(chunk, n)
-        a = _dense(e, _edge_weights(e, [f], n)[0], len(chunk), n)
+def spectral_radii(rows: np.ndarray, f: WeightFunction, n: int) -> np.ndarray:
+    """spectral_radius(build_matrix(G_i, f)).rho for the graphs G_i of order n
+    whose edges (u, v) are rows[i], an int array (C, m, 2) as edge_bounds and
+    graph_rows take and give it; one eigensolve call per EIGH_CHUNK graphs."""
+    rho = np.zeros(len(rows))
+    for start in range(0, len(rows), EIGH_CHUNK):
+        a = _dense(rows[start:start + EIGH_CHUNK], f, n)
         try:
             rho[start:start + EIGH_CHUNK] = _dominant_eigenpairs(a)[0]
         except SpectralError as exc:
@@ -131,7 +122,7 @@ def edge_bounds(rows: np.ndarray, fs: Sequence[WeightFunction], n: int) -> np.nd
     mean over u's neighbours; rho is at most the largest row sum.
     """
     count = len(rows)
-    e = (rows + n * np.arange(count)[:, None, None]).reshape(-1, 2)
+    e = union_edges(rows, n)
     out = []
     for w in np.abs(_edge_weights(e, fs, n)):
         r = np.bincount(e.ravel(), np.repeat(w, 2), count * n)
@@ -139,16 +130,8 @@ def edge_bounds(rows: np.ndarray, fs: Sequence[WeightFunction], n: int) -> np.nd
     return np.array(out)
 
 
-def _rows(graphs: Sequence[Graph], n: int) -> np.ndarray:
-    """Each edge uv of graph i, of order n, as a row (i * n + u, i * n + v)."""
-    m = [g.m for g in graphs]
-    e = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
-                    np.intp, 2 * sum(m)).reshape(-1, 2)
-    return e + np.repeat(n * np.arange(len(graphs)), m)[:, None]
-
-
 def _edge_weights(e: np.ndarray, fs: Sequence[WeightFunction], n: int) -> np.ndarray:
-    """w[k] the weights under fs[k] of the edges e, rows as _rows gives them
+    """w[k] the weights under fs[k] of the edges e, as union_edges gives them
     for graphs of order n: one evaluate per distinct unordered degree pair
     x <= y, spread to the edges in numpy."""
     deg = np.bincount(e.ravel())
@@ -160,14 +143,14 @@ def _edge_weights(e: np.ndarray, fs: Sequence[WeightFunction], n: int) -> np.nda
     return table[:, keys]
 
 
-def _dense(e: np.ndarray, w: np.ndarray, count: int, n: int) -> np.ndarray:
-    """The count stacked n x n matrices whose edge rows e (as _rows gives
-    them) carry weights w, shape (count, n, n)."""
-    a = np.zeros((count * n, n))
-    a[e, e[:, ::-1] % n] = w[:, None]  # (u, v) and (v, u)
-    return a.reshape(count, n, n)
+def _dense(rows: np.ndarray, f: WeightFunction, n: int) -> np.ndarray:
+    """A_f(G_i), stacked (C, n, n), of the graphs G_i of order n with edges rows[i]."""
+    e = union_edges(rows, n)
+    a = np.zeros((len(rows) * n, n))
+    a[e, e[:, ::-1] % n] = _edge_weights(e, [f], n)[0][:, None]  # (u, v) and (v, u)
+    return a.reshape(len(rows), n, n)
 
 
 def rho_f(g: Graph, f: WeightFunction) -> float:
     """Convenience: spectral radius of A_f(G)."""
-    return float(spectral_radii([g], f)[0])
+    return float(spectral_radii(graph_rows([g]), f, g.n)[0])

@@ -28,8 +28,8 @@ import numpy as np
 
 # enumerate_bicyclic stays importable here: perfbench/layers.py wraps it
 from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # noqa: F401
-                          orderly_rows, rows_graph, targeted_max_degree_family)
-from .graphs import FAMILIES, Graph, base_graph, graph_g1, graph_g2
+                          orderly_rows, targeted_max_degree_family)
+from .graphs import FAMILIES, Graph, base_graph, graph_g1, graph_g2, graph_rows, rows_graph
 from .spectral import edge_bounds, rho_f, spectral_radii
 from .transforms import kelmans, pendant_shift
 from .weights import WeightFunction, check_pstar, parse_weight
@@ -298,10 +298,11 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
 PRUNE_MARGIN = 1e-9  # relative; a class is skipped only when its bound is clearly below
 
 
-def _levels(rho: Sequence[float], kinds: Sequence[str]) -> tuple[float, dict[str, float]]:
-    """(second rho, {kind: top rho}) of distinct classes' radii rho and base kinds."""
-    top = {kind: max(r for r, k in zip(rho, kinds) if k == kind) for kind in set(kinds)}
-    return (sorted(rho)[-2] if len(rho) > 1 else -math.inf), top
+def _cuts(rho: Sequence[float], kinds: Sequence[str]) -> dict[str, float]:
+    """{kind: min(second rho, top rho of the kind)} of distinct classes' rho and kinds."""
+    rho, kinds = np.asarray(rho), np.asarray(kinds)
+    second = np.sort(rho)[-2] if len(rho) > 1 else -math.inf
+    return {kind: min(second, rho[kinds == kind].max()) for kind in set(kinds.tolist())}
 
 
 class _Leaders:
@@ -311,36 +312,37 @@ class _Leaders:
     The named families bound both values from below, so each kind's cut is
     fixed once per order: min(named second rho, named top rho of the kind).
     A class whose edge_bounds value is clearly below its kind's cut is
-    neither in the top two nor its kind's best, so neither its Graph nor its
-    A_f is ever built.
+    neither in the top two nor its kind's best, so its A_f is never built.
+    Kept classes stay edge rows; only those a verdict reads become Graphs.
     """
 
     def __init__(self, f: WeightFunction, rho: Sequence[float], kinds: Sequence[str]):
         """rho and kinds of the distinct named classes under f."""
-        second, top = _levels(rho, kinds)
         self.f, self.kept = f, []
         self.floor = {kind: cut - PRUNE_MARGIN * abs(cut)
-                      for kind, top_rho in top.items() for cut in [min(second, top_rho)]}
+                      for kind, cut in _cuts(rho, kinds).items()}
 
-    def offer(self, rows: np.ndarray, bound: np.ndarray, kinds: Sequence[str]):
-        """Keep the classes of base kinds `kinds`, edges rows[i], whose
-        edge_bounds value bound[i] reaches their kind's floor."""
-        self.kept += [(rows_graph(rows_i), kind)
-                      for rows_i, bound_i, kind in zip(rows, bound.tolist(), kinds)
-                      if not bound_i < self.floor.get(kind, -math.inf)]
+    def offer(self, rows: np.ndarray, bound: np.ndarray, kinds: np.ndarray):
+        """Keep (rows, kinds) of the classes of base kinds `kinds`, edges
+        rows[i], whose edge_bounds value bound[i] reaches their kind's floor."""
+        floor = np.full(len(kinds), -math.inf)
+        for kind, cut in self.floor.items():
+            floor[kinds == kind] = cut
+        keep = ~(bound < floor)
+        if keep.any():
+            self.kept.append((rows[keep], kinds[keep]))
 
     def ranking(self) -> tuple[list[tuple[float, tuple]], dict[str, tuple]]:
         """The first two (rho, class key) of all classes in descending order,
         ties by key, and each kind's first key, keying only the classes at or
         above the second rho or their kind's top rho."""
-        rho = spectral_radii([g for g, _ in self.kept], self.f).tolist()
-        second, top = _levels(rho, [kind for _, kind in self.kept])
-        ranked = sorted(((rho_i, canonical_form(g), kind)
-                         for rho_i, (g, kind) in zip(rho, self.kept)
-                         if rho_i >= min(second, top[kind])), reverse=True)
-        kind_best: dict[str, tuple] = {}
-        for _, cert, kind in ranked:
-            kind_best.setdefault(kind, cert)
+        rows, kinds = (np.concatenate(part) for part in zip(*self.kept))
+        rho = spectral_radii(rows, self.f, rows.shape[1] - 1)  # n + 1 edges
+        cut = _cuts(rho, kinds)
+        idx = np.flatnonzero(rho >= np.select([kinds == kind for kind in cut], list(cut.values())))
+        ranked = sorted(zip(rho[idx].tolist(), map(canonical_form, map(rows_graph, rows[idx])),
+                            kinds[idx].tolist()), reverse=True)
+        kind_best = {kind: cert for _, cert, kind in reversed(ranked)}  # each kind's first
         return [(rho_i, cert) for rho_i, cert, _ in ranked[:2]], kind_best
 
 
@@ -353,8 +355,8 @@ def _rankings(n: int, fs: tuple[WeightFunction, ...]):
              for tag, family in FAMILIES.items()}
     certs = {tag: None if g is None else canonical_form(g) for tag, g in named.items()}
     distinct = list({cert: named[tag] for tag, cert in certs.items() if cert is not None}.values())
-    named_kinds = [base_graph(g).kind for g in distinct]
-    leaders = [_Leaders(f, spectral_radii(distinct, f).tolist(), named_kinds) for f in fs]
+    named_rows, named_kinds = graph_rows(distinct), [base_graph(g).kind for g in distinct]
+    leaders = [_Leaders(f, spectral_radii(named_rows, f, n), named_kinds) for f in fs]
     classes = 0
     for rows, kinds in orderly_rows(n):
         classes += len(kinds)
@@ -499,7 +501,7 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
 
     Per weight, `samples` class-changing reroutes and then
     PENDANT_SHIFT_FRACTION * samples pendant shifts are sampled first, then scored with one spectral_radii
-    call per order and checked for rho' > rho - 1e-9; n_range needs some
+    call per order and size and checked for rho' > rho - 1e-9; n_range needs some
     n >= 4.  kelmans decides each class change exactly at every order, with
     no certificate.  Weights without P* run informatively: violations are
     recorded, not failed.
@@ -542,9 +544,11 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
             g, v, u, w = _random_pendant_shift_instance(rng)
             pairs.append((pendant_shift(g, v, u, w), g))
         deltas = np.empty(len(pairs))
-        for n in {after.n for after, _ in pairs}:
-            idx = [i for i, (after, _) in enumerate(pairs) if after.n == n]
-            rho = spectral_radii([g for i in idx for g in pairs[i]], f)
+        groups: dict[tuple[int, int], list[int]] = {}  # (n, m) -> indices into pairs
+        for i, (after, _) in enumerate(pairs):
+            groups.setdefault((after.n, after.m), []).append(i)
+        for (n, _), idx in sorted(groups.items()):
+            rho = spectral_radii(graph_rows([g for i in idx for g in pairs[i]]), f, n)
             deltas[idx] = rho[0::2] - rho[1::2]
         failing = deltas <= -slack
         violations = int(failing[:samples].sum())
@@ -585,7 +589,7 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
 
     def cases_for(n: int) -> list[CaseRecord]:
         out = []
-        rho1, rho2 = spectral_radii([graph_g1(n), graph_g2(n)], ext).tolist()
+        rho1, rho2 = spectral_radii(graph_rows([graph_g1(n), graph_g2(n)]), ext, n).tolist()
         b1, b2 = bound(n, 3.8), bound(n, 5.0)
         out.append(CaseRecord(
             case_id=f"theorem41/chain/n={n}",
@@ -596,7 +600,7 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
             passed=rho1 > b1 > rho2 > b2,
         ))
         family = targeted_max_degree_family(n)
-        worst = max(spectral_radii(family, ext).tolist())
+        worst = max(spectral_radii(graph_rows(family), ext, n).tolist())
         out.append(CaseRecord(
             case_id=f"theorem41/max_degree_n2/n={n}",
             inputs={"n": n, "classes": len(family)},

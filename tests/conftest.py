@@ -16,12 +16,17 @@ from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, Pol
                               canonical_form, enumerate_bicyclic, evaluate, evaluate_exact,
                               spectral_radii)
 from bicyclic_spectra.enumeration import bicyclic_bases, rooted_trees, _weak_compositions
-from bicyclic_spectra.graphs import refine_partition
+from bicyclic_spectra.graphs import graph_rows, refine_partition, rows_graph
 from bicyclic_spectra.weights import WeightSpecError, _eval_custom, _evaluate_generic, _pow
 
 # bicyclic class counts at n=4..9, on which enumerate_bicyclic and the
 # edge-subset oracle agree (n=10 has 2,678)
 GOLDEN_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797}
+
+
+def class_graphs(n: int, max_degree=None) -> list[Graph]:
+    """The classes enumerate_bicyclic(n, max_degree) streams, each as a Graph."""
+    return [rows_graph(r) for rows in enumerate_bicyclic(n, max_degree)[1] for r in rows]
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -247,13 +252,13 @@ def reference_isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
 def reference_exhaustive_case(n: int, f, rank: str, min_gap: float = 1e-9) -> CaseRecord:
     """Reference exhaustive extremal case: score every class, key every class
     and sort them all by (rho, class key)."""
-    rep = enumerate_bicyclic(n)
-    rhos = spectral_radii(rep.graphs, f).tolist()
-    scored = sorted(zip(rhos, map(canonical_form, rep.graphs), rep.graphs), reverse=True)
+    graphs = class_graphs(n)
+    rhos = spectral_radii(graph_rows(graphs), f, n).tolist()
+    scored = sorted(zip(rhos, map(canonical_form, graphs), graphs), reverse=True)
     named = {tag: canonical_form(family.build(n)) if n >= family.min_n else None
              for tag, family in FAMILIES.items()}
     case_id = f"extremal/{rank}/{f.label()}/n={n}"
-    inputs = {"n": n, "weight": f.label(), "classes": rep.count}
+    inputs = {"n": n, "weight": f.label(), "classes": len(graphs)}
     top_rho, top_cert, _ = scored[0]
     gap = top_rho - scored[1][0] if len(scored) > 1 else float("inf")
     if rank == "first":
@@ -563,12 +568,14 @@ def loop_matrix(g: Graph, f) -> np.ndarray:
     return a
 
 
-def per_graph_radii(graphs, f) -> np.ndarray:
-    """Reference scorer: one matrix and one eigensolve per graph."""
+def per_graph_radii(rows, f, n: int) -> np.ndarray:
+    """Reference scorer, called as spectral_radii is: one matrix and one
+    eigensolve per graph of order n, the edges of graph i in rows[i]."""
     out = []
-    for g in graphs:
+    for r in rows:
+        g = Graph.from_edges(n, map(tuple, np.asarray(r).tolist()))
         vals = np.linalg.eigh(loop_matrix(g, f))[0]
-        out.append(max(vals[-1], -vals[0]) if g.n else 0.0)
+        out.append(max(vals[-1], -vals[0]) if n else 0.0)
     return np.array(out, dtype=float)
 
 

@@ -27,6 +27,7 @@ COMMANDS = [
     ["kelmans", "--samples", "20", "--seed", "1", "--f", "zagreb1", "--n", "4..6"],
     ["theorem41", "--n", "12..13"],
     ["enumerate", "--n", "6", "--graph6"],
+    ["enumerate", "--n", "7", "--max-degree", "6"],
     ["enumerate", "--n", "12", "--max-degree", "10"],
     ["spectral", "--graph", "Es\\o", "--f", "zagreb1", "--full-spectrum"],
     ["spectral", "--graph", "B:3,1,3", "--f", "extended"],

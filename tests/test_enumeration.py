@@ -12,7 +12,6 @@ from bicyclic_spectra import (
     base_graph,
     canonical_form,
     enumerate_bicyclic,
-    enumerate_with_max_degree,
     graph_g1,
     graph_g2,
     graph_g3,
@@ -23,11 +22,12 @@ from bicyclic_spectra import (
 )
 from bicyclic_spectra import enumeration
 from bicyclic_spectra.enumeration import bicyclic_bases, isomorphisms, rooted_trees
+from bicyclic_spectra.graphs import rows_graph
 from bicyclic_spectra.spectral import EIGH_CHUNK
 from conftest import (GOLDEN_COUNTS, brute_force_bicyclic_classes, burnside_class_count,
-                      edge_subset_classes, graph_from_certificate, reference_canonical_form,
-                      reference_enumerate_constructive, reference_forest_graph,
-                      reference_isomorphisms, reference_orderly_classes,
+                      class_graphs, edge_subset_classes, graph_from_certificate,
+                      reference_canonical_form, reference_enumerate_constructive,
+                      reference_forest_graph, reference_isomorphisms, reference_orderly_classes,
                       reference_weak_compositions, to_networkx)
 
 
@@ -134,7 +134,7 @@ def random_bicyclic(rng: random.Random, bases: list[Graph], n: int) -> Graph:
 class TestClassKey:
     @pytest.fixture(scope="class")
     def classes(self):
-        return {n: enumerate_bicyclic(n).graphs for n in range(4, 11)}
+        return {n: class_graphs(n) for n in range(4, 11)}
 
     def test_distinct_and_invariant_under_relabelling(self, classes):
         rng = random.Random(7)
@@ -226,7 +226,7 @@ class TestOrderlyRows:
             assert rows.dtype.kind == "i" and rows.shape == (len(kinds), n + 1, 2)
             assert (rows[:, :, 0] < rows[:, :, 1]).all() and (rows < n).all()
             for r, kind in zip(rows, kinds):
-                base = base_graph(enumeration.rows_graph(r))
+                base = base_graph(rows_graph(r))
                 assert base.kind == kind
                 b = len(base.kept_vertices)
                 assert r[b + 1:, 1].tolist() == list(range(b, n))
@@ -235,8 +235,8 @@ class TestOrderlyRows:
     def test_classes_are_graphs_of_the_rows(self):
         for n in range(4, 9):
             stream = [(g, kind) for rows, kinds in enumeration.orderly_rows(n)
-                      for g, kind in zip(map(enumeration.rows_graph, rows), kinds)]
-            assert enumerate_bicyclic(n).graphs == [g for g, _ in stream]
+                      for g, kind in zip(map(rows_graph, rows), kinds)]
+            assert class_graphs(n) == [g for g, _ in stream]
 
 
 class TestWeakCompositions:
@@ -287,7 +287,7 @@ class TestBases:
 
         monkeypatch.setattr(enumeration, "isomorphisms", recording)
         for n in range(4, 11):
-            for g in enumerate_bicyclic(n).graphs:
+            for g in class_graphs(n):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 canonical_form.__wrapped__(g)
@@ -312,10 +312,10 @@ class TestEnumerate:
     @pytest.mark.parametrize("n", range(4, 11))
     def test_same_classes_and_representatives_as_reference(self, n):
         ref = reference_enumerate_constructive(n)
-        rep = enumerate_bicyclic(n)
-        certs = [reference_canonical_form(g) for g in rep.graphs]
+        graphs = class_graphs(n)
+        certs = [reference_canonical_form(g) for g in graphs]
         assert sorted(certs) == sorted(ref)
-        assert [g.edges for g in rep.graphs] == [ref[k].edges for k in certs]
+        assert [g.edges for g in graphs] == [ref[k].edges for k in certs]
 
     def test_base_symmetry_computed_once_per_base(self, monkeypatch):
         calls = Counter()
@@ -337,7 +337,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_stream_tags_each_class_with_its_base_kind(self, n):
-        stream = [(enumeration.rows_graph(r), kind) for rows, kinds in enumeration.orderly_rows(n)
+        stream = [(rows_graph(r), kind) for rows, kinds in enumeration.orderly_rows(n)
                   for r, kind in zip(rows, kinds)]
         assert len(stream) == GOLDEN_COUNTS[n]
         assert all(kind == base_graph(g).kind for g, kind in stream)
@@ -348,39 +348,40 @@ class TestEnumerate:
         info = canonical_form.cache_info()
         before = info.hits + info.misses
         for n in range(4, 11):
-            enumerate_bicyclic(n)
+            for _ in enumerate_bicyclic(n)[1]:
+                pass
         info = canonical_form.cache_info()
         assert info.hits + info.misses == before
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_against_brute_force_oracle(self, n):
         oracle = brute_force_bicyclic_classes(n)
-        rep = enumerate_bicyclic(n)
-        assert rep.count == len(oracle) == GOLDEN_COUNTS[n]
+        graphs = class_graphs(n)
+        assert len(graphs) == len(oracle) == GOLDEN_COUNTS[n]
         # class sets agree, not just the counts
         oracle_certs = {reference_canonical_form(g) for g in oracle}
-        assert {reference_canonical_form(g) for g in rep.graphs} == oracle_certs
+        assert {reference_canonical_form(g) for g in graphs} == oracle_certs
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_methods_agree(self, n):
-        rep, oracle = enumerate_bicyclic(n), edge_subset_classes(n)
-        assert rep.count == len(oracle) == GOLDEN_COUNTS[n]
-        assert {reference_canonical_form(g) for g in rep.graphs} == set(oracle)
+        graphs, oracle = class_graphs(n), edge_subset_classes(n)
+        assert len(graphs) == len(oracle) == GOLDEN_COUNTS[n]
+        assert {reference_canonical_form(g) for g in graphs} == set(oracle)
 
     def test_n6_contains_the_named_four(self):
-        certs = {canonical_form(g) for g in enumerate_bicyclic(6).graphs}
+        certs = {canonical_form(g) for g in class_graphs(6)}
         for g in (graph_g1(6), graph_g2(6), graph_g3(6), graph_g4(6)):
             assert canonical_form(g) in certs
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_every_class_is_connected_bicyclic(self, n):
-        for g in enumerate_bicyclic(n).graphs:
+        for g in class_graphs(n):
             assert g.n == n and g.m == n + 1 and g.is_connected()
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_base_partition(self, n):
         # every class has a base classifying as exactly one of the two kinds
-        for g in enumerate_bicyclic(n).graphs:
+        for g in class_graphs(n):
             assert base_graph(g).kind in ("infinity", "theta")
 
     def test_bounds_enforced(self):
@@ -391,19 +392,19 @@ class TestEnumerate:
 
     def test_order_bound_override(self):
         # the oracle at the order bound itself
-        rep, oracle = enumerate_bicyclic(10), edge_subset_classes(10)
-        assert rep.count == len(oracle) == 2678
-        assert {reference_canonical_form(g) for g in rep.graphs} == set(oracle)
+        graphs, oracle = class_graphs(10), edge_subset_classes(10)
+        assert len(graphs) == len(oracle) == 2678
+        assert {reference_canonical_form(g) for g in graphs} == set(oracle)
 
     def test_deterministic_output_order(self):
         from bicyclic_spectra import graph6_encode
-        a = [graph6_encode(g) for g in enumerate_bicyclic(7).graphs]
-        b = [graph6_encode(g) for g in enumerate_bicyclic(7).graphs]
+        a = [graph6_encode(g) for g in class_graphs(7)]
+        b = [graph6_encode(g) for g in class_graphs(7)]
         assert a == b
 
     def test_classes_pairwise_noniso_by_external_oracle(self):
         # certificate injectivity against networkx on the full n=6 catalogue
-        graphs = enumerate_bicyclic(6).graphs
+        graphs = class_graphs(6)
         for i, g in enumerate(graphs):
             for h in graphs[i + 1:]:
                 assert not nx.is_isomorphic(to_networkx(g), to_networkx(h))
@@ -412,23 +413,23 @@ class TestEnumerate:
 class TestMaxDegree:
     @pytest.mark.parametrize("n", range(6, 11))
     def test_top_degree_gives_g1_g2(self, n):
-        rep = enumerate_with_max_degree(n, n - 1)
-        assert rep.count == 2
-        assert ({canonical_form(g) for g in rep.graphs}
+        graphs = class_graphs(n, n - 1)
+        assert len(graphs) == 2
+        assert ({canonical_form(g) for g in graphs}
                 == {canonical_form(graph_g1(n)), canonical_form(graph_g2(n))})
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_filters_the_classes_by_top_degree(self, n):
-        graphs = enumerate_bicyclic(n).graphs
+        graphs = class_graphs(n)
         for delta in range(2, n):
-            assert enumerate_with_max_degree(n, delta).graphs == [
-                g for g in graphs if max(g.degrees()) == delta]
+            assert class_graphs(n, delta) == [g for g in graphs if max(g.degrees()) == delta]
 
     def test_builds_only_the_classes_it_returns(self, monkeypatch):
-        # the degrees are read from the rows: besides the 66 bases the
-        # generator lays out, a Graph for each of the two classes returned
-        enumerate_with_max_degree(10, 9)  # the bases' symmetry, once per process
-        bases = len(bicyclic_bases(10))
+        # the degrees are read from the rows and the classes come out as
+        # rows; the bases are built once per process, so a warm stream
+        # builds no Graph at all
+        for _ in enumerate_bicyclic(10, 9)[1]:
+            pass
         built, post_init = [], Graph.__post_init__
 
         def counting(g):
@@ -436,30 +437,31 @@ class TestMaxDegree:
             post_init(g)
 
         monkeypatch.setattr(Graph, "__post_init__", counting)
-        rep = enumerate_with_max_degree(10, 9)
-        assert rep.count == 2
-        assert len(built) == bases + 2 == 68
+        assert sum(map(len, enumerate_bicyclic(10, 9)[1])) == 2
+        assert built == []
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_degree_two_impossible(self, n):
-        assert enumerate_with_max_degree(n, 2).count == 0
+        assert sum(map(len, enumerate_bicyclic(n, 2)[1])) == 0
 
     def test_delta_bound(self):
         with pytest.raises(EnumerationError):
-            enumerate_with_max_degree(6, 6)
+            enumerate_bicyclic(6, 6)
+        with pytest.raises(EnumerationError):
+            enumerate_bicyclic(6, -1)
 
-    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("n", range(7, 11))
     def test_targeted_generator_matches_full_enumeration(self, n):
         fam = targeted_max_degree_family(n)
-        full = enumerate_with_max_degree(n, n - 2)
-        assert {canonical_form(g) for g in fam} == {canonical_form(g) for g in full.graphs}
+        full = class_graphs(n, n - 2)
+        assert {canonical_form(g) for g in fam} == {canonical_form(g) for g in full}
 
     def test_targeted_fallback_beyond_enumeration_bound(self):
-        rep = enumerate_with_max_degree(12, 10)
-        assert rep.count == 9
-        assert rep.method.startswith("targeted")
+        method, chunks = enumerate_bicyclic(12, 10)
+        assert [len(rows) for rows in chunks] == [9]
+        assert method.startswith("targeted")
         with pytest.raises(EnumerationError):
-            enumerate_with_max_degree(12, 9)  # only delta = n-2 has a generator
+            enumerate_bicyclic(12, 9)  # only delta = n-2 has a generator
 
     def test_targeted_generator_gives_nine_at_12(self):
         fam = targeted_max_degree_family(12)
@@ -498,8 +500,7 @@ class TestFixedMaxDegreeExtremal:
         # adjacency spectral radius among all classes with that max degree
         from bicyclic_spectra import WeightFunction, rho_f
         one = WeightFunction("constant_one")
-        rep = enumerate_with_max_degree(n, delta)
-        best = max(rep.graphs, key=lambda g: rho_f(g, one))
+        best = max(class_graphs(n, delta), key=lambda g: rho_f(g, one))
         h = high_degree_extremal_candidate(n, delta)
         assert max(h.degrees()) == delta
         assert canonical_form(best) == canonical_form(h)

@@ -32,12 +32,11 @@ from bicyclic_spectra import (
     rho_f,
     sign_at_sqrt,
 )
-from bicyclic_spectra.enumeration import enumerate_bicyclic
 from bicyclic_spectra import quotient
 from bicyclic_spectra.quotient import PartitionError, degree_partition, validate_partition
 
-from conftest import (random_partition, reference_equitable_refine, reference_evaluate_exact,
-                      reference_quotient, reference_weight_matrix)
+from conftest import (class_graphs, random_partition, reference_equitable_refine,
+                      reference_evaluate_exact, reference_quotient, reference_weight_matrix)
 
 Z1 = WeightFunction("zagreb1")
 HZ = WeightFunction("hyper_zagreb")
@@ -176,7 +175,7 @@ class TestReferenceQuotient:
     @pytest.mark.parametrize("f", ORACLE_WEIGHTS, ids=lambda f: f.kind)
     def test_every_class(self, n, f):
         rng = random.Random(1000 * n + ORACLE_WEIGHTS.index(f))
-        for g in enumerate_bicyclic(n).graphs:
+        for g in class_graphs(n):
             p = random_partition(rng, n)
             q = quotient_matrix(g, f, p)
             assert (q.b, q.equitable) == reference_quotient(g, f, p)

@@ -19,9 +19,20 @@ from bicyclic_spectra import (
     spectral_radius,
 )
 from bicyclic_spectra import enumeration, spectral, weights
+from bicyclic_spectra.graphs import graph_rows, rows_graph
 from bicyclic_spectra.quotient import PartitionError
 from bicyclic_spectra.verify import random_connected_graph
 from conftest import loop_matrix, per_graph_radii
+
+
+def same_size_graphs(rng, n, m, count):
+    """count random connected graphs of order n with m edges."""
+    out = []
+    while len(out) < count:
+        g = random_connected_graph(rng, n)
+        if g.m == m:
+            out.append(g)
+    return out
 
 
 def cycle(n):
@@ -201,16 +212,16 @@ class TestSpectralRadii:
     @pytest.mark.parametrize("label", ["zagreb1", "forgotten", "extended", "custom:x*y+x+y"])
     def test_equals_per_graph_path_on_every_class_n8(self, label):
         f = parse_weight(label)
-        graphs = enumerate_bicyclic(8).graphs
-        assert len(graphs) > spectral.EIGH_CHUNK
-        assert spectral_radii(graphs, f).tolist() == per_graph_radii(graphs, f).tolist()
-        for g in graphs:
+        rows = np.concatenate(list(enumerate_bicyclic(8)[1]))
+        assert len(rows) > spectral.EIGH_CHUNK
+        assert spectral_radii(rows, f, 8).tolist() == per_graph_radii(rows, f, 8).tolist()
+        for g in map(rows_graph, rows):
             assert np.array_equal(build_matrix(g, f), loop_matrix(g, f))
 
     def test_batch_of_several_chunks(self, weight_hyper, rng):
-        graphs = [random_connected_graph(rng, 9) for _ in range(2 * spectral.EIGH_CHUNK + 5)]
-        expected = per_graph_radii(graphs, weight_hyper).tolist()
-        assert spectral_radii(graphs, weight_hyper).tolist() == expected
+        rows = graph_rows(same_size_graphs(rng, 9, 9, 2 * spectral.EIGH_CHUNK + 5))
+        expected = per_graph_radii(rows, weight_hyper, 9).tolist()
+        assert spectral_radii(rows, weight_hyper, 9).tolist() == expected
 
     def test_one_weight_table_per_call(self, weight_hyper, rng, monkeypatch):
         # each (f, x, y) is computed at most once per process: the memo serves
@@ -221,14 +232,14 @@ class TestSpectralRadii:
             calls.append((f, x, y))
             return compute(f, x, y)
 
-        graphs = [random_connected_graph(rng, 9) for _ in range(2 * spectral.EIGH_CHUNK + 5)]
-        expected = per_graph_radii(graphs, weight_hyper).tolist()
+        rows = graph_rows(same_size_graphs(rng, 9, 10, 2 * spectral.EIGH_CHUNK + 5))
+        expected = per_graph_radii(rows, weight_hyper, 9).tolist()
         weights.evaluate.cache_clear()
         monkeypatch.setattr(weights, "_evaluate_generic", counting)
-        assert spectral_radii(graphs, weight_hyper).tolist() == expected
+        assert spectral_radii(rows, weight_hyper, 9).tolist() == expected
         assert calls and len(calls) == len(set(calls))
         computed = len(calls)
-        assert spectral_radii(graphs, weight_hyper).tolist() == expected
+        assert spectral_radii(rows, weight_hyper, 9).tolist() == expected
         assert len(calls) == computed
 
     def test_eigensolver_failure_names_weight_and_order(self, weight_hyper, monkeypatch):
@@ -237,21 +248,24 @@ class TestSpectralRadii:
 
         monkeypatch.setattr(spectral, "_dominant_eigenpairs", failing)
         with pytest.raises(SpectralError, match=r"^hyper_zagreb at n=7: symmetric eigensolver did not"):
-            spectral_radii([graph_g2(7)], weight_hyper)
+            spectral_radii(graph_rows([graph_g2(7)]), weight_hyper, 7)
 
     def test_rho_f_is_the_one_graph_case(self, weight_forgotten):
         g = graph_g3(9)
         assert rho_f(g, weight_forgotten) == spectral_radius(build_matrix(g, weight_forgotten)).rho
 
     def test_edgeless_single_vertex(self, weight_zagreb1):
-        assert spectral_radii([Graph.from_edges(1, [])], weight_zagreb1).tolist() == [0.0]
+        rows = graph_rows([Graph.from_edges(1, [])])
+        assert spectral_radii(rows, weight_zagreb1, 1).tolist() == [0.0]
 
     def test_empty_batch(self, weight_zagreb1):
-        assert spectral_radii([], weight_zagreb1).shape == (0,)
+        assert spectral_radii(graph_rows([]), weight_zagreb1, 7).shape == (0,)
 
     def test_mixed_orders_raise(self, weight_zagreb1):
         with pytest.raises(ValueError, match="one order"):
-            spectral_radii([graph_g2(6), graph_g2(7)], weight_zagreb1)
+            graph_rows([graph_g2(6), graph_g2(7)])
+        with pytest.raises(ValueError, match="one order and size"):
+            graph_rows([graph_g2(6), cycle(6)])
 
     def test_residual_check_raises(self, weight_zagreb1, monkeypatch):
         eigh = np.linalg.eigh
@@ -262,7 +276,7 @@ class TestSpectralRadii:
 
         monkeypatch.setattr(spectral.np.linalg, "eigh", skewed)
         with pytest.raises(SpectralError, match="residual"):
-            spectral_radii([graph_g2(6), graph_g4(6)], weight_zagreb1)
+            spectral_radii(graph_rows([graph_g2(6), graph_g4(6)]), weight_zagreb1, 6)
 
 
 class TestEdgeBounds:
@@ -274,14 +288,14 @@ class TestEdgeBounds:
         for rows, _ in enumeration.orderly_rows(n):
             bounds = spectral.edge_bounds(rows, fs, n)
             assert bounds.shape == (len(fs), len(rows))
-            graphs = [enumeration.rows_graph(r) for r in rows]
+            graphs = [rows_graph(r) for r in rows]
             for f, bound in zip(fs, bounds):
                 expected = []
                 for g in graphs:
                     r = loop_matrix(g, f).sum(axis=1)
                     expected.append(max(np.sqrt(r[u] * r[v]) for u, v in g.edges))
                 assert bound == pytest.approx(expected, rel=1e-12)
-                assert np.all(bound * (1 + 1e-12) >= spectral_radii(graphs, f))
+                assert np.all(bound * (1 + 1e-12) >= spectral_radii(rows, f, n))
 
     def test_row_sums_of_absolute_values(self, monkeypatch):
         # every weight of the catalogue is positive; flipping the sign of

@@ -15,7 +15,6 @@ from bicyclic_spectra import (
     base_graph,
     canonical_form,
     check_pstar,
-    enumerate_bicyclic,
     evaluate,
     graph6_decode,
     graph_g1,
@@ -30,8 +29,9 @@ from bicyclic_spectra import (
 )
 from bicyclic_spectra import spectral, verify, weights
 from bicyclic_spectra.cli import main, parse_graph_argument
+from bicyclic_spectra.graphs import graph_rows, rows_graph
 from bicyclic_spectra.verify import printed_tolerance
-from conftest import (per_graph_radii, reference_exhaustive_case,
+from conftest import (class_graphs, per_graph_radii, reference_exhaustive_case,
                       reference_random_connected_graph, stepwise_random_connected_graph)
 
 Z1 = WeightFunction("zagreb1")
@@ -217,7 +217,7 @@ class TestBatchedScoring:
         for case in rep.cases:
             n, f = case.inputs["n"], parse_weight(case.inputs["weight"])
             best = {}
-            for g in sorted(enumerate_bicyclic(n).graphs,
+            for g in sorted(class_graphs(n),
                             key=lambda g: (rho_f(g, f), canonical_form(g)), reverse=True):
                 best.setdefault(base_graph(g).kind, canonical_form(g))
             g2 = canonical_form(graph_g2(n)) if n >= 5 else None
@@ -252,7 +252,7 @@ class TestStreamingExhaustive:
     def test_row_sum_bound_holds_for_every_class(self, n):
         # the prune's premise, max_v sum_u |f(d_v, d_u)| >= rho, from the
         # degrees alone
-        graphs = enumerate_bicyclic(n).graphs
+        graphs = class_graphs(n)
         for f in ORACLE_WEIGHTS:
             bounds = []
             for g in graphs:
@@ -262,16 +262,16 @@ class TestStreamingExhaustive:
                     sums[u] += w
                     sums[v] += w
                 bounds.append(max(sums))
-            assert np.all(np.array(bounds) >= verify.spectral_radii(graphs, f))
+            assert np.all(np.array(bounds) >= verify.spectral_radii(graph_rows(graphs), f, n))
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_edge_bound_holds_for_every_class(self, n):
         # the prune's premise, rho <= max_uv sqrt(r_u r_v) <= max_v r_v with r
         # the row sums of |A_f|; K_{2,3} (n = 5) meets the edge bound with
         # equality, so rho may pass it by roundoff alone
-        graphs = enumerate_bicyclic(n).graphs
+        graphs = class_graphs(n)
         for f in ORACLE_WEIGHTS:
-            rho = verify.spectral_radii(graphs, f)
+            rho = verify.spectral_radii(graph_rows(graphs), f, n)
             for g, rho_g in zip(graphs, rho):
                 deg, sums = g.degrees(), [0.0] * n
                 for u, v in g.edges:
@@ -294,10 +294,12 @@ class TestStreamingExhaustive:
             assert bound[0] == pytest.approx(rho, rel=1e-12)
             for second, scored in ((rho, 1), (rho * (1 + 1e-6), 0)):
                 leaders = verify._Leaders(f, [2 * rho, second], ["theta", "infinity"])
-                leaders.offer(rows, bound, ["theta"])
+                leaders.offer(rows, bound, np.array(["theta"]))
                 assert len(leaders.kept) == scored, (f.label(), second)
                 if scored:
-                    assert leaders.kept[0] == (k23, "theta")
+                    (kept_rows, kept_kinds), = leaders.kept
+                    assert list(map(rows_graph, kept_rows)) == [k23]
+                    assert kept_kinds.tolist() == ["theta"]
 
     def test_certifies_only_what_a_verdict_reads(self, monkeypatch):
         calls = []
@@ -375,9 +377,9 @@ class TestStreamingExhaustive:
         solved = []
         original = verify.spectral_radii
 
-        def counting(graphs, f):
-            solved.append(len(graphs))
-            return original(graphs, f)
+        def counting(rows, f, n):
+            solved.append(len(rows))
+            return original(rows, f, n)
 
         monkeypatch.setattr(verify, "spectral_radii", counting)
         verify._rankings.cache_clear()
@@ -391,9 +393,9 @@ class TestStreamingExhaustive:
         calls = []
         original = verify.spectral_radii
 
-        def counting(graphs, f):
+        def counting(rows, f, n):
             calls.append(f)
-            return original(graphs, f)
+            return original(rows, f, n)
 
         monkeypatch.setattr(verify, "spectral_radii", counting)
         verify._rankings.cache_clear()
@@ -402,23 +404,42 @@ class TestStreamingExhaustive:
                                                             for _ in range(2)]
 
     def test_graphs_built_for_three_weights(self):
-        # every Graph a fresh process makes for _rankings(10, ...): the 2,678
-        # classes come out as rows, and the bases, named families, kept
-        # classes and class keys make 321
-        import subprocess, sys
-        script = (
-            "from bicyclic_spectra import Graph, verify, parse_weight\n"
-            "built, post_init = [], Graph.__post_init__\n"
-            "def counting(g):\n"
-            "    built.append(g)\n"
-            "    post_init(g)\n"
-            "Graph.__post_init__ = counting\n"
+        # the 2,678 classes come out as rows, and the kept classes stay rows;
+        # the 66 bases and their cores, the named families, the classes a
+        # verdict reads and class keys make 161
+        assert graphs_built_in_fresh_process(
             "fs = tuple(map(parse_weight, ('zagreb1', 'hyper_zagreb', 'forgotten')))\n"
-            "assert verify._rankings(10, fs)[0] == 2678\n"
-            "print(len(built))\n")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) == 321
+            "assert verify._rankings(10, fs)[0] == 2678\n") == 161
+
+    def test_graphs_built_for_constant_one(self):
+        # the weight the edge bound prunes least keeps 2,050 classes as rows
+        # and builds a Graph only for those it keys
+        assert graphs_built_in_fresh_process(
+            "fs = (parse_weight('constant_one'),)\n"
+            "assert verify._rankings(10, fs)[0] == 2678\n") == 157
+
+    def test_enumerate_builds_no_class_graph(self):
+        # the count comes from chunk lengths: only the 66 bases and their
+        # cores are built
+        assert graphs_built_in_fresh_process(
+            "from bicyclic_spectra.cli import main\n"
+            "assert main(['enumerate', '--n', '10']) == 0\n") == 2 * 66
+
+
+def graphs_built_in_fresh_process(code: str) -> int:
+    """Every Graph a fresh process makes while it runs code."""
+    import subprocess, sys
+    script = (
+        "from bicyclic_spectra import Graph, verify, parse_weight\n"
+        "built, post_init = [], Graph.__post_init__\n"
+        "def counting(g):\n"
+        "    built.append(g)\n"
+        "    post_init(g)\n"
+        "Graph.__post_init__ = counting\n"
+        + code + "print(len(built))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.splitlines()[-1])
 
 
 class TestKelmansCampaign:
@@ -634,6 +655,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["enumerate", "--n", "12"],
+        ["enumerate", "--n", "10", "--max-degree", "-1"],
         ["extremal", "--n", "11", "--f", "zagreb1"],
         ["spectral", "--graph", "G1:8", "--f", "custom:x-y"],
         ["theorem41", "--n", "5..70"],
@@ -654,9 +676,10 @@ class TestCli:
         ["spectral", "--graph", "G1:6", "--f", "custom:(x-1)**-1+1"],
         # candidate mode asserts the rank-2 claim only
         ["extremal", "--n", "10", "--f", "zagreb1", "--mode", "candidate"],
-    ], ids=["enumeration_bound", "extremal_order_bound", "weight_spec", "theorem41_range",
-            "kelmans_order_floor", "unwritable_json", "unwritable_csv", "eigensolve_exhaustive",
-            "eigensolve_kelmans", "overflow_spectral", "overflow_pstar", "undefined_extremal",
+    ], ids=["enumeration_bound", "negative_max_degree", "extremal_order_bound", "weight_spec",
+            "theorem41_range", "kelmans_order_floor", "unwritable_json", "unwritable_csv",
+            "eigensolve_exhaustive", "eigensolve_kelmans", "overflow_spectral", "overflow_pstar",
+            "undefined_extremal",
             "undefined_kelmans", "undefined_spectral", "undefined_custom_division",
             "undefined_custom_power", "candidate_rank_one"])
     def test_domain_errors_exit_two_without_traceback(self, argv):
