@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, base_graph, graph_rows, make_infinity, make_theta, union_edges
+from .graphs import Graph, base_graph, edge_masks, graph_rows, make_infinity, make_theta, union_edges
 from .spectral import EIGH_CHUNK
 
 # largest order enumerate_bicyclic runs at
@@ -85,8 +85,8 @@ def isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
     neighbours among the used targets are the images of v's lower ones.  Few
     partial maps survive when each vertex of g except a path's first has a
     smaller-labelled neighbour, as in the standard bases."""
-    g_masks, g_deg = g.neighbor_masks(), g.degrees()
-    h_masks, h_deg = h.neighbor_masks(), h.degrees()
+    g_masks, g_deg = edge_masks(g.n, g.edges), g.degrees()
+    h_masks, h_deg = edge_masks(h.n, h.edges), h.degrees()
     maps = [((), 0)]
     for v in range(g.n):
         lower = [u for u in range(v) if g_masks[v] >> u & 1]
@@ -98,9 +98,9 @@ def isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _base_symmetry(base: Graph) -> tuple[tuple[tuple[int, ...], ...], str]:
-    """(automorphism group, base kind) of a base, computed once across orders."""
-    return tuple(isomorphisms(base, base)), base_graph(base).kind
+def _base_symmetry(base: Graph) -> tuple[tuple[int, ...], ...]:
+    """Automorphism group of a base, computed once across orders."""
+    return tuple(isomorphisms(base, base))
 
 
 @lru_cache(maxsize=None)
@@ -113,10 +113,10 @@ def _bases(order: int) -> tuple[tuple[tuple[int, ...], Graph], ...]:
     return tuple(infinity + theta)
 
 
-def bicyclic_bases(max_order: int) -> list[Graph]:
-    """Every pendant-free bicyclic graph with at most max_order vertices, by
-    class-key head: infinity by (p, q, l), then theta by (hi, mid, lo)."""
-    return [base for _, base in sorted(itertools.chain(*map(_bases, range(4, max_order + 1))))]
+def bicyclic_bases(max_order: int) -> list[tuple[tuple[int, ...], Graph]]:
+    """(class-key head, base) of every pendant-free bicyclic graph with at most
+    max_order vertices, by head: infinity by (p, q, l), then theta by (hi, mid, lo)."""
+    return sorted(itertools.chain(*map(_bases, range(4, max_order + 1))))
 
 
 def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -135,8 +135,8 @@ def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     are isomorphic.
     """
     flat, kinds = [], []
-    for base in bicyclic_bases(n):
-        group, kind = _base_symmetry(base)
+    for head, base in bicyclic_bases(n):
+        group, kind = _base_symmetry(base), ("infinity", "theta")[head[0]]
         moves = [itemgetter(*p) for p in group[1:]]  # group[0] is the identity
         edges = tuple(itertools.chain.from_iterable(sorted(base.edges)))
         for comp in _weak_compositions(n - base.n, base.n):

@@ -64,14 +64,6 @@ class Graph:
             nbr[v].add(u)
         return nbr
 
-    def neighbor_masks(self) -> list[int]:
-        """Adjacency rows as bitmasks (n <= 62 fits comfortably in ints)."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
-
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 
@@ -115,6 +107,15 @@ class Graph:
 
     def is_bicyclic(self) -> bool:
         return self.is_connected() and self.cyclomatic_number() == 2
+
+
+def edge_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Neighbour masks on n vertices: bit w of masks[v] is set iff vw is an edge."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
 def graph_rows(graphs: list[Graph]) -> np.ndarray:
@@ -362,7 +363,7 @@ def graph6_encode(g: Graph) -> str:
     """Header-free graph6 string; supports n <= G6_MAX_ORDER."""
     if g.n > G6_MAX_ORDER:
         raise GraphError(f"graph6 encoder limited to n <= {G6_MAX_ORDER}")
-    masks = g.neighbor_masks()
+    masks = edge_masks(g.n, g.edges)
     bits = "".join(str(masks[j] >> i & 1) for j in range(1, g.n) for i in range(j))
     bits += "0" * (-len(bits) % 6)  # pad the last group of six
     if g.n <= 62:

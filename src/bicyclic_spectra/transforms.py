@@ -8,6 +8,9 @@ exactly when some edge moves and N(v)-N[u] is non-empty:
 - else u loses p >= 1 degrees, v gains p and no other degree moves;
 - the degree multisets agree only if d(u) - p = d(v), i.e. N(v)-N[u] = {}.
 
+`kelmans` and the randomized campaign share one core on int neighbour
+masks (`reroute`) and one edge-set move (`move_edges`).
+
 The pendant-shift move relocates one pendant from the smaller of two
 pendant bundles to the larger and carries the same contract.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, edge_masks
 
 
 class TransformError(ValueError):
@@ -34,6 +37,24 @@ class TransformOutcome:
     disconnects: bool = False
 
 
+def reroute(masks: list[int], u: int, v: int) -> tuple[int, bool, bool]:
+    """(private, changed, isolates) of rerouting (u, v) by neighbour masks: the
+    mask private = N(u)-N[v] of the far ends of the moving edges; changed iff
+    private and N(v)-N[u] are non-empty; isolates iff some edge moves and
+    N(u) = private, which is the one way a connected graph splits."""
+    private = masks[u] & ~masks[v] & ~(1 << v)
+    changed = bool(private and masks[v] & ~masks[u] & ~(1 << u))
+    return private, changed, bool(private) and private == masks[u]
+
+
+def move_edges(edges, private: int, u: int, v: int):
+    """(moves, edges after them) of rerouting (u, v) in an edge set: the moves
+    ((u, w), (v, w)), each edge normalised, for w in the mask private, ascending."""
+    moves = tuple(((u, w) if u < w else (w, u), (v, w) if v < w else (w, v))
+                  for w in range(private.bit_length()) if private >> w & 1)
+    return moves, edges.difference(old for old, _ in moves).union(new for _, new in moves)
+
+
 def kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
     """Move the edges from u's private neighborhood over to v.
 
@@ -47,23 +68,11 @@ def kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
         raise TransformError("kelmans requires distinct vertices")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise TransformError(f"vertex out of range: ({u},{v})")
-    nbr = g.neighbors()
-    private = nbr[u] - nbr[v] - {v}
+    private, changed, isolates = reroute(edge_masks(g.n, g.edges), u, v)
     if not private:
         return TransformOutcome(g, False, ())
-    edges = set(g.edges)
-    moved = []
-    for w in sorted(private):
-        old = (u, w) if u < w else (w, u)
-        new = (v, w) if v < w else (w, v)
-        edges.discard(old)
-        edges.add(new)
-        moved.append((old, new))
-    result = Graph(g.n, frozenset(edges))
-    changed = bool(nbr[v] - nbr[u] - {u})
-    # u's old neighbours all end up adjacent to v, so only an isolated u splits g
-    disconnects = not (nbr[u] - private) and g.is_connected()
-    return TransformOutcome(result, changed, tuple(moved), disconnects)
+    moves, edges = move_edges(g.edges, private, u, v)
+    return TransformOutcome(Graph(g.n, edges), changed, moves, isolates and g.is_connected())
 
 
 def pendant_shift(g: Graph, v: int, u: int, w: int) -> Graph:

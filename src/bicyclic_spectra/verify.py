@@ -29,9 +29,11 @@ import numpy as np
 # enumerate_bicyclic stays importable here: perfbench/layers.py wraps it
 from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # noqa: F401
                           orderly_rows, targeted_max_degree_family)
-from .graphs import FAMILIES, Graph, base_graph, graph_g1, graph_g2, graph_rows, rows_graph
+from .graphs import (FAMILIES, Graph, base_graph, edge_masks, graph_g1, graph_g2, graph_rows,
+                     rows_graph)
 from .spectral import edge_bounds, rho_f, spectral_radii
-from .transforms import kelmans, pendant_shift
+# kelmans stays importable here: perfbench/layers.py wraps it
+from .transforms import kelmans, move_edges, pendant_shift, reroute  # noqa: F401
 from .weights import WeightFunction, check_pstar, parse_weight
 
 
@@ -437,15 +439,19 @@ def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n), 2))
 
 
-EXTRA_EDGES_MAX = 3  # random_connected_graph adds 0..EXTRA_EDGES_MAX edges to its tree
+EXTRA_EDGES_MAX = 3  # random_edges adds 0..EXTRA_EDGES_MAX edges to its tree
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
-    """Uniform random labeled tree plus a few random extra edges."""
-    if n == 1:
-        return Graph.from_edges(1, [])
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
+    """The Graph of random_edges(rng, n)."""
+    return Graph(n, frozenset(random_edges(rng, n)))
+
+
+def random_edges(rng: random.Random, n: int) -> set[tuple[int, int]]:
+    """The edges (u, v), u < v, of a uniform random labeled tree on n vertices
+    plus 0..EXTRA_EDGES_MAX random others."""
+    if n <= 2:
+        return {(0, 1)} if n == 2 else set()
     prufer = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in prufer:
@@ -463,7 +469,7 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
     candidates = [e for e in _vertex_pairs(n) if e not in edges]
     rng.shuffle(candidates)
     edges.update(candidates[: rng.randint(0, min(EXTRA_EDGES_MAX, len(candidates)))])
-    return Graph(n, frozenset(edges))
+    return edges
 
 
 def _random_pendant_shift_instance(rng: random.Random):
@@ -499,12 +505,12 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
                    rng_seed: int) -> VerificationReport:
     """Randomized monotonicity campaign for the two transforms.
 
-    Per weight, `samples` class-changing reroutes and then
-    PENDANT_SHIFT_FRACTION * samples pendant shifts are sampled first, then scored with one spectral_radii
-    call per order and size and checked for rho' > rho - 1e-9; n_range needs some
-    n >= 4.  kelmans decides each class change exactly at every order, with
-    no certificate.  Weights without P* run informatively: violations are
-    recorded, not failed.
+    Per weight, `samples` class-changing reroutes, each a drawn edge set
+    whose class change the mask core transforms.reroute decides exactly (no
+    certificate, no Graph), then PENDANT_SHIFT_FRACTION * samples pendant
+    shifts; one spectral_radii call per order and size scores them against
+    rho' > rho - 1e-9.  n_range needs some n >= 4.  Weights without P* run
+    informatively: violations are recorded, not failed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -520,7 +526,7 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
     for f in fs:
         applicable = check_pstar(f, d_max=max(max(n_range) + 2, 8)).passes
         rng = random.Random(f"{rng_seed}/{f.label()}")
-        pairs: list[tuple[Graph, Graph]] = []  # (after, before)
+        pairs: list[tuple] = []  # (n, m, the edges after then before, flattened)
         skipped = disconnected = 0
         attempts_left = 1000 * samples  # identity applications don't count
         while len(pairs) < samples:
@@ -528,27 +534,30 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
             if attempts_left < 0:
                 raise RuntimeError("kelmans campaign: too few class-changing samples")
             n = rng.choice(orders)
-            g = random_connected_graph(rng, n)
+            edges = random_edges(rng, n)
             u = rng.randrange(n)
             v = (u + rng.randrange(1, n)) % n
-            out = kelmans(g, u, v)
-            if not out.changed:
+            private, changed, isolates = reroute(edge_masks(n, edges), u, v)
+            if not changed:
                 skipped += 1
                 continue
-            pairs.append((out.result, g))
-            disconnected += out.disconnects
+            after = move_edges(edges, private, u, v)[1]
+            pairs.append((n, len(edges), tuple(itertools.chain(*after, *edges))))
+            disconnected += isolates  # the drawn graph is connected
         shifts = int(samples * PENDANT_SHIFT_FRACTION)
         # a shift always changes the class: d_v <= d_u become d_v - 1 and
         # d_u + 1, so the largest degree of the pair rises
         for _ in range(shifts):
             g, v, u, w = _random_pendant_shift_instance(rng)
-            pairs.append((pendant_shift(g, v, u, w), g))
+            after = pendant_shift(g, v, u, w).edges
+            pairs.append((g.n, g.m, tuple(itertools.chain(*after, *g.edges))))
         deltas = np.empty(len(pairs))
         groups: dict[tuple[int, int], list[int]] = {}  # (n, m) -> indices into pairs
-        for i, (after, _) in enumerate(pairs):
-            groups.setdefault((after.n, after.m), []).append(i)
-        for (n, _), idx in sorted(groups.items()):
-            rho = spectral_radii(graph_rows([g for i in idx for g in pairs[i]]), f, n)
+        for i, (n, m, _) in enumerate(pairs):
+            groups.setdefault((n, m), []).append(i)
+        for (n, m), idx in sorted(groups.items()):
+            rows = np.array([pairs[i][2] for i in idx], np.intp).reshape(-1, m, 2)
+            rho = spectral_radii(rows, f, n)
             deltas[idx] = rho[0::2] - rho[1::2]
         failing = deltas <= -slack
         violations = int(failing[:samples].sum())

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, Polynomial,
-                              PolynomialError, WeightFunction, attach_pendants, base_graph,
-                              canonical_form, enumerate_bicyclic, evaluate, evaluate_exact,
-                              spectral_radii)
+                              PolynomialError, TransformOutcome, VerificationReport,
+                              WeightFunction, attach_pendants, base_graph, canonical_form,
+                              check_pstar, enumerate_bicyclic, evaluate, evaluate_exact,
+                              pendant_shift, spectral_radii)
 from bicyclic_spectra.enumeration import bicyclic_bases, rooted_trees, _weak_compositions
-from bicyclic_spectra.graphs import graph_rows, refine_partition, rows_graph
+from bicyclic_spectra.graphs import edge_masks, graph_rows, refine_partition, rows_graph
+from bicyclic_spectra.verify import PENDANT_SHIFT_FRACTION, _random_pendant_shift_instance
 from bicyclic_spectra.weights import WeightSpecError, _eval_custom, _evaluate_generic, _pow
 
 # bicyclic class counts at n=4..9, on which enumerate_bicyclic and the
@@ -82,7 +84,7 @@ def reference_canonical_form(g: Graph) -> bytes:
     n = g.n
     if n == 0:
         return bytes([0])
-    masks = g.neighbor_masks()
+    masks = edge_masks(g.n, g.edges)
     deg = g.degrees()
     # seed cells by degree, ascending (label-invariant)
     seed: dict[int, list[int]] = {}
@@ -191,7 +193,7 @@ def reference_enumerate_constructive(n: int) -> dict[bytes, Graph]:
         return g
 
     found: dict[bytes, Graph] = {}
-    for base in bicyclic_bases(n):
+    for _, base in bicyclic_bases(n):
         for comp in _weak_compositions(n - base.n, base.n):
             for combo in itertools.product(*(rooted_trees(c + 1) for c in comp)):
                 g = base
@@ -218,7 +220,7 @@ def reference_forest_graph(base: Graph, shapes) -> Graph:
 def reference_orderly_classes(n: int):
     """The generator's earlier stream: (Graph, base kind) per class, each
     built by reference_forest_graph from its orderly key, in key order."""
-    for base in bicyclic_bases(n):
+    for _, base in bicyclic_bases(n):
         group, kind = reference_isomorphisms(base, base), base_graph(base).kind
         for comp in _weak_compositions(n - base.n, base.n):
             stabiliser = []
@@ -240,8 +242,8 @@ def reference_isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
     """Every isomorphism from g onto h, partial maps extended one vertex of g
     at a time with adjacency tested bit by bit: the package's earlier
     routine."""
-    g_masks, g_deg = g.neighbor_masks(), g.degrees()
-    h_masks, h_deg = h.neighbor_masks(), h.degrees()
+    g_masks, g_deg = edge_masks(g.n, g.edges), g.degrees()
+    h_masks, h_deg = edge_masks(h.n, h.edges), h.degrees()
     maps = [()]
     for v in range(g.n):
         maps = [p + (w,) for p in maps for w in range(h.n) if w not in p and h_deg[w] == g_deg[v]
@@ -805,7 +807,7 @@ def burnside_class_count(n: int) -> int:
     """Bicyclic classes on n vertices, by Burnside over each base's automorphisms."""
     t = rooted_tree_counts(n)
     total = Fraction(0)
-    for base in bicyclic_bases(n):
+    for _, base in bicyclic_bases(n):
         h = to_networkx(base)
         autos = list(nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
         fixed = 0
@@ -887,6 +889,79 @@ def stepwise_random_connected_graph(rng: random.Random, n: int, extra_max: int =
     for u, v in candidates[: rng.randint(0, min(extra_max, len(candidates)))]:
         g = g.add_edge(u, v)
     return g
+
+
+def reference_kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
+    """Reference reroute, the package's earlier set-based kelmans: private =
+    N(u) - N(v) - {v} on neighbour sets, the edges moved one by one in
+    ascending w, and the class change and the split read from the sets."""
+    nbr = g.neighbors()
+    private = nbr[u] - nbr[v] - {v}
+    if not private:
+        return TransformOutcome(g, False, ())
+    edges = set(g.edges)
+    moved = []
+    for w in sorted(private):
+        old = (u, w) if u < w else (w, u)
+        new = (v, w) if v < w else (w, v)
+        edges.discard(old)
+        edges.add(new)
+        moved.append((old, new))
+    changed = bool(nbr[v] - nbr[u] - {u})
+    disconnects = not (nbr[u] - private) and g.is_connected()
+    return TransformOutcome(Graph(g.n, frozenset(edges)), changed, tuple(moved), disconnects)
+
+
+def reference_verify_kelmans(samples: int, n_range, fs, rng_seed: int) -> VerificationReport:
+    """Reference campaign, the package's earlier Graph-based verify_kelmans
+    loop: every draw a Graph (reference_random_connected_graph), every
+    reroute reference_kelmans, and each (order, size) group scored through
+    graph_rows of the Graphs.  Valid input only."""
+    report = VerificationReport("kelmans")
+    slack = 1e-9
+    orders = list(n_range)
+    for f in fs:
+        applicable = check_pstar(f, d_max=max(max(n_range) + 2, 8)).passes
+        rng = random.Random(f"{rng_seed}/{f.label()}")
+        pairs = []  # (after, before)
+        skipped = disconnected = 0
+        while len(pairs) < samples:
+            n = rng.choice(orders)
+            g = reference_random_connected_graph(rng, n)
+            u = rng.randrange(n)
+            v = (u + rng.randrange(1, n)) % n
+            out = reference_kelmans(g, u, v)
+            if not out.changed:
+                skipped += 1
+                continue
+            pairs.append((out.result, g))
+            disconnected += out.disconnects
+        shifts = int(samples * PENDANT_SHIFT_FRACTION)
+        for _ in range(shifts):
+            g, v, u, w = _random_pendant_shift_instance(rng)
+            pairs.append((pendant_shift(g, v, u, w), g))
+        deltas = np.empty(len(pairs))
+        groups = {}
+        for i, (after, _) in enumerate(pairs):
+            groups.setdefault((after.n, after.m), []).append(i)
+        for (n, _), idx in sorted(groups.items()):
+            rho = spectral_radii(graph_rows([g for i in idx for g in pairs[i]]), f, n)
+            deltas[idx] = rho[0::2] - rho[1::2]
+        failing = deltas <= -slack
+        report.cases.append(CaseRecord(
+            case_id=f"kelmans/{f.label()}",
+            inputs={"weight": f.label(), "samples": samples, "pendant_shifts": shifts,
+                    "n_range": [min(n_range), max(n_range)], "seed": rng_seed},
+            computed={"violations": int(failing[:samples].sum()),
+                      "pendant_shift_violations": int(failing[samples:].sum()),
+                      "worst_delta": float(deltas.min()), "skipped_isomorphic": skipped,
+                      "disconnecting_applications": disconnected},
+            expected={"violations": 0} if applicable else None,
+            passed=not failing.any() if applicable else None,
+            tolerance=slack,
+            note="" if applicable else "weight lacks P*; monotonicity informative only",
+        ))
+    return report
 
 
 def reference_weak_compositions(total: int, parts: int):

@@ -45,6 +45,9 @@ UNREACHED = {
     "graphs._blocks": "builds the registry partitions that quotient.family_quotient reads",
     "graphs.refine_partition": "the one partition refinement, run by quotient.equitable_refine",
     "weights.rational_pstar_functions": "the weights of the sign ledger, which has no subcommand",
+    # the kelmans campaign calls their cores on drawn edge sets, with no Graph
+    "transforms.kelmans": "the public reroute of a Graph, swap image included, over the mask core",
+    "verify.random_connected_graph": "the Graph of random_edges, which test fixtures draw",
 }
 
 

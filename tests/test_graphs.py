@@ -185,7 +185,7 @@ class TestBaseGraph:
                         built[make_theta(a, l, c)] = ("theta", (a, l, c))
                         built[make_theta(c, l, a)] = ("theta", (a, l, c))
         rng = random.Random(12)
-        for base in bicyclic_bases(12):
+        for _, base in bicyclic_bases(12):
             kind, params = built[base]
             g = base
             for _ in range(rng.randrange(4)):

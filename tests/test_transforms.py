@@ -17,8 +17,10 @@ from bicyclic_spectra import (
     pendant_shift,
     rho_f,
 )
+from bicyclic_spectra.graphs import edge_masks
+from bicyclic_spectra.transforms import move_edges, reroute
 from bicyclic_spectra.verify import _random_pendant_shift_instance, random_connected_graph
-from conftest import reference_canonical_form
+from conftest import class_graphs, reference_canonical_form, reference_kelmans
 
 
 def star(n):
@@ -204,6 +206,34 @@ class TestKelmans:
                 swap[u], swap[v] = v, u
                 assert out.result == g.relabel(swap)
         assert min(seen.values()) > 100
+
+
+class TestRerouteCore:
+    """The mask core (reroute, move_edges) and kelmans against the set-based
+    reference on connected graphs, where u ending isolated is a split."""
+
+    @staticmethod
+    def assert_agree(g, u, v):
+        ref = reference_kelmans(g, u, v)
+        want = (ref.changed, ref.disconnects, ref.moved_edges, ref.result.edges)
+        out = kelmans(g, u, v)
+        assert (out.changed, out.disconnects, out.moved_edges, out.result.edges) == want
+        private, changed, isolates = reroute(edge_masks(g.n, g.edges), u, v)
+        moves, edges = move_edges(set(g.edges), private, u, v)
+        assert (changed, isolates, moves, edges) == want
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_every_pair_of_every_class(self, n):
+        for g in class_graphs(n):
+            for u, v in itertools.permutations(range(n), 2):
+                self.assert_agree(g, u, v)
+
+    def test_random_graphs(self):
+        rng = random.Random(94)
+        for _ in range(2000):
+            n = rng.randint(2, 12)
+            g = random_connected_graph(rng, n)
+            self.assert_agree(g, *rng.sample(range(n), 2))
 
 
 class TestReductionReplay:

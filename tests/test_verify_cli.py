@@ -32,7 +32,8 @@ from bicyclic_spectra.cli import main, parse_graph_argument
 from bicyclic_spectra.graphs import graph_rows, rows_graph
 from bicyclic_spectra.verify import printed_tolerance
 from conftest import (class_graphs, per_graph_radii, reference_exhaustive_case,
-                      reference_random_connected_graph, stepwise_random_connected_graph)
+                      reference_random_connected_graph, reference_verify_kelmans,
+                      stepwise_random_connected_graph)
 
 Z1 = WeightFunction("zagreb1")
 WEIGHTS = [Z1, WeightFunction("hyper_zagreb"), WeightFunction("forgotten")]
@@ -405,25 +406,25 @@ class TestStreamingExhaustive:
 
     def test_graphs_built_for_three_weights(self):
         # the 2,678 classes come out as rows, and the kept classes stay rows;
-        # the 66 bases and their cores, the named families, the classes a
-        # verdict reads and class keys make 161
+        # the 66 bases, the named families, the classes a verdict reads and
+        # class keys make 95
         assert graphs_built_in_fresh_process(
             "fs = tuple(map(parse_weight, ('zagreb1', 'hyper_zagreb', 'forgotten')))\n"
-            "assert verify._rankings(10, fs)[0] == 2678\n") == 161
+            "assert verify._rankings(10, fs)[0] == 2678\n") == 95
 
     def test_graphs_built_for_constant_one(self):
         # the weight the edge bound prunes least keeps 2,050 classes as rows
         # and builds a Graph only for those it keys
         assert graphs_built_in_fresh_process(
             "fs = (parse_weight('constant_one'),)\n"
-            "assert verify._rankings(10, fs)[0] == 2678\n") == 157
+            "assert verify._rankings(10, fs)[0] == 2678\n") == 91
 
     def test_enumerate_builds_no_class_graph(self):
-        # the count comes from chunk lengths: only the 66 bases and their
-        # cores are built
+        # the count comes from chunk lengths, and each base's kind from its
+        # class-key head: only the 66 bases are built
         assert graphs_built_in_fresh_process(
             "from bicyclic_spectra.cli import main\n"
-            "assert main(['enumerate', '--n', '10']) == 0\n") == 2 * 66
+            "assert main(['enumerate', '--n', '10']) == 0\n") == 66
 
 
 def graphs_built_in_fresh_process(code: str) -> int:
@@ -474,16 +475,37 @@ class TestKelmansCampaign:
             verify_kelmans(5, range(2, 4), [Z1], rng_seed=1)
 
     def test_sampler_matches_reference(self):
-        # same graph and same generator state after every call, so a seeded
-        # campaign draws the same samples
+        # same graph, and same edges from the edge-set draw, with the same
+        # generator state after every call, so a seeded campaign draws the
+        # same samples
         for seed in range(120):
-            rng, ref, step = (random.Random(seed) for _ in range(3))
+            rng, draw, ref, step = (random.Random(seed) for _ in range(4))
             for i in range(40):
                 n = 1 + (seed + i) % 20
                 g = verify.random_connected_graph(rng, n)
+                assert verify.random_edges(draw, n) == g.edges
                 assert g == reference_random_connected_graph(ref, n)
                 assert g == stepwise_random_connected_graph(step, n)
-                assert rng.getstate() == ref.getstate() == step.getstate()
+                assert rng.getstate() == draw.getstate() == ref.getstate() == step.getstate()
+
+    @pytest.mark.parametrize("lo,hi", [(2, 6), (4, 8), (3, 12), (17, 20)])
+    def test_report_matches_graph_based_campaign(self, lo, hi):
+        # P* and non-P* weights; the edge-set campaign gives the Graph-based
+        # loop's report, every float bit included
+        fs = [parse_weight(w) for w in ("constant_one", "extended", "sum_connectivity:a=-1")]
+        for seed in (3, 8):
+            got = verify_kelmans(400, range(lo, hi + 1), fs, rng_seed=seed).to_dict()
+            want = reference_verify_kelmans(400, range(lo, hi + 1), fs, rng_seed=seed).to_dict()
+            for report in (got, want):
+                del report["summary"]["runtime_seconds"]
+            assert got == want
+
+    def test_campaign_builds_graphs_only_for_pendant_shifts(self):
+        # no draw becomes a Graph: the 500 shift instances, each built, shifted
+        # by one removal and one addition, make the 1,500
+        assert graphs_built_in_fresh_process(
+            "verify.verify_kelmans(2000, range(4, 9), [parse_weight('zagreb1')], rng_seed=1)\n"
+        ) == 1500
 
     def test_campaign_makes_no_certificate(self):
         # the class-change test is kelmans' closed form; canonical_form's
