@@ -49,9 +49,13 @@ def _parse_weights(text: str):
             specs.append(text[start:i])
             start = i + 1
     try:
-        return [parse_weight(tok) for tok in specs + [text[start:]] if tok.strip()]
+        fs = [parse_weight(tok) for tok in specs + [text[start:]] if tok.strip()]
     except ValueError as exc:  # WeightSpecError: the spec's reason
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    twice = [f.label() for i, f in enumerate(fs) if f.label() in [g.label() for g in fs[:i]]]
+    if twice:  # a repeated weight would run its campaign twice
+        raise argparse.ArgumentTypeError(f"weight {twice[0]!r} given twice")
+    return fs
 
 
 def parse_graph_argument(text: str) -> Graph:

@@ -118,6 +118,12 @@ def edge_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return masks
 
 
+def mask_edges(masks: list[int]) -> frozenset[tuple[int, int]]:
+    """The edges (u, v), u < v, of neighbour masks, as edge_masks gives them."""
+    return frozenset((u, v) for u, mask in enumerate(masks)
+                     for v in range(u + 1, mask.bit_length()) if mask >> v & 1)
+
+
 def graph_rows(graphs: list[Graph]) -> np.ndarray:
     """Edge rows of graphs of one order and size m: rows[i], of an int array
     (C, m, 2), holds the edges (u, v), u < v, of graphs[i]."""

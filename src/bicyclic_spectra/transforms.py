@@ -9,7 +9,7 @@ exactly when some edge moves and N(v)-N[u] is non-empty:
 - the degree multisets agree only if d(u) - p = d(v), i.e. N(v)-N[u] = {}.
 
 `kelmans` and the randomized campaign share one core on int neighbour
-masks (`reroute`) and one edge-set move (`move_edges`).
+masks (`reroute`) and one move of them (`move_masks`, seen by `move_edges`).
 
 The pendant-shift move relocates one pendant from the smaller of two
 pendant bundles to the larger and carries the same contract.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, edge_masks
+from .graphs import Graph, edge_masks, mask_edges
 
 
 class TransformError(ValueError):
@@ -47,12 +47,21 @@ def reroute(masks: list[int], u: int, v: int) -> tuple[int, bool, bool]:
     return private, changed, bool(private) and private == masks[u]
 
 
+def move_masks(masks: list[int], private: int, u: int, v: int) -> list[int]:
+    """Neighbour masks after rerouting (u, v), private as reroute gives it:
+    u drops private, v gains it, and each w in private swaps u for v."""
+    out = [mask ^ (1 << u | 1 << v) if private >> w & 1 else mask for w, mask in enumerate(masks)]
+    out[u], out[v] = masks[u] & ~private, masks[v] | private
+    return out
+
+
 def move_edges(edges, private: int, u: int, v: int):
-    """(moves, edges after them) of rerouting (u, v) in an edge set: the moves
-    ((u, w), (v, w)), each edge normalised, for w in the mask private, ascending."""
+    """(moves, edges after them) of rerouting (u, v) in an edge set, by move_masks:
+    the moves ((u, w), (v, w)), each edge normalised, for w in private, ascending."""
     moves = tuple(((u, w) if u < w else (w, u), (v, w) if v < w else (w, v))
                   for w in range(private.bit_length()) if private >> w & 1)
-    return moves, edges.difference(old for old, _ in moves).union(new for _, new in moves)
+    n = max(u, v, *map(max, edges)) + 1
+    return moves, mask_edges(move_masks(edge_masks(n, edges), private, u, v))
 
 
 def kelmans(g: Graph, u: int, v: int) -> TransformOutcome:

@@ -30,10 +30,10 @@ import numpy as np
 from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # noqa: F401
                           orderly_rows, targeted_max_degree_family)
 from .graphs import (FAMILIES, Graph, base_graph, edge_masks, graph_g1, graph_g2, graph_rows,
-                     rows_graph)
+                     mask_edges, rows_graph)
 from .spectral import edge_bounds, rho_f, spectral_radii
 # kelmans stays importable here: perfbench/layers.py wraps it
-from .transforms import kelmans, move_edges, pendant_shift, reroute  # noqa: F401
+from .transforms import kelmans, move_masks, pendant_shift, reroute  # noqa: F401
 from .weights import WeightFunction, check_pstar, parse_weight
 
 
@@ -439,63 +439,75 @@ def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n), 2))
 
 
-EXTRA_EDGES_MAX = 3  # random_edges adds 0..EXTRA_EDGES_MAX edges to its tree
+def _below(bits, n: int) -> int:
+    """A uniform int in [0, n) from bits = rng.getrandbits, drawn as rng.randrange(n),
+    choice, randint and shuffle draw it (Random._randbelow of CPython 3.10-3.13)."""
+    r = n
+    while r >= n:  # the top n.bit_length() bits of its words, until below n
+        r = bits(n.bit_length())
+    return r
+
+
+EXTRA_EDGES_MAX = 3  # random_masks adds 0..EXTRA_EDGES_MAX edges to its tree
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
-    """The Graph of random_edges(rng, n)."""
-    return Graph(n, frozenset(random_edges(rng, n)))
+    """The Graph of random_masks(rng, n)."""
+    return Graph(n, mask_edges(random_masks(rng, n)))
 
 
-def random_edges(rng: random.Random, n: int) -> set[tuple[int, int]]:
-    """The edges (u, v), u < v, of a uniform random labeled tree on n vertices
-    plus 0..EXTRA_EDGES_MAX random others."""
-    if n <= 2:
-        return {(0, 1)} if n == 2 else set()
-    prufer = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
+def random_masks(rng: random.Random, n: int) -> list[int]:
+    """Neighbour masks of a uniform random labeled tree on n vertices (a Pruefer
+    decode) plus a shuffled prefix, 0..EXTRA_EDGES_MAX long, of its non-edges."""
+    if n <= 2:  # no draw
+        return edge_masks(n, [(0, 1)] * (n == 2))
+    bits = rng.getrandbits
+    prufer = [_below(bits, n) for _ in range(n - 2)]
+    degree = [1 + prufer.count(v) for v in range(n)]
+    leaves = [v for v in range(n) if degree[v] == 1]  # ascending, so a heap
+    edges = []
     for x in prufer:
-        degree[x] += 1
-    edges = set()
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for x in prufer:
-        leaf = heapq.heappop(leaves)
-        edges.add((leaf, x) if leaf < x else (x, leaf))
+        edges.append((heapq.heappop(leaves), x))
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    edges.add((heapq.heappop(leaves), heapq.heappop(leaves)))  # popped in ascending order
-    candidates = [e for e in _vertex_pairs(n) if e not in edges]
-    rng.shuffle(candidates)
-    edges.update(candidates[: rng.randint(0, min(EXTRA_EDGES_MAX, len(candidates)))])
-    return edges
+    masks = edge_masks(n, edges + [leaves])  # the last edge joins the two leaves left
+    candidates = [(u, v) for u, v in _vertex_pairs(n) if not masks[u] >> v & 1]
+    for i in range(len(candidates) - 1, 0, -1):  # rng.shuffle(candidates)
+        j = _below(bits, i + 1)
+        candidates[i], candidates[j] = candidates[j], candidates[i]
+    for u, v in candidates[:_below(bits, min(EXTRA_EDGES_MAX, len(candidates)) + 1)]:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
-def _random_pendant_shift_instance(rng: random.Random):
-    """Graph where (v, u) satisfies the pendant-shift preconditions."""
-    common = rng.randint(0, 2)
-    edge_uv = rng.random() < 0.7 or common == 0
-    a = rng.randint(1, 2)          # pendants at v (the smaller bundle)
-    b = rng.randint(a, a + 2)      # pendants at u
-    u, v = 0, 1
+def _edge_word(masks: list[int]) -> int:
+    """The edge word of masks: bit i is set iff pair i of _vertex_pairs(len(masks)) is an edge."""
+    word, n = 0, len(masks)
+    for u in range(n - 1, -1, -1):  # the pairs (u, v > u) follow those of u - 1
+        word = word << n - 1 - u | masks[u] >> u + 1
+    return word
+
+
+def _word_rows(words: Sequence[int], n: int, m: int) -> np.ndarray:
+    """Edge rows (C, m, 2), as spectral_radii takes them, of the graphs of
+    order n and size m with edge words `words`, each row's edges ascending."""
+    size = (len(_vertex_pairs(n)) + 7) // 8
+    raw = np.frombuffer(b"".join(w.to_bytes(size, "little") for w in words), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(words), size), axis=1, bitorder="little")
+    return np.array(_vertex_pairs(n), np.intp)[np.nonzero(bits)[1]].reshape(-1, m, 2)
+
+
+@lru_cache(maxsize=None)  # at most 30 shapes; common == 0 forces edge_uv
+def _pendant_shift_words(common: int, edge_uv: bool, a: int, b: int) -> tuple[int, int, int]:
+    """(n, edge words after and before) of pendant_shift(g, 1, 0, 2 + common), where u = 0 and
+    v = 1 share `common` neighbours, hold b and a <= b pendants and are adjacent iff edge_uv."""
     n = 2 + common + a + b
-    edges = []
-    if edge_uv:
-        edges.append((u, v))
-    idx = 2
-    for _ in range(common):
-        edges += [(u, idx), (v, idx)]
-        idx += 1
-    v_pendants = []
-    for _ in range(a):
-        edges.append((v, idx))
-        v_pendants.append(idx)
-        idx += 1
-    for _ in range(b):
-        edges.append((u, idx))
-        idx += 1
-    return Graph.from_edges(n, edges), v, u, v_pendants[0]
+    edges = [(0, 1)] * edge_uv + [(x, c) for c in range(2, 2 + common) for x in (0, 1)]
+    edges += [(0 if c >= n - b else 1, c) for c in range(2 + common, n)]
+    g = Graph.from_edges(n, edges)
+    return n, *(_edge_word(edge_masks(n, h.edges)) for h in (pendant_shift(g, 1, 0, 2 + common), g))
 
 
 PENDANT_SHIFT_FRACTION = 0.25  # pendant shifts per class-changing reroute in verify_kelmans
@@ -505,11 +517,11 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
                    rng_seed: int) -> VerificationReport:
     """Randomized monotonicity campaign for the two transforms.
 
-    Per weight, `samples` class-changing reroutes, each a drawn edge set
-    whose class change the mask core transforms.reroute decides exactly (no
-    certificate, no Graph), then PENDANT_SHIFT_FRACTION * samples pendant
-    shifts; one spectral_radii call per order and size scores them against
-    rho' > rho - 1e-9.  n_range needs some n >= 4.  Weights without P* run
+    Per weight, `samples` class-changing reroutes of drawn neighbour masks,
+    decided exactly and moved by the mask core (no certificate, no Graph),
+    then PENDANT_SHIFT_FRACTION * samples pendant shifts.  Each distinct
+    labeled graph, keyed by its edge word, is eigensolved once, for rho' >
+    rho - 1e-9.  n_range needs some n >= 4.  Weights without P* run
     informatively: violations are recorded, not failed.
     """
     if samples < 1:
@@ -526,39 +538,38 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
     for f in fs:
         applicable = check_pstar(f, d_max=max(max(n_range) + 2, 8)).passes
         rng = random.Random(f"{rng_seed}/{f.label()}")
-        pairs: list[tuple] = []  # (n, m, the edges after then before, flattened)
+        bits = rng.getrandbits
+        pairs: list[tuple[int, int, int]] = []  # (n, edge words after and before)
         skipped = disconnected = 0
         attempts_left = 1000 * samples  # identity applications don't count
         while len(pairs) < samples:
             attempts_left -= 1
             if attempts_left < 0:
                 raise RuntimeError("kelmans campaign: too few class-changing samples")
-            n = rng.choice(orders)
-            edges = random_edges(rng, n)
-            u = rng.randrange(n)
-            v = (u + rng.randrange(1, n)) % n
-            private, changed, isolates = reroute(edge_masks(n, edges), u, v)
+            n = orders[_below(bits, len(orders))]
+            masks = random_masks(rng, n)
+            u = _below(bits, n)
+            v = (u + 1 + _below(bits, n - 1)) % n
+            private, changed, isolates = reroute(masks, u, v)
             if not changed:
                 skipped += 1
                 continue
-            after = move_edges(edges, private, u, v)[1]
-            pairs.append((n, len(edges), tuple(itertools.chain(*after, *edges))))
+            pairs.append((n, _edge_word(move_masks(masks, private, u, v)), _edge_word(masks)))
             disconnected += isolates  # the drawn graph is connected
         shifts = int(samples * PENDANT_SHIFT_FRACTION)
         # a shift always changes the class: d_v <= d_u become d_v - 1 and
         # d_u + 1, so the largest degree of the pair rises
         for _ in range(shifts):
-            g, v, u, w = _random_pendant_shift_instance(rng)
-            after = pendant_shift(g, v, u, w).edges
-            pairs.append((g.n, g.m, tuple(itertools.chain(*after, *g.edges))))
-        deltas = np.empty(len(pairs))
-        groups: dict[tuple[int, int], list[int]] = {}  # (n, m) -> indices into pairs
-        for i, (n, m, _) in enumerate(pairs):
-            groups.setdefault((n, m), []).append(i)
-        for (n, m), idx in sorted(groups.items()):
-            rows = np.array([pairs[i][2] for i in idx], np.intp).reshape(-1, m, 2)
-            rho = spectral_radii(rows, f, n)
-            deltas[idx] = rho[0::2] - rho[1::2]
+            common = _below(bits, 3)
+            edge_uv = rng.random() < 0.7 or common == 0
+            a = 1 + _below(bits, 2)  # pendants at v, the smaller bundle
+            pairs.append(_pendant_shift_words(common, edge_uv, a, a + _below(bits, 3)))
+        # each distinct labeled graph is eigensolved once, one spectral_radii call per (n, m)
+        graphs = sorted({(n, word.bit_count(), word) for n, *words in pairs for word in words})
+        index = {(n, word): i for i, (n, _, word) in enumerate(graphs)}
+        rho = np.concatenate([spectral_radii(_word_rows([g[2] for g in group], n, m), f, n)
+                              for (n, m), group in itertools.groupby(graphs, lambda g: g[:2])])
+        deltas = rho[[index[n, a] for n, a, _ in pairs]] - rho[[index[n, b] for n, _, b in pairs]]
         failing = deltas <= -slack
         violations = int(failing[:samples].sum())
         shift_violations = int(failing[samples:].sum())

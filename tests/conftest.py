@@ -18,7 +18,7 @@ from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, Pol
                               pendant_shift, spectral_radii)
 from bicyclic_spectra.enumeration import bicyclic_bases, rooted_trees, _weak_compositions
 from bicyclic_spectra.graphs import edge_masks, graph_rows, refine_partition, rows_graph
-from bicyclic_spectra.verify import PENDANT_SHIFT_FRACTION, _random_pendant_shift_instance
+from bicyclic_spectra.verify import PENDANT_SHIFT_FRACTION
 from bicyclic_spectra.weights import WeightSpecError, _eval_custom, _evaluate_generic, _pow
 
 # bicyclic class counts at n=4..9, on which enumerate_bicyclic and the
@@ -891,6 +891,34 @@ def stepwise_random_connected_graph(rng: random.Random, n: int, extra_max: int =
     return g
 
 
+def reference_pendant_shift_instance(rng: random.Random):
+    """Reference draw, the package's earlier pendant-shift instance through
+    randint and random: a Graph where (v, u) satisfies the pendant-shift
+    preconditions, with v, u and the pendant w to move."""
+    common = rng.randint(0, 2)
+    edge_uv = rng.random() < 0.7 or common == 0
+    a = rng.randint(1, 2)          # pendants at v (the smaller bundle)
+    b = rng.randint(a, a + 2)      # pendants at u
+    u, v = 0, 1
+    n = 2 + common + a + b
+    edges = []
+    if edge_uv:
+        edges.append((u, v))
+    idx = 2
+    for _ in range(common):
+        edges += [(u, idx), (v, idx)]
+        idx += 1
+    v_pendants = []
+    for _ in range(a):
+        edges.append((v, idx))
+        v_pendants.append(idx)
+        idx += 1
+    for _ in range(b):
+        edges.append((u, idx))
+        idx += 1
+    return Graph.from_edges(n, edges), v, u, v_pendants[0]
+
+
 def reference_kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
     """Reference reroute, the package's earlier set-based kelmans: private =
     N(u) - N(v) - {v} on neighbour sets, the edges moved one by one in
@@ -938,7 +966,7 @@ def reference_verify_kelmans(samples: int, n_range, fs, rng_seed: int) -> Verifi
             disconnected += out.disconnects
         shifts = int(samples * PENDANT_SHIFT_FRACTION)
         for _ in range(shifts):
-            g, v, u, w = _random_pendant_shift_instance(rng)
+            g, v, u, w = reference_pendant_shift_instance(rng)
             pairs.append((pendant_shift(g, v, u, w), g))
         deltas = np.empty(len(pairs))
         groups = {}

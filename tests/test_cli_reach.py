@@ -45,9 +45,11 @@ UNREACHED = {
     "graphs._blocks": "builds the registry partitions that quotient.family_quotient reads",
     "graphs.refine_partition": "the one partition refinement, run by quotient.equitable_refine",
     "weights.rational_pstar_functions": "the weights of the sign ledger, which has no subcommand",
-    # the kelmans campaign calls their cores on drawn edge sets, with no Graph
+    # the kelmans campaign calls their cores on drawn neighbour masks, with no Graph
     "transforms.kelmans": "the public reroute of a Graph, swap image included, over the mask core",
-    "verify.random_connected_graph": "the Graph of random_edges, which test fixtures draw",
+    "transforms.move_edges": "the edge-set view of move_masks, which kelmans returns",
+    "graphs.mask_edges": "the edge set of neighbour masks, which kelmans and the sampler's Graph read",
+    "verify.random_connected_graph": "the Graph of random_masks, which test fixtures draw",
 }
 
 

@@ -19,8 +19,9 @@ from bicyclic_spectra import (
 )
 from bicyclic_spectra.graphs import edge_masks
 from bicyclic_spectra.transforms import move_edges, reroute
-from bicyclic_spectra.verify import _random_pendant_shift_instance, random_connected_graph
-from conftest import class_graphs, reference_canonical_form, reference_kelmans
+from bicyclic_spectra.verify import random_connected_graph
+from conftest import (class_graphs, reference_canonical_form, reference_kelmans,
+                      reference_pendant_shift_instance)
 
 
 def star(n):
@@ -322,7 +323,7 @@ class TestPendantShift:
         # d_v <= d_u become d_v - 1 and d_u + 1, so the degree sequence moves
         rng = random.Random(92)
         for _ in range(2000):
-            g, v, u, w = _random_pendant_shift_instance(rng)
+            g, v, u, w = reference_pendant_shift_instance(rng)
             shifted = pendant_shift(g, v, u, w)
             assert shifted.degree_sequence() != g.degree_sequence()
             assert reference_canonical_form(shifted) != reference_canonical_form(g)

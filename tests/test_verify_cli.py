@@ -29,8 +29,10 @@ from bicyclic_spectra import (
 )
 from bicyclic_spectra import spectral, verify, weights
 from bicyclic_spectra.cli import main, parse_graph_argument
-from bicyclic_spectra.graphs import graph_rows, rows_graph
+from bicyclic_spectra.graphs import edge_masks, graph_rows, rows_graph
+from bicyclic_spectra.spectral import spectral_radii
 from bicyclic_spectra.verify import printed_tolerance
+import conftest
 from conftest import (class_graphs, per_graph_radii, reference_exhaustive_case,
                       reference_random_connected_graph, reference_verify_kelmans,
                       stepwise_random_connected_graph)
@@ -475,7 +477,7 @@ class TestKelmansCampaign:
             verify_kelmans(5, range(2, 4), [Z1], rng_seed=1)
 
     def test_sampler_matches_reference(self):
-        # same graph, and same edges from the edge-set draw, with the same
+        # same graph, and same masks from the mask draw, with the same
         # generator state after every call, so a seeded campaign draws the
         # same samples
         for seed in range(120):
@@ -483,7 +485,7 @@ class TestKelmansCampaign:
             for i in range(40):
                 n = 1 + (seed + i) % 20
                 g = verify.random_connected_graph(rng, n)
-                assert verify.random_edges(draw, n) == g.edges
+                assert verify.random_masks(draw, n) == edge_masks(n, g.edges)
                 assert g == reference_random_connected_graph(ref, n)
                 assert g == stepwise_random_connected_graph(step, n)
                 assert rng.getstate() == draw.getstate() == ref.getstate() == step.getstate()
@@ -501,11 +503,36 @@ class TestKelmansCampaign:
             assert got == want
 
     def test_campaign_builds_graphs_only_for_pendant_shifts(self):
-        # no draw becomes a Graph: the 500 shift instances, each built, shifted
-        # by one removal and one addition, make the 1,500
+        # no draw becomes a Graph: the 500 shifts come from 30 distinct drawn
+        # instances, each built and shifted once, by one removal and one
+        # addition, which makes 90
         assert graphs_built_in_fresh_process(
             "verify.verify_kelmans(2000, range(4, 9), [parse_weight('zagreb1')], rng_seed=1)\n"
-        ) == 1500
+        ) == 90
+
+    def test_scores_each_distinct_labeled_graph_once(self, monkeypatch):
+        # the reference campaign scores 5,000 rows (2 per pair) of 3,692
+        # distinct labeled graphs; the campaign eigensolves each one once
+        distinct, scored = set(), []
+
+        def collecting(rows, f, n):
+            distinct.update((n, frozenset(map(tuple, r))) for r in rows.tolist())
+            return spectral_radii(rows, f, n)
+
+        def counting(rows, f, n):
+            scored.append(len(rows))
+            return spectral_radii(rows, f, n)
+
+        monkeypatch.setattr(conftest, "spectral_radii", collecting)
+        monkeypatch.setattr(verify, "spectral_radii", counting)
+        want = reference_verify_kelmans(2000, range(4, 9), [Z1], rng_seed=1).to_dict()
+        got = verify_kelmans(2000, range(4, 9), [Z1], rng_seed=1).to_dict()
+        for report in (got, want):
+            del report["summary"]["runtime_seconds"]
+        assert got == want
+        assert sum(scored) == len(distinct) == 3692
+        # one call per (order, size) group
+        assert len(scored) == len({(n, len(edges)) for n, edges in distinct})
 
     def test_campaign_makes_no_certificate(self):
         # the class-change test is kelmans' closed form; canonical_form's
@@ -515,6 +542,68 @@ class TestKelmansCampaign:
         assert verify_kelmans(500, range(4, 9), [Z1], rng_seed=0).ok
         info = canonical_form.cache_info()
         assert info.hits + info.misses == before
+
+
+class TestIntegerDraw:
+    """_below reads the words rng.randrange, randint, choice and shuffle
+    read, and gives the same values."""
+
+    def test_matches_random_module(self):
+        for seed in range(100):
+            rng, mine = random.Random(seed), random.Random(seed)
+            bits = mine.getrandbits
+            for n in range(1, 301):
+                assert verify._below(bits, n) == rng.randrange(n)
+                assert 1 + verify._below(bits, n) == rng.randrange(1, n + 1)
+                assert n + verify._below(bits, 3) == rng.randint(n, n + 2)
+                seq = range(n, 2 * n)
+                assert seq[verify._below(bits, n)] == rng.choice(seq)
+                shuffled, want = list(range(n % 40)), list(range(n % 40))
+                for i in range(len(shuffled) - 1, 0, -1):  # as random_masks shuffles
+                    j = verify._below(bits, i + 1)
+                    shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+                rng.shuffle(want)
+                assert shuffled == want
+                assert mine.getstate() == rng.getstate()
+
+    def test_wide_bounds_read_several_words(self):
+        # past 2**32 one draw takes more than one 32-bit word
+        for seed in range(20):
+            rng, mine = random.Random(seed), random.Random(seed)
+            for n in (2**32 + 1, 3 * 2**33 - 7, 2**64 + 2**40, 10**30):
+                assert verify._below(mine.getrandbits, n) == rng.randrange(n)
+                assert mine.getstate() == rng.getstate()
+
+
+class TestEdgeWords:
+    def test_words_and_rows_round_trip(self):
+        # bit i of a graph's word is the i-th pair of _vertex_pairs(n); up to
+        # n = 20 a word holds 190 bits, past one 64-bit word
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for n in range(2, 21):
+                masks = verify.random_masks(rng, n)
+                g = reference_random_connected_graph(ref, n)
+                word = verify._edge_word(masks)
+                pairs = verify._vertex_pairs(n)
+                assert word == sum(1 << i for i, pair in enumerate(pairs) if pair in g.edges)
+                assert verify._edge_word(edge_masks(n, g.edges)) == word
+                rows = verify._word_rows([word, word], n, g.m)
+                assert rows.shape == (2, g.m, 2)
+                assert {tuple(e) for e in rows[1].tolist()} == g.edges
+                assert rows[0].tolist() == sorted(map(list, g.edges))
+
+    def test_rows_of_a_group(self):
+        rng = random.Random(5)
+        for n in (5, 12, 20):
+            graphs = []
+            while len(graphs) < 30:
+                g = verify.random_connected_graph(rng, n)
+                if g.m == n:
+                    graphs.append(g)
+            words = [verify._edge_word(edge_masks(n, g.edges)) for g in graphs]
+            rows = verify._word_rows(words, n, n)
+            assert [frozenset(map(tuple, r)) for r in rows.tolist()] == [g.edges for g in graphs]
 
 
 class TestTheorem41Campaign:
@@ -752,6 +841,22 @@ class TestCli:
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert line.startswith("bicyclic-spectra: error: ") and message in line
+
+    @pytest.mark.parametrize("argv,label", [
+        (["kelmans", "--samples", "5", "--seed", "1", "--f", "zagreb1,zagreb1"], "zagreb1"),
+        (["extremal", "--n", "4..6", "--f", "zagreb1,forgotten,zagreb1"], "zagreb1"),
+        (["extremal", "--n", "6", "--f", "sombor:a=2,b=2,sombor:a=2, B=2", "--rank", "2",
+          "--mode", "candidate"], "sombor:a=2,b=2"),
+    ], ids=["kelmans", "extremal", "same_label"])
+    def test_repeated_weight_exits_two(self, argv, label):
+        # a repeated weight would run its campaign twice, two records with
+        # one case_id
+        import subprocess, sys
+        proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"bicyclic-spectra: error: argument --f: weight {label!r} "
+                               "given twice\n")
 
     @pytest.mark.parametrize("argv,order", [
         (["extremal", "--n", "6", "--f", "exp_sum_connectivity:a=3", "--mode", "exhaustive"], 6),
