@@ -52,6 +52,8 @@ def _parse_weights(text: str):
         fs = [parse_weight(tok) for tok in specs + [text[start:]] if tok.strip()]
     except ValueError as exc:  # WeightSpecError: the spec's reason
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not fs:  # a campaign over no weight would check nothing and pass
+        raise argparse.ArgumentTypeError("no weight given")
     twice = [f.label() for i, f in enumerate(fs) if f.label() in [g.label() for g in fs[:i]]]
     if twice:  # a repeated weight would run its campaign twice
         raise argparse.ArgumentTypeError(f"weight {twice[0]!r} given twice")

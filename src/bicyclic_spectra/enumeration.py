@@ -43,26 +43,13 @@ _TreeShape = tuple  # nested sorted tuples; () is the single-vertex tree
 
 @lru_cache(maxsize=None)
 def rooted_trees(size: int) -> tuple[_TreeShape, ...]:
-    """All rooted tree shapes on `size` vertices as nested sorted tuples."""
-    if size < 1:
-        return ()
-    if size == 1:
-        return ((),)
-    out: set[_TreeShape] = set()
-
-    def rec(remaining: int, chosen: tuple, bound):
-        if remaining == 0:
-            out.add(tuple(sorted(chosen)))
-            return
-        for sz in range(remaining, 0, -1):
-            for shape in rooted_trees(sz):
-                item = (sz, shape)
-                if bound is not None and item > bound:
-                    continue
-                rec(remaining - sz, chosen + (shape,), item)
-
-    rec(size - 1, (), None)
-    return tuple(sorted(out))
+    """All rooted tree shapes on `size` vertices as nested sorted tuples: a
+    shape of size s >= 2 is one of size s - k with one more subtree, of size
+    k, at its root."""
+    if size < 2:
+        return ((),) * (size == 1)
+    return tuple(sorted({tuple(sorted(rest + (sub,))) for k in range(1, size)
+                         for rest in rooted_trees(size - k) for sub in rooted_trees(k)}))
 
 
 @lru_cache(maxsize=None)
@@ -123,9 +110,10 @@ def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """One labelled graph per bicyclic class on n vertices, lazily, in
     class-key order, in chunks (rows, kinds) of EIGH_CHUNK classes: rows[i],
     of an int16 array (C, n + 1, 2), holds the edges (u, v), u < v, of class
-    i and kinds[i] its base kind, "infinity" or "theta" (an object array).  A
-    class's rows are its base's edges, then row x + 1 joins new vertex x to
-    its parent, the trees numbered in preorder one base vertex after another.
+    i and kinds[i], of an intp array, its base kind (0 infinity, 1 theta, its
+    class key's head).  A class's rows are its base's edges, then row x + 1
+    joins new vertex x to its parent, the trees numbered in preorder one base
+    vertex after another.
 
     A forest assignment, keyed (composition, shape indices) in loop order, is
     kept only when no base automorphism maps it to a smaller key (the group
@@ -136,7 +124,7 @@ def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """
     flat, kinds = [], []
     for head, base in bicyclic_bases(n):
-        group, kind = _base_symmetry(base), ("infinity", "theta")[head[0]]
+        group, kind = _base_symmetry(base), head[0]
         moves = [itemgetter(*p) for p in group[1:]]  # group[0] is the identity
         edges = tuple(itertools.chain.from_iterable(sorted(base.edges)))
         for comp in _weak_compositions(n - base.n, base.n):
@@ -157,10 +145,10 @@ def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                         kinds.append(kind)
                         if len(kinds) == EIGH_CHUNK:
                             yield (np.array(flat, np.int16).reshape(-1, n + 1, 2),
-                                   np.array(kinds, object))
+                                   np.array(kinds, np.intp))
                             flat, kinds = [], []
     if kinds:
-        yield np.array(flat, np.int16).reshape(-1, n + 1, 2), np.array(kinds, object)
+        yield np.array(flat, np.int16).reshape(-1, n + 1, 2), np.array(kinds, np.intp)
 
 
 def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:

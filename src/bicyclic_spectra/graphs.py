@@ -67,20 +67,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 
-    def add_edge(self, u: int, v: int) -> "Graph":
-        e = _norm_edge(u, v)
-        if e in self.edges:
-            raise GraphError(f"edge {e} already present")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise GraphError(f"edge ({u},{v}) out of range")
-        return Graph(self.n, self.edges | {e})
-
-    def remove_edge(self, u: int, v: int) -> "Graph":
-        e = _norm_edge(u, v)
-        if e not in self.edges:
-            raise GraphError(f"edge {e} not present")
-        return Graph(self.n, self.edges - {e})
-
     def relabel(self, perm: list[int]) -> "Graph":
         """Image graph under `perm`: vertex v goes to position perm[v]."""
         if sorted(perm) != list(range(self.n)):

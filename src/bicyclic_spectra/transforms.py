@@ -8,11 +8,13 @@ exactly when some edge moves and N(v)-N[u] is non-empty:
 - else u loses p >= 1 degrees, v gains p and no other degree moves;
 - the degree multisets agree only if d(u) - p = d(v), i.e. N(v)-N[u] = {}.
 
-`kelmans` and the randomized campaign share one core on int neighbour
-masks (`reroute`) and one move of them (`move_masks`, seen by `move_edges`).
-
 The pendant-shift move relocates one pendant from the smaller of two
-pendant bundles to the larger and carries the same contract.
+pendant bundles to the larger and carries the same contract.  It is a
+one-edge reroute: its bundles are the private masks of `reroute` both ways.
+
+Both transforms, and the randomized campaign, share one core on int
+neighbour masks (`reroute`) and one move of them (`move_masks`); `kelmans`
+and `pendant_shift` are its views on a `Graph`.
 """
 
 from __future__ import annotations
@@ -55,15 +57,6 @@ def move_masks(masks: list[int], private: int, u: int, v: int) -> list[int]:
     return out
 
 
-def move_edges(edges, private: int, u: int, v: int):
-    """(moves, edges after them) of rerouting (u, v) in an edge set, by move_masks:
-    the moves ((u, w), (v, w)), each edge normalised, for w in private, ascending."""
-    moves = tuple(((u, w) if u < w else (w, u), (v, w) if v < w else (w, v))
-                  for w in range(private.bit_length()) if private >> w & 1)
-    n = max(u, v, *map(max, edges)) + 1
-    return moves, mask_edges(move_masks(edge_masks(n, edges), private, u, v))
-
-
 def kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
     """Move the edges from u's private neighborhood over to v.
 
@@ -77,36 +70,41 @@ def kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
         raise TransformError("kelmans requires distinct vertices")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise TransformError(f"vertex out of range: ({u},{v})")
-    private, changed, isolates = reroute(edge_masks(g.n, g.edges), u, v)
+    masks = edge_masks(g.n, g.edges)
+    private, changed, isolates = reroute(masks, u, v)
     if not private:
         return TransformOutcome(g, False, ())
-    moves, edges = move_edges(g.edges, private, u, v)
+    moves = tuple(((u, w) if u < w else (w, u), (v, w) if v < w else (w, v))
+                  for w in range(private.bit_length()) if private >> w & 1)
+    edges = mask_edges(move_masks(masks, private, u, v))
     return TransformOutcome(Graph(g.n, edges), changed, moves, isolates and g.is_connected())
 
 
-def pendant_shift(g: Graph, v: int, u: int, w: int) -> Graph:
-    """Move pendant w from v's bundle to u's: delete vw, add uw.
+def shift_masks(masks: list[int], v: int, u: int, w: int) -> list[int]:
+    """Neighbour masks after moving pendant w from v's bundle to u's: the
+    reroute of (v, u) restricted to private = {w}.
 
-    Preconditions (each reported on its own): w lies in N(v)-N[u]; every
-    vertex of N(v)-N[u] and of N(u)-N[v] is pendant; the bundle at v is no
-    larger than the bundle at u.
+    Preconditions (each reported on its own): w lies in N1 = N(v)-N[u];
+    every vertex of N1 and of N2 = N(u)-N[v], the private masks of
+    reroute(v, u) and reroute(u, v), is pendant; 1 <= |N1| <= |N2|.
     """
     if len({u, v, w}) != 3:
         raise TransformError("pendant_shift requires three distinct vertices")
     for x in (u, v, w):
-        if not 0 <= x < g.n:
+        if not 0 <= x < len(masks):
             raise TransformError(f"vertex {x} out of range")
-    nbr = g.neighbors()
-    deg = g.degrees()
-    n1 = nbr[v] - nbr[u] - {u}
-    n2 = nbr[u] - nbr[v] - {v}
-    if w not in n1:
+    n1, n2 = reroute(masks, v, u)[0], reroute(masks, u, v)[0]
+    if not n1 >> w & 1:
         raise TransformError(f"vertex {w} is not in N(v)-N[u]")
-    bad = [x for x in sorted(n1 | n2) if deg[x] != 1]
+    bad = [x for x, mask in enumerate(masks) if (n1 | n2) >> x & 1 and mask.bit_count() != 1]
     if bad:
         raise TransformError(f"non-pendant vertices in the private neighborhoods: {bad}")
-    if not 1 <= len(n1) <= len(n2):
-        raise TransformError(
-            f"bundle sizes violate |N1| <= |N2|: |N1|={len(n1)}, |N2|={len(n2)}"
-        )
-    return g.remove_edge(v, w).add_edge(u, w)
+    size1, size2 = n1.bit_count(), n2.bit_count()
+    if not 1 <= size1 <= size2:
+        raise TransformError(f"bundle sizes violate |N1| <= |N2|: |N1|={size1}, |N2|={size2}")
+    return move_masks(masks, 1 << w, v, u)
+
+
+def pendant_shift(g: Graph, v: int, u: int, w: int) -> Graph:
+    """Move pendant w from v's bundle to u's: delete vw, add uw (shift_masks on g)."""
+    return Graph(g.n, mask_edges(shift_masks(edge_masks(g.n, g.edges), v, u, w)))

@@ -29,11 +29,11 @@ import numpy as np
 # enumerate_bicyclic stays importable here: perfbench/layers.py wraps it
 from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # noqa: F401
                           orderly_rows, targeted_max_degree_family)
-from .graphs import (FAMILIES, Graph, base_graph, edge_masks, graph_g1, graph_g2, graph_rows,
-                     mask_edges, rows_graph)
+# base_graph, kelmans and pendant_shift stay importable here: perfbench/layers.py wraps them
+from .graphs import (FAMILIES, Graph, base_graph, edge_masks, graph_g1, graph_g2,  # noqa: F401
+                     graph_rows, mask_edges, rows_graph)
 from .spectral import edge_bounds, rho_f, spectral_radii
-# kelmans stays importable here: perfbench/layers.py wraps it
-from .transforms import kelmans, move_masks, pendant_shift, reroute  # noqa: F401
+from .transforms import kelmans, move_masks, pendant_shift, reroute, shift_masks  # noqa: F401
 from .weights import WeightFunction, check_pstar, parse_weight
 
 
@@ -300,11 +300,14 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
 PRUNE_MARGIN = 1e-9  # relative; a class is skipped only when its bound is clearly below
 
 
-def _cuts(rho: Sequence[float], kinds: Sequence[str]) -> dict[str, float]:
-    """{kind: min(second rho, top rho of the kind)} of distinct classes' rho and kinds."""
-    rho, kinds = np.asarray(rho), np.asarray(kinds)
+def _cuts(rho: Sequence[float], kinds: Sequence[int]) -> np.ndarray:
+    """cut[kind] = min(second rho, top rho of the kind) of distinct classes' rho and
+    base kinds (0 infinity, 1 theta, as a class key's head); -inf for a kind with none."""
+    rho = np.asarray(rho)
     second = np.sort(rho)[-2] if len(rho) > 1 else -math.inf
-    return {kind: min(second, rho[kinds == kind].max()) for kind in set(kinds.tolist())}
+    top = np.full(2, -math.inf)
+    np.maximum.at(top, np.asarray(kinds, np.intp), rho)
+    return np.minimum(second, top)
 
 
 class _Leaders:
@@ -318,34 +321,30 @@ class _Leaders:
     Kept classes stay edge rows; only those a verdict reads become Graphs.
     """
 
-    def __init__(self, f: WeightFunction, rho: Sequence[float], kinds: Sequence[str]):
-        """rho and kinds of the distinct named classes under f."""
+    def __init__(self, f: WeightFunction, rho: Sequence[float], kinds: Sequence[int]):
+        """rho and base kinds of the distinct named classes under f."""
         self.f, self.kept = f, []
-        self.floor = {kind: cut - PRUNE_MARGIN * abs(cut)
-                      for kind, cut in _cuts(rho, kinds).items()}
+        cut = _cuts(rho, kinds)
+        self.floor = cut - PRUNE_MARGIN * np.abs(cut)
 
     def offer(self, rows: np.ndarray, bound: np.ndarray, kinds: np.ndarray):
         """Keep (rows, kinds) of the classes of base kinds `kinds`, edges
         rows[i], whose edge_bounds value bound[i] reaches their kind's floor."""
-        floor = np.full(len(kinds), -math.inf)
-        for kind, cut in self.floor.items():
-            floor[kinds == kind] = cut
-        keep = ~(bound < floor)
+        keep = ~(bound < self.floor[kinds])
         if keep.any():
             self.kept.append((rows[keep], kinds[keep]))
 
-    def ranking(self) -> tuple[list[tuple[float, tuple]], dict[str, tuple]]:
+    def ranking(self) -> tuple[list[tuple[float, tuple]], dict[int, tuple]]:
         """The first two (rho, class key) of all classes in descending order,
-        ties by key, and each kind's first key, keying only the classes at or
+        ties by key, and {kind: its first key}, keying only the classes at or
         above the second rho or their kind's top rho."""
         rows, kinds = (np.concatenate(part) for part in zip(*self.kept))
         rho = spectral_radii(rows, self.f, rows.shape[1] - 1)  # n + 1 edges
-        cut = _cuts(rho, kinds)
-        idx = np.flatnonzero(rho >= np.select([kinds == kind for kind in cut], list(cut.values())))
-        ranked = sorted(zip(rho[idx].tolist(), map(canonical_form, map(rows_graph, rows[idx])),
-                            kinds[idx].tolist()), reverse=True)
-        kind_best = {kind: cert for _, cert, kind in reversed(ranked)}  # each kind's first
-        return [(rho_i, cert) for rho_i, cert, _ in ranked[:2]], kind_best
+        idx = np.flatnonzero(rho >= _cuts(rho, kinds)[kinds])
+        ranked = sorted(zip(rho[idx].tolist(), map(canonical_form, map(rows_graph, rows[idx]))),
+                        reverse=True)
+        kind_best = {cert[0]: cert for _, cert in reversed(ranked)}  # each kind's first
+        return ranked[:2], kind_best
 
 
 @lru_cache(maxsize=32)
@@ -356,8 +355,8 @@ def _rankings(n: int, fs: tuple[WeightFunction, ...]):
     named = {tag: family.build(n) if n >= family.min_n else None
              for tag, family in FAMILIES.items()}
     certs = {tag: None if g is None else canonical_form(g) for tag, g in named.items()}
-    distinct = list({cert: named[tag] for tag, cert in certs.items() if cert is not None}.values())
-    named_rows, named_kinds = graph_rows(distinct), [base_graph(g).kind for g in distinct]
+    distinct = {cert: named[tag] for tag, cert in certs.items() if cert is not None}
+    named_rows, named_kinds = graph_rows(list(distinct.values())), [cert[0] for cert in distinct]
     leaders = [_Leaders(f, spectral_radii(named_rows, f, n), named_kinds) for f in fs]
     classes = 0
     for rows, kinds in orderly_rows(n):
@@ -387,10 +386,8 @@ def _exhaustive_case(n: int, f: WeightFunction, rank: str,
             inputs=inputs,
             computed={"winner_is_g1": top_cert == named["G1"], "rho_max": top_rho,
                       "gap_to_second": gap,
-                      "infinity_base_winner_is_g2":
-                          family_best.get("infinity") == named["G2"],
-                      "theta_base_winner_is_g1":
-                          family_best.get("theta") == named["G1"]},
+                      "infinity_base_winner_is_g2": family_best.get(0) == named["G2"],
+                      "theta_base_winner_is_g1": family_best.get(1) == named["G1"]},
             expected={"winner": "G1", "unique": True},
             passed=ok,
             note=note,
@@ -501,13 +498,12 @@ def _word_rows(words: Sequence[int], n: int, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)  # at most 30 shapes; common == 0 forces edge_uv
 def _pendant_shift_words(common: int, edge_uv: bool, a: int, b: int) -> tuple[int, int, int]:
-    """(n, edge words after and before) of pendant_shift(g, 1, 0, 2 + common), where u = 0 and
-    v = 1 share `common` neighbours, hold b and a <= b pendants and are adjacent iff edge_uv."""
+    """(n, edge words after and before) of shift_masks(masks, 1, 0, 2 + common), where u = 0
+    and v = 1 share `common` neighbours, hold b and a <= b pendants and are adjacent iff edge_uv."""
     n = 2 + common + a + b
     edges = [(0, 1)] * edge_uv + [(x, c) for c in range(2, 2 + common) for x in (0, 1)]
-    edges += [(0 if c >= n - b else 1, c) for c in range(2 + common, n)]
-    g = Graph.from_edges(n, edges)
-    return n, *(_edge_word(edge_masks(n, h.edges)) for h in (pendant_shift(g, 1, 0, 2 + common), g))
+    masks = edge_masks(n, edges + [(0 if c >= n - b else 1, c) for c in range(2 + common, n)])
+    return n, _edge_word(shift_masks(masks, 1, 0, 2 + common)), _edge_word(masks)
 
 
 PENDANT_SHIFT_FRACTION = 0.25  # pendant shifts per class-changing reroute in verify_kelmans
@@ -519,10 +515,10 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
 
     Per weight, `samples` class-changing reroutes of drawn neighbour masks,
     decided exactly and moved by the mask core (no certificate, no Graph),
-    then PENDANT_SHIFT_FRACTION * samples pendant shifts.  Each distinct
-    labeled graph, keyed by its edge word, is eigensolved once, for rho' >
-    rho - 1e-9.  n_range needs some n >= 4.  Weights without P* run
-    informatively: violations are recorded, not failed.
+    then PENDANT_SHIFT_FRACTION * samples pendant shifts on the same core.
+    Each distinct labeled graph, keyed by its edge word, is eigensolved
+    once, for rho' > rho - 1e-9.  n_range needs some n >= 4.  Weights
+    without P* run informatively: violations are recorded, not failed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, Polynomial,
-                              PolynomialError, TransformOutcome, VerificationReport,
-                              WeightFunction, attach_pendants, base_graph, canonical_form,
-                              check_pstar, enumerate_bicyclic, evaluate, evaluate_exact,
-                              pendant_shift, spectral_radii)
-from bicyclic_spectra.enumeration import bicyclic_bases, rooted_trees, _weak_compositions
+                              PolynomialError, TransformError, TransformOutcome,
+                              VerificationReport, WeightFunction, attach_pendants, base_graph,
+                              canonical_form, check_pstar, enumerate_bicyclic, evaluate,
+                              evaluate_exact, spectral_radii)
+from bicyclic_spectra.enumeration import bicyclic_bases, _weak_compositions
 from bicyclic_spectra.graphs import edge_masks, graph_rows, refine_partition, rows_graph
 from bicyclic_spectra.verify import PENDANT_SHIFT_FRACTION
 from bicyclic_spectra.weights import WeightSpecError, _eval_custom, _evaluate_generic, _pow
@@ -195,7 +195,7 @@ def reference_enumerate_constructive(n: int) -> dict[bytes, Graph]:
     found: dict[bytes, Graph] = {}
     for _, base in bicyclic_bases(n):
         for comp in _weak_compositions(n - base.n, base.n):
-            for combo in itertools.product(*(rooted_trees(c + 1) for c in comp)):
+            for combo in itertools.product(*(reference_rooted_trees(c + 1) for c in comp)):
                 g = base
                 for v, shape in enumerate(combo):
                     g = attach(g, v, shape)
@@ -231,7 +231,7 @@ def reference_orderly_classes(n: int):
                 if image == comp:
                     stabiliser.append(p)
             else:
-                shape_lists = [rooted_trees(c + 1) for c in comp]
+                shape_lists = [reference_rooted_trees(c + 1) for c in comp]
                 for idx in itertools.product(*(range(len(shapes)) for shapes in shape_lists)):
                     if all(tuple(idx[i] for i in p) >= idx for p in stabiliser):
                         forest = tuple(shapes[i] for shapes, i in zip(shape_lists, idx))
@@ -862,9 +862,8 @@ def reference_random_connected_graph(rng: random.Random, n: int, extra_max: int 
 
 
 def stepwise_random_connected_graph(rng: random.Random, n: int, extra_max: int = 3) -> Graph:
-    """Second reference sampler: Pruefer tree, then extra edges checked and
-    added one at a time with has_edge/add_edge, drawing from rng in the same
-    order."""
+    """Second reference sampler: Pruefer tree, then extra edges checked with
+    has_edge and added one at a time, drawing from rng in the same order."""
     if n == 1:
         return Graph.from_edges(1, [])
     if n == 2:
@@ -887,7 +886,7 @@ def stepwise_random_connected_graph(rng: random.Random, n: int, extra_max: int =
     candidates = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
     rng.shuffle(candidates)
     for u, v in candidates[: rng.randint(0, min(extra_max, len(candidates)))]:
-        g = g.add_edge(u, v)
+        g = Graph(n, g.edges | {(u, v)})
     return g
 
 
@@ -917,6 +916,32 @@ def reference_pendant_shift_instance(rng: random.Random):
         edges.append((u, idx))
         idx += 1
     return Graph.from_edges(n, edges), v, u, v_pendants[0]
+
+
+def reference_pendant_shift(g: Graph, v: int, u: int, w: int) -> Graph:
+    """Reference pendant shift, the package's earlier set-based one: N1 =
+    N(v)-N[u] and N2 = N(u)-N[v] read from neighbour sets, each precondition
+    raised with the package's message and in its order, then vw deleted and
+    uw added in the edge set."""
+    if len({u, v, w}) != 3:
+        raise TransformError("pendant_shift requires three distinct vertices")
+    for x in (u, v, w):
+        if not 0 <= x < g.n:
+            raise TransformError(f"vertex {x} out of range")
+    nbr = g.neighbors()
+    deg = g.degrees()
+    n1 = nbr[v] - nbr[u] - {u}
+    n2 = nbr[u] - nbr[v] - {v}
+    if w not in n1:
+        raise TransformError(f"vertex {w} is not in N(v)-N[u]")
+    bad = [x for x in sorted(n1 | n2) if deg[x] != 1]
+    if bad:
+        raise TransformError(f"non-pendant vertices in the private neighborhoods: {bad}")
+    if not 1 <= len(n1) <= len(n2):
+        raise TransformError(
+            f"bundle sizes violate |N1| <= |N2|: |N1|={len(n1)}, |N2|={len(n2)}"
+        )
+    return Graph(g.n, g.edges - {(min(v, w), max(v, w))} | {(min(u, w), max(u, w))})
 
 
 def reference_kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
@@ -967,7 +992,7 @@ def reference_verify_kelmans(samples: int, n_range, fs, rng_seed: int) -> Verifi
         shifts = int(samples * PENDANT_SHIFT_FRACTION)
         for _ in range(shifts):
             g, v, u, w = reference_pendant_shift_instance(rng)
-            pairs.append((pendant_shift(g, v, u, w), g))
+            pairs.append((reference_pendant_shift(g, v, u, w), g))
         deltas = np.empty(len(pairs))
         groups = {}
         for i, (after, _) in enumerate(pairs):
@@ -990,6 +1015,32 @@ def reference_verify_kelmans(samples: int, n_range, fs, rng_seed: int) -> Verifi
             note="" if applicable else "weight lacks P*; monotonicity informative only",
         ))
     return report
+
+
+@lru_cache(maxsize=None)
+def reference_rooted_trees(size: int) -> tuple:
+    """Reference shapes, the package's earlier bounded recursion: the root's
+    subtrees chosen as (size, shape) items in non-increasing order, each
+    multiset sorted once into a shape."""
+    if size < 1:
+        return ()
+    if size == 1:
+        return ((),)
+    out = set()
+
+    def rec(remaining: int, chosen: tuple, bound):
+        if remaining == 0:
+            out.add(tuple(sorted(chosen)))
+            return
+        for sz in range(remaining, 0, -1):
+            for shape in reference_rooted_trees(sz):
+                item = (sz, shape)
+                if bound is not None and item > bound:
+                    continue
+                rec(remaining - sz, chosen + (shape,), item)
+
+    rec(size - 1, (), None)
+    return tuple(sorted(out))
 
 
 def reference_weak_compositions(total: int, parts: int):

@@ -47,7 +47,7 @@ UNREACHED = {
     "weights.rational_pstar_functions": "the weights of the sign ledger, which has no subcommand",
     # the kelmans campaign calls their cores on drawn neighbour masks, with no Graph
     "transforms.kelmans": "the public reroute of a Graph, swap image included, over the mask core",
-    "transforms.move_edges": "the edge-set view of move_masks, which kelmans returns",
+    "transforms.pendant_shift": "the public pendant shift of a Graph, over shift_masks",
     "graphs.mask_edges": "the edge set of neighbour masks, which kelmans and the sampler's Graph read",
     "verify.random_connected_graph": "the Graph of random_masks, which test fixtures draw",
 }

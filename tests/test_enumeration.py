@@ -3,6 +3,7 @@ import random
 from collections import Counter
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from bicyclic_spectra import (
@@ -28,7 +29,9 @@ from conftest import (GOLDEN_COUNTS, brute_force_bicyclic_classes, burnside_clas
                       class_graphs, edge_subset_classes, graph_from_certificate,
                       reference_canonical_form, reference_enumerate_constructive,
                       reference_forest_graph, reference_isomorphisms, reference_orderly_classes,
-                      reference_weak_compositions, to_networkx)
+                      reference_rooted_trees, reference_weak_compositions, to_networkx)
+
+KINDS = ("infinity", "theta")  # base_graph's name of each class-key head kind
 
 
 class TestCanonicalForm:
@@ -62,7 +65,7 @@ class TestCanonicalForm:
             # mutate one edge pair; certificates must agree with nx verdict
             all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             e = all_pairs[rng.randrange(len(all_pairs))]
-            mutated = g.remove_edge(*e) if g.has_edge(*e) else g.add_edge(*e)
+            mutated = Graph(n, g.edges ^ {e})
             same = reference_canonical_form(mutated) == reference_canonical_form(g)
             assert same == nx.is_isomorphic(to_networkx(mutated), to_networkx(g))
 
@@ -191,6 +194,11 @@ class TestRootedTrees:
         # classical rooted-tree counts
         assert [len(rooted_trees(k)) for k in range(1, 8)] == [1, 1, 2, 4, 9, 20, 48]
 
+    def test_same_shapes_as_the_bounded_recursion(self):
+        # the same tuple, in the same order
+        for size in range(14):
+            assert rooted_trees(size) == reference_rooted_trees(size)
+
 
 class TestBurnsideCounts:
     """Class counts by Polya's theorem over each base's networkx automorphisms
@@ -213,7 +221,7 @@ class TestOrderlyRows:
         ref = list(reference_orderly_classes(n))
         assert len(rows) == len(ref)
         assert [frozenset(map(tuple, r)) for r in rows] == [g.edges for g, _ in ref]
-        assert kinds == [kind for _, kind in ref]
+        assert [KINDS[kind] for kind in kinds] == [kind for _, kind in ref]
 
     @pytest.mark.parametrize("n", range(4, 12))
     def test_chunks(self, n):
@@ -224,10 +232,11 @@ class TestOrderlyRows:
         assert 0 < len(chunks[-1][1]) <= EIGH_CHUNK
         for rows, kinds in chunks:
             assert rows.dtype.kind == "i" and rows.shape == (len(kinds), n + 1, 2)
+            assert kinds.dtype == np.intp
             assert (rows[:, :, 0] < rows[:, :, 1]).all() and (rows < n).all()
             for r, kind in zip(rows, kinds):
                 base = base_graph(rows_graph(r))
-                assert base.kind == kind
+                assert base.kind == KINDS[kind]
                 b = len(base.kept_vertices)
                 assert r[b + 1:, 1].tolist() == list(range(b, n))
                 assert (r[b + 1:, 0] < r[b + 1:, 1]).all()
@@ -340,7 +349,7 @@ class TestEnumerate:
         stream = [(rows_graph(r), kind) for rows, kinds in enumeration.orderly_rows(n)
                   for r, kind in zip(rows, kinds)]
         assert len(stream) == GOLDEN_COUNTS[n]
-        assert all(kind == base_graph(g).kind for g, kind in stream)
+        assert all(KINDS[kind] == base_graph(g).kind for g, kind in stream)
 
     def test_makes_no_class_key(self):
         # the classes come out in key order; canonical_form's lru_cache

@@ -18,10 +18,10 @@ from bicyclic_spectra import (
     rho_f,
 )
 from bicyclic_spectra.graphs import edge_masks
-from bicyclic_spectra.transforms import move_edges, reroute
+from bicyclic_spectra.transforms import reroute
 from bicyclic_spectra.verify import random_connected_graph
 from conftest import (class_graphs, reference_canonical_form, reference_kelmans,
-                      reference_pendant_shift_instance)
+                      reference_pendant_shift, reference_pendant_shift_instance)
 
 
 def star(n):
@@ -210,8 +210,8 @@ class TestKelmans:
 
 
 class TestRerouteCore:
-    """The mask core (reroute, move_edges) and kelmans against the set-based
-    reference on connected graphs, where u ending isolated is a split."""
+    """The mask core (reroute) and kelmans against the set-based reference
+    on connected graphs, where u ending isolated is a split."""
 
     @staticmethod
     def assert_agree(g, u, v):
@@ -219,9 +219,8 @@ class TestRerouteCore:
         want = (ref.changed, ref.disconnects, ref.moved_edges, ref.result.edges)
         out = kelmans(g, u, v)
         assert (out.changed, out.disconnects, out.moved_edges, out.result.edges) == want
-        private, changed, isolates = reroute(edge_masks(g.n, g.edges), u, v)
-        moves, edges = move_edges(set(g.edges), private, u, v)
-        assert (changed, isolates, moves, edges) == want
+        _, changed, isolates = reroute(edge_masks(g.n, g.edges), u, v)
+        assert (changed, isolates) == want[:2]
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_every_pair_of_every_class(self, n):
@@ -337,3 +336,45 @@ class TestPendantShift:
                 if reference_canonical_form(shifted) == reference_canonical_form(g):
                     continue
                 assert rho_f(shifted, weight_forgotten) > rho_f(g, weight_forgotten) - 1e-9
+
+
+class TestShiftMasks:
+    """pendant_shift, the Graph view of shift_masks, against the set-based
+    reference: the same graph, or a TransformError with the same message."""
+
+    @staticmethod
+    def outcome(shift, g, v, u, w):
+        try:
+            return shift(g, v, u, w).edges
+        except TransformError as exc:
+            return str(exc)
+
+    def assert_agree(self, g, v, u, w) -> bool:
+        """Whether the shift is valid, after checking both agree on it."""
+        got = self.outcome(pendant_shift, g, v, u, w)
+        assert got == self.outcome(reference_pendant_shift, g, v, u, w), (g, v, u, w)
+        return not isinstance(got, str)
+
+    @pytest.mark.parametrize("n,shifts", [(4, 0), (5, 0), (6, 4), (7, 12), (8, 53)])
+    def test_every_triple_of_every_class(self, n, shifts):
+        # below n = 6 no class has two pendant-only private neighbourhoods
+        valid = sum(self.assert_agree(g, v, u, w) for g in class_graphs(n)
+                    for v, u, w in itertools.product(range(n), repeat=3))
+        assert valid == shifts
+
+    def test_random_graphs(self):
+        # every pendant w with its neighbour v against every u, where the
+        # shift is often valid, and a few triples with vertices out of range
+        rng = random.Random(95)
+        valid = 0
+        for _ in range(2000):
+            n = rng.randint(3, 12)
+            g = random_connected_graph(rng, n)
+            nbr = g.neighbors()
+            for w in range(n):
+                if len(nbr[w]) == 1:
+                    (v,) = nbr[w]
+                    valid += sum(self.assert_agree(g, v, u, w) for u in range(n))
+            for _ in range(5):
+                self.assert_agree(g, *(rng.randrange(-1, n + 1) for _ in range(3)))
+        assert valid > 500  # 582 valid shifts

@@ -296,13 +296,13 @@ class TestStreamingExhaustive:
             (bound,) = spectral.edge_bounds(rows, [f], 5)
             assert bound[0] == pytest.approx(rho, rel=1e-12)
             for second, scored in ((rho, 1), (rho * (1 + 1e-6), 0)):
-                leaders = verify._Leaders(f, [2 * rho, second], ["theta", "infinity"])
-                leaders.offer(rows, bound, np.array(["theta"]))
+                leaders = verify._Leaders(f, [2 * rho, second], [1, 0])  # theta, infinity
+                leaders.offer(rows, bound, np.array([1], np.intp))
                 assert len(leaders.kept) == scored, (f.label(), second)
                 if scored:
                     (kept_rows, kept_kinds), = leaders.kept
                     assert list(map(rows_graph, kept_rows)) == [k23]
-                    assert kept_kinds.tolist() == ["theta"]
+                    assert kept_kinds.tolist() == [1]
 
     def test_certifies_only_what_a_verdict_reads(self, monkeypatch):
         calls = []
@@ -409,17 +409,17 @@ class TestStreamingExhaustive:
     def test_graphs_built_for_three_weights(self):
         # the 2,678 classes come out as rows, and the kept classes stay rows;
         # the 66 bases, the named families, the classes a verdict reads and
-        # class keys make 95
+        # class keys make 91; the named families' kinds come from their keys
         assert graphs_built_in_fresh_process(
             "fs = tuple(map(parse_weight, ('zagreb1', 'hyper_zagreb', 'forgotten')))\n"
-            "assert verify._rankings(10, fs)[0] == 2678\n") == 95
+            "assert verify._rankings(10, fs)[0] == 2678\n") == 91
 
     def test_graphs_built_for_constant_one(self):
         # the weight the edge bound prunes least keeps 2,050 classes as rows
         # and builds a Graph only for those it keys
         assert graphs_built_in_fresh_process(
             "fs = (parse_weight('constant_one'),)\n"
-            "assert verify._rankings(10, fs)[0] == 2678\n") == 91
+            "assert verify._rankings(10, fs)[0] == 2678\n") == 87
 
     def test_enumerate_builds_no_class_graph(self):
         # the count comes from chunk lengths, and each base's kind from its
@@ -503,12 +503,12 @@ class TestKelmansCampaign:
             assert got == want
 
     def test_campaign_builds_graphs_only_for_pendant_shifts(self):
-        # no draw becomes a Graph: the 500 shifts come from 30 distinct drawn
-        # instances, each built and shifted once, by one removal and one
-        # addition, which makes 90
+        # no draw becomes a Graph, and neither does a pendant shift: the 500
+        # shifts come from 30 distinct drawn instances, each built as masks
+        # and shifted once by shift_masks
         assert graphs_built_in_fresh_process(
             "verify.verify_kelmans(2000, range(4, 9), [parse_weight('zagreb1')], rng_seed=1)\n"
-        ) == 90
+        ) == 0
 
     def test_scores_each_distinct_labeled_graph_once(self, monkeypatch):
         # the reference campaign scores 5,000 rows (2 per pair) of 3,692
@@ -857,6 +857,18 @@ class TestCli:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"bicyclic-spectra: error: argument --f: weight {label!r} "
                                "given twice\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["kelmans", "--samples", "5", "--seed", "1", "--f", ","],
+        ["extremal", "--n", "4..5", "--f", " "],
+    ], ids=["kelmans", "extremal"])
+    def test_empty_weight_list_exits_two(self, argv):
+        # a campaign over no weight would report no case and pass
+        import subprocess, sys
+        proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "bicyclic-spectra: error: argument --f: no weight given\n"
 
     @pytest.mark.parametrize("argv,order", [
         (["extremal", "--n", "6", "--f", "exp_sum_connectivity:a=3", "--mode", "exhaustive"], 6),
