@@ -24,6 +24,9 @@ import numpy as np
 Coeff = Union[int, Fraction, float]
 # bisection stops once the bracket is narrower than 1/ROOT_SCALE and returns its midpoint
 ROOT_SCALE = 10 ** 14
+# a float estimate of the top root proposes a bracket about 2**-SEED_BITS of its size wide
+SEED_BITS = 40
+NEWTON_STEPS = 200  # at most this many Newton steps for that estimate
 
 
 class PolynomialError(ValueError):
@@ -294,9 +297,61 @@ def _refine_bracket(q: tuple[int, ...], a: int, b: int, d: int) -> float:
     return float(Fraction(a + b, 2 * d))
 
 
+def _top_root_estimate(q: tuple[int, ...]) -> float:
+    """A float near the largest real root of q (descending ints, square-free):
+    Newton's method in floats from Fujiwara's bound, which lies above every
+    root, until a step no longer decreases x.  From above the top root this
+    converges to it when every root is real; with complex roots it may stop
+    anywhere, so the caller only takes the value as a proposal."""
+    try:
+        c = [x / q[0] for x in q]  # monic
+    except OverflowError:
+        return math.nan
+    deg = len(c) - 1
+    x = 2 * max([abs(c[k]) ** (1 / k) for k in range(1, deg)] + [abs(c[deg] / 2) ** (1 / deg)])
+    for _ in range(NEWTON_STEPS):
+        f = df = 0.0
+        for coef in c:
+            f, df = f * x + coef, df * x + f
+        nxt = x - f / df if df else math.nan
+        if not nxt < x:
+            break
+        x = nxt
+    return x
+
+
+def _seed(seq: list[tuple[int, ...]], a: int, b: int, d: int, v_b: int):
+    """(a, b, d, k) of the dyadic sub-bracket of [a/d, b/d], about
+    2**-SEED_BITS * |x| wide, that holds a float estimate x of the top root,
+    when two Sturm counts certify it: no root above its top end (its count
+    equals v_b, that of b/d) and k >= 1 roots in it; else None.  It is a
+    bracket of the lattice that halving [a/d, b/d] visits, never finer than
+    where _refine_bracket stops, so the halvings go on from it as they would
+    have gone on from [a/d, b/d]."""
+    x, w = _top_root_estimate(seq[0]), b - a
+    if not (math.isfinite(x) and w):
+        return None
+    stop = (w * ROOT_SCALE // d).bit_length()  # the depth at which _refine_bracket stops
+    j = min(stop, max(0, w.bit_length() - d.bit_length() - math.frexp(x)[1] + SEED_BITS))
+    num, den = x.as_integer_ratio()
+    i = -(-((num * d - a * den) << j) // (w * den)) - 1  # x in (a_i, a_i + w], over d << j
+    if not 0 <= i < 1 << j:
+        return None
+    a, d = (a << j) + i * w, d << j
+    if _variations_at(seq, a + w, d) != v_b:
+        return None
+    k = _variations_at(seq, a, d) - v_b
+    return (a, a + w, d, k) if k else None
+
+
 def max_real_root(p: Polynomial, lo=None, hi=None) -> float:
     """Largest real root of an exact polynomial in [lo, hi]; default bracket
-    is the Cauchy root bound."""
+    is the Cauchy root bound.
+
+    A float estimate proposes a narrow sub-bracket of the bisection lattice
+    and Sturm counts certify it (_seed); the halvings then start there, and
+    from the whole bracket when the proposal is not certified.  Either way
+    they end on the same bracket, so the float returned is the same."""
     if p.is_zero() or p.degree == 0:
         raise PolynomialError("polynomial has no roots")
     if not p.is_exact():
@@ -306,10 +361,11 @@ def max_real_root(p: Polynomial, lo=None, hi=None) -> float:
     # halve towards the upper half while it holds a root, then refine the top root alone
     seq = sturm_sequence(p)
     q = seq[0]
+    v_b = _variations_at(seq, b, d)
+    # the certified seed, else the whole bracket, with k its roots in (a/d, b/d]
+    a, b, d, k = _seed(seq, a, b, d, v_b) or (a, b, d, _variations_at(seq, a, d) - v_b)
     if _sign_at(q, b, d) == 0:
         return float(Fraction(b, d))
-    v_b = _variations_at(seq, b, d)
-    k = _variations_at(seq, a, d) - v_b  # roots in (a/d, b/d]
     if k == 0:
         if _sign_at(q, a, d) == 0:
             return float(Fraction(a, d))

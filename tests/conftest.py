@@ -15,7 +15,8 @@ from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, Pol
                               PolynomialError, TransformError, TransformOutcome,
                               VerificationReport, WeightFunction, attach_pendants, base_graph,
                               canonical_form, check_pstar, enumerate_bicyclic, evaluate,
-                              evaluate_exact, spectral_radii)
+                              evaluate_exact, graph_g1, graph_g2, spectral_radii,
+                              targeted_max_degree_family)
 from bicyclic_spectra.enumeration import bicyclic_bases, _weak_compositions
 from bicyclic_spectra.graphs import edge_masks, graph_rows, refine_partition, rows_graph
 from bicyclic_spectra.verify import PENDANT_SHIFT_FRACTION
@@ -1014,6 +1015,49 @@ def reference_verify_kelmans(samples: int, n_range, fs, rng_seed: int) -> Verifi
             tolerance=slack,
             note="" if applicable else "weight lacks P*; monotonicity informative only",
         ))
+    return report
+
+
+def reference_verify_theorem41(n_range) -> VerificationReport:
+    """Reference theorem 4.1 campaign, the package's earlier body: G1 and G2
+    in one spectral_radii call and all nine degree-(n-2) classes in another,
+    the family record reading the largest of the nine.  Valid input only."""
+    ext = WeightFunction("extended")
+    report = VerificationReport("theorem41")
+
+    def bound(n: int, shift: float) -> float:
+        return 0.5 * (n - 0.9) * math.sqrt(n - shift)
+
+    for n in n_range:
+        rho1, rho2 = spectral_radii(graph_rows([graph_g1(n), graph_g2(n)]), ext, n).tolist()
+        b1, b2 = bound(n, 3.8), bound(n, 5.0)
+        report.cases.append(CaseRecord(
+            case_id=f"theorem41/chain/n={n}",
+            inputs={"n": n},
+            computed={"rho_ex_g1": rho1, "upper_bound": b1, "rho_ex_g2": rho2,
+                      "lower_bound": b2},
+            expected={"relation": "rho_ex(G1) > b(3.8) > rho_ex(G2) > b(5)"},
+            passed=rho1 > b1 > rho2 > b2,
+        ))
+        family = targeted_max_degree_family(n)
+        worst = max(spectral_radii(graph_rows(family), ext, n).tolist())
+        report.cases.append(CaseRecord(
+            case_id=f"theorem41/max_degree_n2/n={n}",
+            inputs={"n": n, "classes": len(family)},
+            computed={"max_rho_ex": worst, "bound": b2},
+            expected={"relation": "every degree-(n-2) class below b(5)",
+                      "classes_expected": 9},
+            passed=worst < b2 and len(family) == 9,
+        ))
+        if 12 <= n <= 20:
+            t1bound = 0.5 * (n - 3 + 1 / (n - 3)) * math.sqrt(n)
+            report.cases.append(CaseRecord(
+                case_id=f"theorem41/table1_comparison/n={n}",
+                inputs={"n": n},
+                computed={"bound": t1bound, "rho_ex_g2": rho2},
+                expected={"relation": "bound < rho_ex(G2)"},
+                passed=t1bound < rho2,
+            ))
     return report
 
 

@@ -396,6 +396,106 @@ def rational_matrices(draw):
     return [[draw(RATIONALS) for _ in range(n)] for _ in range(n)]
 
 
+def sturm_counts(p: Polynomial, lo=None, hi=None) -> int:
+    """Sturm-sequence evaluations max_real_root makes on p in [lo, hi]."""
+    calls = []
+    inner = polynomials._variations_at
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomials, "_variations_at", lambda *a: calls.append(a) or inner(*a))
+        try:
+            max_real_root(p, lo, hi)
+        except PolynomialError:
+            pass
+    return len(calls)
+
+
+def from_roots(*roots, times: Polynomial = Polynomial([1])) -> Polynomial:
+    p = times
+    for r in roots:
+        p = p * Polynomial([-Fraction(r), 1])
+    return p
+
+
+class TestSeededIsolation:
+    """A float estimate proposes a sub-bracket, Sturm counts certify it, and
+    the root is the bisection's from the whole bracket, bit for bit."""
+
+    def test_family_roots_take_three_sturm_counts(self):
+        # the count at hi, at the seed's top end and at its bottom end; the
+        # unseeded isolation made about 20 per family polynomial
+        # (test_family_quotient_polynomials checks their roots bit for bit)
+        assert [sturm_counts(char_poly(m)) for m in family_matrices()] == [3] * 162
+
+    @pytest.mark.parametrize("root", [1000, Fraction(123457, 7), 10 ** 5 + Fraction(1, 3),
+                                      Fraction(10 ** 7, 3), 9999999, 10 ** 7])
+    def test_large_roots(self, root):
+        # the seed's bracket is relative to the root, so it holds above 300,
+        # where a float cannot place a root within 1e-14
+        p = from_roots(root, 1, -root / 2)
+        same_max_root(p)
+        assert sturm_counts(p) == 3
+
+    def test_close_large_roots(self):
+        p = from_roots(10 ** 6, 10 ** 6 + Fraction(1, 10 ** 6), 3)
+        same_max_root(p)
+        same_max_root(p, 10 ** 6 - 1, 10 ** 6 + 1)
+
+    def test_complex_roots(self):
+        # Newton's method from above lands below the top root 6, on the root -2
+        lands_low = from_roots(-4, -2, 6, times=Polynomial([64 + Fraction(1, 100), -16, 1]))
+        assert polynomials._top_root_estimate(polynomials.sturm_sequence(lands_low)[0]) == -2.0
+        eps2 = Fraction(1, 10 ** 6)
+        for p in (lands_low,
+                  from_roots(1, times=Polynomial([9 + eps2, -6, 1])),  # stalls near 3 +- 1e-3 i
+                  from_roots(1, 2, times=Polynomial([9 + eps2, -6, 1])),
+                  from_roots(2, times=Polynomial([1, 0, 1])),
+                  from_roots(-5, times=Polynomial([1, 1, 0, 0, 1])),
+                  from_roots(*range(1, 8), times=Polynomial([100, 0, 1])),
+                  Polynomial([1, 0, 1]), Polynomial([1, 0, 0, 0, 1])):  # no real root: both raise
+            same_max_root(p)
+
+    def test_roots_on_seed_bracket_ends(self):
+        # an exact root, proposed exactly, is the top end b of its seed bracket
+        # (a, b]; the sign test at b returns it
+        for p, lo, hi, root in [(from_roots(1, -1), None, None, 1.0),
+                                (from_roots(1, 3), 0, 4, 3.0),
+                                (from_roots(0, -1), None, None, 0.0),
+                                (from_roots(Fraction(5, 4), Fraction(-3, 8)), -1, 2, 1.25)]:
+            same_max_root(p, lo, hi)
+            assert max_real_root(p, lo, hi) == root
+            assert sturm_counts(p, lo, hi) == 3
+
+    @pytest.mark.parametrize("lo,hi", [(0, 3), (6, 9), (-9, 0), (0, 5 - Fraction(1, 10 ** 20)),
+                                       (5 + Fraction(1, 10 ** 20), 6), (1, 1), (5, 5),
+                                       (Fraction(49999, 10 ** 4), Fraction(50001, 10 ** 4)),
+                                       (-1.5, 4.999999999999999)])
+    def test_brackets_that_exclude_the_float_root(self, lo, hi):
+        same_max_root(from_roots(1, 5), lo, hi)  # the estimate is 5.0
+
+    def test_narrow_bracket_around_a_root(self):
+        p = Polynomial([-2, 0, 1])
+        same_max_root(p, Fraction(14142135623, 10 ** 10), Fraction(14142135624, 10 ** 10))
+        same_max_root(p, 1.4142135623730950, 1.4142135623730951)
+
+    def test_wrong_proposals_fall_back(self, monkeypatch):
+        # proposals that are no root, a lower root, or a few seed brackets (at
+        # most 2**-38 * |x| wide) off the top root fail their Sturm counts;
+        # the halvings then start from the whole bracket and return the same float
+        polys = [char_poly(m) for m in family_matrices()[::9]]
+        polys += [from_roots(1, 5), from_roots(-4, -2, 6), from_roots(10 ** 6, 3, -1)]
+        lowest = [reference_real_roots(p, -cauchy_bound(p), cauchy_bound(p))[0] for p in polys]
+        true_estimate = polynomials._top_root_estimate
+        for propose in (lambda x, lower: math.nan, lambda x, lower: math.inf,
+                        lambda x, lower: -math.inf, lambda x, lower: lower,
+                        lambda x, lower: x * (1 + 2.0 ** -36), lambda x, lower: x * (1 - 2.0 ** -36),
+                        lambda x, lower: x + 1e6, lambda x, lower: -1e300):
+            for p, lower in zip(polys, lowest):
+                monkeypatch.setattr(polynomials, "_top_root_estimate",
+                                    lambda q: propose(true_estimate(q), lower))
+                same_max_root(p)
+            monkeypatch.undo()
+
+
 class TestFractionFreeMatchesReference:
     """The integer char_poly and Sturm evaluator against the Fraction code."""
 

@@ -23,6 +23,7 @@ from bicyclic_spectra import (
     parse_weight,
     rho_f,
     run_table,
+    targeted_max_degree_family,
     verify_extremal,
     verify_kelmans,
     verify_theorem41,
@@ -35,7 +36,7 @@ from bicyclic_spectra.verify import printed_tolerance
 import conftest
 from conftest import (class_graphs, per_graph_radii, reference_exhaustive_case,
                       reference_random_connected_graph, reference_verify_kelmans,
-                      stepwise_random_connected_graph)
+                      reference_verify_theorem41, stepwise_random_connected_graph)
 
 Z1 = WeightFunction("zagreb1")
 WEIGHTS = [Z1, WeightFunction("hyper_zagreb"), WeightFunction("forgotten")]
@@ -618,6 +619,49 @@ class TestTheorem41Campaign:
         assert rep.ok
         chain = next(c for c in rep.cases if c.case_id == "theorem41/chain/n=12")
         assert chain.computed["rho_ex_g2"] == pytest.approx(15.8028, abs=5e-4)
+
+    @staticmethod
+    def scored_sizes(monkeypatch) -> list:
+        sizes = []
+
+        def counting(rows, f, n):
+            sizes.append(len(rows))
+            return spectral_radii(rows, f, n)
+
+        monkeypatch.setattr(verify, "spectral_radii", counting)
+        return sizes
+
+    def test_report_matches_all_nine_oracle(self, monkeypatch):
+        # every float bit of the report is the one solving all nine classes
+        # gives; 208 of the 441 family matrices at n = 12..60 are solved:
+        # the 49 top-bound classes in G1 and G2's calls and 159 more
+        want = reference_verify_theorem41(range(12, 61)).to_dict()
+        sizes = self.scored_sizes(monkeypatch)
+        got = verify_theorem41(range(12, 61)).to_dict()
+        for report in (got, want):
+            del report["summary"]["runtime_seconds"]
+        assert got == want
+        assert sizes[0::2] == [3] * 49
+        assert sum(sizes[1::2]) == 159
+
+    @pytest.mark.parametrize("at_floor", [True, False])
+    def test_prune_keeps_a_bound_at_its_floor(self, monkeypatch, at_floor):
+        # the first class gets the largest bound; the other eight a bound at
+        # its rho * (1 - PRUNE_MARGIN), which keeps them, or one float below
+        n, ext = 12, WeightFunction("extended")
+        top_rho = spectral_radii(graph_rows(targeted_max_degree_family(n)[:1]), ext, n)[0]
+        floor = top_rho * (1 - verify.PRUNE_MARGIN)
+        other = floor if at_floor else np.nextafter(floor, 0)
+        monkeypatch.setattr(verify, "edge_bounds",
+                            lambda rows, fs, n: np.array([[2 * top_rho] + [other] * 8]))
+        sizes = self.scored_sizes(monkeypatch)
+        got = verify_theorem41([n]).to_dict()
+        assert sizes == [3, 8 if at_floor else 0]
+        if at_floor:
+            want = reference_verify_theorem41([n]).to_dict()
+            for report in (got, want):
+                del report["summary"]["runtime_seconds"]
+            assert got == want
 
 
 class TestCli:
