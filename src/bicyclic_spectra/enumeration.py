@@ -24,10 +24,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .graphs import Graph, base_graph, edge_masks, graph_rows, make_infinity, make_theta, union_edges
-from .spectral import EIGH_CHUNK
-
 # largest order enumerate_bicyclic runs at
 ORDER_BOUND = 10
+# classes per orderly_rows chunk; the streams' chunk boundaries and the reports depend on it
+CLASS_CHUNK = 64
 
 
 class EnumerationError(ValueError):
@@ -108,7 +108,7 @@ def bicyclic_bases(max_order: int) -> list[tuple[tuple[int, ...], Graph]]:
 
 def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """One labelled graph per bicyclic class on n vertices, lazily, in
-    class-key order, in chunks (rows, kinds) of EIGH_CHUNK classes: rows[i],
+    class-key order, in chunks (rows, kinds) of CLASS_CHUNK classes: rows[i],
     of an int16 array (C, n + 1, 2), holds the edges (u, v), u < v, of class
     i and kinds[i], of an intp array, its base kind (0 infinity, 1 theta, its
     class key's head).  A class's rows are its base's edges, then row x + 1
@@ -143,7 +143,7 @@ def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                         flat += edges
                         flat += itertools.chain.from_iterable(map(getitem, trees, idx))
                         kinds.append(kind)
-                        if len(kinds) == EIGH_CHUNK:
+                        if len(kinds) == CLASS_CHUNK:
                             yield (np.array(flat, np.int16).reshape(-1, n + 1, 2),
                                    np.array(kinds, np.intp))
                             flat, kinds = [], []

@@ -14,12 +14,16 @@ one-edge reroute: its bundles are the private masks of `reroute` both ways.
 
 Both transforms, and the randomized campaign, share one core on int
 neighbour masks (`reroute`) and one move of them (`move_masks`); `kelmans`
-and `pendant_shift` are its views on a `Graph`.
+and `pendant_shift` are its views on a `Graph`.  `reroute_stack` and
+`move_stack` are the same core on a stack of adjacency matrices, one (u, v)
+per matrix, as the campaign draws its samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import Graph, edge_masks, mask_edges
 
@@ -54,6 +58,29 @@ def move_masks(masks: list[int], private: int, u: int, v: int) -> list[int]:
     u drops private, v gains it, and each w in private swaps u for v."""
     out = [mask ^ (1 << u | 1 << v) if private >> w & 1 else mask for w, mask in enumerate(masks)]
     out[u], out[v] = masks[u] & ~private, masks[v] | private
+    return out
+
+
+def reroute_stack(adj: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """reroute on a stack: adj a bool array (S, n, n) of adjacency matrices,
+    u and v int arrays (S,); gives private, a bool array (S, n) of the rows
+    reroute's private masks spell, and the bool arrays changed and isolates."""
+    rows = np.arange(len(adj))
+    nu, nv = adj[rows, u], adj[rows, v]
+    private, other = nu & ~nv, nv & ~nu
+    private[rows, v] = other[rows, u] = False
+    moves = private.any(axis=1)
+    return private, moves & other.any(axis=1), moves & ~(nu & ~private).any(axis=1)
+
+
+def move_stack(adj: np.ndarray, private: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """move_masks on a stack, private as reroute_stack gives it: row u drops
+    private, row v gains it, and columns u and v mirror the two rows."""
+    rows, out = np.arange(len(adj)), adj.copy()
+    out[rows, u] = adj[rows, u] & ~private
+    out[rows, v] = adj[rows, v] | private
+    out[rows, :, u] = out[rows, u]
+    out[rows, :, v] = out[rows, v]
     return out
 
 

@@ -12,14 +12,15 @@ is reported, never hidden).
 
 from __future__ import annotations
 
+import bisect
 import csv
-import heapq
 import io
 import itertools
 import json
 import math
 import random
 import time
+from array import array
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -33,7 +34,7 @@ from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # no
 from .graphs import (FAMILIES, Graph, base_graph, edge_masks, graph_g1, graph_g2,  # noqa: F401
                      graph_rows, mask_edges, rows_graph)
 from .spectral import edge_bounds, rho_f, spectral_radii
-from .transforms import kelmans, move_masks, pendant_shift, reroute, shift_masks  # noqa: F401
+from .transforms import kelmans, move_stack, pendant_shift, reroute_stack, shift_masks  # noqa: F401
 from .weights import WeightFunction, check_pstar, parse_weight
 
 
@@ -430,10 +431,17 @@ def _candidate_case(n: int, f: WeightFunction, rank: str) -> CaseRecord:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Every (u, v) with u < v < n, in lexicographic order."""
     return tuple(itertools.combinations(range(n), 2))
+
+
+@lru_cache(maxsize=None)
+def _pair_ends(n: int) -> np.ndarray:
+    """_vertex_pairs(n) as a read-only intp array (2, C): its u row and its v row."""
+    ends = np.array(_vertex_pairs(n), np.intp).reshape(-1, 2).T
+    ends.flags.writeable = False
+    return ends
 
 
 def _below(bits, n: int) -> int:
@@ -446,6 +454,111 @@ def _below(bits, n: int) -> int:
 
 
 EXTRA_EDGES_MAX = 3  # random_masks adds 0..EXTRA_EDGES_MAX edges to its tree
+STACK_BYTES = 1 << 20  # adjacency bytes (samples x n^2) per draw round of verify_kelmans
+SKIP_WORDS = 1 << 12  # generator words per getrandbits call when a round rewinds
+
+
+@lru_cache(maxsize=None)
+def _bound_draw(bound: int) -> tuple[int, int]:
+    """(bound, bit length), as _draw_values reads a draw; one object per bound."""
+    return bound, bound.bit_length()
+
+
+def _bounds(*bounds: int) -> tuple[tuple[int, int], ...]:
+    """The draws of bounds, in turn."""
+    return tuple(map(_bound_draw, bounds))
+
+
+@lru_cache(maxsize=None)
+def _graph_draws(n: int) -> tuple[tuple[int, int], ...]:
+    """The draws random_masks makes at order n, in turn: n - 2 Pruefer values
+    below n, the Fisher-Yates bounds C..2 of the tree's C non-edges, then the
+    number of them it adds."""
+    if n <= 2:  # no draw
+        return ()
+    c = (n - 1) * (n - 2) // 2
+    return _bounds(*[n] * (n - 2), *range(c, 1, -1), min(EXTRA_EDGES_MAX, c) + 1)
+
+
+def _store(bound: int) -> array:
+    """An empty array whose items hold every value below bound."""
+    return array(next(t for t in "BHIQ" if bound <= 256 ** array(t).itemsize))
+
+
+def _draw_values(rng: random.Random, plans: Sequence[tuple[tuple[int, int], ...]], count: int,
+                 pick: tuple[tuple[int, int], ...] = ()) -> tuple[list[array], list[array], array]:
+    """Phase one of a batched draw: `count` samples, each the value i of pick
+    (0 without one), then a value below each bound of plans[i], in turn, as
+    _below(rng.getrandbits, bound) draws them, rejections included.
+
+    Gives per plan the flat store of its values and the positions of its
+    samples, and the generator words read up to the end of each sample."""
+    bits = rng.getrandbits
+    stores = [_store(max((b for b, _ in plan), default=1)) for plan in plans]
+    positions, ends = [_store(count) for _ in plans], array("q")
+    cost = [sum((k + 31) >> 5 for _, k in pick + plan) for plan in plans]  # words without rejections
+    read = 0
+    for position in range(count):
+        i = 0
+        for b, k in pick:
+            i = bits(k)
+            while i >= b:
+                read += (k + 31) >> 5
+                i = bits(k)
+        values = []
+        for b, k in plans[i]:
+            r = bits(k)
+            while r >= b:
+                read += (k + 31) >> 5
+                r = bits(k)
+            values.append(r)
+        stores[i].fromlist(values)
+        positions[i].append(position)
+        read += cost[i]
+        ends.append(read)
+    return stores, positions, ends
+
+
+def _random_adjacency(values: np.ndarray, n: int) -> np.ndarray:
+    """Bool adjacency stack (S, n, n) of the graphs random_masks draws at order n,
+    graph s from row s of values, which holds its _graph_draws(n) values first.
+
+    The Pruefer decode joins, value x after value x, the smallest leaf to x;
+    the shuffle keeps only what its first EXTRA_EDGES_MAX places read."""
+    count = len(values)
+    adj = np.zeros((count, n, n), bool)
+    if n < 2:
+        return adj
+    rows = np.arange(count)
+    prufer = values[:, :n - 2].astype(np.intp)
+    # a removed vertex's degree is n, so the smallest leaf is the first minimum
+    degree = 1 + np.bincount((prufer + n * rows[:, None]).ravel(), minlength=count * n).reshape(count, n)
+    for x in prufer.T:
+        leaf = degree.argmin(axis=1)
+        adj[rows, leaf, x] = adj[rows, x, leaf] = True
+        degree[rows, leaf] = n
+        degree[rows, x] -= 1
+    leaf = degree.argmin(axis=1)  # the last edge joins the two leaves left
+    degree[rows, leaf] = n
+    last = degree.argmin(axis=1)
+    adj[rows, leaf, last] = adj[rows, last, leaf] = True
+    if n == 2:
+        return adj
+    c = (n - 1) * (n - 2) // 2
+    iu, ju = _pair_ends(n)
+    candidates = np.flatnonzero(~adj[:, iu, ju]).reshape(count, c)
+    candidates -= len(iu) * rows[:, None]
+    for i, j in zip(range(c - 1, 0, -1), values[:, n - 2:].T):  # rng.shuffle(candidates)
+        if i < EXTRA_EDGES_MAX:
+            candidates[rows, i], candidates[rows, j] = candidates[rows, j], candidates[rows, i]
+        else:  # later swaps, and the prefix taken, read places below i only
+            candidates[rows, j] = candidates[:, i]
+    extra = values[:, n - 3 + c]
+    for place in range(min(EXTRA_EDGES_MAX, c)):
+        take = extra > place
+        pair = candidates[take, place]
+        adj[take, iu[pair], ju[pair]] = adj[take, ju[pair], iu[pair]] = True
+    return adj
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
@@ -455,28 +568,114 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
 
 def random_masks(rng: random.Random, n: int) -> list[int]:
     """Neighbour masks of a uniform random labeled tree on n vertices (a Pruefer
-    decode) plus a shuffled prefix, 0..EXTRA_EDGES_MAX long, of its non-edges."""
-    if n <= 2:  # no draw
-        return edge_masks(n, [(0, 1)] * (n == 2))
-    bits = rng.getrandbits
-    prufer = [_below(bits, n) for _ in range(n - 2)]
-    degree = [1 + prufer.count(v) for v in range(n)]
-    leaves = [v for v in range(n) if degree[v] == 1]  # ascending, so a heap
-    edges = []
-    for x in prufer:
-        edges.append((heapq.heappop(leaves), x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    masks = edge_masks(n, edges + [leaves])  # the last edge joins the two leaves left
-    candidates = [(u, v) for u, v in _vertex_pairs(n) if not masks[u] >> v & 1]
-    for i in range(len(candidates) - 1, 0, -1):  # rng.shuffle(candidates)
-        j = _below(bits, i + 1)
-        candidates[i], candidates[j] = candidates[j], candidates[i]
-    for u, v in candidates[:_below(bits, min(EXTRA_EDGES_MAX, len(candidates)) + 1)]:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+    decode) plus a shuffled prefix, 0..EXTRA_EDGES_MAX long, of its non-edges.
+
+    The one-sample view of verify_kelmans's draw: _draw_values reads the
+    values of _graph_draws(n), the words rng.randrange, shuffle and randint
+    would read, and _random_adjacency decodes them."""
+    store = _draw_values(rng, [_graph_draws(n)], 1)[0][0]
+    values = np.frombuffer(store, store.typecode).reshape(1, -1)
+    rows = np.packbits(_random_adjacency(values, n)[0], axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def _sample_draws(n: int) -> tuple[tuple[int, int], ...]:
+    """The draws of one kelmans sample of order n after its order: random_masks, u, then v."""
+    return _graph_draws(n) + _bounds(n, n - 1)
+
+
+def _draw_round(rng: random.Random, orders: Sequence[int], count: int):
+    """`count` samples of verify_kelmans, each an order index, random_masks, u
+    and v, drawn in two phases.  One pass reads every value of every sample,
+    in turn and with the scalar draws' rejections, into one flat store per
+    order; then numpy decodes each order's samples at once.
+
+    Gives per order the positions of its samples among the `count`; ends,
+    the generator words read up to the end of each sample; and an iterator
+    that decodes, order after order, the stack (adj, u, v) of its samples,
+    in the order they were drawn."""
+    plans = [_sample_draws(n) for n in orders]
+    stores, positions, ends = _draw_values(rng, plans, count, _bounds(len(orders)))
+    return positions, ends, map(_order_stack, orders, plans, stores)
+
+
+def _order_stack(n: int, plan: tuple[tuple[int, int], ...], store: array):
+    """(adj, u, v) of the samples of order n whose plan values are in store."""
+    values = np.frombuffer(store, store.typecode).reshape(-1, len(plan))
+    u = values[:, -2].astype(np.intp)
+    return _random_adjacency(values, n), u, (u + 1 + values[:, -1]) % n
+
+
+def _skip_words(rng: random.Random, words: int) -> None:
+    """Read `words` 32-bit generator words, as getrandbits(32 * w) reads w of them."""
+    for start in range(0, words, SKIP_WORDS):
+        rng.getrandbits(32 * min(SKIP_WORDS, words - start))
+
+
+def _stack_words(adj: np.ndarray) -> list[int]:
+    """The _edge_word of each matrix of a bool adjacency stack (S, n, n)."""
+    iu, ju = _pair_ends(adj.shape[1])
+    packed = np.packbits(adj[:, iu, ju], axis=1, bitorder="little")
+    raw, size = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
+
+
+def _reroute_round(rng: random.Random, orders: Sequence[int], count: int, need: int):
+    """One round of _reroute_pairs: the class-changing reroutes among `count`
+    drawn samples, up to the need-th, as (pairs, disconnected, drawn).
+
+    rng ends just after the last sample the round keeps: one that draws past
+    the need-th change rewinds to the generator state it started from and
+    skips the words read up to that change."""
+    state = rng.getstate()
+    positions, ends, stacks = _draw_round(rng, orders, count)
+    hits, kept = np.zeros(count, bool), []
+    for at, (adj, u, v) in zip(positions, stacks):  # keep only the class-changing samples
+        private, changed, isolates = reroute_stack(adj, u, v)
+        hits[np.frombuffer(at, at.typecode)[changed]] = True
+        take = np.flatnonzero(changed)
+        kept.append((changed, adj[take], private[take], u[take], v[take], isolates[take]))
+    hits = np.flatnonzero(hits)
+    drawn = count if len(hits) < need else int(hits[need - 1]) + 1
+    counts = [bisect.bisect_left(at, drawn) for at in positions]
+    if drawn < count:
+        rng.setstate(state)
+        _skip_words(rng, ends[drawn - 1])
+    pairs: list[tuple[int, int, int]] = []
+    disconnected = 0
+    for n, (changed, adj, private, u, v, isolates), k in zip(orders, kept, counts):
+        j = np.count_nonzero(changed[:k])  # the changes drawn before the round ends
+        before = adj[:j]
+        after = move_stack(before, private[:j], u[:j], v[:j])
+        pairs += zip(itertools.repeat(n), _stack_words(after), _stack_words(before))
+        disconnected += int(isolates[:j].sum())  # the drawn graph is connected
+    return pairs, disconnected, drawn
+
+
+def _reroute_pairs(rng: random.Random, orders: Sequence[int], samples: int):
+    """The reroutes of verify_kelmans: (pairs, skipped, disconnected), pairs
+    holding (n, edge words after and before) of `samples` class-changing
+    reroutes, drawn in rounds of _reroute_round.  rng ends as the scalar loop
+    leaves it, just after the sample that brings the `samples`-th change.
+
+    The first round draws as many samples as changes are missing, and so
+    never past that sample; later ones draw a tenth more, plus 8, than the
+    change rate seen so far expects.  Each round holds at most
+    STACK_BYTES // max(orders)**2 samples."""
+    pairs: list[tuple[int, int, int]] = []
+    disconnected = drawn = 0
+    limit = 1000 * samples  # identity applications don't count
+    cap = max(1, STACK_BYTES // max(orders) ** 2)
+    while len(pairs) < samples:
+        if drawn >= limit:
+            raise RuntimeError("kelmans campaign: too few class-changing samples")
+        need = samples - len(pairs)
+        count = need if not pairs else need * drawn // len(pairs) * 11 // 10 + 8
+        found, isolating, used = _reroute_round(rng, orders, min(count, cap, limit - drawn), need)
+        pairs += found
+        disconnected += isolating
+        drawn += used
+    return pairs, drawn - len(pairs), disconnected
 
 
 def _edge_word(masks: list[int]) -> int:
@@ -490,10 +689,10 @@ def _edge_word(masks: list[int]) -> int:
 def _word_rows(words: Sequence[int], n: int, m: int) -> np.ndarray:
     """Edge rows (C, m, 2), as spectral_radii takes them, of the graphs of
     order n and size m with edge words `words`, each row's edges ascending."""
-    size = (len(_vertex_pairs(n)) + 7) // 8
+    size = (n * (n - 1) // 2 + 7) // 8
     raw = np.frombuffer(b"".join(w.to_bytes(size, "little") for w in words), np.uint8)
     bits = np.unpackbits(raw.reshape(len(words), size), axis=1, bitorder="little")
-    return np.array(_vertex_pairs(n), np.intp)[np.nonzero(bits)[1]].reshape(-1, m, 2)
+    return _pair_ends(n).T[np.nonzero(bits)[1]].reshape(-1, m, 2)
 
 
 @lru_cache(maxsize=None)  # at most 30 shapes; common == 0 forces edge_uv
@@ -513,9 +712,15 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
                    rng_seed: int) -> VerificationReport:
     """Randomized monotonicity campaign for the two transforms.
 
-    Per weight, `samples` class-changing reroutes of drawn neighbour masks,
-    decided exactly and moved by the mask core (no certificate, no Graph),
-    then PENDANT_SHIFT_FRACTION * samples pendant shifts on the same core.
+    Per weight, `samples` class-changing reroutes of drawn graphs, decided
+    exactly and moved by the stacked mask core (no certificate, no Graph),
+    then PENDANT_SHIFT_FRACTION * samples pendant shifts on the mask core.
+    The reroutes are drawn in rounds of two phases (_reroute_pairs): one
+    pass reads the draw values of every sample of the round, then numpy
+    decodes, reroutes and moves each order's samples as one stack.  They
+    read exactly the generator words that drawing the samples one by one
+    (random_masks, then u and v) reads, and the pendant shifts continue
+    from the word after the last change.
     Each distinct labeled graph, keyed by its edge word, is eigensolved
     once, for rho' > rho - 1e-9.  n_range needs some n >= 4.  Weights
     without P* run informatively: violations are recorded, not failed.
@@ -534,24 +739,8 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
     for f in fs:
         applicable = check_pstar(f, d_max=max(max(n_range) + 2, 8)).passes
         rng = random.Random(f"{rng_seed}/{f.label()}")
+        pairs, skipped, disconnected = _reroute_pairs(rng, orders, samples)
         bits = rng.getrandbits
-        pairs: list[tuple[int, int, int]] = []  # (n, edge words after and before)
-        skipped = disconnected = 0
-        attempts_left = 1000 * samples  # identity applications don't count
-        while len(pairs) < samples:
-            attempts_left -= 1
-            if attempts_left < 0:
-                raise RuntimeError("kelmans campaign: too few class-changing samples")
-            n = orders[_below(bits, len(orders))]
-            masks = random_masks(rng, n)
-            u = _below(bits, n)
-            v = (u + 1 + _below(bits, n - 1)) % n
-            private, changed, isolates = reroute(masks, u, v)
-            if not changed:
-                skipped += 1
-                continue
-            pairs.append((n, _edge_word(move_masks(masks, private, u, v)), _edge_word(masks)))
-            disconnected += isolates  # the drawn graph is connected
         shifts = int(samples * PENDANT_SHIFT_FRACTION)
         # a shift always changes the class: d_v <= d_u become d_v - 1 and
         # d_u + 1, so the largest degree of the pair rises

@@ -966,6 +966,15 @@ def reference_kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
     return TransformOutcome(Graph(g.n, frozenset(edges)), changed, tuple(moved), disconnects)
 
 
+def reference_reroute_draw(rng: random.Random, orders) -> tuple[int, Graph, int, int]:
+    """One sample of reference_verify_kelmans's loop, (n, graph, u, v), drawn as
+    it draws them."""
+    n = rng.choice(orders)
+    g = reference_random_connected_graph(rng, n)
+    u = rng.randrange(n)
+    return n, g, u, (u + rng.randrange(1, n)) % n
+
+
 def reference_verify_kelmans(samples: int, n_range, fs, rng_seed: int) -> VerificationReport:
     """Reference campaign, the package's earlier Graph-based verify_kelmans
     loop: every draw a Graph (reference_random_connected_graph), every

@@ -50,6 +50,8 @@ UNREACHED = {
     "transforms.pendant_shift": "the public pendant shift of a Graph, over shift_masks",
     "graphs.mask_edges": "the edge set of neighbour masks, which kelmans and the sampler's Graph read",
     "verify.random_connected_graph": "the Graph of random_masks, which test fixtures draw",
+    # the campaign draws its samples in rounds of the same builder
+    "verify.random_masks": "the one-sample view of the kelmans campaign's batched draw",
 }
 
 

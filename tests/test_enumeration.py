@@ -22,9 +22,8 @@ from bicyclic_spectra import (
     targeted_max_degree_family,
 )
 from bicyclic_spectra import enumeration
-from bicyclic_spectra.enumeration import bicyclic_bases, isomorphisms, rooted_trees
+from bicyclic_spectra.enumeration import CLASS_CHUNK, bicyclic_bases, isomorphisms, rooted_trees
 from bicyclic_spectra.graphs import rows_graph
-from bicyclic_spectra.spectral import EIGH_CHUNK
 from conftest import (GOLDEN_COUNTS, brute_force_bicyclic_classes, burnside_class_count,
                       class_graphs, edge_subset_classes, graph_from_certificate,
                       reference_canonical_form, reference_enumerate_constructive,
@@ -225,11 +224,11 @@ class TestOrderlyRows:
 
     @pytest.mark.parametrize("n", range(4, 12))
     def test_chunks(self, n):
-        # whole chunks of EIGH_CHUNK classes but the last; in each class the
+        # whole chunks of CLASS_CHUNK classes but the last; in each class the
         # base's edges, then row x + 1 joins new vertex x to an earlier parent
         chunks = list(enumeration.orderly_rows(n))
-        assert [len(kinds) for _, kinds in chunks[:-1]] == [EIGH_CHUNK] * (len(chunks) - 1)
-        assert 0 < len(chunks[-1][1]) <= EIGH_CHUNK
+        assert [len(kinds) for _, kinds in chunks[:-1]] == [CLASS_CHUNK] * (len(chunks) - 1)
+        assert 0 < len(chunks[-1][1]) <= CLASS_CHUNK
         for rows, kinds in chunks:
             assert rows.dtype.kind == "i" and rows.shape == (len(kinds), n + 1, 2)
             assert kinds.dtype == np.intp

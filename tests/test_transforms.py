@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from bicyclic_spectra import (
@@ -18,7 +19,7 @@ from bicyclic_spectra import (
     rho_f,
 )
 from bicyclic_spectra.graphs import edge_masks
-from bicyclic_spectra.transforms import reroute
+from bicyclic_spectra.transforms import move_masks, move_stack, reroute, reroute_stack
 from bicyclic_spectra.verify import random_connected_graph
 from conftest import (class_graphs, reference_canonical_form, reference_kelmans,
                       reference_pendant_shift, reference_pendant_shift_instance)
@@ -234,6 +235,39 @@ class TestRerouteCore:
             n = rng.randint(2, 12)
             g = random_connected_graph(rng, n)
             self.assert_agree(g, *rng.sample(range(n), 2))
+
+
+class TestRerouteStack:
+    """reroute_stack and move_stack, one (u, v) per matrix, against the mask
+    core reroute and move_masks."""
+
+    @staticmethod
+    def assert_agree(masks_list, uv):
+        n = len(masks_list[0])
+        adj = np.array([[[m >> w & 1 for w in range(n)] for m in masks] for masks in masks_list], bool)
+        u, v = (np.array(side) for side in zip(*uv))
+        before = adj.copy()
+        private, changed, isolates = reroute_stack(adj, u, v)
+        moved = move_stack(adj, private, u, v)
+        assert (adj == before).all()  # the input stays
+        for s, (masks, (a, b)) in enumerate(zip(masks_list, uv)):
+            want = reroute(masks, a, b)
+            assert (sum(1 << w for w in np.flatnonzero(private[s]).tolist()),
+                    bool(changed[s]), bool(isolates[s])) == want
+            after = move_masks(masks, want[0], a, b)
+            assert [sum(1 << w for w in np.flatnonzero(row).tolist()) for row in moved[s]] == after
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_every_ordered_pair_of_every_class(self, n):
+        uv = list(itertools.permutations(range(n), 2))
+        graphs = [edge_masks(n, g.edges) for g in class_graphs(n)]
+        self.assert_agree([masks for masks in graphs for _ in uv], uv * len(graphs))
+
+    def test_random_graphs(self):
+        rng = random.Random(95)
+        for n in range(2, 13):
+            graphs = [edge_masks(n, random_connected_graph(rng, n).edges) for _ in range(60)]
+            self.assert_agree(graphs, [tuple(rng.sample(range(n), 2)) for _ in graphs])
 
 
 class TestReductionReplay:

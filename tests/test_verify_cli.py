@@ -480,18 +480,18 @@ class TestKelmansCampaign:
     def test_sampler_matches_reference(self):
         # same graph, and same masks from the mask draw, with the same
         # generator state after every call, so a seeded campaign draws the
-        # same samples
+        # same samples; past n = 24 a shuffle bound exceeds 255
         for seed in range(120):
             rng, draw, ref, step = (random.Random(seed) for _ in range(4))
             for i in range(40):
-                n = 1 + (seed + i) % 20
+                n = 1 + (seed + i) % 28
                 g = verify.random_connected_graph(rng, n)
                 assert verify.random_masks(draw, n) == edge_masks(n, g.edges)
                 assert g == reference_random_connected_graph(ref, n)
                 assert g == stepwise_random_connected_graph(step, n)
                 assert rng.getstate() == draw.getstate() == ref.getstate() == step.getstate()
 
-    @pytest.mark.parametrize("lo,hi", [(2, 6), (4, 8), (3, 12), (17, 20)])
+    @pytest.mark.parametrize("lo,hi", [(2, 6), (4, 8), (3, 12), (17, 20), (24, 27)])
     def test_report_matches_graph_based_campaign(self, lo, hi):
         # P* and non-P* weights; the edge-set campaign gives the Graph-based
         # loop's report, every float bit included
@@ -502,6 +502,68 @@ class TestKelmansCampaign:
             for report in (got, want):
                 del report["summary"]["runtime_seconds"]
             assert got == want
+
+    # order sets: the benchmark's, orders 2 and 3 (no reroute changes their
+    # class) beside 4, one order alone (its pick reads words too), and wide
+    # shuffle bounds
+    ORDER_SETS = ([4, 5, 6, 7, 8], [2, 3, 4], [6], [9, 13, 22, 25])
+
+    def test_batched_draw_matches_scalar_draws(self):
+        # every sample's masks, u and v, and the generator state after them
+        for seed in range(120):
+            for orders in self.ORDER_SETS:
+                rng, ref = random.Random(seed), random.Random(seed)
+                count = 1 + seed % 37
+                positions, _, stacks = verify._draw_round(rng, orders, count)
+                got = [None] * count
+                for n, at, (adj, u, v) in zip(orders, positions, stacks):
+                    assert adj.shape == (len(at), n, n)
+                    for s, a, x, y in zip(at, adj.tolist(), u.tolist(), v.tolist()):
+                        got[s] = (n, {(p, q) for p, q in verify._vertex_pairs(n) if a[p][q]}, x, y)
+                want = [conftest.reference_reroute_draw(ref, orders) for _ in range(count)]
+                assert got == [(n, set(g.edges), u, v) for n, g, u, v in want]
+                assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("stack_bytes", [verify.STACK_BYTES, 8 * 64])
+    def test_rounds_leave_the_scalar_loop_state(self, monkeypatch, stack_bytes):
+        # the reroutes and their tallies, and the generator state after the
+        # sample with the last change; rounds that rewind, and rounds whose
+        # last sample changes no class, both occur
+        rounds = []  # (count, drawn) of each round
+
+        def recording(rng, orders, count, need):
+            out = real(rng, orders, count, need)
+            rounds.append((count, out[-1]))
+            return out
+
+        real = verify._reroute_round
+        monkeypatch.setattr(verify, "_reroute_round", recording)
+        monkeypatch.setattr(verify, "STACK_BYTES", stack_bytes)
+        rewound = ended_unchanged = 0
+        for seed in range(120):
+            for orders in self.ORDER_SETS:
+                samples = 1 + seed % 23
+                rng, ref = random.Random(seed), random.Random(seed)
+                rounds.clear()
+                got = verify._reroute_pairs(rng, orders, samples)
+                changes, pairs, disconnected = [], [], 0
+                while len(pairs) < samples:
+                    n, g, u, v = conftest.reference_reroute_draw(ref, orders)
+                    out = conftest.reference_kelmans(g, u, v)
+                    changes.append(out.changed)
+                    if out.changed:
+                        words = (verify._edge_word(edge_masks(n, h.edges)) for h in (out.result, g))
+                        pairs.append((n, *words))
+                        disconnected += out.disconnects
+                assert (sorted(got[0]), *got[1:]) == (
+                    sorted(pairs), changes.count(False), disconnected)
+                assert rng.getstate() == ref.getstate()
+                end = 0
+                for count, drawn in rounds:
+                    end += drawn
+                    rewound += drawn < count
+                    ended_unchanged += not changes[end - 1]
+        assert rewound and ended_unchanged
 
     def test_campaign_builds_graphs_only_for_pendant_shifts(self):
         # no draw becomes a Graph, and neither does a pendant shift: the 500
