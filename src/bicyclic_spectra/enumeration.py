@@ -23,7 +23,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, base_graph, edge_masks, graph_rows, make_infinity, make_theta, union_edges
+from .graphs import (Graph, base_graph, edge_masks, make_infinity, make_theta, rows_graph,
+                     union_edges)
 # largest order enumerate_bicyclic runs at
 ORDER_BOUND = 10
 # classes per orderly_rows chunk; the streams' chunk boundaries and the reports depend on it
@@ -225,7 +226,7 @@ def enumerate_bicyclic(n: int, max_degree: int | None = None) -> tuple[str, Iter
     if max_degree > n - 1:
         raise EnumerationError("delta exceeds n - 1")
     if n > ORDER_BOUND and max_degree == n - 2:
-        return f"targeted/max_degree={max_degree}", [graph_rows(targeted_max_degree_family(n))]
+        return f"targeted/max_degree={max_degree}", [max_degree_rows(n)]
     check_order(n)
 
     def filtered():
@@ -236,30 +237,36 @@ def enumerate_bicyclic(n: int, max_degree: int | None = None) -> tuple[str, Iter
     return f"constructive/max_degree={max_degree}", filtered()
 
 
-def targeted_max_degree_family(n: int) -> list[Graph]:
-    """Bicyclic graphs with a vertex of degree exactly n-2, built directly.
+def max_degree_rows(n: int) -> np.ndarray:
+    """Edge rows (9, n + 1, 2) of the bicyclic graphs with a vertex of degree
+    exactly n-2, built directly, each edge (u, v) with u < v.
 
     Hub 0 is adjacent to vertices 1..n-2; vertex n-1 is its unique
     non-neighbor; the three remaining edges are placed in each of the nine
-    inequivalent patterns, returned in that order: the hub is the only vertex
-    of degree above 4, so the patterns around it and its non-neighbor are
-    nine distinct classes at every n >= 7.  The first pattern is the
-    theta-graph P(2,2,2) with all pendants on one degree-3 hub, whose
-    extended-matrix polynomial is pinned in tests.
+    inequivalent patterns, in that order: the hub is the only vertex of
+    degree above 4, so the patterns around it and its non-neighbor are nine
+    distinct classes at every n >= 7.  The first pattern is the theta-graph
+    P(2,2,2) with all pendants on one degree-3 hub, whose extended-matrix
+    polynomial is pinned in tests.
     """
     if n < 7:
         raise EnumerationError("targeted generator needs n >= 7")
     w = n - 1
-    shapes = [
-        [(w, 1), (w, 2), (w, 3)],
-        [(w, 1), (w, 2), (1, 2)],
-        [(w, 1), (w, 2), (1, 3)],
-        [(w, 1), (w, 2), (3, 4)],
-        [(w, 1), (1, 2), (1, 3)],
-        [(w, 1), (1, 2), (2, 3)],
-        [(w, 1), (1, 2), (3, 4)],
-        [(w, 1), (2, 3), (2, 4)],
-        [(w, 1), (2, 3), (4, 5)],
-    ]
-    hub_edges = [(0, v) for v in range(1, n - 1)]
-    return [Graph.from_edges(n, hub_edges + extra) for extra in shapes]
+    shapes = np.array([
+        [(1, w), (2, w), (3, w)],
+        [(1, w), (2, w), (1, 2)],
+        [(1, w), (2, w), (1, 3)],
+        [(1, w), (2, w), (3, 4)],
+        [(1, w), (1, 2), (1, 3)],
+        [(1, w), (1, 2), (2, 3)],
+        [(1, w), (1, 2), (3, 4)],
+        [(1, w), (2, 3), (2, 4)],
+        [(1, w), (2, 3), (4, 5)],
+    ], np.intp)
+    hub = np.stack([np.zeros(n - 2, np.intp), np.arange(1, w)], axis=1)
+    return np.concatenate([np.broadcast_to(hub, (len(shapes), *hub.shape)), shapes], axis=1)
+
+
+def targeted_max_degree_family(n: int) -> list[Graph]:
+    """The nine classes of max_degree_rows(n), as Graphs."""
+    return [rows_graph(rows) for rows in max_degree_rows(n)]

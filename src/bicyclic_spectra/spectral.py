@@ -111,6 +111,66 @@ def spectral_radii(rows: np.ndarray, f: WeightFunction, n: int) -> np.ndarray:
     return rho
 
 
+BRACKET_STEPS = 6  # shifted power steps before a bracket reads its vector
+BRACKET_SHIFT = 0.25  # the steps' shift c, as a fraction of the largest row sum of |A|
+BRACKET_MARGIN = 1e-9  # relative widening of both bracket ends
+BRACKET_FLOOR = 2.0 ** -900  # least |a_uv| * min(x)**2 a bracket is certified at
+
+
+def radius_brackets(rows: np.ndarray, f: WeightFunction, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo[i] <= spectral_radii(rows, f, n)[i] <= hi[i] for the
+    graphs G_i of order n with edges rows[i], without an eigensolve; a graph
+    it cannot certify gets (-inf, inf).  A = A_f(G_i) is applied edge by edge
+    (one bincount per step for all the graphs), so no dense stack is built.
+
+    x > 0 comes from BRACKET_STEPS steps x <- (|A| + cI) x from x = 1, with
+    c = BRACKET_SHIFT times the largest row sum R of |A| (the shift damps
+    the -rho eigenvalue of a bipartite graph).  Each step keeps
+    x >= c x / (R + c) max(x), so min(x) >= 0.2**BRACKET_STEPS max(x).
+      hi = max_u (|A|x)_u / x_u (Collatz-Wielandt).  With D = diag(x), D^-1
+        |A| D is nonnegative with row sums (|A|x)_u / x_u, so rho(A) <=
+        rho(|A|) = rho(D^-1 |A| D) <= its largest row sum.  This holds for
+        every nonnegative |A|, a disconnected graph's included.
+      lo = |x'Ax| / x'x (Rayleigh).  A is real symmetric, so x'Ax / x'x lies
+        between its least and largest eigenvalue, both at most rho in size.
+    Rounding: with every nonzero |a_uv| x_v and |a_uv| x_u x_v at least
+    BRACKET_FLOOR (a normal float), each sum errs by at most about n u
+    times the sum of its terms' sizes, u = 2**-53, so hi errs by n u hi and
+    |x'Ax| / x'x by n u x'|A|x / x'x <= n u hi.  Widening hi by
+    BRACKET_MARGIN * hi and lo by BRACKET_MARGIN times the widened hi covers
+    that and the eigensolver's own error, a small multiple of
+    n u ||A||_2 = n u rho.  A graph with a non-finite end, or with least
+    nonzero |a_uv| times min(x)**2 below the floor (an x with a zero entry
+    included), is left open.
+    """
+    count = len(rows)
+    if not count:
+        return np.zeros(0), np.zeros(0)
+    e = union_edges(rows, n)
+    w = _edge_weights(e, [f], n)[0]
+    size, ends, starts = count * n, e[:, ::-1].ravel(), e.ravel()
+    pos = np.repeat(np.abs(w), 2)  # |a_uv| for u = ends, v = starts
+    wabs = np.abs(w).reshape(count, -1)
+    least = wabs.min(axis=1, where=wabs > 0, initial=np.inf)  # least nonzero |a_uv|
+
+    def per_graph(v: np.ndarray) -> np.ndarray:
+        return v.reshape(count, -1)
+
+    c = np.repeat(BRACKET_SHIFT * per_graph(np.bincount(ends, pos, size)).max(axis=1), n)
+    x = np.ones(size)
+    with np.errstate(all="ignore"):  # an all-zero or overflowing A leaves nan: open
+        for _ in range(BRACKET_STEPS):
+            x = np.bincount(ends, pos * x[starts], size) + c * x
+            x /= np.repeat(per_graph(x).max(axis=1), n)
+        y = np.bincount(ends, pos * x[starts], size)  # |A|x
+        hi = per_graph(y / x).max(axis=1) * (1 + BRACKET_MARGIN)
+        lo = (np.abs(2 * per_graph(w * x[e[:, 0]] * x[e[:, 1]]).sum(axis=1))
+              / per_graph(x * x).sum(axis=1) - BRACKET_MARGIN * hi)
+        ok = (np.isfinite(hi) & np.isfinite(lo)
+              & (least * per_graph(x).min(axis=1) ** 2 >= BRACKET_FLOOR))
+    return np.where(ok, lo, -np.inf), np.where(ok, hi, np.inf)
+
+
 def edge_bounds(rows: np.ndarray, fs: Sequence[WeightFunction], n: int) -> np.ndarray:
     """b[k, i] >= rho(A_fs[k](G_i)) for the graphs G_i of order n whose edges
     (u, v) are rows[i], as orderly_rows(n) gives a chunk: the largest

@@ -27,13 +27,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# enumerate_bicyclic stays importable here: perfbench/layers.py wraps it
+# enumerate_bicyclic and targeted_max_degree_family stay importable here: perfbench/layers.py
+# wraps them
 from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # noqa: F401
-                          orderly_rows, targeted_max_degree_family)
+                          max_degree_rows, orderly_rows, targeted_max_degree_family)
 # base_graph, kelmans and pendant_shift stay importable here: perfbench/layers.py wraps them
 from .graphs import (FAMILIES, Graph, base_graph, edge_masks, graph_g1, graph_g2,  # noqa: F401
                      graph_rows, mask_edges, rows_graph)
-from .spectral import edge_bounds, rho_f, spectral_radii
+from .spectral import edge_bounds, radius_brackets, rho_f, spectral_radii
 from .transforms import kelmans, move_stack, pendant_shift, reroute_stack, shift_masks  # noqa: F401
 from .weights import WeightFunction, check_pstar, parse_weight
 
@@ -708,6 +709,43 @@ def _pendant_shift_words(common: int, edge_uv: bool, a: int, b: int) -> tuple[in
 PENDANT_SHIFT_FRACTION = 0.25  # pendant shifts per class-changing reroute in verify_kelmans
 
 
+def _certified_deltas(pairs: Sequence[tuple[int, int, int]], f: WeightFunction,
+                      slack: float) -> np.ndarray:
+    """rho(after) - rho(before) under f of the pairs (n, after word, before
+    word) that the brackets leave open, +inf for the others, one (n, m)
+    group at a time: one radius_brackets call on the group's distinct
+    graphs, then one spectral_radii call on the open pairs' graphs.
+
+    A pair's delta lies in [lo_a - hi_b, hi_a - lo_b], also after rounding,
+    which is monotone.  A pair stays open if its lower end is <= -slack, or
+    <= the least upper end of the groups so far.  A certified pair is thus
+    no violation, and it is above the delta of the pair with that upper
+    end, so it is not the least delta either.  A batched eigh gives each
+    matrix the same rho in any batch, so the open deltas are the floats
+    that eigensolving every pair gives, bit for bit.
+    """
+    deltas = np.full(len(pairs), np.inf)
+    least_hi = math.inf
+    keys = [(n, after.bit_count()) for n, after, _ in pairs]  # a move keeps n and m
+    for (n, m), members in itertools.groupby(sorted(range(len(pairs)), key=keys.__getitem__),
+                                             keys.__getitem__):
+        members, at = np.array(list(members)), {}
+        after, before = np.array([[at.setdefault(word, len(at)) for word in pairs[k][1:]]
+                                  for k in members.tolist()]).T
+        rows = _word_rows(list(at), n, m)
+        lo, hi = radius_brackets(rows, f, n)
+        lower = lo[after] - hi[before]
+        least_hi = min(least_hi, float((hi[after] - lo[before]).min()))
+        keep = (lower <= -slack) | (lower <= least_hi)
+        if keep.any():
+            solve = np.zeros(len(at), bool)  # np.unique would import numpy.ma, 1.7 MB
+            solve[after[keep]] = solve[before[keep]] = True
+            rho = np.zeros(len(at))
+            rho[solve] = spectral_radii(rows[solve], f, n)
+            deltas[members[keep]] = rho[after[keep]] - rho[before[keep]]
+    return deltas
+
+
 def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunction],
                    rng_seed: int) -> VerificationReport:
     """Randomized monotonicity campaign for the two transforms.
@@ -721,9 +759,15 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
     read exactly the generator words that drawing the samples one by one
     (random_masks, then u and v) reads, and the pendant shifts continue
     from the word after the last change.
-    Each distinct labeled graph, keyed by its edge word, is eigensolved
-    once, for rho' > rho - 1e-9.  n_range needs some n >= 4.  Weights
-    without P* run informatively: violations are recorded, not failed.
+    Each pair is checked for rho' > rho - 1e-9 (_certified_deltas): each
+    distinct labeled graph, keyed by its edge word, gets a certified
+    bracket of its rho, one (n, m) group after another, and only the
+    graphs of the pairs the brackets cannot decide are eigensolved, at
+    most once each, before the next group is built.  The violation counts
+    and worst_delta are the floats that eigensolving every graph gives.
+    So an eigensolver failure names the first order with an open pair on
+    a matrix LAPACK rejects.  n_range needs some n >= 4.  Weights without
+    P* run informatively: violations are recorded, not failed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -749,13 +793,8 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
             edge_uv = rng.random() < 0.7 or common == 0
             a = 1 + _below(bits, 2)  # pendants at v, the smaller bundle
             pairs.append(_pendant_shift_words(common, edge_uv, a, a + _below(bits, 3)))
-        # each distinct labeled graph is eigensolved once, one spectral_radii call per (n, m)
-        graphs = sorted({(n, word.bit_count(), word) for n, *words in pairs for word in words})
-        index = {(n, word): i for i, (n, _, word) in enumerate(graphs)}
-        rho = np.concatenate([spectral_radii(_word_rows([g[2] for g in group], n, m), f, n)
-                              for (n, m), group in itertools.groupby(graphs, lambda g: g[:2])])
-        deltas = rho[[index[n, a] for n, a, _ in pairs]] - rho[[index[n, b] for n, _, b in pairs]]
-        failing = deltas <= -slack
+        deltas = _certified_deltas(pairs, f, slack)
+        failing = deltas <= -slack  # a certified pair's +inf never fails
         violations = int(failing[:samples].sum())
         shift_violations = int(failing[samples:].sum())
         report.cases.append(CaseRecord(
@@ -783,6 +822,7 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
     """Inequality chain for the extended index on G1/G2 plus the
     degree-(n-2) family bound, over n in [12, 60].
 
+    The nine classes come as edge rows (max_degree_rows), with no Graph.
     The family record reads only the largest rho of the nine classes, so
     not every class is eigensolved.  The class with the largest edge_bounds
     value is solved with G1 and G2, in one spectral_radii call; then only
@@ -804,12 +844,12 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
 
     def cases_for(n: int) -> list[CaseRecord]:
         out = []
-        family = targeted_max_degree_family(n)
-        rows = graph_rows(family)
+        rows = max_degree_rows(n)
         bounds = edge_bounds(rows, [ext], n)[0]
         top = int(np.argmax(bounds))
+        chain = graph_rows([graph_g1(n), graph_g2(n)])
         rho1, rho2, rho_top = spectral_radii(
-            graph_rows([graph_g1(n), graph_g2(n), family[top]]), ext, n).tolist()
+            np.concatenate([chain, rows[top:top + 1]]), ext, n).tolist()
         b1, b2 = bound(n, 3.8), bound(n, 5.0)
         out.append(CaseRecord(
             case_id=f"theorem41/chain/n={n}",
@@ -823,11 +863,11 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
         worst = max([rho_top] + spectral_radii(rows[rest[rest != top]], ext, n).tolist())
         out.append(CaseRecord(
             case_id=f"theorem41/max_degree_n2/n={n}",
-            inputs={"n": n, "classes": len(family)},
+            inputs={"n": n, "classes": len(rows)},
             computed={"max_rho_ex": worst, "bound": b2},
             expected={"relation": "every degree-(n-2) class below b(5)",
                       "classes_expected": 9},
-            passed=worst < b2 and len(family) == 9,
+            passed=worst < b2 and len(rows) == 9,
         ))
         if 12 <= n <= 20:
             t1bound = 0.5 * (n - 3 + 1 / (n - 3)) * math.sqrt(n)

@@ -52,6 +52,8 @@ UNREACHED = {
     "verify.random_connected_graph": "the Graph of random_masks, which test fixtures draw",
     # the campaign draws its samples in rounds of the same builder
     "verify.random_masks": "the one-sample view of the kelmans campaign's batched draw",
+    # theorem41 and enumerate read the degree-(n-2) family as edge rows
+    "enumeration.targeted_max_degree_family": "the Graphs of max_degree_rows, which test fixtures read",
 }
 
 

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from bicyclic_spectra import (
     spectral_radii,
     spectral_radius,
 )
-from bicyclic_spectra import enumeration, spectral, weights
-from bicyclic_spectra.graphs import graph_rows, rows_graph
+from bicyclic_spectra import enumeration, spectral, verify, weights
+from bicyclic_spectra.graphs import graph_rows, rows_graph, union_edges
 from bicyclic_spectra.quotient import PartitionError
 from bicyclic_spectra.verify import random_connected_graph
 from conftest import loop_matrix, per_graph_radii
@@ -306,3 +308,82 @@ class TestEdgeBounds:
         evaluate = spectral.evaluate
         monkeypatch.setattr(spectral, "evaluate", lambda f, x, y: (-1) ** (x + y) * evaluate(f, x, y))
         assert np.array_equal(spectral.edge_bounds(rows, fs, 8), positive)
+
+
+class TestRadiusBrackets:
+    """radius_brackets holds the eigensolved rho of every graph, with at
+    least half its margin to spare at each end."""
+
+    WEIGHTS = ("zagreb1", "hyper_zagreb", "forgotten", "constant_one", "extended",
+               "sum_connectivity:a=-1")
+
+    @staticmethod
+    def check(rows, f, n):
+        lo, hi = spectral.radius_brackets(rows, f, n)
+        rho = spectral_radii(rows, f, n)
+        spare = spectral.BRACKET_MARGIN / 2 * rho
+        assert np.all(lo <= rho - spare) and np.all(rho + spare <= hi)
+        return lo, hi
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_every_class(self, n):
+        fs = [parse_weight(w) for w in self.WEIGHTS]
+        for rows, _ in enumeration.orderly_rows(n):
+            for f in fs:
+                lo, hi = self.check(rows, f, n)
+                assert np.isfinite(lo).all() and np.isfinite(hi).all()
+
+    def test_regular_graphs(self):
+        # x = 1 is the Perron vector, so the steps and both quotients are
+        # exact; only the margin keeps the eigensolved rho inside
+        fs = [parse_weight(w) for w in self.WEIGHTS]
+        for g in [cycle(n) for n in range(3, 10)] + [complete(n) for n in range(2, 8)]:
+            for f in fs:
+                self.check(graph_rows([g]), f, g.n)
+
+    def test_drawn_graphs_with_an_isolated_vertex(self):
+        # a reroute that moves all of v's neighbours to u leaves v isolated:
+        # |A| is reducible, and the bracket still holds and is certified
+        fs = [parse_weight(w) for w in self.WEIGHTS]
+        isolated = 0
+        for seed in range(4):
+            pairs, _, _ = verify._reroute_pairs(random.Random(seed), [4, 5, 6, 7, 8, 12], 300)
+            groups = {}
+            for n, after, _ in pairs:
+                groups.setdefault((n, after.bit_count()), []).append(after)
+            for (n, m), words in groups.items():
+                rows = verify._word_rows(words, n, m)
+                degrees = np.bincount(union_edges(rows, n).ravel(), minlength=len(rows) * n)
+                rows = rows[(degrees.reshape(-1, n) == 0).any(axis=1)]
+                isolated += len(rows)
+                for f in fs:
+                    lo, hi = self.check(rows, f, n)
+                    assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        assert isolated > 100
+
+    def test_signed_weights(self, monkeypatch):
+        # with some degree pairs negated, hi bounds rho(|A|) >= rho(A) and lo
+        # reads |x'Ax|
+        evaluate = spectral.evaluate
+        monkeypatch.setattr(spectral, "evaluate",
+                            lambda f, x, y: (-1) ** (x + y) * evaluate(f, x, y))
+        fs = [parse_weight(w) for w in self.WEIGHTS]
+        for rows, _ in enumeration.orderly_rows(8):
+            for f in fs:
+                self.check(rows, f, 8)
+
+    def test_subnormal_entries_stay_open(self):
+        # entries near 1e-320 carry a few bits each, so rounding is not
+        # relative there; entries near 1e-200 are still certified
+        rows, _ = next(enumeration.orderly_rows(8))
+        lo, hi = self.check(rows, parse_weight("custom:1e-320*(x+y)"), 8)
+        assert np.all(lo == -np.inf) and np.all(hi == np.inf)
+        lo, hi = self.check(rows, parse_weight("custom:1e-200*(x+y)"), 8)
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+
+    def test_edgeless_and_empty(self, weight_zagreb1):
+        # A = 0 leaves x = 0 after a step: open
+        lo, hi = self.check(graph_rows([Graph.from_edges(3, [])]), weight_zagreb1, 3)
+        assert (lo.tolist(), hi.tolist()) == ([-np.inf], [np.inf])
+        lo, hi = spectral.radius_brackets(graph_rows([]), weight_zagreb1, 7)
+        assert lo.shape == hi.shape == (0,)

@@ -31,7 +31,7 @@ from bicyclic_spectra import (
 from bicyclic_spectra import spectral, verify, weights
 from bicyclic_spectra.cli import main, parse_graph_argument
 from bicyclic_spectra.graphs import edge_masks, graph_rows, rows_graph
-from bicyclic_spectra.spectral import spectral_radii
+from bicyclic_spectra.spectral import radius_brackets, spectral_radii
 from bicyclic_spectra.verify import printed_tolerance
 import conftest
 from conftest import (class_graphs, per_graph_radii, reference_exhaustive_case,
@@ -575,27 +575,61 @@ class TestKelmansCampaign:
 
     def test_scores_each_distinct_labeled_graph_once(self, monkeypatch):
         # the reference campaign scores 5,000 rows (2 per pair) of 3,692
-        # distinct labeled graphs; the campaign eigensolves each one once
-        distinct, scored = set(), []
+        # distinct labeled graphs; the campaign brackets each one once and
+        # eigensolves only the graphs of the pairs the brackets leave open
+        distinct, bracketed, solved, calls = set(), [], [], []
+
+        def graphs(rows, n):
+            return [(n, frozenset(map(tuple, r))) for r in rows.tolist()]
 
         def collecting(rows, f, n):
-            distinct.update((n, frozenset(map(tuple, r))) for r in rows.tolist())
+            distinct.update(graphs(rows, n))
             return spectral_radii(rows, f, n)
 
+        def bracketing(rows, f, n):
+            bracketed.extend(graphs(rows, n))
+            calls.append(("bracket", n, rows.shape[1]))
+            return radius_brackets(rows, f, n)
+
         def counting(rows, f, n):
-            scored.append(len(rows))
+            solved.extend(graphs(rows, n))
+            calls.append(("solve", n, rows.shape[1]))
             return spectral_radii(rows, f, n)
 
         monkeypatch.setattr(conftest, "spectral_radii", collecting)
+        monkeypatch.setattr(verify, "radius_brackets", bracketing)
         monkeypatch.setattr(verify, "spectral_radii", counting)
         want = reference_verify_kelmans(2000, range(4, 9), [Z1], rng_seed=1).to_dict()
         got = verify_kelmans(2000, range(4, 9), [Z1], rng_seed=1).to_dict()
         for report in (got, want):
             del report["summary"]["runtime_seconds"]
         assert got == want
-        assert sum(scored) == len(distinct) == 3692
-        # one call per (order, size) group
-        assert len(scored) == len({(n, len(edges)) for n, edges in distinct})
+        assert len(bracketed) == len(set(bracketed)) == len(distinct) == 3692
+        assert set(bracketed) == distinct
+        assert len(solved) == len(set(solved)) == 61
+        # one bracket call per (order, size) group, and at most one eigensolve
+        # call, right after its group's bracket
+        groups = [call[1:] for call in calls if call[0] == "bracket"]
+        assert len(groups) == len(set(groups)) == len({(n, len(edges)) for n, edges in distinct})
+        for before, call in zip(calls, calls[1:]):
+            if call[0] == "solve":
+                assert before == ("bracket", *call[1:])
+
+    def test_pairs_at_the_thresholds_stay_open(self, monkeypatch):
+        # exact brackets (lo = hi = rho) in one group: a pair whose lower end
+        # is -slack, or the least upper end, is solved; a pair above both is not
+        n = 4
+        rho = {0b000111: 1.0, 0b001011: 1.5, 0b001101: 3.0, 0b010011: 2.0}
+
+        def exact(rows, f, n):
+            return np.array([rho[verify._edge_word(edge_masks(n, map(tuple, r)))]
+                             for r in rows.tolist()])
+
+        monkeypatch.setattr(verify, "radius_brackets", lambda rows, f, n: (exact(rows, f, n),) * 2)
+        monkeypatch.setattr(verify, "spectral_radii", exact)
+        pairs = [(n, 0b000111, 0b001011), (n, 0b000111, 0b001101), (n, 0b001101, 0b010011)]
+        assert verify._certified_deltas(pairs, Z1, 0.5).tolist() == [-0.5, -2.0, math.inf]
+        assert verify._certified_deltas(pairs, Z1, 3.0).tolist() == [math.inf, -2.0, math.inf]
 
     def test_campaign_makes_no_certificate(self):
         # the class-change test is kelmans' closed form; canonical_form's
