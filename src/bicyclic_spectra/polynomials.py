@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from operator import mul
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -148,7 +149,8 @@ def char_poly(matrix) -> Polynomial:
         # M_k = A (M_{k-1} + c_{k-1} I)
         for i in range(n):
             m[i][i] += c[-1]
-        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in a]
+        cols = list(zip(*m))
+        m = [[sum(map(mul, row, col)) for col in cols] for row in a]
         c.append(-sum(m[i][i] for i in range(n)) // k)
     return Polynomial([Fraction(ck, d ** k) for k, ck in reversed(list(enumerate(c)))])
 
@@ -233,14 +235,21 @@ def _sturm(q: tuple[int, ...]) -> list[tuple[int, ...]]:
     return seq
 
 
+def _integer_coeffs(p: Polynomial) -> tuple[int, ...]:
+    """Descending coefficients of p's primitive integer multiple (same signs), floats exactly."""
+    ratios = [(c.numerator, c.denominator) if isinstance(c, (int, Fraction))
+              else tuple(map(int, Fraction(c).as_integer_ratio())) for c in reversed(p.coeffs)]
+    d = math.lcm(*(den for _, den in ratios))
+    return _primitive(num * (d // den) for num, den in ratios)
+
+
 def sturm_sequence(p: Polynomial) -> list[tuple[int, ...]]:
     """Sturm sequence of p's square-free part, each member as the descending
     coefficients of its primitive integer multiple (same signs).  Built from
     integer pseudo-remainders, it equals the Euclidean sequence over Fraction.
     p's own sequence ends in gcd(p, p') up to a constant factor; p divided by
     it exactly, with p's leading sign, is the square-free part."""
-    d = math.lcm(*(Fraction(c).denominator for c in p.coeffs))
-    seq = _sturm(_primitive(int(c * d) for c in reversed(p.coeffs)))
+    seq = _sturm(_integer_coeffs(p))
     if len(seq[-1]) > 1:
         quot = _pseudo_divide(seq[0], seq[-1])[0]
         seq = _sturm(tuple(c if seq[-1][0] > 0 else -c for c in quot))
@@ -255,18 +264,18 @@ def _sign_at(q: tuple[int, ...], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_variations(coeffs: Sequence[Coeff]) -> int:
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def _variations_at(seq: list[tuple[int, ...]], num: int, den: int) -> int:
-    return _sign_variations([_sign_at(q, num, den) for q in seq])
+    """Sign changes along seq at num/den, zeros skipped."""
+    signs = [v for v in (_sign_at(q, num, den) for q in seq) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _bracket(lo, hi) -> tuple[int, int, int]:
     """(a, b, d) with lo = a/d and hi = b/d over one shared denominator d."""
-    lo, hi = Fraction(lo), Fraction(hi)
+    try:
+        lo, hi = Fraction(lo), Fraction(hi)
+    except (OverflowError, ValueError) as exc:  # an infinite or NaN end
+        raise PolynomialError(f"bracket ends must be finite: {exc}") from None
     if lo > hi:
         raise PolynomialError("empty bracket: lo > hi")
     d = math.lcm(lo.denominator, hi.denominator)
@@ -346,7 +355,7 @@ def _seed(seq: list[tuple[int, ...]], a: int, b: int, d: int, v_b: int):
 
 def max_real_root(p: Polynomial, lo=None, hi=None) -> float:
     """Largest real root of an exact polynomial in [lo, hi]; default bracket
-    is the Cauchy root bound.
+    is the Cauchy root bound, computed in integers on p's primitive multiple.
 
     A float estimate proposes a narrow sub-bracket of the bisection lattice
     and Sturm counts certify it (_seed); the halvings then start there, and
@@ -356,8 +365,11 @@ def max_real_root(p: Polynomial, lo=None, hi=None) -> float:
         raise PolynomialError("polynomial has no roots")
     if not p.is_exact():
         raise PolynomialError("max_real_root requires exact coefficients")
-    bound = 1 + max(abs(Fraction(c)) for c in p.coeffs) / abs(p.coeffs[-1])
-    a, b, d = _bracket(-bound if lo is None else lo, bound if hi is None else hi)
+    ints = _integer_coeffs(p)
+    lead = abs(ints[0])
+    b, d = _primitive((lead + max(map(abs, ints)), lead))  # Cauchy b/d, lowest terms: same lattice
+    a, b, d = (-b, b, d) if lo is None and hi is None else _bracket(
+        Fraction(-b, d) if lo is None else lo, Fraction(b, d) if hi is None else hi)
     # halve towards the upper half while it holds a root, then refine the top root alone
     seq = sturm_sequence(p)
     q = seq[0]

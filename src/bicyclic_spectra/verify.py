@@ -21,7 +21,7 @@ import math
 import random
 import time
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -55,7 +55,8 @@ class CaseRecord:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """asdict(self), but copying the dict fields one level deep, not every value."""
+        return {key: dict(v) if isinstance(v, dict) else v for key, v in vars(self).items()}
 
 
 @dataclass
@@ -299,7 +300,7 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
     return report
 
 
-PRUNE_MARGIN = 1e-9  # relative; a class is skipped only when its bound is clearly below
+PRUNE_MARGIN = 1e-9  # relative, for _Leaders alone: it skips a class whose bound is clearly below
 
 
 def _cuts(rho: Sequence[float], kinds: Sequence[int]) -> np.ndarray:
@@ -824,63 +825,50 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
 
     The nine classes come as edge rows (max_degree_rows), with no Graph.
     The family record reads only the largest rho of the nine classes, so
-    not every class is eigensolved.  The class with the largest edge_bounds
-    value is solved with G1 and G2, in one spectral_radii call; then only
-    the classes whose bound reaches that rho * (1 - PRUNE_MARGIN).  This is
-    sound because the bound is at least rho for every class: a class left
-    out has rho <= bound < that rho, below the largest.  A batched eigh
-    gives each matrix the same rho in any batch, so max_rho_ex is the
-    float that solving all nine gives, bit for bit.
+    not every class is eigensolved.  radius_brackets gives each class i a
+    certified (lo_i, hi_i); top has the largest lo.  One spectral_radii call
+    per order solves G1, G2 and the classes with hi_i >= lo_top, top among
+    them.  A class left out cannot hold the largest rho:
+      rho_i <= hi_i < lo_top <= rho_top.
+    An open class has (-inf, inf), so it is always solved.  A batched eigh
+    gives each matrix the same rho in any batch, so max_rho_ex is the float
+    that solving all nine gives, bit for bit.
     """
-    lo, hi = min(n_range), max(n_range)
-    if lo < 12 or hi > 60:
+    if min(n_range) < 12 or max(n_range) > 60:
         raise ValueError("verify_theorem41 supports 12 <= n <= 60")
     t0 = time.perf_counter()
     ext = WeightFunction("extended")
     report = VerificationReport("theorem41")
-
-    def bound(n: int, shift: float) -> float:
-        return 0.5 * (n - 0.9) * math.sqrt(n - shift)
-
-    def cases_for(n: int) -> list[CaseRecord]:
-        out = []
+    for n in n_range:
         rows = max_degree_rows(n)
-        bounds = edge_bounds(rows, [ext], n)[0]
-        top = int(np.argmax(bounds))
+        lo, hi = radius_brackets(rows, ext, n)
         chain = graph_rows([graph_g1(n), graph_g2(n)])
-        rho1, rho2, rho_top = spectral_radii(
-            np.concatenate([chain, rows[top:top + 1]]), ext, n).tolist()
-        b1, b2 = bound(n, 3.8), bound(n, 5.0)
-        out.append(CaseRecord(
+        rho1, rho2, *family = spectral_radii(
+            np.concatenate([chain, rows[hi >= lo[np.argmax(lo)]]]), ext, n).tolist()
+        b1, b2 = (0.5 * (n - 0.9) * math.sqrt(n - shift) for shift in (3.8, 5.0))
+        worst = max(family)
+        report.cases.append(CaseRecord(
             case_id=f"theorem41/chain/n={n}",
             inputs={"n": n},
-            computed={"rho_ex_g1": rho1, "upper_bound": b1, "rho_ex_g2": rho2,
-                      "lower_bound": b2},
+            computed={"rho_ex_g1": rho1, "upper_bound": b1, "rho_ex_g2": rho2, "lower_bound": b2},
             expected={"relation": "rho_ex(G1) > b(3.8) > rho_ex(G2) > b(5)"},
             passed=rho1 > b1 > rho2 > b2,
         ))
-        rest = np.flatnonzero(bounds >= rho_top * (1 - PRUNE_MARGIN))
-        worst = max([rho_top] + spectral_radii(rows[rest[rest != top]], ext, n).tolist())
-        out.append(CaseRecord(
+        report.cases.append(CaseRecord(
             case_id=f"theorem41/max_degree_n2/n={n}",
             inputs={"n": n, "classes": len(rows)},
             computed={"max_rho_ex": worst, "bound": b2},
-            expected={"relation": "every degree-(n-2) class below b(5)",
-                      "classes_expected": 9},
+            expected={"relation": "every degree-(n-2) class below b(5)", "classes_expected": 9},
             passed=worst < b2 and len(rows) == 9,
         ))
         if 12 <= n <= 20:
             t1bound = 0.5 * (n - 3 + 1 / (n - 3)) * math.sqrt(n)
-            out.append(CaseRecord(
+            report.cases.append(CaseRecord(
                 case_id=f"theorem41/table1_comparison/n={n}",
                 inputs={"n": n},
                 computed={"bound": t1bound, "rho_ex_g2": rho2},
                 expected={"relation": "bound < rho_ex(G2)"},
                 passed=t1bound < rho2,
             ))
-        return out
-
-    for n in n_range:
-        report.cases.extend(cases_for(n))
     report.runtime_seconds = time.perf_counter() - t0
     return report

@@ -224,6 +224,23 @@ class TestMaxRealRoot:
             with pytest.raises(PolynomialError, match="requires exact coefficients"):
                 max_real_root(p)
 
+    @pytest.mark.parametrize("end", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bracket_ends(self, end):
+        # Fraction's OverflowError (an infinity) and ValueError (NaN) do not leak
+        p = Polynomial([-2, 0, 1])
+        for call in (lambda: max_real_root(p, lo=end), lambda: max_real_root(p, hi=end),
+                     lambda: max_real_root(p, end, end), lambda: count_real_roots(p, end, 2),
+                     lambda: count_real_roots(p, 0, end)):
+            with pytest.raises(PolynomialError, match="bracket ends must be finite"):
+                call()
+
+    def test_sturm_sequence_of_inexact_coefficients(self):
+        # float and numpy coefficients are read exactly, as their integer ratios
+        sturm = polynomials.sturm_sequence
+        assert sturm(Polynomial([0.5, 1.0])) == [(2, 1), (1,)]
+        assert sturm(Polynomial([-2.5, 0.0, 1.0])) == [(2, 0, -5), (1, 0), (1,)]
+        assert sturm(Polynomial([np.int64(-2), 0, 1])) == [(1, 0, -2), (1, 0), (1,)]
+
     @given(st.lists(st.integers(-6, 6), min_size=3, max_size=7))
     @settings(max_examples=80, deadline=None)
     def test_matches_full_isolation(self, coeffs):

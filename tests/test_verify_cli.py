@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -23,7 +24,6 @@ from bicyclic_spectra import (
     parse_weight,
     rho_f,
     run_table,
-    targeted_max_degree_family,
     verify_extremal,
     verify_kelmans,
     verify_theorem41,
@@ -73,6 +73,24 @@ class TestReportModel:
         rows = list(csv.reader(io.StringIO(rep.to_csv())))
         assert rows[0][0] == "case_id"
         assert len(rows) == len(rep.cases) + 1
+
+    def test_record_dict_matches_asdict(self):
+        # to_dict equals dataclasses.asdict, key order included, on every record of
+        # the theorem 4.1, exhaustive and table reports; its dicts are copies
+        reports = [verify_theorem41(range(12, 61)),
+                   verify_extremal(range(4, 11), WEIGHTS + [WeightFunction("constant_one")],
+                                   rank="second", mode="exhaustive")]
+        reports += [run_table(t) for t in ("appendix_n6", "appendix_n7", "extended_table1")]
+        for rep in reports:
+            for record in rep.cases:
+                got, want = record.to_dict(), dataclasses.asdict(record)
+                assert got == want
+                assert json.dumps(got) == json.dumps(want)
+                for key in ("inputs", "computed", "expected"):
+                    assert got[key] is None or got[key] is not getattr(record, key)
+            got = rep.to_dict()
+            got["cases"][0]["computed"]["changed"] = True
+            assert "changed" not in rep.cases[0].computed
 
 
 class TestPrintedTolerance:
@@ -729,35 +747,55 @@ class TestTheorem41Campaign:
 
     def test_report_matches_all_nine_oracle(self, monkeypatch):
         # every float bit of the report is the one solving all nine classes
-        # gives; 208 of the 441 family matrices at n = 12..60 are solved:
-        # the 49 top-bound classes in G1 and G2's calls and 159 more
+        # gives; 147 of the 441 family matrices at n = 12..60 are solved, one
+        # call per order: G1, G2 and the class with the largest bracket lo,
+        # as no other class's bracket reaches that lo
         want = reference_verify_theorem41(range(12, 61)).to_dict()
         sizes = self.scored_sizes(monkeypatch)
         got = verify_theorem41(range(12, 61)).to_dict()
         for report in (got, want):
             del report["summary"]["runtime_seconds"]
         assert got == want
-        assert sizes[0::2] == [3] * 49
-        assert sum(sizes[1::2]) == 159
+        assert sizes == [3] * 49
+
+    @staticmethod
+    def bracketed_run(monkeypatch, at_floor: bool, open_classes=()):
+        """(eigensolve sizes, report, reference report, top) at n = 12 when the
+        class `top` with the largest rho gets the bracket (rho_top, 2 rho_top),
+        the open classes (-inf, inf), and the others (0, rho_top), at the
+        floor, or (0, the float below rho_top)."""
+        n, ext = 12, WeightFunction("extended")
+        rho = spectral_radii(verify.max_degree_rows(n), ext, n)
+        top = int(np.argmax(rho))
+        lo = np.zeros(9)
+        hi = np.full(9, rho[top] if at_floor else np.nextafter(rho[top], 0))
+        lo[top], hi[top] = rho[top], 2 * rho[top]
+        lo[list(open_classes)], hi[list(open_classes)] = -np.inf, np.inf
+        monkeypatch.setattr(verify, "radius_brackets", lambda rows, f, n: (lo, hi))
+        sizes = TestTheorem41Campaign.scored_sizes(monkeypatch)
+        got, want = verify_theorem41([n]).to_dict(), reference_verify_theorem41([n]).to_dict()
+        for report in (got, want):
+            del report["summary"]["runtime_seconds"]
+        return sizes, got, want, top
 
     @pytest.mark.parametrize("at_floor", [True, False])
     def test_prune_keeps_a_bound_at_its_floor(self, monkeypatch, at_floor):
-        # the first class gets the largest bound; the other eight a bound at
-        # its rho * (1 - PRUNE_MARGIN), which keeps them, or one float below
-        n, ext = 12, WeightFunction("extended")
-        top_rho = spectral_radii(graph_rows(targeted_max_degree_family(n)[:1]), ext, n)[0]
-        floor = top_rho * (1 - verify.PRUNE_MARGIN)
-        other = floor if at_floor else np.nextafter(floor, 0)
-        monkeypatch.setattr(verify, "edge_bounds",
-                            lambda rows, fs, n: np.array([[2 * top_rho] + [other] * 8]))
-        sizes = self.scored_sizes(monkeypatch)
-        got = verify_theorem41([n]).to_dict()
-        assert sizes == [3, 8 if at_floor else 0]
-        if at_floor:
-            want = reference_verify_theorem41([n]).to_dict()
-            for report in (got, want):
-                del report["summary"]["runtime_seconds"]
-            assert got == want
+        # a class whose hi equals the top class's lo is solved; one float below, it is not
+        sizes, got, want, _ = self.bracketed_run(monkeypatch, at_floor)
+        assert sizes == [11 if at_floor else 3]
+        assert got == want
+
+    def test_prune_solves_open_classes(self, monkeypatch):
+        # an open class is solved, and the top class is the one with the largest
+        # lo, not the open class with its infinite hi
+        sizes, got, want, top = self.bracketed_run(monkeypatch, False, open_classes=[0])
+        assert top != 0
+        assert sizes == [4]
+        assert got == want
+        # an all-open order solves all nine
+        sizes, got, want, _ = self.bracketed_run(monkeypatch, False, open_classes=range(9))
+        assert sizes == [11]
+        assert got == want
 
 
 class TestCli:
