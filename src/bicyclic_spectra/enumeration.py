@@ -3,9 +3,11 @@ and the class key that names a bicyclic class at any order.
 
 One generator: build every pendant-free base (infinity- and theta-graphs) up
 to order n and attach the rooted forests that are orderly (McKay 1998): first
-in their orbit under the base's automorphisms, one per class.  The tests
-check it against an independent oracle, canonical augmentation over all
-connected graphs with m = n + 1 edges.
+in their orbit under the base's automorphisms, one per class.  It works in
+numpy blocks of about BLOCK_BUDGET classes and compositions, and reads each
+kept composition's shape-index grid in C order, which is lexicographic order,
+so no sort is needed.  The tests check it against an independent oracle, canonical
+augmentation over all connected graphs with m = n + 1 edges.
 
 The class key `canonical_form` reads that orderly key back from a graph's
 structure: its base (the 2-core) names a standard base, every isomorphism
@@ -17,8 +19,9 @@ classes in key order, so enumeration needs no certificate and no sort.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
-from operator import getitem, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -29,6 +32,9 @@ from .graphs import (Graph, base_graph, edge_masks, make_infinity, make_theta, r
 ORDER_BOUND = 10
 # classes per orderly_rows chunk; the streams' chunk boundaries and the reports depend on it
 CLASS_CHUNK = 64
+# cost of an orderly_rows numpy block, 1 per composition plus its estimated classes; at
+# n = 14 on one CPU, 512 took 0.14 s at 34-35 MB peak, 1,024 0.12 s at 37 MB, 256 0.18 s
+BLOCK_BUDGET = 512
 
 
 class EnumerationError(ValueError):
@@ -54,16 +60,16 @@ def rooted_trees(size: int) -> tuple[_TreeShape, ...]:
 
 
 @lru_cache(maxsize=None)
-def _hung_trees(v: int, size: int, offset: int) -> tuple[tuple[int, ...], ...]:
-    """Each shape of rooted_trees(size) hung at v, its other vertices numbered
-    from offset in preorder: the edges (parent, child) to them, flattened."""
+def _parent_table(size: int) -> np.ndarray:
+    """Each shape of rooted_trees(size) numbered in preorder from its root 0:
+    the parents of its vertices 1..size-1."""
     def walk(shape: _TreeShape, parent: int, out: list[int]) -> list[int]:
         for child in shape:
-            out += (parent, offset + len(out) // 2)
-            walk(child, out[-1], out)
+            out.append(parent)
+            walk(child, len(out), out)
         return out
 
-    return tuple(tuple(walk(shape, v, [])) for shape in rooted_trees(size))
+    return np.array([walk(shape, 0, []) for shape in rooted_trees(size)], np.intp)
 
 
 def isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
@@ -116,50 +122,106 @@ def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     joins new vertex x to its parent, the trees numbered in preorder one base
     vertex after another.
 
-    A forest assignment, keyed (composition, shape indices) in loop order, is
-    kept only when no base automorphism maps it to a smaller key (the group
-    is closed under inverses, so the keys read at p[v] are all the images).
-    The base (the 2-core) is an isomorphism invariant, the bases are pairwise
+    A forest assignment, keyed (composition, shape indices), is kept only
+    when no base automorphism maps it to a smaller key (the group is closed
+    under inverses, so the keys read at p[v] are all the images).  The base
+    (the 2-core) is an isomorphism invariant, the bases are pairwise
     non-isomorphic and rooted-tree shapes are canonical, so no two classes
     are isomorphic.
+
+    A block is a run of (base, composition) in key order, cut at each
+    BLOCK_BUDGET of cost.  It drops each composition that one of its images
+    undercuts, and expands the others' shape-index grids in C order, last
+    index fastest, which is lexicographic order, so the keys ascend.  Only
+    the shapes of a composition that some automorphism fixes are compared
+    again, under those automorphisms.
     """
-    flat, kinds = [], []
-    for head, base in bicyclic_bases(n):
-        group, kind = _base_symmetry(base), head[0]
-        moves = [itemgetter(*p) for p in group[1:]]  # group[0] is the identity
-        edges = tuple(itertools.chain.from_iterable(sorted(base.edges)))
-        for comp in _weak_compositions(n - base.n, base.n):
-            stabiliser = []
-            for move in moves:
-                image = move(comp)
-                if image < comp:
-                    break
-                if image == comp:
-                    stabiliser.append(move)
+    bases = bicyclic_bases(n)
+    order, kinds = (np.array(col, np.intp) for col in zip(*[(b.n, h[0]) for h, b in bases]))
+    moves = np.array([len(_base_symmetry(b)) - 1 for _, b in bases])  # [0] is the identity
+    start = np.cumsum(moves) - moves
+    perms = np.array([p + tuple(range(len(p), n)) for _, b in bases  # identity past the base
+                      for p in _base_symmetry(b)[1:]], np.intp).reshape(-1, n)
+    # each base's edges, then row x + 1 ends at new vertex x
+    templates = np.array([sorted(b.edges) + [(0, x) for x in range(b.n, n)] for _, b in bases],
+                         np.int16)
+    radices = np.array([len(rooted_trees(size)) for size in range(n - 2)])
+    tables = [_parent_table(c + 1).ravel() for c in range(n - 3)]
+    parents, table_at = np.concatenate(tables), np.cumsum([0] + list(map(len, tables)))
+    comps = {b: np.zeros((math.comb(n - 1, b - 1), n), np.int8) for b in set(order.tolist())}
+    for b, comp in comps.items():
+        comp[:, :b] = _weak_compositions(n - b, b)
+    cum = {b: np.cumsum(np.r_[0, radices[comp + 1].prod(1)]) for b, comp in comps.items()}
+
+    def pieces() -> Iterator[tuple[float, int, int, int]]:
+        """(block, base, first, end): composition ranges and their blocks."""
+        done = 0.0
+        for i, b in enumerate(order.tolist()):
+            g, k = moves[i] + 1, len(comps[b])
+            if (done + cum[b][-2] / g + k - 1) // BLOCK_BUDGET == done // BLOCK_BUDGET:
+                yield done // BLOCK_BUDGET, i, 0, k  # the base fits in the current block
             else:
-                trees = [_hung_trees(v, c + 1, offset) for v, (c, offset)
-                         in enumerate(zip(comp, itertools.accumulate(comp, initial=base.n)))]
-                for idx in itertools.product(*(range(len(shapes)) for shapes in trees)):
-                    if all(move(idx) >= idx for move in stabiliser):
-                        flat += edges
-                        flat += itertools.chain.from_iterable(map(getitem, trees, idx))
-                        kinds.append(kind)
-                        if len(kinds) == CLASS_CHUNK:
-                            yield (np.array(flat, np.int16).reshape(-1, n + 1, 2),
-                                   np.array(kinds, np.intp))
-                            flat, kinds = [], []
-    if kinds:
-        yield np.array(flat, np.int16).reshape(-1, n + 1, 2), np.array(kinds, np.intp)
+                ids = (done + cum[b][:-1] / g + np.arange(k)) // BLOCK_BUDGET
+                cuts = [0, *(np.flatnonzero(np.diff(ids)) + 1).tolist(), k]
+                yield from ((ids[lo], i, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+            done += cum[b][-1] / g + k
+
+    rows, kind = templates[:0], kinds[:0]
+    for _, block in itertools.groupby(pieces(), itemgetter(0)):
+        block = list(block)
+        width = max(order[i] for _, i, _, _ in block)  # the block's largest base
+        comp = np.concatenate([comps[order[i]][lo:hi, :width] for _, i, lo, hi in block])
+        base = np.repeat(*zip(*[(i, hi - lo) for _, i, lo, hi in block]))
+        keep, fixed = _undercut(comp, start[base], moves[base], perms[:, :width])
+        # span[:, v]: a kept composition's assignments to vertices v..; by rank in C order
+        span = np.cumprod(np.column_stack([keep, radices[comp[:, ::-1] + 1]]), 1)[:, ::-1]
+        cls, rank = _ranges(0, span[:, 0])
+        shape = rank[:, None] % span[cls, :-1] // span[cls, 1:]
+        # again on the shape indices, under the automorphisms that fix the composition
+        fixes = np.bincount(fixed[0], minlength=len(comp))
+        good, _ = _undercut(shape, (np.cumsum(fixes) - fixes)[cls], fixes[cls],
+                            perms[fixed[1], :width])
+        comp, base, shape = comp[cls[good]], base[cls[good]], shape[good]
+        # a hung tree's table row: its root is v, its other vertices count from vertex[:, v]
+        vertex = order[base][:, None] + np.cumsum(comp, 1) - comp
+        cell, at = _ranges((table_at[comp] + shape * comp).ravel(), comp.ravel())
+        local, new = parents[at], templates[base]
+        new[:, :, 0][np.arange(n + 1) > order[base][:, None]] = np.where(
+            local == 0, cell % width, vertex.ravel()[cell] + local - 1)
+        cuts = range(CLASS_CHUNK, len(kind) + len(base), CLASS_CHUNK)
+        *chunks, (rows, kind) = zip(np.split(np.concatenate([rows, new]), cuts),
+                                    np.split(np.concatenate([kind, kinds[base]]), cuts))
+        yield from chunks
+    if len(kind):
+        yield rows, kind
 
 
-def _weak_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    """Tuples of `parts` non-negative ints summing to total, in lexicographic
+def _ranges(first, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, i) for each i of the ranges [first[k], first[k] + count[k]), by k."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) + np.repeat(first - np.cumsum(count) + count, count)
+
+
+def _undercut(keys: np.ndarray, first: np.ndarray, count: np.ndarray, perms: np.ndarray):
+    """(keep, (row, move)): keep[k] unless some keys[k] permuted by a move of
+    perms[first[k]:first[k] + count[k]] is lexicographically smaller; and the
+    (row, move) pairs that leave keys[row] unchanged."""
+    row, move = _ranges(first, count)
+    diff = keys[row[:, None], perms[move]] - keys[row]
+    sign = diff[np.arange(len(diff)), (diff != 0).argmax(1)]
+    same = sign == 0
+    return np.bincount(row[sign < 0], minlength=len(keys)) == 0, (row[same], move[same])
+
+
+def _weak_compositions(total: int, parts: int) -> np.ndarray:
+    """Rows of `parts` non-negative ints summing to total, in lexicographic
     order: stars and bars, as the ascending parts - 1 bar slots run in order."""
     if parts == 0:
-        return iter([()] if total == 0 else [])
+        return np.zeros((int(total == 0), 0), np.intp)
     slots = total + parts - 1
-    return (tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
-            for bars in itertools.combinations(range(slots), parts - 1))
+    bars = itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1))
+    bars = np.fromiter(bars, np.intp).reshape(math.comb(slots, parts - 1), parts - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,11 @@ def sturm_sequence(p: Polynomial) -> list[tuple[int, ...]]:
     integer pseudo-remainders, it equals the Euclidean sequence over Fraction.
     p's own sequence ends in gcd(p, p') up to a constant factor; p divided by
     it exactly, with p's leading sign, is the square-free part."""
-    seq = _sturm(_integer_coeffs(p))
+    return _squarefree_sturm(_integer_coeffs(p))
+
+
+def _squarefree_sturm(ints: tuple[int, ...]) -> list[tuple[int, ...]]:
+    seq = _sturm(ints)
     if len(seq[-1]) > 1:
         quot = _pseudo_divide(seq[0], seq[-1])[0]
         seq = _sturm(tuple(c if seq[-1][0] > 0 else -c for c in quot))
@@ -371,7 +375,7 @@ def max_real_root(p: Polynomial, lo=None, hi=None) -> float:
     a, b, d = (-b, b, d) if lo is None and hi is None else _bracket(
         Fraction(-b, d) if lo is None else lo, Fraction(b, d) if hi is None else hi)
     # halve towards the upper half while it holds a root, then refine the top root alone
-    seq = sturm_sequence(p)
+    seq = _squarefree_sturm(ints)
     q = seq[0]
     v_b = _variations_at(seq, b, d)
     # the certified seed, else the whole bracket, with k its roots in (a/d, b/d]

@@ -6,6 +6,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from operator import getitem, itemgetter
 
 import networkx as nx
 import numpy as np
@@ -17,7 +18,8 @@ from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, Pol
                               canonical_form, check_pstar, enumerate_bicyclic, evaluate,
                               evaluate_exact, graph_g1, graph_g2, spectral_radii,
                               targeted_max_degree_family)
-from bicyclic_spectra.enumeration import bicyclic_bases, _weak_compositions
+from bicyclic_spectra import enumeration
+from bicyclic_spectra.enumeration import _base_symmetry, bicyclic_bases, rooted_trees
 from bicyclic_spectra.graphs import edge_masks, graph_rows, refine_partition, rows_graph
 from bicyclic_spectra.verify import PENDANT_SHIFT_FRACTION
 from bicyclic_spectra.weights import WeightSpecError, _eval_custom, _evaluate_generic, _pow
@@ -195,7 +197,7 @@ def reference_enumerate_constructive(n: int) -> dict[bytes, Graph]:
 
     found: dict[bytes, Graph] = {}
     for _, base in bicyclic_bases(n):
-        for comp in _weak_compositions(n - base.n, base.n):
+        for comp in reference_weak_compositions(n - base.n, base.n):
             for combo in itertools.product(*(reference_rooted_trees(c + 1) for c in comp)):
                 g = base
                 for v, shape in enumerate(combo):
@@ -223,7 +225,7 @@ def reference_orderly_classes(n: int):
     built by reference_forest_graph from its orderly key, in key order."""
     for _, base in bicyclic_bases(n):
         group, kind = reference_isomorphisms(base, base), base_graph(base).kind
-        for comp in _weak_compositions(n - base.n, base.n):
+        for comp in reference_weak_compositions(n - base.n, base.n):
             stabiliser = []
             for p in group:
                 image = tuple(comp[i] for i in p)
@@ -237,6 +239,51 @@ def reference_orderly_classes(n: int):
                     if all(tuple(idx[i] for i in p) >= idx for p in stabiliser):
                         forest = tuple(shapes[i] for shapes, i in zip(shape_lists, idx))
                         yield reference_forest_graph(base, forest), kind
+
+
+@lru_cache(maxsize=None)
+def reference_hung_trees(v: int, size: int, offset: int) -> tuple[tuple[int, ...], ...]:
+    """Each shape of rooted_trees(size) hung at v, its other vertices numbered
+    from offset in preorder: the edges (parent, child) to them, flattened."""
+    def walk(shape, parent: int, out: list[int]) -> list[int]:
+        for child in shape:
+            out += (parent, offset + len(out) // 2)
+            walk(child, out[-1], out)
+        return out
+
+    return tuple(tuple(walk(shape, v, [])) for shape in rooted_trees(size))
+
+
+def reference_orderly_rows(n: int):
+    """The generator's earlier per-class loop, one Python step per class, with
+    the package's current CLASS_CHUNK: the same chunks as orderly_rows(n)."""
+    flat, kinds = [], []
+    for head, base in bicyclic_bases(n):
+        group, kind = _base_symmetry(base), head[0]
+        moves = [itemgetter(*p) for p in group[1:]]  # group[0] is the identity
+        edges = tuple(itertools.chain.from_iterable(sorted(base.edges)))
+        for comp in reference_weak_compositions(n - base.n, base.n):
+            stabiliser = []
+            for move in moves:
+                image = move(comp)
+                if image < comp:
+                    break
+                if image == comp:
+                    stabiliser.append(move)
+            else:
+                trees = [reference_hung_trees(v, c + 1, offset) for v, (c, offset)
+                         in enumerate(zip(comp, itertools.accumulate(comp, initial=base.n)))]
+                for idx in itertools.product(*(range(len(shapes)) for shapes in trees)):
+                    if all(move(idx) >= idx for move in stabiliser):
+                        flat += edges
+                        flat += itertools.chain.from_iterable(map(getitem, trees, idx))
+                        kinds.append(kind)
+                        if len(kinds) == enumeration.CLASS_CHUNK:
+                            yield (np.array(flat, np.int16).reshape(-1, n + 1, 2),
+                                   np.array(kinds, np.intp))
+                            flat, kinds = [], []
+    if kinds:
+        yield np.array(flat, np.int16).reshape(-1, n + 1, 2), np.array(kinds, np.intp)
 
 
 def reference_isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:

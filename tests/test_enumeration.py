@@ -28,7 +28,8 @@ from conftest import (GOLDEN_COUNTS, brute_force_bicyclic_classes, burnside_clas
                       class_graphs, edge_subset_classes, graph_from_certificate,
                       reference_canonical_form, reference_enumerate_constructive,
                       reference_forest_graph, reference_isomorphisms, reference_orderly_classes,
-                      reference_rooted_trees, reference_weak_compositions, to_networkx)
+                      reference_orderly_rows, reference_rooted_trees, reference_weak_compositions,
+                      to_networkx)
 
 KINDS = ("infinity", "theta")  # base_graph's name of each class-key head kind
 
@@ -240,6 +241,20 @@ class TestOrderlyRows:
                 assert r[b + 1:, 1].tolist() == list(range(b, n))
                 assert (r[b + 1:, 0] < r[b + 1:, 1]).all()
 
+    @pytest.mark.parametrize("budget", [None, 3])
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_same_chunks_as_the_per_class_loop(self, n, budget, monkeypatch):
+        # rows, kinds, dtypes and chunk boundaries; a budget of 3 cuts a block
+        # every few compositions, so every large base is split
+        if budget is not None:
+            monkeypatch.setattr(enumeration, "BLOCK_BUDGET", budget)
+        chunks, ref = list(enumeration.orderly_rows(n)), list(reference_orderly_rows(n))
+        assert len(chunks) == len(ref)
+        for (rows, kinds), (ref_rows, ref_kinds) in zip(chunks, ref):
+            assert rows.dtype == ref_rows.dtype == np.int16 and kinds.dtype == np.intp
+            assert rows.shape == ref_rows.shape and np.array_equal(rows, ref_rows)
+            assert np.array_equal(kinds, ref_kinds)
+
     def test_classes_are_graphs_of_the_rows(self):
         for n in range(4, 9):
             stream = [(g, kind) for rows, kinds in enumeration.orderly_rows(n)
@@ -252,7 +267,9 @@ class TestWeakCompositions:
         # the orderly key reads compositions in this (lexicographic) order
         for total in range(9):
             for parts in range(7):
-                assert (list(enumeration._weak_compositions(total, parts))
+                comps = enumeration._weak_compositions(total, parts)
+                assert comps.shape[1:] == (parts,)
+                assert (list(map(tuple, comps.tolist()))
                         == list(reference_weak_compositions(total, parts)))
 
 

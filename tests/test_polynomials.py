@@ -372,11 +372,12 @@ def primitive_ints(q: Polynomial) -> tuple[int, ...]:
 
 
 def sturm_used_by_max_real_root(p: Polynomial) -> list:
-    """The Sturm sequence max_real_root isolates p's largest root with."""
+    """The Sturm sequence max_real_root isolates p's largest root with: what
+    the private entry that sturm_sequence shares returns to it."""
     seen = []
-    inner = polynomials.sturm_sequence
+    inner = polynomials._squarefree_sturm
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polynomials, "sturm_sequence", lambda q: seen.append(inner(q)) or seen[-1])
+        mp.setattr(polynomials, "_squarefree_sturm", lambda q: seen.append(inner(q)) or seen[-1])
         try:
             max_real_root(p)
         except PolynomialError:  # no real root; the sequence was built first
