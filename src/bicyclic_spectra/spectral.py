@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph, graph_rows, union_edges
-from .weights import WeightFunction, evaluate
+from .weights import WeightFunction, WeightSpecError, evaluate
 
 
 class SpectralError(RuntimeError):
@@ -117,11 +117,14 @@ BRACKET_MARGIN = 1e-9  # relative widening of both bracket ends
 BRACKET_FLOOR = 2.0 ** -900  # least |a_uv| * min(x)**2 a bracket is certified at
 
 
-def radius_brackets(rows: np.ndarray, f: WeightFunction, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) with lo[i] <= spectral_radii(rows, f, n)[i] <= hi[i] for the
-    graphs G_i of order n with edges rows[i], without an eigensolve; a graph
-    it cannot certify gets (-inf, inf).  A = A_f(G_i) is applied edge by edge
-    (one bincount per step for all the graphs), so no dense stack is built.
+def radius_brackets(e: np.ndarray, f: WeightFunction, n: int,
+                    count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo[i] <= rho(A_f(G_i)), as spectral_radii gives it, <= hi[i]
+    for `count` graphs G_i of order n and any sizes, without an eigensolve;
+    e holds their edges as union_edges numbers them (vertex v of G_i is
+    i * n + v).  A is applied edge by edge, one bincount per step for all
+    the graphs; vertex values sit in an (n, count) array, a graph's column,
+    and edge sums reduce by the graph index e[:, 0] // n.
 
     x > 0 comes from BRACKET_STEPS steps x <- (|A| + cI) x from x = 1, with
     c = BRACKET_SHIFT times the largest row sum R of |A| (the shift damps
@@ -134,40 +137,39 @@ def radius_brackets(rows: np.ndarray, f: WeightFunction, n: int) -> tuple[np.nda
       lo = |x'Ax| / x'x (Rayleigh).  A is real symmetric, so x'Ax / x'x lies
         between its least and largest eigenvalue, both at most rho in size.
     Rounding: with every nonzero |a_uv| x_v and |a_uv| x_u x_v at least
-    BRACKET_FLOOR (a normal float), each sum errs by at most about n u
-    times the sum of its terms' sizes, u = 2**-53, so hi errs by n u hi and
-    |x'Ax| / x'x by n u x'|A|x / x'x <= n u hi.  Widening hi by
-    BRACKET_MARGIN * hi and lo by BRACKET_MARGIN times the widened hi covers
-    that and the eigensolver's own error, a small multiple of
-    n u ||A||_2 = n u rho.  A graph with a non-finite end, or with least
-    nonzero |a_uv| times min(x)**2 below the floor (an x with a zero entry
-    included), is left open.
+    BRACKET_FLOOR (a normal float), a sum of k terms errs by at most about
+    k u times the sum of its terms' sizes, u = 2**-53: hi by n u hi, and
+    |x'Ax| / x'x (m < n**2 / 2 edge terms) by n**2 u x'|A|x / x'x <= n**2 u
+    hi.  Widening hi by BRACKET_MARGIN * hi and lo by BRACKET_MARGIN times
+    the widened hi covers that while n**2 u <= BRACKET_MARGIN / 2, with the
+    eigensolver's own error, a small multiple of n u ||A||_2 = n u rho.
+    Left open as (-inf, inf): a graph with a non-finite end or with least
+    nonzero |a_uv| times min(x)**2 below the floor (a zero in x included),
+    past that n, or in a batch with a weight that evaluate cannot give.
     """
-    count = len(rows)
-    if not count:
-        return np.zeros(0), np.zeros(0)
-    e = union_edges(rows, n)
-    w = _edge_weights(e, [f], n)[0]
-    size, ends, starts = count * n, e[:, ::-1].ravel(), e.ravel()
-    pos = np.repeat(np.abs(w), 2)  # |a_uv| for u = ends, v = starts
-    wabs = np.abs(w).reshape(count, -1)
-    least = wabs.min(axis=1, where=wabs > 0, initial=np.inf)  # least nonzero |a_uv|
+    try:
+        w = _edge_weights(e, [f], n)[0]
+    except WeightSpecError:  # the eigensolve of an open graph raises it
+        return np.full(count, -np.inf), np.full(count, np.inf)
+    graph, at = e[:, 0] // n, e % n * count + e // n  # at: vertex v of G_i is v * count + i
+    ends, starts, pos = at[:, ::-1].ravel(), at.ravel(), np.repeat(np.abs(w), 2)
+    least = np.full(count, np.inf)  # least nonzero |a_uv|
+    np.minimum.at(least, graph[w != 0], np.abs(w[w != 0]))
 
-    def per_graph(v: np.ndarray) -> np.ndarray:
-        return v.reshape(count, -1)
+    def times_abs(x: np.ndarray) -> np.ndarray:  # |A|x, x of shape (n, count)
+        return np.bincount(ends, pos * x.ravel()[starts], n * count).reshape(n, count)
 
-    c = np.repeat(BRACKET_SHIFT * per_graph(np.bincount(ends, pos, size)).max(axis=1), n)
-    x = np.ones(size)
+    x = np.ones((n, count))
+    c = BRACKET_SHIFT * times_abs(x).max(axis=0)
     with np.errstate(all="ignore"):  # an all-zero or overflowing A leaves nan: open
         for _ in range(BRACKET_STEPS):
-            x = np.bincount(ends, pos * x[starts], size) + c * x
-            x /= np.repeat(per_graph(x).max(axis=1), n)
-        y = np.bincount(ends, pos * x[starts], size)  # |A|x
-        hi = per_graph(y / x).max(axis=1) * (1 + BRACKET_MARGIN)
-        lo = (np.abs(2 * per_graph(w * x[e[:, 0]] * x[e[:, 1]]).sum(axis=1))
-              / per_graph(x * x).sum(axis=1) - BRACKET_MARGIN * hi)
-        ok = (np.isfinite(hi) & np.isfinite(lo)
-              & (least * per_graph(x).min(axis=1) ** 2 >= BRACKET_FLOOR))
+            x = times_abs(x) + c * x
+            x /= x.max(axis=0)
+        hi = (times_abs(x) / x).max(axis=0) * (1 + BRACKET_MARGIN)
+        lo = (np.abs(2 * np.bincount(graph, w * x.ravel()[at[:, 0]] * x.ravel()[at[:, 1]], count))
+              / (x * x).sum(axis=0) - BRACKET_MARGIN * hi)
+        ok = (np.isfinite(hi) & np.isfinite(lo) & (n * n <= BRACKET_MARGIN * 2.0 ** 52)
+              & (least * x.min(axis=0) ** 2 >= BRACKET_FLOOR))
     return np.where(ok, lo, -np.inf), np.where(ok, hi, np.inf)
 
 

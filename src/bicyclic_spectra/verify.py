@@ -33,7 +33,7 @@ from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # no
                           max_degree_rows, orderly_rows, targeted_max_degree_family)
 # base_graph, kelmans and pendant_shift stay importable here: perfbench/layers.py wraps them
 from .graphs import (FAMILIES, Graph, base_graph, edge_masks, graph_g1, graph_g2,  # noqa: F401
-                     graph_rows, mask_edges, rows_graph)
+                     graph_rows, mask_edges, rows_graph, union_edges)
 from .spectral import edge_bounds, radius_brackets, rho_f, spectral_radii
 from .transforms import kelmans, move_stack, pendant_shift, reroute_stack, shift_masks  # noqa: F401
 from .weights import WeightFunction, check_pstar, parse_weight
@@ -614,17 +614,16 @@ def _skip_words(rng: random.Random, words: int) -> None:
         rng.getrandbits(32 * min(SKIP_WORDS, words - start))
 
 
-def _stack_words(adj: np.ndarray) -> list[int]:
-    """The _edge_word of each matrix of a bool adjacency stack (S, n, n)."""
+def _packed_rows(adj: np.ndarray) -> np.ndarray:
+    """Packed edge rows (S, B) of a bool adjacency stack (S, n, n): bit i, little-endian,
+    of row s is set iff pair i of _vertex_pairs(n) is an edge of graph s."""
     iu, ju = _pair_ends(adj.shape[1])
-    packed = np.packbits(adj[:, iu, ju], axis=1, bitorder="little")
-    raw, size = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
+    return np.packbits(adj[:, iu, ju], axis=1, bitorder="little")
 
 
 def _reroute_round(rng: random.Random, orders: Sequence[int], count: int, need: int):
     """One round of _reroute_pairs: the class-changing reroutes among `count`
-    drawn samples, up to the need-th, as (pairs, disconnected, drawn).
+    drawn samples, up to the need-th, as (blocks, disconnected, drawn).
 
     rng ends just after the last sample the round keeps: one that draws past
     the need-th change rewinds to the generator state it started from and
@@ -643,107 +642,114 @@ def _reroute_round(rng: random.Random, orders: Sequence[int], count: int, need: 
     if drawn < count:
         rng.setstate(state)
         _skip_words(rng, ends[drawn - 1])
-    pairs: list[tuple[int, int, int]] = []
-    disconnected = 0
+    blocks, disconnected = [], 0
     for n, (changed, adj, private, u, v, isolates), k in zip(orders, kept, counts):
         j = np.count_nonzero(changed[:k])  # the changes drawn before the round ends
         before = adj[:j]
         after = move_stack(before, private[:j], u[:j], v[:j])
-        pairs += zip(itertools.repeat(n), _stack_words(after), _stack_words(before))
+        blocks.append((n, _packed_rows(after), _packed_rows(before)))
         disconnected += int(isolates[:j].sum())  # the drawn graph is connected
-    return pairs, disconnected, drawn
+    return blocks, disconnected, drawn
 
 
 def _reroute_pairs(rng: random.Random, orders: Sequence[int], samples: int):
-    """The reroutes of verify_kelmans: (pairs, skipped, disconnected), pairs
-    holding (n, edge words after and before) of `samples` class-changing
-    reroutes, drawn in rounds of _reroute_round.  rng ends as the scalar loop
-    leaves it, just after the sample that brings the `samples`-th change.
+    """The reroutes of verify_kelmans: (blocks, skipped, disconnected), blocks
+    holding (n, packed rows after, packed rows before) of `samples` in all,
+    drawn in rounds of _reroute_round.  rng ends as the scalar loop leaves
+    it, just after the sample that brings the `samples`-th change.
 
     The first round draws as many samples as changes are missing, and so
     never past that sample; later ones draw a tenth more, plus 8, than the
     change rate seen so far expects.  Each round holds at most
     STACK_BYTES // max(orders)**2 samples."""
-    pairs: list[tuple[int, int, int]] = []
-    disconnected = drawn = 0
+    blocks, found, disconnected, drawn = [], 0, 0, 0
     limit = 1000 * samples  # identity applications don't count
     cap = max(1, STACK_BYTES // max(orders) ** 2)
-    while len(pairs) < samples:
+    while found < samples:
         if drawn >= limit:
             raise RuntimeError("kelmans campaign: too few class-changing samples")
-        need = samples - len(pairs)
-        count = need if not pairs else need * drawn // len(pairs) * 11 // 10 + 8
-        found, isolating, used = _reroute_round(rng, orders, min(count, cap, limit - drawn), need)
-        pairs += found
+        need = samples - found
+        count = need if not found else need * drawn // found * 11 // 10 + 8
+        more, isolating, used = _reroute_round(rng, orders, min(count, cap, limit - drawn), need)
+        blocks += more
+        found += sum(len(after) for _, after, _ in more)
         disconnected += isolating
         drawn += used
-    return pairs, drawn - len(pairs), disconnected
-
-
-def _edge_word(masks: list[int]) -> int:
-    """The edge word of masks: bit i is set iff pair i of _vertex_pairs(len(masks)) is an edge."""
-    word, n = 0, len(masks)
-    for u in range(n - 1, -1, -1):  # the pairs (u, v > u) follow those of u - 1
-        word = word << n - 1 - u | masks[u] >> u + 1
-    return word
-
-
-def _word_rows(words: Sequence[int], n: int, m: int) -> np.ndarray:
-    """Edge rows (C, m, 2), as spectral_radii takes them, of the graphs of
-    order n and size m with edge words `words`, each row's edges ascending."""
-    size = (n * (n - 1) // 2 + 7) // 8
-    raw = np.frombuffer(b"".join(w.to_bytes(size, "little") for w in words), np.uint8)
-    bits = np.unpackbits(raw.reshape(len(words), size), axis=1, bitorder="little")
-    return _pair_ends(n).T[np.nonzero(bits)[1]].reshape(-1, m, 2)
+    return blocks, drawn - found, disconnected
 
 
 @lru_cache(maxsize=None)  # at most 30 shapes; common == 0 forces edge_uv
-def _pendant_shift_words(common: int, edge_uv: bool, a: int, b: int) -> tuple[int, int, int]:
-    """(n, edge words after and before) of shift_masks(masks, 1, 0, 2 + common), where u = 0
+def _pendant_shift_rows(common: int, edge_uv: bool, a: int, b: int):
+    """(n, packed rows after and before) of shift_masks(masks, 1, 0, 2 + common), where u = 0
     and v = 1 share `common` neighbours, hold b and a <= b pendants and are adjacent iff edge_uv."""
     n = 2 + common + a + b
     edges = [(0, 1)] * edge_uv + [(x, c) for c in range(2, 2 + common) for x in (0, 1)]
     masks = edge_masks(n, edges + [(0 if c >= n - b else 1, c) for c in range(2 + common, n)])
-    return n, _edge_word(shift_masks(masks, 1, 0, 2 + common)), _edge_word(masks)
+    adj = [[[m[x] >> y & 1 for y in range(n)] for x in range(n)]
+           for m in (shift_masks(masks, 1, 0, 2 + common), masks)]
+    return n, *_packed_rows(np.array(adj, bool))[:, None]
 
 
 PENDANT_SHIFT_FRACTION = 0.25  # pendant shifts per class-changing reroute in verify_kelmans
+BRACKET_CHUNK = 256  # graphs per bracket call of _certified_deltas; 512 costs 0.3 MB RSS, no time
 
 
-def _certified_deltas(pairs: Sequence[tuple[int, int, int]], f: WeightFunction,
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, inverse) of packed rows, rows == distinct[inverse]: the rows sorted as
+    64-bit words, then compared with their neighbours (np.unique imports numpy.ma)."""
+    words = np.zeros((len(rows), -(-rows.shape[1] // 8)), np.uint64)
+    words.view(np.uint8)[:, :rows.shape[1]] = rows
+    order = np.lexsort(words.T)
+    new = np.concatenate([[True], (words[order[1:]] != words[order[:-1]]).any(axis=1)])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return rows[order[new]], inverse
+
+
+def _row_edges(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(graph, edges) of packed rows of order n, by graph: edge k, u < v, is of graph graph[k]."""
+    graph, pair = np.nonzero(np.unpackbits(rows, axis=1, count=n * (n - 1) // 2, bitorder="little"))
+    return graph, _pair_ends(n).T[pair]
+
+
+def _certified_deltas(blocks: Sequence[tuple[int, np.ndarray, np.ndarray]], f: WeightFunction,
                       slack: float) -> np.ndarray:
-    """rho(after) - rho(before) under f of the pairs (n, after word, before
-    word) that the brackets leave open, +inf for the others, one (n, m)
-    group at a time: one radius_brackets call on the group's distinct
-    graphs, then one spectral_radii call on the open pairs' graphs.
+    """rho(after) - rho(before) under f of the pairs of blocks (n, packed rows
+    after, packed rows before), in block order, where the brackets leave the
+    pair open, +inf elsewhere: radius_brackets on each order's distinct
+    graphs, BRACKET_CHUNK a call, then spectral_radii on the open pairs'
+    graphs, one call per (n, m), ascending.
 
-    A pair's delta lies in [lo_a - hi_b, hi_a - lo_b], also after rounding,
-    which is monotone.  A pair stays open if its lower end is <= -slack, or
-    <= the least upper end of the groups so far.  A certified pair is thus
-    no violation, and it is above the delta of the pair with that upper
-    end, so it is not the least delta either.  A batched eigh gives each
-    matrix the same rho in any batch, so the open deltas are the floats
+    A pair's delta lies in [lower, upper] = [lo_a - hi_b, hi_a - lo_b], also
+    after rounding, which is monotone.  It is certified when lower > -slack
+    and lower > least_hi, the least upper end over all pairs: so it is no
+    violation, and the pair with the least delta d is open, as its lower <=
+    d <= every pair's delta <= that pair's upper end.  A batched eigh gives
+    each matrix the same rho in any batch, so the open deltas are the floats
     that eigensolving every pair gives, bit for bit.
     """
-    deltas = np.full(len(pairs), np.inf)
-    least_hi = math.inf
-    keys = [(n, after.bit_count()) for n, after, _ in pairs]  # a move keeps n and m
-    for (n, m), members in itertools.groupby(sorted(range(len(pairs)), key=keys.__getitem__),
-                                             keys.__getitem__):
-        members, at = np.array(list(members)), {}
-        after, before = np.array([[at.setdefault(word, len(at)) for word in pairs[k][1:]]
-                                  for k in members.tolist()]).T
-        rows = _word_rows(list(at), n, m)
-        lo, hi = radius_brackets(rows, f, n)
-        lower = lo[after] - hi[before]
-        least_hi = min(least_hi, float((hi[after] - lo[before]).min()))
+    orders = np.repeat([n for n, _, _ in blocks], [len(after) for _, after, _ in blocks])
+    deltas, bracketed, least_hi = np.full(len(orders), np.inf), [], math.inf
+    for n in sorted(set(orders.tolist())):
+        mine = [block for block in blocks if block[0] == n]
+        rows, inverse = _distinct_rows(np.concatenate([b[1] for b in mine] + [b[2] for b in mine]))
+        lo, hi = np.empty((2, len(rows)))
+        for start in range(0, len(rows), BRACKET_CHUNK):  # one chunk's edges at a time
+            chunk = slice(start, start + BRACKET_CHUNK)
+            graph, edges = _row_edges(rows[chunk], n)
+            lo[chunk], hi[chunk] = radius_brackets(edges + n * graph[:, None], f, n, len(rows[chunk]))
+        after, before = inverse.reshape(2, -1)
+        least_hi = min(least_hi, (hi[after] - lo[before]).min())
+        bracketed.append((np.flatnonzero(orders == n), n, rows, after, before, lo[after] - hi[before]))
+    for members, n, rows, after, before, lower in bracketed:
         keep = (lower <= -slack) | (lower <= least_hi)
-        if keep.any():
-            solve = np.zeros(len(at), bool)  # np.unique would import numpy.ma, 1.7 MB
-            solve[after[keep]] = solve[before[keep]] = True
-            rho = np.zeros(len(at))
-            rho[solve] = spectral_radii(rows[solve], f, n)
-            deltas[members[keep]] = rho[after[keep]] - rho[before[keep]]
+        solve = np.flatnonzero(np.bincount(np.r_[after[keep], before[keep]], minlength=len(rows)))
+        graph, edges = _row_edges(rows[solve], n)
+        sizes, rho = np.bincount(graph, minlength=len(solve)), np.zeros(len(rows))
+        for m in sorted(set(sizes.tolist())):
+            group = sizes == m
+            rho[solve[group]] = spectral_radii(edges[group[graph]].reshape(-1, m, 2), f, n)
+        deltas[members[keep]] = rho[after[keep]] - rho[before[keep]]
     return deltas
 
 
@@ -751,24 +757,18 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
                    rng_seed: int) -> VerificationReport:
     """Randomized monotonicity campaign for the two transforms.
 
-    Per weight, `samples` class-changing reroutes of drawn graphs, decided
-    exactly and moved by the stacked mask core (no certificate, no Graph),
-    then PENDANT_SHIFT_FRACTION * samples pendant shifts on the mask core.
-    The reroutes are drawn in rounds of two phases (_reroute_pairs): one
-    pass reads the draw values of every sample of the round, then numpy
-    decodes, reroutes and moves each order's samples as one stack.  They
-    read exactly the generator words that drawing the samples one by one
-    (random_masks, then u and v) reads, and the pendant shifts continue
-    from the word after the last change.
-    Each pair is checked for rho' > rho - 1e-9 (_certified_deltas): each
-    distinct labeled graph, keyed by its edge word, gets a certified
-    bracket of its rho, one (n, m) group after another, and only the
-    graphs of the pairs the brackets cannot decide are eigensolved, at
-    most once each, before the next group is built.  The violation counts
-    and worst_delta are the floats that eigensolving every graph gives.
-    So an eigensolver failure names the first order with an open pair on
-    a matrix LAPACK rejects.  n_range needs some n >= 4.  Weights without
-    P* run informatively: violations are recorded, not failed.
+    Per weight, `samples` class-changing reroutes of drawn graphs, drawn,
+    decided and moved as numpy stacks in rounds (_reroute_pairs) that read
+    the generator words drawing them one by one reads (no certificate, no
+    Graph), then PENDANT_SHIFT_FRACTION * samples pendant shifts.  Each
+    pair is checked for rho' > rho - 1e-9 (_certified_deltas), its graphs
+    packed edge rows (bit i set when the i-th vertex pair is an edge) up to
+    the eigensolver: certified brackets and one cut over all pairs leave
+    open only the pairs that could fail or hold worst_delta, and only their
+    graphs are eigensolved, so the report is the one that eigensolving
+    every graph gives, and an eigensolver failure names the first order
+    with an open pair.  n_range needs some n >= 4.  Weights without P* run
+    informatively: violations are recorded, not failed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -784,7 +784,7 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
     for f in fs:
         applicable = check_pstar(f, d_max=max(max(n_range) + 2, 8)).passes
         rng = random.Random(f"{rng_seed}/{f.label()}")
-        pairs, skipped, disconnected = _reroute_pairs(rng, orders, samples)
+        blocks, skipped, disconnected = _reroute_pairs(rng, orders, samples)
         bits = rng.getrandbits
         shifts = int(samples * PENDANT_SHIFT_FRACTION)
         # a shift always changes the class: d_v <= d_u become d_v - 1 and
@@ -793,16 +793,15 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
             common = _below(bits, 3)
             edge_uv = rng.random() < 0.7 or common == 0
             a = 1 + _below(bits, 2)  # pendants at v, the smaller bundle
-            pairs.append(_pendant_shift_words(common, edge_uv, a, a + _below(bits, 3)))
-        deltas = _certified_deltas(pairs, f, slack)
+            blocks.append(_pendant_shift_rows(common, edge_uv, a, a + _below(bits, 3)))
+        deltas = _certified_deltas(blocks, f, slack)
         failing = deltas <= -slack  # a certified pair's +inf never fails
-        violations = int(failing[:samples].sum())
-        shift_violations = int(failing[samples:].sum())
         report.cases.append(CaseRecord(
             case_id=f"kelmans/{f.label()}",
             inputs={"weight": f.label(), "samples": samples, "pendant_shifts": shifts,
                     "n_range": [min(n_range), max(n_range)], "seed": rng_seed},
-            computed={"violations": violations, "pendant_shift_violations": shift_violations,
+            computed={"violations": int(failing[:samples].sum()),
+                      "pendant_shift_violations": int(failing[samples:].sum()),
                       "worst_delta": float(deltas.min()), "skipped_isomorphic": skipped,
                       "disconnecting_applications": disconnected},
             expected={"violations": 0} if applicable else None,
@@ -823,13 +822,12 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
     """Inequality chain for the extended index on G1/G2 plus the
     degree-(n-2) family bound, over n in [12, 60].
 
-    The nine classes come as edge rows (max_degree_rows), with no Graph.
-    The family record reads only the largest rho of the nine classes, so
-    not every class is eigensolved.  radius_brackets gives each class i a
-    certified (lo_i, hi_i); top has the largest lo.  One spectral_radii call
-    per order solves G1, G2 and the classes with hi_i >= lo_top, top among
-    them.  A class left out cannot hold the largest rho:
-      rho_i <= hi_i < lo_top <= rho_top.
+    The nine classes come as edge rows (max_degree_rows), with no Graph,
+    and the family record reads only the largest rho of the nine.  One
+    radius_brackets call per order gives class i a certified (lo_i, hi_i);
+    top has the largest lo.  One spectral_radii call per order solves G1,
+    G2 and the classes with hi_i >= lo_top, top among them; a class left
+    out cannot hold the largest rho: rho_i <= hi_i < lo_top <= rho_top.
     An open class has (-inf, inf), so it is always solved.  A batched eigh
     gives each matrix the same rho in any batch, so max_rho_ex is the float
     that solving all nine gives, bit for bit.
@@ -841,7 +839,7 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
     report = VerificationReport("theorem41")
     for n in n_range:
         rows = max_degree_rows(n)
-        lo, hi = radius_brackets(rows, ext, n)
+        lo, hi = radius_brackets(union_edges(rows, n), ext, n, len(rows))
         chain = graph_rows([graph_g1(n), graph_g2(n)])
         rho1, rho2, *family = spectral_radii(
             np.concatenate([chain, rows[hi >= lo[np.argmax(lo)]]]), ext, n).tolist()

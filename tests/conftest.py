@@ -1013,6 +1013,29 @@ def reference_kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
     return TransformOutcome(Graph(g.n, frozenset(edges)), changed, tuple(moved), disconnects)
 
 
+def reference_edge_word(masks: list[int]) -> int:
+    """The edge word of neighbour masks, the campaign's earlier key of a
+    labeled graph: bit i is set iff pair i of combinations(range(n), 2) is an edge."""
+    word, n = 0, len(masks)
+    for u in range(n - 1, -1, -1):  # the pairs (u, v > u) follow those of u - 1
+        word = word << n - 1 - u | masks[u] >> u + 1
+    return word
+
+
+def packed_words(words, n: int) -> np.ndarray:
+    """The packed edge rows (C, B), as the kelmans campaign holds its graphs,
+    of the graphs of order n with edge words `words`."""
+    size = (n * (n - 1) // 2 + 7) // 8
+    return np.array([list(w.to_bytes(size, "little")) for w in words], np.uint8).reshape(-1, size)
+
+
+def block_words(blocks) -> list[tuple[int, int, int]]:
+    """(n, edge word after, edge word before) of every pair of the campaign's
+    blocks (n, packed rows after, packed rows before)."""
+    return [(n, int.from_bytes(a.tobytes(), "little"), int.from_bytes(b.tobytes(), "little"))
+            for n, after, before in blocks for a, b in zip(after, before)]
+
+
 def reference_reroute_draw(rng: random.Random, orders) -> tuple[int, Graph, int, int]:
     """One sample of reference_verify_kelmans's loop, (n, graph, u, v), drawn as
     it draws them."""

@@ -319,8 +319,21 @@ class TestRadiusBrackets:
 
     @staticmethod
     def check(rows, f, n):
-        lo, hi = spectral.radius_brackets(rows, f, n)
+        lo, hi = spectral.radius_brackets(union_edges(rows, n), f, n, len(rows))
         rho = spectral_radii(rows, f, n)
+        spare = spectral.BRACKET_MARGIN / 2 * rho
+        assert np.all(lo <= rho - spare) and np.all(rho + spare <= hi)
+        return lo, hi
+
+    @staticmethod
+    def check_mixed(graphs, f, n, rng):
+        """check on one batch of graphs of order n and any sizes, their
+        edges shuffled across the batch; each rho from its own eigensolve."""
+        e = np.array([(i * n + u, i * n + v) for i, g in enumerate(graphs) for u, v in g.edges],
+                     np.intp).reshape(-1, 2)
+        rng.shuffle(e)
+        lo, hi = spectral.radius_brackets(e, f, n, len(graphs))
+        rho = np.array([spectral_radii(graph_rows([g]), f, n)[0] for g in graphs])
         spare = spectral.BRACKET_MARGIN / 2 * rho
         assert np.all(lo <= rho - spare) and np.all(rho + spare <= hi)
         return lo, hi
@@ -343,23 +356,40 @@ class TestRadiusBrackets:
 
     def test_drawn_graphs_with_an_isolated_vertex(self):
         # a reroute that moves all of v's neighbours to u leaves v isolated:
-        # |A| is reducible, and the bracket still holds and is certified
+        # |A| is reducible, and the bracket still holds and is certified; the
+        # campaign's packed rows, of all sizes, in one batch per order
         fs = [parse_weight(w) for w in self.WEIGHTS]
         isolated = 0
         for seed in range(4):
-            pairs, _, _ = verify._reroute_pairs(random.Random(seed), [4, 5, 6, 7, 8, 12], 300)
-            groups = {}
-            for n, after, _ in pairs:
-                groups.setdefault((n, after.bit_count()), []).append(after)
-            for (n, m), words in groups.items():
-                rows = verify._word_rows(words, n, m)
-                degrees = np.bincount(union_edges(rows, n).ravel(), minlength=len(rows) * n)
-                rows = rows[(degrees.reshape(-1, n) == 0).any(axis=1)]
-                isolated += len(rows)
+            blocks, _, _ = verify._reroute_pairs(random.Random(seed), [4, 5, 6, 7, 8, 12], 300)
+            for n, after, _ in blocks:
+                graph, edges = verify._row_edges(after, n)
+                degrees = np.bincount((edges + n * graph[:, None]).ravel(), minlength=len(after) * n)
+                lonely = (degrees.reshape(-1, n) == 0).any(axis=1)
+                graph, edges = verify._row_edges(after[lonely], n)
+                isolated += int(lonely.sum())
+                graphs = [Graph(n, frozenset(map(tuple, edges[graph == i].tolist())))
+                          for i in range(int(lonely.sum()))]
                 for f in fs:
-                    lo, hi = self.check(rows, f, n)
+                    lo, hi = self.check_mixed(graphs, f, n, np.random.default_rng(seed))
                     assert np.isfinite(lo).all() and np.isfinite(hi).all()
         assert isolated > 100
+
+    def test_mixed_sizes_in_one_batch(self):
+        # every class at n = 7 and 8 shuffled with drawn graphs of other
+        # sizes, and drawn graphs at n = 17..20, one batch per order: the
+        # per-edge sums must reach their own graph's bracket
+        fs = [parse_weight(w) for w in self.WEIGHTS]
+        rng = random.Random(9)
+        for n in (7, 8, 17, 18, 19, 20):
+            graphs = [random_connected_graph(rng, n) for _ in range(60)]
+            if n <= 8:
+                graphs += [rows_graph(r) for rows, _ in enumeration.orderly_rows(n) for r in rows]
+            rng.shuffle(graphs)
+            assert len({g.m for g in graphs}) > 2
+            for f in fs:
+                lo, hi = self.check_mixed(graphs, f, n, np.random.default_rng(n))
+                assert np.isfinite(lo).all() and np.isfinite(hi).all()
 
     def test_signed_weights(self, monkeypatch):
         # with some degree pairs negated, hi bounds rho(|A|) >= rho(A) and lo
@@ -381,9 +411,23 @@ class TestRadiusBrackets:
         lo, hi = self.check(rows, parse_weight("custom:1e-200*(x+y)"), 8)
         assert np.isfinite(lo).all() and np.isfinite(hi).all()
 
+    def test_unevaluable_weights_stay_open(self):
+        # a weight beyond float range on an edge of the batch leaves the batch
+        # open; the eigensolve of an open graph raises it
+        f = parse_weight("exp_sum_connectivity:a=3")
+        star = Graph.from_edges(8, [(0, v) for v in range(1, 8)] + [(1, 2)])  # degrees (7, 2)
+        rows = graph_rows([cycle(8), star])
+        lo, hi = spectral.radius_brackets(union_edges(rows, 8), f, 8, 2)
+        assert (lo.tolist(), hi.tolist()) == ([-np.inf] * 2, [np.inf] * 2)
+        with pytest.raises(weights.WeightSpecError, match="overflows a float"):
+            spectral_radii(rows, f, 8)
+
     def test_edgeless_and_empty(self, weight_zagreb1):
         # A = 0 leaves x = 0 after a step: open
         lo, hi = self.check(graph_rows([Graph.from_edges(3, [])]), weight_zagreb1, 3)
         assert (lo.tolist(), hi.tolist()) == ([-np.inf], [np.inf])
-        lo, hi = spectral.radius_brackets(graph_rows([]), weight_zagreb1, 7)
+        lo, hi = spectral.radius_brackets(union_edges(graph_rows([]), 7), weight_zagreb1, 7, 0)
         assert lo.shape == hi.shape == (0,)
+        # a graph with no edge after one with edges: its row of the batch is all zero
+        lo, hi = spectral.radius_brackets(union_edges(graph_rows([cycle(3)]), 3), weight_zagreb1, 3, 2)
+        assert np.isfinite(lo[0]) and (lo[1], hi[1]) == (-np.inf, np.inf)

@@ -570,10 +570,11 @@ class TestKelmansCampaign:
                     out = conftest.reference_kelmans(g, u, v)
                     changes.append(out.changed)
                     if out.changed:
-                        words = (verify._edge_word(edge_masks(n, h.edges)) for h in (out.result, g))
+                        words = (conftest.reference_edge_word(edge_masks(n, h.edges))
+                                 for h in (out.result, g))
                         pairs.append((n, *words))
                         disconnected += out.disconnects
-                assert (sorted(got[0]), *got[1:]) == (
+                assert (sorted(conftest.block_words(got[0])), *got[1:]) == (
                     sorted(pairs), changes.count(False), disconnected)
                 assert rng.getstate() == ref.getstate()
                 end = 0
@@ -604,10 +605,13 @@ class TestKelmansCampaign:
             distinct.update(graphs(rows, n))
             return spectral_radii(rows, f, n)
 
-        def bracketing(rows, f, n):
-            bracketed.extend(graphs(rows, n))
-            calls.append(("bracket", n, rows.shape[1]))
-            return radius_brackets(rows, f, n)
+        def bracketing(e, f, n, count):
+            edges = [set() for _ in range(count)]
+            for u, v in e.tolist():
+                edges[u // n].add((u % n, v % n))
+            bracketed.extend((n, frozenset(edges_i)) for edges_i in edges)
+            calls.append(("bracket", n, count))
+            return radius_brackets(e, f, n, count)
 
         def counting(rows, f, n):
             solved.extend(graphs(rows, n))
@@ -624,30 +628,62 @@ class TestKelmansCampaign:
         assert got == want
         assert len(bracketed) == len(set(bracketed)) == len(distinct) == 3692
         assert set(bracketed) == distinct
-        assert len(solved) == len(set(solved)) == 61
-        # one bracket call per (order, size) group, and at most one eigensolve
-        # call, right after its group's bracket
-        groups = [call[1:] for call in calls if call[0] == "bracket"]
-        assert len(groups) == len(set(groups)) == len({(n, len(edges)) for n, edges in distinct})
-        for before, call in zip(calls, calls[1:]):
-            if call[0] == "solve":
-                assert before == ("bracket", *call[1:])
+        assert len(solved) == len(set(solved)) == 20
+        # every order is bracketed, in batches of at most BRACKET_CHUNK graphs,
+        # before the first eigensolve; then one eigensolve call per (order,
+        # size) group with an open pair, ascending
+        brackets = [call for call in calls if call[0] == "bracket"]
+        assert calls[:len(brackets)] == brackets
+        per_order = {}
+        for _, n, count in brackets:
+            assert count <= verify.BRACKET_CHUNK
+            per_order[n] = per_order.get(n, 0) + count
+        assert sum(per_order.values()) == 3692 and list(per_order) == sorted(per_order)
+        assert len(brackets) == sum(-(-count // verify.BRACKET_CHUNK) for count in per_order.values())
+        solves = [call[1:] for call in calls[len(brackets):]]
+        assert solves == sorted(set(solves)) and len(solves) == 4
 
     def test_pairs_at_the_thresholds_stay_open(self, monkeypatch):
-        # exact brackets (lo = hi = rho) in one group: a pair whose lower end
-        # is -slack, or the least upper end, is solved; a pair above both is not
-        n = 4
-        rho = {0b000111: 1.0, 0b001011: 1.5, 0b001101: 3.0, 0b010011: 2.0}
+        # exact brackets (lo = hi = rho): a pair whose lower end is -slack, or
+        # the least upper end, is solved; a pair above both is not
+        rho = {(4, 0b000111): 1.0, (4, 0b001011): 1.5, (4, 0b001101): 3.0, (4, 0b010011): 2.0}
+        self.bracket_by_word(monkeypatch, {key: (value, value) for key, value in rho.items()})
+        blocks = [(4, conftest.packed_words(after, 4), conftest.packed_words(before, 4))
+                  for after, before in [([0b000111, 0b000111], [0b001011, 0b001101]),
+                                        ([0b001101], [0b010011])]]
+        assert verify._certified_deltas(blocks, Z1, 0.5).tolist() == [-0.5, -2.0, math.inf]
+        assert verify._certified_deltas(blocks, Z1, 3.0).tolist() == [math.inf, -2.0, math.inf]
 
-        def exact(rows, f, n):
-            return np.array([rho[verify._edge_word(edge_masks(n, map(tuple, r)))]
-                             for r in rows.tolist()])
+    def test_the_cut_spans_every_order(self, monkeypatch):
+        # pair P of order 4 has its lower end 0.5 at the least upper end, from
+        # pair Q of order 5: P stays open.  Pair R of order 4 has its lower end
+        # one float above 0.5: certified, by the later order's upper end
+        # alone, as the least upper end of order 4 is 1.0
+        above = np.nextafter(1.5, 2.0)
+        brackets = {(4, 0b000111): (1.5, 2.0), (4, 0b001011): (1.0, 1.0),
+                    (4, 0b001101): (above, 2.5), (4, 0b010011): (1.0, 1.0),
+                    (5, 0b0000001111): (3.0, 3.0), (5, 0b0000010111): (2.5, 2.5)}
+        self.bracket_by_word(monkeypatch, brackets)
+        blocks = [(5, conftest.packed_words([0b0000001111], 5), conftest.packed_words([0b0000010111], 5)),
+                  (4, conftest.packed_words([0b000111, 0b001101], 4),
+                   conftest.packed_words([0b001011, 0b010011], 4))]
+        assert verify._certified_deltas(blocks, Z1, 0.1).tolist() == [0.5, 0.5, math.inf]
 
-        monkeypatch.setattr(verify, "radius_brackets", lambda rows, f, n: (exact(rows, f, n),) * 2)
-        monkeypatch.setattr(verify, "spectral_radii", exact)
-        pairs = [(n, 0b000111, 0b001011), (n, 0b000111, 0b001101), (n, 0b001101, 0b010011)]
-        assert verify._certified_deltas(pairs, Z1, 0.5).tolist() == [-0.5, -2.0, math.inf]
-        assert verify._certified_deltas(pairs, Z1, 3.0).tolist() == [math.inf, -2.0, math.inf]
+    @staticmethod
+    def bracket_by_word(monkeypatch, brackets):
+        """Brackets (lo, hi) by (n, edge word), and rho = lo from the eigensolver."""
+        def word(n, edges):
+            return conftest.reference_edge_word(edge_masks(n, map(tuple, edges)))
+
+        def bracket(e, f, n, count):
+            edges = [[] for _ in range(count)]
+            for u, v in e.tolist():
+                edges[u // n].append((u % n, v % n))
+            return tuple(np.array(ends) for ends in zip(*(brackets[n, word(n, g)] for g in edges)))
+
+        monkeypatch.setattr(verify, "radius_brackets", bracket)
+        monkeypatch.setattr(verify, "spectral_radii", lambda rows, f, n: np.array(
+            [brackets[n, word(n, r)][0] for r in rows.tolist()]))
 
     def test_campaign_makes_no_certificate(self):
         # the class-change test is kelmans' closed form; canonical_form's
@@ -692,33 +728,47 @@ class TestIntegerDraw:
 
 class TestEdgeWords:
     def test_words_and_rows_round_trip(self):
-        # bit i of a graph's word is the i-th pair of _vertex_pairs(n); up to
-        # n = 20 a word holds 190 bits, past one 64-bit word
+        # bit i of a graph's packed row is the i-th pair of _vertex_pairs(n);
+        # up to n = 20 a row holds 190 bits, past one 64-bit word
         for seed in range(20):
             rng, ref = random.Random(seed), random.Random(seed)
             for n in range(2, 21):
                 masks = verify.random_masks(rng, n)
                 g = reference_random_connected_graph(ref, n)
-                word = verify._edge_word(masks)
+                word = conftest.reference_edge_word(masks)
                 pairs = verify._vertex_pairs(n)
                 assert word == sum(1 << i for i, pair in enumerate(pairs) if pair in g.edges)
-                assert verify._edge_word(edge_masks(n, g.edges)) == word
-                rows = verify._word_rows([word, word], n, g.m)
-                assert rows.shape == (2, g.m, 2)
-                assert {tuple(e) for e in rows[1].tolist()} == g.edges
-                assert rows[0].tolist() == sorted(map(list, g.edges))
+                adj = np.array([[[masks[u] >> v & 1 for v in range(n)] for u in range(n)]] * 2, bool)
+                rows = verify._packed_rows(adj)
+                assert conftest.block_words([(n, rows, rows)]) == [(n, word, word)] * 2
+                graph, edges = verify._row_edges(rows, n)
+                assert graph.tolist() == [0] * g.m + [1] * g.m
+                assert edges[:g.m].tolist() == edges[g.m:].tolist() == sorted(map(list, g.edges))
 
     def test_rows_of_a_group(self):
+        # graphs of all sizes in one batch, each edge tagged with its graph
         rng = random.Random(5)
         for n in (5, 12, 20):
-            graphs = []
-            while len(graphs) < 30:
-                g = verify.random_connected_graph(rng, n)
-                if g.m == n:
-                    graphs.append(g)
-            words = [verify._edge_word(edge_masks(n, g.edges)) for g in graphs]
-            rows = verify._word_rows(words, n, n)
-            assert [frozenset(map(tuple, r)) for r in rows.tolist()] == [g.edges for g in graphs]
+            graphs = [verify.random_connected_graph(rng, n) for _ in range(30)]
+            assert len({g.m for g in graphs}) > 1
+            rows = conftest.packed_words([conftest.reference_edge_word(edge_masks(n, g.edges))
+                                          for g in graphs], n)
+            graph, edges = verify._row_edges(rows, n)
+            assert [frozenset(map(tuple, edges[graph == i].tolist())) for i in range(30)] == [
+                g.edges for g in graphs]
+
+    def test_distinct_rows(self):
+        # duplicates collapse to one row each, past one 64-bit word at n = 12;
+        # rows == distinct[inverse]
+        rng = random.Random(2)
+        for n in (4, 11, 12, 20):
+            words = [conftest.reference_edge_word(verify.random_masks(rng, n)) for _ in range(40)]
+            words += words[:15] + [words[0]] * 3
+            rng.shuffle(words)
+            rows = conftest.packed_words(words, n)
+            distinct, inverse = verify._distinct_rows(rows)
+            assert np.array_equal(distinct[inverse], rows)
+            assert len(distinct) == len(set(words)) == len({r.tobytes() for r in distinct})
 
 
 class TestTheorem41Campaign:
@@ -771,7 +821,7 @@ class TestTheorem41Campaign:
         hi = np.full(9, rho[top] if at_floor else np.nextafter(rho[top], 0))
         lo[top], hi[top] = rho[top], 2 * rho[top]
         lo[list(open_classes)], hi[list(open_classes)] = -np.inf, np.inf
-        monkeypatch.setattr(verify, "radius_brackets", lambda rows, f, n: (lo, hi))
+        monkeypatch.setattr(verify, "radius_brackets", lambda e, f, n, count: (lo, hi))
         sizes = TestTheorem41Campaign.scored_sizes(monkeypatch)
         got, want = verify_theorem41([n]).to_dict(), reference_verify_theorem41([n]).to_dict()
         for report in (got, want):
