@@ -20,7 +20,7 @@ RESIDUAL_TOL = 1e-10  # relative eigenpair residual above which an eigensolve ra
 
 def build_matrix(g: Graph, f: WeightFunction) -> np.ndarray:
     """A_f(G), read-only: entry (i,j) is f(d_i,d_j) on edges, 0 elsewhere."""
-    a = _dense(graph_rows([g]), f, g.n)[0]
+    a = _dense(graph_rows([g]), [f], [0], g.n)[0]
     a.setflags(write=False)
     return a
 
@@ -98,16 +98,28 @@ EIGH_CHUNK = 64  # matrices per batched eigensolve; bounds the stacked arrays' m
 
 
 def spectral_radii(rows: np.ndarray, f: WeightFunction, n: int) -> np.ndarray:
-    """spectral_radius(build_matrix(G_i, f)).rho for the graphs G_i of order n
-    whose edges (u, v) are rows[i], an int array (C, m, 2) as edge_bounds and
-    graph_rows take and give it; one eigensolve call per EIGH_CHUNK graphs."""
+    """spectral_radius(build_matrix(G_i, f)).rho for the graphs G_i of order n whose edges
+    (u, v) are rows[i], an int array (C, m, 2) as orderly_rows and graph_rows give it."""
+    return stacked_radii(rows, [f], np.zeros(len(rows), np.intp), n)
+
+
+def stacked_radii(rows: np.ndarray, fs: Sequence[WeightFunction], which: np.ndarray,
+                  n: int) -> np.ndarray:
+    """spectral_radii(rows[i:i + 1], fs[which[i]], n)[0] for every i, one eigensolve call per
+    EIGH_CHUNK graphs; a failing call names its first weight, in fs order, that fails alone."""
     rho = np.zeros(len(rows))
     for start in range(0, len(rows), EIGH_CHUNK):
-        a = _dense(rows[start:start + EIGH_CHUNK], f, n)
+        chunk = slice(start, start + EIGH_CHUNK)
+        a, part = _dense(rows[chunk], fs, which[chunk], n), which[chunk]
         try:
-            rho[start:start + EIGH_CHUNK] = _dominant_eigenpairs(a)[0]
-        except SpectralError as exc:
-            raise SpectralError(f"{f.label()} at n={n}: {exc}") from exc
+            rho[chunk] = _dominant_eigenpairs(a)[0]
+        except SpectralError:
+            for k in sorted(set(part.tolist())):
+                try:
+                    _dominant_eigenpairs(a[part == k])
+                except SpectralError as exc:
+                    raise SpectralError(f"{fs[k].label()} at n={n}: {exc}") from exc
+            raise
     return rho
 
 
@@ -119,12 +131,20 @@ BRACKET_FLOOR = 2.0 ** -900  # least |a_uv| * min(x)**2 a bracket is certified a
 
 def radius_brackets(e: np.ndarray, f: WeightFunction, n: int,
                     count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) with lo[i] <= rho(A_f(G_i)), as spectral_radii gives it, <= hi[i]
-    for `count` graphs G_i of order n and any sizes, without an eigensolve;
-    e holds their edges as union_edges numbers them (vertex v of G_i is
-    i * n + v).  A is applied edge by edge, one bincount per step for all
-    the graphs; vertex values sit in an (n, count) array, a graph's column,
-    and edge sums reduce by the graph index e[:, 0] // n.
+    """(lo, hi) with lo[i] <= rho(A_f(G_i)), as spectral_radii gives it, <= hi[i] for `count`
+    graphs G_i of order n and any sizes, no eigensolve; e holds their edges as union_edges
+    numbers them (G_i's vertex v is i * n + v).  A batch evaluate cannot weigh is left open."""
+    try:
+        w = _edge_weights(e, [f], n)[0]
+    except WeightSpecError:  # the eigensolve of an open graph raises it
+        return np.full(count, -np.inf), np.full(count, np.inf)
+    return _brackets(e, w, n, count)
+
+
+def _brackets(e: np.ndarray, w: np.ndarray, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """radius_brackets of graphs whose edges e weigh w[j] = a_uv each, under one weight or many.
+    A is applied edge by edge, one bincount per step for all the graphs; vertex values sit in
+    an (n, count) array, a graph's column, and edge sums reduce by the graph index e[:, 0] // n.
 
     x > 0 comes from BRACKET_STEPS steps x <- (|A| + cI) x from x = 1, with
     c = BRACKET_SHIFT times the largest row sum R of |A| (the shift damps
@@ -143,14 +163,9 @@ def radius_brackets(e: np.ndarray, f: WeightFunction, n: int,
     hi.  Widening hi by BRACKET_MARGIN * hi and lo by BRACKET_MARGIN times
     the widened hi covers that while n**2 u <= BRACKET_MARGIN / 2, with the
     eigensolver's own error, a small multiple of n u ||A||_2 = n u rho.
-    Left open as (-inf, inf): a graph with a non-finite end or with least
-    nonzero |a_uv| times min(x)**2 below the floor (a zero in x included),
-    past that n, or in a batch with a weight that evaluate cannot give.
+    Left open as (-inf, inf): a graph with a non-finite end or with least nonzero |a_uv| times
+    min(x)**2 below the floor (a zero in x included), or past that n.
     """
-    try:
-        w = _edge_weights(e, [f], n)[0]
-    except WeightSpecError:  # the eigensolve of an open graph raises it
-        return np.full(count, -np.inf), np.full(count, np.inf)
     graph, at = e[:, 0] // n, e % n * count + e // n  # at: vertex v of G_i is v * count + i
     ends, starts, pos = at[:, ::-1].ravel(), at.ravel(), np.repeat(np.abs(w), 2)
     least = np.full(count, np.inf)  # least nonzero |a_uv|
@@ -173,23 +188,27 @@ def radius_brackets(e: np.ndarray, f: WeightFunction, n: int,
     return np.where(ok, lo, -np.inf), np.where(ok, hi, np.inf)
 
 
-def edge_bounds(rows: np.ndarray, fs: Sequence[WeightFunction], n: int) -> np.ndarray:
-    """b[k, i] >= rho(A_fs[k](G_i)) for the graphs G_i of order n whose edges
-    (u, v) are rows[i], as orderly_rows(n) gives a chunk: the largest
-    sqrt(r_u r_v) over the edges uv of G_i, with r the row sums of |A|.
-
-    This holds for every real symmetric A (Berman and Zhang, 2001).  Proof:
-    rho(A) <= rho(|A|); D = diag(sqrt(r)) leaves rho(|A|) unchanged, and row
-    u of D^-1 |A| D sums to sum_v |a_uv| / r_u * sqrt(r_u r_v), a weighted
-    mean over u's neighbours; rho is at most the largest row sum.
-    """
-    count = len(rows)
+def pruned_brackets(rows: np.ndarray, fs: Sequence[WeightFunction], n: int,
+                    floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), each (len(fs), C), with lo[k, i] <= rho(A_fs[k](G_i)), as
+    spectral_radii gives it, <= hi[k, i] for the graphs G_i of order n with
+    edges rows[i]: (-inf, b) where the edge bound b < floor[k, i], else the
+    radius bracket, from one _brackets call for every weight's other graphs.
+    b is the largest sqrt(r_u) sqrt(r_v) over the edges uv of G_i, r the row
+    sums of |A| (the bracket's first step), widened as hi is.  rho(A) <=
+    rho(|A|) <= b (Berman and Zhang, 2001): row u of D^-1 |A| D, D =
+    diag(sqrt(r)), sums to a mean of sqrt(r_u r_v) over u's neighbours,
+    weighted by |a_uv| / r_u.  A non-finite b is never below a floor."""
+    count, m = rows.shape[:2]
     e = union_edges(rows, n)
-    out = []
-    for w in np.abs(_edge_weights(e, fs, n)):
-        r = np.bincount(e.ravel(), np.repeat(w, 2), count * n)
-        out.append(np.sqrt(r[e[:, 0]] * r[e[:, 1]]).reshape(count, -1).max(axis=1))
-    return np.array(out)
+    w = _edge_weights(e, fs, n)
+    roots = (np.sqrt(np.bincount(e.ravel(), np.repeat(w_k, 2), count * n)) for w_k in np.abs(w))
+    hi = (1 + BRACKET_MARGIN) * np.array(  # weight by weight: one (C * m,) array at a time
+        [(r[e[:, 0]] * r[e[:, 1]]).reshape(count, m).max(axis=1, initial=0) for r in roots])
+    lo, (k, i) = np.full_like(hi, -np.inf), np.nonzero(~(hi < floor))
+    lo[k, i], hi[k, i] = _brackets(union_edges(rows[i], n), w.reshape(len(fs), count, m)[k, i].ravel(),
+                                   n, len(i))
+    return lo, hi
 
 
 def _edge_weights(e: np.ndarray, fs: Sequence[WeightFunction], n: int) -> np.ndarray:
@@ -205,11 +224,13 @@ def _edge_weights(e: np.ndarray, fs: Sequence[WeightFunction], n: int) -> np.nda
     return table[:, keys]
 
 
-def _dense(rows: np.ndarray, f: WeightFunction, n: int) -> np.ndarray:
-    """A_f(G_i), stacked (C, n, n), of the graphs G_i of order n with edges rows[i]."""
+def _dense(rows: np.ndarray, fs: Sequence[WeightFunction], which, n: int) -> np.ndarray:
+    """A_fs[which[i]](G_i), stacked (C, n, n), of the graphs G_i of order n with edges rows[i]."""
     e = union_edges(rows, n)
     a = np.zeros((len(rows) * n, n))
-    a[e, e[:, ::-1] % n] = _edge_weights(e, [f], n)[0][:, None]  # (u, v) and (v, u)
+    w = _edge_weights(e, fs, n)  # one weight, as spectral_radii has, needs no fancy index
+    w = w[0] if len(fs) == 1 else w[np.repeat(which, rows.shape[1]), np.arange(len(e))]
+    a[e, e[:, ::-1] % n] = w[:, None]  # (u, v) and (v, u)
     return a.reshape(len(rows), n, n)
 
 

@@ -27,14 +27,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# enumerate_bicyclic and targeted_max_degree_family stay importable here: perfbench/layers.py
-# wraps them
+# enumerate_bicyclic, targeted_max_degree_family, base_graph, kelmans and pendant_shift stay
+# importable here (noqa: F401): perfbench/layers.py wraps them
 from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # noqa: F401
                           max_degree_rows, orderly_rows, targeted_max_degree_family)
-# base_graph, kelmans and pendant_shift stay importable here: perfbench/layers.py wraps them
 from .graphs import (FAMILIES, Graph, base_graph, edge_masks, graph_g1, graph_g2,  # noqa: F401
                      graph_rows, mask_edges, rows_graph, union_edges)
-from .spectral import edge_bounds, radius_brackets, rho_f, spectral_radii
+from .spectral import pruned_brackets, radius_brackets, rho_f, spectral_radii, stacked_radii
 from .transforms import kelmans, move_stack, pendant_shift, reroute_stack, shift_masks  # noqa: F401
 from .weights import WeightFunction, check_pstar, parse_weight
 
@@ -265,7 +264,7 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
     """Extremality of G1 (rank 1) / the second-rank candidates over all classes.
 
     exhaustive mode streams every bicyclic class once per order for all
-    applicable weights and ranks spectral radii (see _Leaders); candidate
+    applicable weights and ranks spectral radii (see _rankings); candidate
     mode, rank 2 only, compares G2, G3, G4 directly (the proven candidate
     set) and asserts the known per-weight winner beyond its threshold order.
     Weights failing the P* check are reported as not-applicable.
@@ -300,9 +299,6 @@ def verify_extremal(n_range: Sequence[int], fs: Sequence[WeightFunction],
     return report
 
 
-PRUNE_MARGIN = 1e-9  # relative, for _Leaders alone: it skips a class whose bound is clearly below
-
-
 def _cuts(rho: Sequence[float], kinds: Sequence[int]) -> np.ndarray:
     """cut[kind] = min(second rho, top rho of the kind) of distinct classes' rho and
     base kinds (0 infinity, 1 theta, as a class key's head); -inf for a kind with none."""
@@ -313,64 +309,46 @@ def _cuts(rho: Sequence[float], kinds: Sequence[int]) -> np.ndarray:
     return np.minimum(second, top)
 
 
-class _Leaders:
-    """One weight's classes that a verdict can read: those at or above the
-    second rho of all classes or the top rho of their base kind.
-
-    The named families bound both values from below, so each kind's cut is
-    fixed once per order: min(named second rho, named top rho of the kind).
-    A class whose edge_bounds value is clearly below its kind's cut is
-    neither in the top two nor its kind's best, so its A_f is never built.
-    Kept classes stay edge rows; only those a verdict reads become Graphs.
-    """
-
-    def __init__(self, f: WeightFunction, rho: Sequence[float], kinds: Sequence[int]):
-        """rho and base kinds of the distinct named classes under f."""
-        self.f, self.kept = f, []
-        cut = _cuts(rho, kinds)
-        self.floor = cut - PRUNE_MARGIN * np.abs(cut)
-
-    def offer(self, rows: np.ndarray, bound: np.ndarray, kinds: np.ndarray):
-        """Keep (rows, kinds) of the classes of base kinds `kinds`, edges
-        rows[i], whose edge_bounds value bound[i] reaches their kind's floor."""
-        keep = ~(bound < self.floor[kinds])
-        if keep.any():
-            self.kept.append((rows[keep], kinds[keep]))
-
-    def ranking(self) -> tuple[list[tuple[float, tuple]], dict[int, tuple]]:
-        """The first two (rho, class key) of all classes in descending order,
-        ties by key, and {kind: its first key}, keying only the classes at or
-        above the second rho or their kind's top rho."""
-        rows, kinds = (np.concatenate(part) for part in zip(*self.kept))
-        rho = spectral_radii(rows, self.f, rows.shape[1] - 1)  # n + 1 edges
-        idx = np.flatnonzero(rho >= _cuts(rho, kinds)[kinds])
-        ranked = sorted(zip(rho[idx].tolist(), map(canonical_form, map(rows_graph, rows[idx]))),
-                        reverse=True)
-        kind_best = {cert[0]: cert for _, cert in reversed(ranked)}  # each kind's first
-        return ranked[:2], kind_best
-
-
 @lru_cache(maxsize=32)
 def _rankings(n: int, fs: tuple[WeightFunction, ...]):
-    """(classes, named class keys, {f: _Leaders.ranking()}) at order n from
-    one stream of orderly_rows(n), bounded for every weight in fs."""
-    check_order(n)
+    """(classes, named class keys, {f: (first two (rho, class key) of all classes,
+    descending, ties by key; {kind: its first key})}) at any order n, from one stream of
+    orderly_rows(n) for every weight in fs.  A verdict reads only the classes at or above
+    their kind's cut, min(second rho of all classes, top rho of the kind).  Each floor, that
+    cut of the named families' bracket lo values, is at most the cut: lo <= rho, and more
+    classes give no lower cut.  pruned_brackets drops a class only when its edge bound or its
+    hi lies below its floor, so rho <= bound or hi < floor <= cut; an open bracket is kept.
+    The kept classes of all weights hold every class at or above its cut, so they give the
+    same cuts; one stacked_radii call solves them, and only those a verdict reads become Graphs.
+    """
     named = {tag: family.build(n) if n >= family.min_n else None
              for tag, family in FAMILIES.items()}
     certs = {tag: None if g is None else canonical_form(g) for tag, g in named.items()}
     distinct = {cert: named[tag] for tag, cert in certs.items() if cert is not None}
-    named_rows, named_kinds = graph_rows(list(distinct.values())), [cert[0] for cert in distinct]
-    leaders = [_Leaders(f, spectral_radii(named_rows, f, n), named_kinds) for f in fs]
-    classes = 0
+    lo, _ = pruned_brackets(graph_rows(list(distinct.values())), fs, n, -np.inf)
+    floor = np.array([_cuts(lo_f, [cert[0] for cert in distinct]) for lo_f in lo])
+    classes, kept = 0, []
     for rows, kinds in orderly_rows(n):
         classes += len(kinds)
-        for leaders_f, bound in zip(leaders, edge_bounds(rows, fs, n)):
-            leaders_f.offer(rows, bound, kinds)
-    return classes, certs, {f: leaders_f.ranking() for f, leaders_f in zip(fs, leaders)}
+        _, hi = pruned_brackets(rows, fs, n, floor[:, kinds])
+        k, i = np.nonzero(~(hi < floor[:, kinds]))
+        if len(k):  # most chunks keep nothing: hold no empty arrays for them
+            kept.append((k, rows[i], kinds[i]))
+    which, rows, kinds = map(np.concatenate, zip(*kept))
+    rho = stacked_radii(rows, fs, which, n)
+    rankings = {}
+    for k, f in enumerate(fs):
+        mine = np.flatnonzero(which == k)
+        top = mine[rho[mine] >= _cuts(rho[mine], kinds[mine])[kinds[mine]]]
+        ranked = sorted(zip(rho[top].tolist(), map(canonical_form, map(rows_graph, rows[top]))),
+                        reverse=True)
+        rankings[f] = ranked[:2], {cert[0]: cert for _, cert in reversed(ranked)}  # each kind's first
+    return classes, certs, rankings
 
 
 def _exhaustive_case(n: int, f: WeightFunction, rank: str,
                      fs: tuple[WeightFunction, ...]) -> CaseRecord:
+    check_order(n)  # _rankings itself runs at any order
     classes, named, rankings = _rankings(n, fs)
     scored, family_best = rankings[f]
     case_id = f"extremal/{rank}/{f.label()}/n={n}"

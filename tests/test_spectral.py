@@ -252,6 +252,38 @@ class TestSpectralRadii:
         with pytest.raises(SpectralError, match=r"^hyper_zagreb at n=7: symmetric eigensolver did not"):
             spectral_radii(graph_rows([graph_g2(7)]), weight_hyper, 7)
 
+    def test_stacked_weights_equal_one_weight_per_call(self, rng):
+        # graphs of several weights in one stack, interleaved across chunks:
+        # each rho is the float spectral_radii gives under its own weight
+        fs = [parse_weight(w) for w in ("zagreb1", "forgotten", "extended")]
+        rows = graph_rows(same_size_graphs(rng, 9, 10, 2 * spectral.EIGH_CHUNK + 5))
+        which = np.array([rng.randrange(len(fs)) for _ in rows])
+        rho = spectral.stacked_radii(rows, fs, which, 9)
+        for k, f in enumerate(fs):
+            assert rho[which == k].tolist() == spectral_radii(rows[which == k], f, 9).tolist()
+
+    def test_stacked_failure_names_the_first_failing_weight(self, monkeypatch):
+        # only matrices with an entry above 20 fail, so forgotten's G2 fails
+        # and zagreb1's does not: the mixed stack names forgotten, and a stack
+        # where both fail names the first in fs order
+        fs = [parse_weight("zagreb1"), parse_weight("forgotten")]
+        dominant = spectral._dominant_eigenpairs
+
+        def failing(a):
+            if a.max() > 20:
+                raise SpectralError("symmetric eigensolver did not converge: test")
+            return dominant(a)
+
+        monkeypatch.setattr(spectral, "_dominant_eigenpairs", failing)
+        rows = graph_rows([graph_g2(7), graph_g2(7)])
+        with pytest.raises(SpectralError, match=r"^forgotten at n=7: symmetric eigensolver did not"):
+            spectral.stacked_radii(rows, fs, np.array([0, 1]), 7)
+        with pytest.raises(SpectralError, match=r"^forgotten at n=7: "):
+            spectral.stacked_radii(rows, fs[::-1], np.array([0, 1]), 7)
+        monkeypatch.setattr(spectral, "_dominant_eigenpairs", lambda a: failing(a + 20))
+        with pytest.raises(SpectralError, match=r"^zagreb1 at n=7: "):
+            spectral.stacked_radii(rows, fs, np.array([1, 0]), 7)
+
     def test_rho_f_is_the_one_graph_case(self, weight_forgotten):
         g = graph_g3(9)
         assert rho_f(g, weight_forgotten) == spectral_radius(build_matrix(g, weight_forgotten)).rho
@@ -282,32 +314,77 @@ class TestSpectralRadii:
 
 
 class TestEdgeBounds:
+    """pruned_brackets' first stage: the Berman-Zhang edge bound, widened by
+    BRACKET_MARGIN, for the graphs below their floor; the radius bracket for
+    the rest."""
+
+    FLOORED = ("zagreb1", "constant_one", "sum_connectivity:a=-1")
+
     @pytest.mark.parametrize("n", [5, 8])
     def test_per_class_formula_and_bound(self, n):
-        # b = max over edges uv of sqrt(r_u r_v), r the row sums of |A_f|, for
-        # each weight of a chunk, and b >= rho
-        fs = [parse_weight(w) for w in ("zagreb1", "constant_one", "sum_connectivity:a=-1")]
+        # under an infinite floor, hi = (1 + margin) max over edges uv of
+        # sqrt(r_u r_v), r the row sums of |A_f|, for each weight of a chunk,
+        # with half the margin to spare above rho: K_{2,3} (n = 5) meets the
+        # bound with equality
+        fs = [parse_weight(w) for w in self.FLOORED]
         for rows, _ in enumeration.orderly_rows(n):
-            bounds = spectral.edge_bounds(rows, fs, n)
-            assert bounds.shape == (len(fs), len(rows))
+            lo, hi = spectral.pruned_brackets(rows, fs, n, np.full((len(fs), len(rows)), np.inf))
+            assert hi.shape == lo.shape == (len(fs), len(rows)) and np.all(lo == -np.inf)
             graphs = [rows_graph(r) for r in rows]
-            for f, bound in zip(fs, bounds):
+            for f, bound in zip(fs, hi):
                 expected = []
                 for g in graphs:
                     r = loop_matrix(g, f).sum(axis=1)
                     expected.append(max(np.sqrt(r[u] * r[v]) for u, v in g.edges))
-                assert bound == pytest.approx(expected, rel=1e-12)
-                assert np.all(bound * (1 + 1e-12) >= spectral_radii(rows, f, n))
+                assert bound == pytest.approx(np.array(expected) * (1 + spectral.BRACKET_MARGIN),
+                                              rel=1e-12)
+                rho = spectral_radii(rows, f, n)
+                assert np.all(bound >= rho + spectral.BRACKET_MARGIN / 2 * rho)
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_graphs_reaching_their_floor_get_their_own_bracket(self, n):
+        # a floor between the least and the largest edge bound of each
+        # weight: a graph below it keeps (-inf, edge bound), and every other
+        # graph gets, bit for bit, the bracket radius_brackets gives it alone
+        # under its own weight, whatever the other weights' graphs
+        fs = [parse_weight(w) for w in self.FLOORED + ("forgotten",)]
+        for rows, _ in enumeration.orderly_rows(n):
+            _, bound = spectral.pruned_brackets(rows, fs, n, np.full((len(fs), len(rows)), np.inf))
+            floor = np.median(bound, axis=1)[:, None] + np.arange(len(rows)) % 3 - 1.0
+            lo, hi = spectral.pruned_brackets(rows, fs, n, floor)
+            below = bound < floor
+            assert below.any() and (~below).any()
+            assert np.all(lo[below] == -np.inf) and np.array_equal(hi[below], bound[below])
+            for k, f in enumerate(fs):
+                alone = spectral.radius_brackets(union_edges(rows, n), f, n, len(rows))
+                for got, want in zip((lo, hi), alone):
+                    assert np.array_equal(got[k, ~below[k]], want[~below[k]]), f.label()
+
+    def test_a_bound_at_its_floor_is_bracketed(self):
+        # the edge stage drops a graph only strictly below its floor
+        fs = [parse_weight(w) for w in self.FLOORED]
+        rows, _ = next(enumeration.orderly_rows(8))
+        _, bound = spectral.pruned_brackets(rows, fs, 8, np.full((len(fs), len(rows)), np.inf))
+        lo, _ = spectral.pruned_brackets(rows, fs, 8, bound)
+        assert np.isfinite(lo).all()
+        lo, hi = spectral.pruned_brackets(rows, fs, 8, np.nextafter(bound, np.inf))
+        assert np.all(lo == -np.inf) and np.array_equal(hi, bound)
 
     def test_row_sums_of_absolute_values(self, monkeypatch):
         # every weight of the catalogue is positive; flipping the sign of
-        # some degree pairs gives the same |A_f| and so the same bounds
+        # some degree pairs gives the same |A_f|, and so the same edge bounds
+        # and the same bracket hi; lo reads |x'Ax| and stays below rho
         fs = [parse_weight(w) for w in ("zagreb1", "constant_one")]
         rows, _ = next(enumeration.orderly_rows(8))
-        positive = spectral.edge_bounds(rows, fs, 8)
+        floors = [np.full((len(fs), len(rows)), end) for end in (np.inf, -np.inf)]
+        positive = [spectral.pruned_brackets(rows, fs, 8, floor) for floor in floors]
         evaluate = spectral.evaluate
         monkeypatch.setattr(spectral, "evaluate", lambda f, x, y: (-1) ** (x + y) * evaluate(f, x, y))
-        assert np.array_equal(spectral.edge_bounds(rows, fs, 8), positive)
+        for floor, (_, hi) in zip(floors, positive):
+            signed_lo, signed_hi = spectral.pruned_brackets(rows, fs, 8, floor)
+            assert np.array_equal(signed_hi, hi)
+        for f, lo_f in zip(fs, signed_lo):
+            assert np.all(lo_f <= spectral_radii(rows, f, 8))
 
 
 class TestRadiusBrackets:

@@ -231,6 +231,8 @@ class TestBatchedScoring:
         batched = timeless(CAMPAIGNS[name]())
         # every rho of every report, the exhaustive ones included, is scored here
         monkeypatch.setattr(verify, "spectral_radii", per_graph_radii)
+        monkeypatch.setattr(verify, "stacked_radii", lambda rows, fs, which, n: np.array(
+            [per_graph_radii(r[None], fs[k], n)[0] for r, k in zip(rows, which.tolist())]))
         verify._rankings.cache_clear()
         assert batched == timeless(CAMPAIGNS[name]())
 
@@ -258,13 +260,29 @@ class TestBatchedScoring:
 
 ORACLE_WEIGHTS = tuple(parse_weight(w) for w in (
     "zagreb1", "hyper_zagreb", "forgotten", "constant_one", "sum_connectivity:a=3",
-    "custom:x**2+y**2+x+y"))
+    "custom:x**2+y**2+x+y", "extended", "sombor:a=2,b=0.5"))
+SIGNED = ORACLE_WEIGHTS[-1]  # negative on odd degree sums under signed_weights
+
+
+@pytest.fixture
+def signed_weights(monkeypatch):
+    """SIGNED negated on the degree pairs of odd sum, in the package and in
+    the conftest references alike (every catalogue weight is positive)."""
+    evaluate = spectral.evaluate
+    monkeypatch.setattr(spectral, "evaluate", lambda f, x, y: (
+        -evaluate(f, x, y) if f == SIGNED and (x + y) % 2 else evaluate(f, x, y)))
+    verify._rankings.cache_clear()
+    yield
+    verify._rankings.cache_clear()
 
 
 class TestStreamingExhaustive:
     @pytest.mark.parametrize("n", range(4, 11))
-    def test_same_cases_as_certifying_every_class(self, n):
-        # all six weights ranked in one stream, against certify-and-sort per weight
+    def test_same_cases_as_certifying_every_class(self, n, signed_weights):
+        # all eight weights, one of them signed, ranked in one stream through
+        # both prune stages, against eigensolving and keying every class per
+        # weight
+        assert (spectral.build_matrix(graph_g1(n), SIGNED) < 0).any()
         for rank in ("first", "second"):
             for f in ORACLE_WEIGHTS:
                 case = verify._exhaustive_case(n, f, rank, ORACLE_WEIGHTS)
@@ -306,22 +324,56 @@ class TestStreamingExhaustive:
 
     def test_tight_edge_bound_is_scored_at_the_cut(self):
         # K_{2,3} meets the edge bound with equality (r_u r_v = 6 f(3,2)^2 on
-        # every edge), so a cut at its own rho must still score it, and a cut
-        # clearly above prunes it
+        # every edge).  As a named class, its bracket's lo sets the cut of its
+        # kind, and there it is still scored; a cut 1e-6 above its rho prunes it
         k23 = make_theta(2, 2, 2)
         rows = np.array([sorted(k23.edges)])
         for f in ORACLE_WEIGHTS:
             rho = rho_f(k23, f)
-            (bound,) = spectral.edge_bounds(rows, [f], 5)
-            assert bound[0] == pytest.approx(rho, rel=1e-12)
-            for second, scored in ((rho, 1), (rho * (1 + 1e-6), 0)):
-                leaders = verify._Leaders(f, [2 * rho, second], [1, 0])  # theta, infinity
-                leaders.offer(rows, bound, np.array([1], np.intp))
-                assert len(leaders.kept) == scored, (f.label(), second)
-                if scored:
-                    (kept_rows, kept_kinds), = leaders.kept
-                    assert list(map(rows_graph, kept_rows)) == [k23]
-                    assert kept_kinds.tolist() == [1]
+            (lo,), _ = spectral.pruned_brackets(rows, [f], 5, np.full((1, 1), -np.inf))
+            for second, scored in ((lo[0], True), (rho * (1 + 1e-6), False)):
+                floor = verify._cuts([2 * rho, second], [1, 0])[[1]]  # theta, infinity
+                assert floor.tolist() == [second]
+                _, (hi,) = spectral.pruned_brackets(rows, [f], 5, floor[:, None])
+                assert (not hi[0] < floor[0]) == scored, (f.label(), second)
+
+    @pytest.mark.parametrize("at_floor", [True, False])
+    def test_a_class_at_its_floor_is_eigensolved(self, monkeypatch, at_floor):
+        # each class the brackets prune gets hi at its kind's floor, or one
+        # float below it: at the floor all 3 x 67 classes are eigensolved,
+        # below it only the kept ones; the cases are the reference's in both
+        pruned, solve, solved = verify.pruned_brackets, verify.stacked_radii, []
+
+        def bracketing(rows, fs, n, floor):
+            lo, hi = pruned(rows, fs, n, floor)
+            floor = np.broadcast_to(floor, hi.shape)
+            below = hi < floor
+            hi[below] = floor[below] if at_floor else np.nextafter(floor[below], -np.inf)
+            return lo, hi
+
+        def counting(rows, fs, which, n):
+            solved.append(len(rows))
+            return solve(rows, fs, which, n)
+
+        monkeypatch.setattr(verify, "pruned_brackets", bracketing)
+        monkeypatch.setattr(verify, "stacked_radii", counting)
+        verify._rankings.cache_clear()
+        for rank in ("first", "second"):
+            for f in WEIGHTS:
+                case = verify._exhaustive_case(7, f, rank, tuple(WEIGHTS))
+                assert case.to_dict() == reference_exhaustive_case(7, f, rank).to_dict()
+        assert solved == [3 * 67 if at_floor else 6]
+        verify._rankings.cache_clear()
+
+    def test_tiny_weights_are_ranked(self):
+        # entries near 1e-199 make r_u r_v underflow to 0, so an edge bound
+        # taken as sqrt(r_u r_v) would drop every class, the named ones too
+        f = parse_weight("custom:1e-200*(x+y)")
+        verify._rankings.cache_clear()
+        for n in (6, 8):
+            for rank in ("first", "second"):
+                case = verify._exhaustive_case(n, f, rank, (f,))
+                assert case.to_dict() == reference_exhaustive_case(n, f, rank).to_dict()
 
     def test_certifies_only_what_a_verdict_reads(self, monkeypatch):
         calls = []
@@ -395,35 +447,45 @@ class TestStreamingExhaustive:
         assert len(calls) == computed
 
     def test_prune_skips_most_eigensolves(self, monkeypatch):
-        # 139 matrices for zagreb1 at n = 10, the named families included
-        solved = []
-        original = verify.spectral_radii
+        # zagreb1 at n = 10 eigensolves G1 and G2 alone; the three indices at
+        # n = 4..10, ranks 1 and 2, 43 matrices in 7 calls, one per order.
+        # The named families' floors come from brackets, with no eigensolve
+        solved, original = [], verify.stacked_radii
 
-        def counting(rows, f, n):
+        def counting(rows, fs, which, n):
             solved.append(len(rows))
-            return original(rows, f, n)
+            return original(rows, fs, which, n)
 
-        monkeypatch.setattr(verify, "spectral_radii", counting)
+        monkeypatch.setattr(verify, "stacked_radii", counting)
+        monkeypatch.setattr(verify, "spectral_radii", None)
         verify._rankings.cache_clear()
         verify_extremal([10], [Z1], rank="first")
-        assert sum(solved) == 139 < 2678 // 10
+        assert solved == [2]
+        solved.clear()
+        verify._rankings.cache_clear()
+        for rank in ("first", "second"):
+            verify_extremal(range(4, 11), WEIGHTS, rank=rank)
+        assert solved == [3, 8, 8, 6, 6, 6, 6]
 
     @pytest.mark.parametrize("n", [4, 7, 10])
     def test_scores_once_per_weight_after_the_stream(self, n, monkeypatch):
-        # one spectral_radii call per weight for the named families and one
-        # for the classes the edge bound keeps
-        calls = []
-        original = verify.spectral_radii
+        # one stacked_radii call per order, after the stream ends, solves
+        # the classes every weight keeps
+        calls, stream, solve = [], verify.orderly_rows, verify.stacked_radii
 
-        def counting(rows, f, n):
-            calls.append(f)
-            return original(rows, f, n)
+        def streaming(n):
+            yield from stream(n)
+            calls.append("end of stream")
 
-        monkeypatch.setattr(verify, "spectral_radii", counting)
+        def counting(rows, fs, which, n):
+            calls.append(sorted(set(which.tolist())))
+            return solve(rows, fs, which, n)
+
+        monkeypatch.setattr(verify, "orderly_rows", streaming)
+        monkeypatch.setattr(verify, "stacked_radii", counting)
         verify._rankings.cache_clear()
         verify._rankings(n, ORACLE_WEIGHTS)
-        assert sorted(calls, key=ORACLE_WEIGHTS.index) == [f for f in ORACLE_WEIGHTS
-                                                            for _ in range(2)]
+        assert calls == ["end of stream", list(range(len(ORACLE_WEIGHTS)))]
 
     def test_graphs_built_for_three_weights(self):
         # the 2,678 classes come out as rows, and the kept classes stay rows;
@@ -434,8 +496,8 @@ class TestStreamingExhaustive:
             "assert verify._rankings(10, fs)[0] == 2678\n") == 91
 
     def test_graphs_built_for_constant_one(self):
-        # the weight the edge bound prunes least keeps 2,050 classes as rows
-        # and builds a Graph only for those it keys
+        # the weight the edge bound prunes least: the brackets keep 2 of its
+        # classes, and a Graph is built only for those it keys
         assert graphs_built_in_fresh_process(
             "fs = (parse_weight('constant_one'),)\n"
             "assert verify._rankings(10, fs)[0] == 2678\n") == 87
