@@ -1,5 +1,5 @@
 """Simple undirected graphs, the named-family registry, equitable refinement,
-graph6 I/O and edge rows.
+graph6 I/O, edge rows and one-graph adjacency stacks.
 
 Vertices are 0-indexed contiguous integers.  Constructors put base vertices
 first and attachment vertices last, so tests can address e.g. "the hub" by a
@@ -104,10 +104,18 @@ def edge_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return masks
 
 
-def mask_edges(masks: list[int]) -> frozenset[tuple[int, int]]:
-    """The edges (u, v), u < v, of neighbour masks, as edge_masks gives them."""
-    return frozenset((u, v) for u, mask in enumerate(masks)
-                     for v in range(u + 1, mask.bit_length()) if mask >> v & 1)
+def edge_stack(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
+    """The adjacency stack (1, n, n), a bool array, of one graph on n vertices."""
+    adj = np.zeros((1, n, n), bool)
+    u, v = np.array(list(edges), np.intp).reshape(-1, 2).T
+    adj[0, u, v] = adj[0, v, u] = True
+    return adj
+
+
+def stack_graph(adj: np.ndarray) -> Graph:
+    """The Graph of an adjacency stack (1, n, n), as edge_stack gives it."""
+    u, v = np.nonzero(np.triu(adj[0], 1))
+    return Graph(len(adj[0]), frozenset(zip(u.tolist(), v.tolist())))
 
 
 def graph_rows(graphs: list[Graph]) -> np.ndarray:

@@ -41,9 +41,11 @@ class WeightFunction:
     def __post_init__(self):
         if self.kind not in _CATALOGUE:
             raise WeightSpecError(f"unknown weight kind {self.kind!r}")
-        for param in _CATALOGUE[self.kind][0]:
-            if getattr(self, param) is None:
-                raise WeightSpecError(f"{self.kind} requires parameter {param}")
+        for param in ("alpha", "beta"):  # each one its kind takes, and no other
+            takes = param in _CATALOGUE[self.kind][0]
+            if takes == (getattr(self, param) is None):
+                verb = "requires" if takes else "takes no"
+                raise WeightSpecError(f"{self.kind} {verb} parameter {param}")
         if self.kind == "custom":
             if not self.expression:
                 raise WeightSpecError("custom weight requires an expression")
@@ -253,6 +255,8 @@ def parse_weight(text: str) -> WeightFunction:
                 raise WeightSpecError(f"bad parameter value {val!r}") from exc
             if key not in _PARAMETERS:
                 raise WeightSpecError(f"unknown parameter {key!r}")
+            if _PARAMETERS[key] in params:
+                raise WeightSpecError(f"parameter {_PARAMETERS[key]} given twice")
             params[_PARAMETERS[key]] = num
     return WeightFunction(head, **params)
 

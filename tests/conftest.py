@@ -301,7 +301,8 @@ def reference_isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
 
 def reference_exhaustive_case(n: int, f, rank: str, min_gap: float = 1e-9) -> CaseRecord:
     """Reference exhaustive extremal case: score every class, key every class
-    and sort them all by (rho, class key)."""
+    and sort them all by (rho, class key); a rank-1 pass needs a gap above
+    min_gap times the top rho."""
     graphs = class_graphs(n)
     rhos = spectral_radii(graph_rows(graphs), f, n).tolist()
     scored = sorted(zip(rhos, map(canonical_form, graphs), graphs), reverse=True)
@@ -312,8 +313,8 @@ def reference_exhaustive_case(n: int, f, rank: str, min_gap: float = 1e-9) -> Ca
     top_rho, top_cert, _ = scored[0]
     gap = top_rho - scored[1][0] if len(scored) > 1 else float("inf")
     if rank == "first":
-        ok = top_cert == named["G1"] and gap > min_gap
-        note = "" if gap > min_gap else (
+        ok = top_cert == named["G1"] and gap > min_gap * top_rho
+        note = "" if gap > min_gap * top_rho else (
             f"near-tie at the top: gap {gap:.3e}; certificates "
             f"{top_cert} vs {scored[1][1]}")
         family_best = {}
@@ -720,8 +721,12 @@ def reference_parse_weight(text: str):
             except ValueError as exc:
                 raise WeightSpecError(f"bad parameter value {val!r}") from exc
             if key in ("a", "alpha"):
+                if alpha is not None:
+                    raise WeightSpecError("parameter alpha given twice")
                 alpha = num
             elif key in ("b", "beta"):
+                if beta is not None:
+                    raise WeightSpecError("parameter beta given twice")
                 beta = num
             else:
                 raise WeightSpecError(f"unknown parameter {key!r}")

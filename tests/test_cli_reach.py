@@ -45,13 +45,13 @@ UNREACHED = {
     "graphs._blocks": "builds the registry partitions that quotient.family_quotient reads",
     "graphs.refine_partition": "the one partition refinement, run by quotient.equitable_refine",
     "weights.rational_pstar_functions": "the weights of the sign ledger, which has no subcommand",
-    # the kelmans campaign calls their cores on drawn neighbour masks, with no Graph
-    "transforms.kelmans": "the public reroute of a Graph, swap image included, over the mask core",
-    "transforms.pendant_shift": "the public pendant shift of a Graph, over shift_masks",
-    "graphs.mask_edges": "the edge set of neighbour masks, which kelmans and the sampler's Graph read",
-    "verify.random_connected_graph": "the Graph of random_masks, which test fixtures draw",
+    # the kelmans campaign runs their core on stacks of drawn adjacency matrices, with no Graph
+    "transforms.kelmans": "public API: the reroute of one Graph on the stack core, swap image included",
+    "transforms.pendant_shift": "public API: the pendant shift of one Graph on the stack core",
+    "graphs.stack_graph": "the Graph of a one-matrix stack, for kelmans, pendant_shift and the sampler",
     # the campaign draws its samples in rounds of the same builder
-    "verify.random_masks": "the one-sample view of the kelmans campaign's batched draw",
+    "verify.random_connected_graph": "the one-sample Graph of the kelmans campaign's batched draw, "
+                                     "which test fixtures draw",
     # theorem41 and enumerate read the degree-(n-2) family as edge rows
     "enumeration.targeted_max_degree_family": "the Graphs of max_degree_rows, which test fixtures read",
 }

@@ -18,8 +18,8 @@ from bicyclic_spectra import (
     pendant_shift,
     rho_f,
 )
-from bicyclic_spectra.graphs import edge_masks
-from bicyclic_spectra.transforms import move_masks, move_stack, reroute, reroute_stack
+from bicyclic_spectra.graphs import edge_stack, stack_graph
+from bicyclic_spectra.transforms import move_stack, reroute_stack
 from bicyclic_spectra.verify import random_connected_graph
 from conftest import (class_graphs, reference_canonical_form, reference_kelmans,
                       reference_pendant_shift, reference_pendant_shift_instance)
@@ -211,8 +211,8 @@ class TestKelmans:
 
 
 class TestRerouteCore:
-    """The mask core (reroute) and kelmans against the set-based reference
-    on connected graphs, where u ending isolated is a split."""
+    """kelmans, the one-graph view of the stack core, against the set-based
+    reference on connected graphs, where u ending isolated is a split."""
 
     @staticmethod
     def assert_agree(g, u, v):
@@ -220,8 +220,6 @@ class TestRerouteCore:
         want = (ref.changed, ref.disconnects, ref.moved_edges, ref.result.edges)
         out = kelmans(g, u, v)
         assert (out.changed, out.disconnects, out.moved_edges, out.result.edges) == want
-        _, changed, isolates = reroute(edge_masks(g.n, g.edges), u, v)
-        assert (changed, isolates) == want[:2]
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_every_pair_of_every_class(self, n):
@@ -238,35 +236,38 @@ class TestRerouteCore:
 
 
 class TestRerouteStack:
-    """reroute_stack and move_stack, one (u, v) per matrix, against the mask
-    core reroute and move_masks."""
+    """reroute_stack and move_stack, one (u, v) per matrix of a stack,
+    against the set-based reference on connected graphs: private holds the
+    far ends of the moved edges, isolates is the split, and the moved
+    matrices are symmetric."""
 
     @staticmethod
-    def assert_agree(masks_list, uv):
-        n = len(masks_list[0])
-        adj = np.array([[[m >> w & 1 for w in range(n)] for m in masks] for masks in masks_list], bool)
+    def assert_agree(graphs, uv):
+        n = graphs[0].n
+        adj = np.concatenate([edge_stack(n, g.edges) for g in graphs])
         u, v = (np.array(side) for side in zip(*uv))
         before = adj.copy()
         private, changed, isolates = reroute_stack(adj, u, v)
         moved = move_stack(adj, private, u, v)
         assert (adj == before).all()  # the input stays
-        for s, (masks, (a, b)) in enumerate(zip(masks_list, uv)):
-            want = reroute(masks, a, b)
-            assert (sum(1 << w for w in np.flatnonzero(private[s]).tolist()),
-                    bool(changed[s]), bool(isolates[s])) == want
-            after = move_masks(masks, want[0], a, b)
-            assert [sum(1 << w for w in np.flatnonzero(row).tolist()) for row in moved[s]] == after
+        assert (moved == moved.transpose(0, 2, 1)).all()
+        for s, (g, (a, b)) in enumerate(zip(graphs, uv)):
+            ref = reference_kelmans(g, a, b)
+            far = [x + y - a for (x, y), _ in ref.moved_edges]
+            assert (np.flatnonzero(private[s]).tolist(), bool(changed[s]), bool(isolates[s])) == (
+                far, ref.changed, ref.disconnects)
+            assert stack_graph(moved[s:s + 1]).edges == ref.result.edges
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_every_ordered_pair_of_every_class(self, n):
         uv = list(itertools.permutations(range(n), 2))
-        graphs = [edge_masks(n, g.edges) for g in class_graphs(n)]
-        self.assert_agree([masks for masks in graphs for _ in uv], uv * len(graphs))
+        graphs = class_graphs(n)
+        self.assert_agree([g for g in graphs for _ in uv], uv * len(graphs))
 
     def test_random_graphs(self):
         rng = random.Random(95)
         for n in range(2, 13):
-            graphs = [edge_masks(n, random_connected_graph(rng, n).edges) for _ in range(60)]
+            graphs = [random_connected_graph(rng, n) for _ in range(60)]
             self.assert_agree(graphs, [tuple(rng.sample(range(n), 2)) for _ in graphs])
 
 
@@ -373,8 +374,9 @@ class TestPendantShift:
 
 
 class TestShiftMasks:
-    """pendant_shift, the Graph view of shift_masks, against the set-based
-    reference: the same graph, or a TransformError with the same message."""
+    """pendant_shift, the one-graph view of the stack core, against the
+    set-based reference: the same graph, or a TransformError with the same
+    message."""
 
     @staticmethod
     def outcome(shift, g, v, u, w):

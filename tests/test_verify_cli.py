@@ -208,6 +208,38 @@ class TestNearTiePolicy:
         assert case.passed is False
         assert "near-tie" in case.note and "certificates" in case.note
 
+    def test_scaled_weight_ranks_as_unscaled(self):
+        # the gap is read relative to the top rho: 1e-150 * (x + y) gives the
+        # rank-1 winners of x + y, though its gaps lie near 1e-150
+        reports = [verify_extremal(range(6, 9), [parse_weight(spec)], rank="first")
+                   for spec in ("custom:x+y", "custom:1e-150*(x+y)")]
+        assert all(rep.ok for rep in reports)
+        plain, scaled = ([case.computed for case in rep.cases] for rep in reports)
+        for a, b in zip(plain, scaled):
+            assert b["gap_to_second"] < 1e-149
+            assert math.isclose(b["rho_max"], 1e-150 * a["rho_max"], rel_tol=1e-9)
+            for key in ("winner_is_g1", "infinity_base_winner_is_g2", "theta_base_winner_is_g1"):
+                assert a[key] is b[key] is True
+
+    def test_scaled_candidate_ranks_as_unscaled(self, monkeypatch):
+        # a custom weight has no stated threshold: borrow forgotten's
+        monkeypatch.setitem(verify.SECOND_RANK_THRESHOLDS, "custom", 8)
+        for spec in ("custom:x^2+y^2", "custom:1e-150*(x^2+y^2)"):
+            rep = verify_extremal(range(8, 13), [parse_weight(spec)], rank="second", mode="candidate")
+            assert rep.ok and [case.computed["winner"] for case in rep.cases] == ["G2"] * 5
+
+    def test_exact_tie_fails(self, monkeypatch):
+        # a second class at the top rho fails rank 1, and so does a candidate tie
+        classes, named, rankings = verify._rankings(6, (Z1,))
+        (top, key), (_, second) = rankings[Z1][0]
+        tied = {Z1: ([(top, key), (top, second)], rankings[Z1][1])}
+        monkeypatch.setattr(verify, "_rankings", lambda n, fs: (classes, named, tied))
+        case = verify_extremal([6], [Z1], rank="first").cases[0]
+        assert case.passed is False and "near-tie at the top: gap 0.000e+00" in case.note
+        monkeypatch.setattr(verify, "rho_f", lambda g, f: 1.0)
+        case = verify_extremal([10], [Z1], rank="second", mode="candidate").cases[0]
+        assert case.computed["winner"] == "G2" and case.passed is False
+
 
 def timeless(report) -> dict:
     d = report.to_dict()
@@ -558,18 +590,17 @@ class TestKelmansCampaign:
             verify_kelmans(5, range(2, 4), [Z1], rng_seed=1)
 
     def test_sampler_matches_reference(self):
-        # same graph, and same masks from the mask draw, with the same
-        # generator state after every call, so a seeded campaign draws the
-        # same samples; past n = 24 a shuffle bound exceeds 255
+        # same graph, with the same generator state after every call, so a
+        # seeded campaign draws the same samples; past n = 24 a shuffle bound
+        # exceeds 255
         for seed in range(120):
-            rng, draw, ref, step = (random.Random(seed) for _ in range(4))
+            rng, ref, step = (random.Random(seed) for _ in range(3))
             for i in range(40):
                 n = 1 + (seed + i) % 28
                 g = verify.random_connected_graph(rng, n)
-                assert verify.random_masks(draw, n) == edge_masks(n, g.edges)
                 assert g == reference_random_connected_graph(ref, n)
                 assert g == stepwise_random_connected_graph(step, n)
-                assert rng.getstate() == draw.getstate() == ref.getstate() == step.getstate()
+                assert rng.getstate() == ref.getstate() == step.getstate()
 
     @pytest.mark.parametrize("lo,hi", [(2, 6), (4, 8), (3, 12), (17, 20), (24, 27)])
     def test_report_matches_graph_based_campaign(self, lo, hi):
@@ -648,8 +679,8 @@ class TestKelmansCampaign:
 
     def test_campaign_builds_graphs_only_for_pendant_shifts(self):
         # no draw becomes a Graph, and neither does a pendant shift: the 500
-        # shifts come from 30 distinct drawn instances, each built as masks
-        # and shifted once by shift_masks
+        # shifts come from 30 distinct drawn instances, each built as an
+        # adjacency matrix and moved once by move_stack
         assert graphs_built_in_fresh_process(
             "verify.verify_kelmans(2000, range(4, 9), [parse_weight('zagreb1')], rng_seed=1)\n"
         ) == 0
@@ -772,7 +803,7 @@ class TestIntegerDraw:
                 seq = range(n, 2 * n)
                 assert seq[verify._below(bits, n)] == rng.choice(seq)
                 shuffled, want = list(range(n % 40)), list(range(n % 40))
-                for i in range(len(shuffled) - 1, 0, -1):  # as random_masks shuffles
+                for i in range(len(shuffled) - 1, 0, -1):  # as random_connected_graph shuffles
                     j = verify._below(bits, i + 1)
                     shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
                 rng.shuffle(want)
@@ -795,7 +826,7 @@ class TestEdgeWords:
         for seed in range(20):
             rng, ref = random.Random(seed), random.Random(seed)
             for n in range(2, 21):
-                masks = verify.random_masks(rng, n)
+                masks = edge_masks(n, verify.random_connected_graph(rng, n).edges)
                 g = reference_random_connected_graph(ref, n)
                 word = conftest.reference_edge_word(masks)
                 pairs = verify._vertex_pairs(n)
@@ -824,7 +855,8 @@ class TestEdgeWords:
         # rows == distinct[inverse]
         rng = random.Random(2)
         for n in (4, 11, 12, 20):
-            words = [conftest.reference_edge_word(verify.random_masks(rng, n)) for _ in range(40)]
+            words = [conftest.reference_edge_word(edge_masks(n, verify.random_connected_graph(rng, n).edges))
+                     for _ in range(40)]
             words += words[:15] + [words[0]] * 3
             rng.shuffle(words)
             rows = conftest.packed_words(words, n)

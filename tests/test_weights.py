@@ -177,13 +177,14 @@ CATALOGUE_SPECS = [
     "sombor:a=2,b=2", "sombor:a=-1,b=2", "sombor:a=0.5,b=-1.5", "sombor:alpha=-2,beta=0.5",
     "exp_zagreb1", "exp_sum_connectivity:a=-1", "exp_sum_connectivity:a=0.5",
     "exp_sum_connectivity:a=3", "exp_sombor:a=2,b=0.5", "exp_sombor:a=-1,b=-2", "extended",
-    "zagreb1:a=2", "platt:a=1,a=-2", "custom:(x+y)^3", "custom:x^-1+y^-1", "custom:sqrt(x*y)",
+    "custom:(x+y)^3", "custom:x^-1+y^-1", "custom:sqrt(x*y)",
     "custom:sqrt(13-x)+sqrt(13-y)+1", "custom:log(x*y)+1",
 ]
-# missing, unknown and malformed parameters, unknown kinds, rejected expressions
+# missing, unused, repeated, unknown and malformed parameters, unknown kinds, rejected expressions
 REJECTED_SPECS = [
     "sum_connectivity", "platt", "sombor:a=2", "sombor:b=2", "exp_sum_connectivity",
-    "exp_sombor:a=1", "zagreb1:c=1", "sombor:a=1,q=2", "zagreb1:a=x", "sombor:q=x",
+    "exp_sombor:a=1", "zagreb1:a=2", "zagreb1:b=3", "platt:a=1,a=-2", "sombor:a=1,alpha=2,b=1",
+    "zagreb1:c=1", "sombor:a=1,q=2", "zagreb1:a=x", "sombor:q=x",
     "zorg", "exp_extended", "custom:", "custom:x-y", "custom:1/(x-y)+1",
 ]
 CATALOGUE_DEGREES = (1, 2, 3, 7, 12)
