@@ -6,9 +6,10 @@ written to files, with CSV alongside).
 
 Exit codes: 0 when every asserted case passed, 1 when an asserted case
 failed, 2 when the input is outside the supported domain (a bad argument, an
-order beyond a bound, a malformed weight or one beyond float range, an output
-path that cannot be written; one line, `bicyclic-spectra: error: <message>`,
-on stderr); 141 when the reader closed stdout (`... | head -1`), quietly.
+order beyond a bound or too large to hold in memory, a malformed weight or one
+beyond float range, an output path that cannot be written; one line,
+`bicyclic-spectra: error: <message>`, on stderr); 141 when the reader closed
+stdout (`... | head -1`), quietly.
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ def main(argv=None) -> int:
     # OSError: an unwritable --json or --csv path; SpectralError: a matrix LAPACK cannot take
     except (ValueError, OSError, SpectralError) as exc:
         return _fail(exc)
+    except MemoryError as exc:  # an order too large to hold its matrix
+        return _fail(str(exc) or "out of memory")
 
 
 def _run(args) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 import csv
 import io
-import itertools
 import json
 import math
 import random
@@ -31,8 +30,8 @@ import numpy as np
 # importable here (noqa: F401): perfbench/layers.py wraps them
 from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # noqa: F401
                           max_degree_rows, orderly_rows, targeted_max_degree_family)
-from .graphs import (FAMILIES, Graph, base_graph, edge_stack, graph_g1, graph_g2,  # noqa: F401
-                     graph_rows, rows_graph, stack_graph, union_edges)
+from .graphs import (FAMILIES, base_graph, edge_stack, graph_g1, graph_g2,  # noqa: F401
+                     graph_rows, rows_graph, union_edges)
 from .spectral import pruned_brackets, radius_brackets, rho_f, spectral_radii, stacked_radii
 from .transforms import kelmans, move_stack, pendant_shift, reroute_stack  # noqa: F401
 from .weights import WeightFunction, check_pstar, parse_weight
@@ -412,15 +411,11 @@ def _candidate_case(n: int, f: WeightFunction, rank: str) -> CaseRecord:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Every (u, v) with u < v < n, in lexicographic order."""
-    return tuple(itertools.combinations(range(n), 2))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # a kelmans pass reads it hundreds of times
 def _pair_ends(n: int) -> np.ndarray:
-    """_vertex_pairs(n) as a read-only intp array (2, C): its u row and its v row."""
-    ends = np.array(_vertex_pairs(n), np.intp).reshape(-1, 2).T
+    """Every pair u < v < n, in lexicographic order, as a read-only intp array (2, C):
+    its u row and its v row."""
+    ends = np.stack(np.triu_indices(n, 1))
     ends.flags.writeable = False
     return ends
 
@@ -434,31 +429,19 @@ def _below(bits, n: int) -> int:
     return r
 
 
-EXTRA_EDGES_MAX = 3  # random_connected_graph adds 0..EXTRA_EDGES_MAX edges to its tree
+EXTRA_EDGES_MAX = 3  # a kelmans sample adds 0..EXTRA_EDGES_MAX of its tree's non-edges
 STACK_BYTES = 1 << 20  # adjacency bytes (samples x n^2) per draw round of verify_kelmans
 SKIP_WORDS = 1 << 12  # generator words per getrandbits call when a round rewinds
 
 
 @lru_cache(maxsize=None)
-def _bound_draw(bound: int) -> tuple[int, int]:
-    """(bound, bit length), as _draw_values reads a draw; one object per bound."""
-    return bound, bound.bit_length()
-
-
-def _bounds(*bounds: int) -> tuple[tuple[int, int], ...]:
-    """The draws of bounds, in turn."""
-    return tuple(map(_bound_draw, bounds))
-
-
-@lru_cache(maxsize=None)
-def _graph_draws(n: int) -> tuple[tuple[int, int], ...]:
-    """The draws random_connected_graph makes at order n, in turn: n - 2 Pruefer values
-    below n, the Fisher-Yates bounds C..2 of the tree's C non-edges, then the
-    number of them it adds."""
-    if n <= 2:  # no draw
-        return ()
+def _sample_draws(n: int) -> tuple[tuple[int, int], ...]:
+    """The draws (bound, bit length) of one kelmans sample of order n after its order, in
+    turn: for n > 2 only, n - 2 Pruefer values below n, the Fisher-Yates bounds C..2 of
+    the tree's C non-edges and the number of them it adds; then u and v."""
     c = (n - 1) * (n - 2) // 2
-    return _bounds(*[n] * (n - 2), *range(c, 1, -1), min(EXTRA_EDGES_MAX, c) + 1)
+    graph = [*[n] * (n - 2), *range(c, 1, -1), min(EXTRA_EDGES_MAX, c) + 1] if n > 2 else []
+    return tuple((b, b.bit_length()) for b in graph + [n, n - 1])
 
 
 def _store(bound: int) -> array:
@@ -466,26 +449,26 @@ def _store(bound: int) -> array:
     return array(next(t for t in "BHIQ" if bound <= 256 ** array(t).itemsize))
 
 
-def _draw_values(rng: random.Random, plans: Sequence[tuple[tuple[int, int], ...]], count: int,
-                 pick: tuple[tuple[int, int], ...] = ()) -> tuple[list[array], list[array], array]:
-    """Phase one of a batched draw: `count` samples, each the value i of pick
-    (0 without one), then a value below each bound of plans[i], in turn, as
+def _draw_values(rng: random.Random, plans: Sequence[tuple[tuple[int, int], ...]],
+                 count: int) -> tuple[list[array], list[array], array]:
+    """Phase one of a batched draw: `count` samples, each a plan index i below
+    len(plans), then a value below each bound of plans[i], in turn, all as
     _below(rng.getrandbits, bound) draws them, rejections included.
 
     Gives per plan the flat store of its values and the positions of its
     samples, and the generator words read up to the end of each sample."""
-    bits = rng.getrandbits
-    stores = [_store(max((b for b, _ in plan), default=1)) for plan in plans]
+    bits, picks = rng.getrandbits, len(plans)
+    width = picks.bit_length()
+    stores = [_store(max(b for b, _ in plan)) for plan in plans]
     positions, ends = [_store(count) for _ in plans], array("q")
-    cost = [sum((k + 31) >> 5 for _, k in pick + plan) for plan in plans]  # words without rejections
+    # words per sample without rejections
+    cost = [sum((k + 31) >> 5 for _, k in ((picks, width), *plan)) for plan in plans]
     read = 0
     for position in range(count):
-        i = 0
-        for b, k in pick:
-            i = bits(k)
-            while i >= b:
-                read += (k + 31) >> 5
-                i = bits(k)
+        i = bits(width)
+        while i >= picks:
+            read += (width + 31) >> 5
+            i = bits(width)
         values = []
         for b, k in plans[i]:
             r = bits(k)
@@ -501,15 +484,15 @@ def _draw_values(rng: random.Random, plans: Sequence[tuple[tuple[int, int], ...]
 
 
 def _random_adjacency(values: np.ndarray, n: int) -> np.ndarray:
-    """Bool adjacency stack (S, n, n) of the graphs random_connected_graph draws at order n,
-    graph s from row s of values, which holds its _graph_draws(n) values first.
+    """Bool adjacency stack (S, n, n) of the graphs of the kelmans samples of order n >= 2,
+    graph s from row s of values, which holds its _sample_draws(n) values: a uniform
+    random labeled tree (a Pruefer decode) plus a shuffled prefix, 0..EXTRA_EDGES_MAX
+    long, of its non-edges.
 
     The Pruefer decode joins, value x after value x, the smallest leaf to x;
     the shuffle keeps only what its first EXTRA_EDGES_MAX places read."""
     count = len(values)
     adj = np.zeros((count, n, n), bool)
-    if n < 2:
-        return adj
     rows = np.arange(count)
     prufer = values[:, :n - 2].astype(np.intp)
     # a removed vertex's degree is n, so the smallest leaf is the first minimum
@@ -542,36 +525,20 @@ def _random_adjacency(values: np.ndarray, n: int) -> np.ndarray:
     return adj
 
 
-def random_connected_graph(rng: random.Random, n: int) -> Graph:
-    """A uniform random labeled tree on n vertices (a Pruefer decode) plus a
-    shuffled prefix, 0..EXTRA_EDGES_MAX long, of its non-edges.
-
-    The one-sample view of verify_kelmans's draw: _draw_values reads the
-    values of _graph_draws(n), the words rng.randrange, shuffle and randint
-    would read, and _random_adjacency decodes them."""
-    store = _draw_values(rng, [_graph_draws(n)], 1)[0][0]
-    values = np.frombuffer(store, store.typecode).reshape(1, -1)
-    return stack_graph(_random_adjacency(values, n))
-
-
-def _sample_draws(n: int) -> tuple[tuple[int, int], ...]:
-    """The draws of one kelmans sample of order n after its order: random_connected_graph,
-    u, then v."""
-    return _graph_draws(n) + _bounds(n, n - 1)
-
-
 def _draw_round(rng: random.Random, orders: Sequence[int], count: int):
-    """`count` samples of verify_kelmans, each an order index, random_connected_graph, u
-    and v, drawn in two phases.  One pass reads every value of every sample,
-    in turn and with the scalar draws' rejections, into one flat store per
-    order; then numpy decodes each order's samples at once.
+    """`count` samples of verify_kelmans, each an order index, a connected graph, u and
+    v, drawn in two phases.  One pass (_draw_values) reads every value of every
+    sample, in turn and with the scalar draws' rejections, into one flat store
+    per order; then numpy decodes each order's samples at once
+    (_random_adjacency).  These are the words that rng.choice, randrange,
+    shuffle and randint read when a sample is drawn with them.
 
     Gives per order the positions of its samples among the `count`; ends,
     the generator words read up to the end of each sample; and an iterator
     that decodes, order after order, the stack (adj, u, v) of its samples,
     in the order they were drawn."""
     plans = [_sample_draws(n) for n in orders]
-    stores, positions, ends = _draw_values(rng, plans, count, _bounds(len(orders)))
+    stores, positions, ends = _draw_values(rng, plans, count)
     return positions, ends, map(_order_stack, orders, plans, stores)
 
 
@@ -590,7 +557,7 @@ def _skip_words(rng: random.Random, words: int) -> None:
 
 def _packed_rows(adj: np.ndarray) -> np.ndarray:
     """Packed edge rows (S, B) of a bool adjacency stack (S, n, n): bit i, little-endian,
-    of row s is set iff pair i of _vertex_pairs(n) is an edge of graph s."""
+    of row s is set iff pair i of _pair_ends(n) is an edge of graph s."""
     iu, ju = _pair_ends(adj.shape[1])
     return np.packbits(adj[:, iu, ju], axis=1, bitorder="little")
 

@@ -41,11 +41,13 @@ class WeightFunction:
     def __post_init__(self):
         if self.kind not in _CATALOGUE:
             raise WeightSpecError(f"unknown weight kind {self.kind!r}")
-        for param in ("alpha", "beta"):  # each one its kind takes, and no other
-            takes = param in _CATALOGUE[self.kind][0]
-            if takes == (getattr(self, param) is None):
+        for param in ("alpha", "beta"):  # each one its kind takes, and no other, finite
+            takes, value = param in _CATALOGUE[self.kind][0], getattr(self, param)
+            if takes == (value is None):
                 verb = "requires" if takes else "takes no"
                 raise WeightSpecError(f"{self.kind} {verb} parameter {param}")
+            if value is not None and not -math.inf < value < math.inf:  # NaN fails it too
+                raise WeightSpecError(f"{self.kind} parameter {param} must be finite, got {value}")
         if self.kind == "custom":
             if not self.expression:
                 raise WeightSpecError("custom weight requires an expression")

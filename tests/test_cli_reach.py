@@ -48,10 +48,7 @@ UNREACHED = {
     # the kelmans campaign runs their core on stacks of drawn adjacency matrices, with no Graph
     "transforms.kelmans": "public API: the reroute of one Graph on the stack core, swap image included",
     "transforms.pendant_shift": "public API: the pendant shift of one Graph on the stack core",
-    "graphs.stack_graph": "the Graph of a one-matrix stack, for kelmans, pendant_shift and the sampler",
-    # the campaign draws its samples in rounds of the same builder
-    "verify.random_connected_graph": "the one-sample Graph of the kelmans campaign's batched draw, "
-                                     "which test fixtures draw",
+    "graphs.stack_graph": "the Graph of a one-matrix stack, for kelmans and pendant_shift",
     # theorem41 and enumerate read the degree-(n-2) family as edge rows
     "enumeration.targeted_max_degree_family": "the Graphs of max_degree_rows, which test fixtures read",
 }

@@ -23,15 +23,14 @@ from bicyclic_spectra import (
 from bicyclic_spectra import enumeration, spectral, verify, weights
 from bicyclic_spectra.graphs import graph_rows, rows_graph, union_edges
 from bicyclic_spectra.quotient import PartitionError
-from bicyclic_spectra.verify import random_connected_graph
-from conftest import loop_matrix, per_graph_radii
+from conftest import loop_matrix, per_graph_radii, reference_random_connected_graph
 
 
 def same_size_graphs(rng, n, m, count):
     """count random connected graphs of order n with m edges."""
     out = []
     while len(out) < count:
-        g = random_connected_graph(rng, n)
+        g = reference_random_connected_graph(rng, n)
         if g.m == m:
             out.append(g)
     return out
@@ -168,7 +167,7 @@ class TestExtendedSandwich:
 
     def test_sandwich_on_random_graphs(self, weight_one, weight_extended, rng):
         for _ in range(40):
-            g = random_connected_graph(rng, rng.randint(4, 9))
+            g = reference_random_connected_graph(rng, rng.randint(4, 9))
             deg = g.degrees()
             lo, hi = min(deg), max(deg)
             plain = rho_f(g, weight_one)
@@ -180,7 +179,7 @@ class TestExtendedSandwich:
 class TestRelabelInvariance:
     def test_rho_is_isomorphism_invariant(self, weight_hyper, rng):
         for _ in range(25):
-            g = random_connected_graph(rng, rng.randint(4, 9))
+            g = reference_random_connected_graph(rng, rng.randint(4, 9))
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = g.relabel(perm)
@@ -201,7 +200,7 @@ class TestPerronFrobenius:
 
     def test_positive_vector_and_gap_on_random_connected(self, weight_zagreb1, rng):
         for _ in range(40):
-            g = random_connected_graph(rng, rng.randint(3, 9))
+            g = reference_random_connected_graph(rng, rng.randint(3, 9))
             m = build_matrix(g, weight_zagreb1)
             res = spectral_radius(m)
             assert np.all(res.perron > 0)
@@ -459,7 +458,7 @@ class TestRadiusBrackets:
         fs = [parse_weight(w) for w in self.WEIGHTS]
         rng = random.Random(9)
         for n in (7, 8, 17, 18, 19, 20):
-            graphs = [random_connected_graph(rng, n) for _ in range(60)]
+            graphs = [reference_random_connected_graph(rng, n) for _ in range(60)]
             if n <= 8:
                 graphs += [rows_graph(r) for rows, _ in enumeration.orderly_rows(n) for r in rows]
             rng.shuffle(graphs)

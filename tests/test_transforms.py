@@ -20,9 +20,9 @@ from bicyclic_spectra import (
 )
 from bicyclic_spectra.graphs import edge_stack, stack_graph
 from bicyclic_spectra.transforms import move_stack, reroute_stack
-from bicyclic_spectra.verify import random_connected_graph
 from conftest import (class_graphs, reference_canonical_form, reference_kelmans,
-                      reference_pendant_shift, reference_pendant_shift_instance)
+                      reference_pendant_shift, reference_pendant_shift_instance,
+                      reference_random_connected_graph)
 
 
 def star(n):
@@ -71,7 +71,7 @@ class TestKelmans:
     def test_direction_symmetry(self, rng):
         for _ in range(60):
             n = rng.randint(4, 8)
-            g = random_connected_graph(rng, n)
+            g = reference_random_connected_graph(rng, n)
             u = rng.randrange(n)
             v = (u + rng.randrange(1, n)) % n
             a = kelmans(g, u, v).result
@@ -81,7 +81,7 @@ class TestKelmans:
     def test_preserves_counts(self, rng):
         for _ in range(60):
             n = rng.randint(4, 9)
-            g = random_connected_graph(rng, n)
+            g = reference_random_connected_graph(rng, n)
             u, v = rng.sample(range(n), 2)
             out = kelmans(g, u, v)
             assert out.result.n == n and out.result.m == g.m
@@ -96,7 +96,7 @@ class TestKelmans:
         checked = 0
         while checked < 80:
             n = rng.randint(4, 8)
-            g = random_connected_graph(rng, n)
+            g = reference_random_connected_graph(rng, n)
             u, v = rng.sample(range(n), 2)
             out = kelmans(g, u, v)
             if not out.changed:
@@ -130,7 +130,7 @@ class TestKelmans:
         misses = 0
         for i in range(2000):
             n = 4 + i % 5
-            g = random_connected_graph(rng, n)
+            g = reference_random_connected_graph(rng, n)
             u, v = rng.sample(range(n), 2)
             out = kelmans(g, u, v)
             if not out.moved_edges:
@@ -176,7 +176,7 @@ class TestKelmans:
         rng = random.Random(91)
         for i in range(2000):
             n = 6 + i % 4
-            g = random_connected_graph(rng, n)
+            g = reference_random_connected_graph(rng, n)
             u, v = rng.sample(range(n), 2)
             out = kelmans(g, u, v)
             assert out.changed == (reference_canonical_form(g)
@@ -191,7 +191,7 @@ class TestKelmans:
         for i in range(3000):
             n = 4 + i % 21
             if i % 2:
-                g = random_connected_graph(rng, n)
+                g = reference_random_connected_graph(rng, n)
             else:
                 pairs = list(itertools.combinations(range(n), 2))
                 g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, min(2 * n, len(pairs)))))
@@ -231,7 +231,7 @@ class TestRerouteCore:
         rng = random.Random(94)
         for _ in range(2000):
             n = rng.randint(2, 12)
-            g = random_connected_graph(rng, n)
+            g = reference_random_connected_graph(rng, n)
             self.assert_agree(g, *rng.sample(range(n), 2))
 
 
@@ -267,7 +267,7 @@ class TestRerouteStack:
     def test_random_graphs(self):
         rng = random.Random(95)
         for n in range(2, 13):
-            graphs = [random_connected_graph(rng, n) for _ in range(60)]
+            graphs = [reference_random_connected_graph(rng, n) for _ in range(60)]
             self.assert_agree(graphs, [tuple(rng.sample(range(n), 2)) for _ in graphs])
 
 
@@ -405,7 +405,7 @@ class TestShiftMasks:
         valid = 0
         for _ in range(2000):
             n = rng.randint(3, 12)
-            g = random_connected_graph(rng, n)
+            g = reference_random_connected_graph(rng, n)
             nbr = g.neighbors()
             for w in range(n):
                 if len(nbr[w]) == 1:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import random
@@ -28,7 +29,7 @@ from bicyclic_spectra import (
     verify_kelmans,
     verify_theorem41,
 )
-from bicyclic_spectra import spectral, verify, weights
+from bicyclic_spectra import cli, spectral, verify, weights
 from bicyclic_spectra.cli import main, parse_graph_argument
 from bicyclic_spectra.graphs import edge_masks, graph_rows, rows_graph
 from bicyclic_spectra.spectral import radius_brackets, spectral_radii
@@ -590,16 +591,23 @@ class TestKelmansCampaign:
             verify_kelmans(5, range(2, 4), [Z1], rng_seed=1)
 
     def test_sampler_matches_reference(self):
-        # same graph, with the same generator state after every call, so a
-        # seeded campaign draws the same samples; past n = 24 a shuffle bound
-        # exceeds 255
+        # a one-order round of one sample draws the order, both samplers'
+        # graph, u and v, leaving the same generator state after every call,
+        # so a seeded campaign draws the same samples; past n = 24 a shuffle
+        # bound exceeds 255
         for seed in range(120):
             rng, ref, step = (random.Random(seed) for _ in range(3))
             for i in range(40):
-                n = 1 + (seed + i) % 28
-                g = verify.random_connected_graph(rng, n)
-                assert g == reference_random_connected_graph(ref, n)
-                assert g == stepwise_random_connected_graph(step, n)
+                n = 2 + (seed + i) % 27
+                _, _, stacks = verify._draw_round(rng, [n], 1)
+                (adj, u, v), = stacks
+                got = ({(p, q) for p, q in itertools.combinations(range(n), 2) if adj[0, p, q]},
+                       int(u[0]), int(v[0]))
+                for r, sampler in ((ref, reference_random_connected_graph),
+                                   (step, stepwise_random_connected_graph)):
+                    r.choice([n])
+                    g, x = sampler(r, n), r.randrange(n)
+                    assert got == (set(g.edges), x, (x + r.randrange(1, n)) % n)
                 assert rng.getstate() == ref.getstate() == step.getstate()
 
     @pytest.mark.parametrize("lo,hi", [(2, 6), (4, 8), (3, 12), (17, 20), (24, 27)])
@@ -630,7 +638,7 @@ class TestKelmansCampaign:
                 for n, at, (adj, u, v) in zip(orders, positions, stacks):
                     assert adj.shape == (len(at), n, n)
                     for s, a, x, y in zip(at, adj.tolist(), u.tolist(), v.tolist()):
-                        got[s] = (n, {(p, q) for p, q in verify._vertex_pairs(n) if a[p][q]}, x, y)
+                        got[s] = (n, {(p, q) for p, q in itertools.combinations(range(n), 2) if a[p][q]}, x, y)
                 want = [conftest.reference_reroute_draw(ref, orders) for _ in range(count)]
                 assert got == [(n, set(g.edges), u, v) for n, g, u, v in want]
                 assert rng.getstate() == ref.getstate()
@@ -803,7 +811,7 @@ class TestIntegerDraw:
                 seq = range(n, 2 * n)
                 assert seq[verify._below(bits, n)] == rng.choice(seq)
                 shuffled, want = list(range(n % 40)), list(range(n % 40))
-                for i in range(len(shuffled) - 1, 0, -1):  # as random_connected_graph shuffles
+                for i in range(len(shuffled) - 1, 0, -1):  # as the kelmans sampler shuffles
                     j = verify._below(bits, i + 1)
                     shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
                 rng.shuffle(want)
@@ -821,15 +829,15 @@ class TestIntegerDraw:
 
 class TestEdgeWords:
     def test_words_and_rows_round_trip(self):
-        # bit i of a graph's packed row is the i-th pair of _vertex_pairs(n);
-        # up to n = 20 a row holds 190 bits, past one 64-bit word
+        # bit i of a graph's packed row is the i-th pair u < v, in lexicographic
+        # order; up to n = 20 a row holds 190 bits, past one 64-bit word
         for seed in range(20):
-            rng, ref = random.Random(seed), random.Random(seed)
+            rng = random.Random(seed)
             for n in range(2, 21):
-                masks = edge_masks(n, verify.random_connected_graph(rng, n).edges)
-                g = reference_random_connected_graph(ref, n)
+                g = reference_random_connected_graph(rng, n)
+                masks = edge_masks(n, g.edges)
                 word = conftest.reference_edge_word(masks)
-                pairs = verify._vertex_pairs(n)
+                pairs = itertools.combinations(range(n), 2)
                 assert word == sum(1 << i for i, pair in enumerate(pairs) if pair in g.edges)
                 adj = np.array([[[masks[u] >> v & 1 for v in range(n)] for u in range(n)]] * 2, bool)
                 rows = verify._packed_rows(adj)
@@ -842,7 +850,7 @@ class TestEdgeWords:
         # graphs of all sizes in one batch, each edge tagged with its graph
         rng = random.Random(5)
         for n in (5, 12, 20):
-            graphs = [verify.random_connected_graph(rng, n) for _ in range(30)]
+            graphs = [reference_random_connected_graph(rng, n) for _ in range(30)]
             assert len({g.m for g in graphs}) > 1
             rows = conftest.packed_words([conftest.reference_edge_word(edge_masks(n, g.edges))
                                           for g in graphs], n)
@@ -855,7 +863,7 @@ class TestEdgeWords:
         # rows == distinct[inverse]
         rng = random.Random(2)
         for n in (4, 11, 12, 20):
-            words = [conftest.reference_edge_word(edge_masks(n, verify.random_connected_graph(rng, n).edges))
+            words = [conftest.reference_edge_word(edge_masks(n, reference_random_connected_graph(rng, n).edges))
                      for _ in range(40)]
             words += words[:15] + [words[0]] * 3
             rng.shuffle(words)
@@ -1150,11 +1158,14 @@ class TestCli:
          "custom expression 'log(x-1)+5' is undefined at (1,1)"),
         (["spectral", "--graph", "G1:6", "--f", "custom:(x-2)**0.5+5"],
          "custom expression '(x-2)**0.5+5' is undefined at (1,1)"),
+        # every comparison with NaN is false, so P* would pass it
+        (["extremal", "--n", "5", "--f", "sum_connectivity:a=nan"],
+         "sum_connectivity parameter alpha must be finite"),
     ], ids=["named_order", "named_int", "named_params", "graph6", "empty_range",
             "range_int", "weight_kind", "weight_overflow", "missing_option", "unknown_command",
             "undefined_extremal", "undefined_kelmans", "undefined_spectral",
             "undefined_custom_division", "undefined_custom_power", "undefined_custom_log",
-            "undefined_custom_root"])
+            "undefined_custom_root", "weight_nan"])
     def test_argument_errors_print_one_line(self, argv, message):
         import subprocess, sys
         proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],
@@ -1206,6 +1217,21 @@ class TestCli:
         assert "symmetric eigensolver did not converge" in line
         if order is not None:
             assert f"at n={order}:" in line
+
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64",
+        "",
+    ], ids=["numpy", "bare"])
+    def test_memory_error_exits_two(self, monkeypatch, capsys, message):
+        # an order too large to hold its matrix; patched, since where the
+        # kernel overcommits a real G1:100000 may try to allocate it
+        def huge(g, f):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "build_matrix", huge)
+        assert main(["spectral", "--graph", "G1:100000", "--f", "zagreb1"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"bicyclic-spectra: error: {message or 'out of memory'}\n")
 
     def test_module_entry_point(self):
         import subprocess, sys

@@ -186,6 +186,7 @@ REJECTED_SPECS = [
     "exp_sombor:a=1", "zagreb1:a=2", "zagreb1:b=3", "platt:a=1,a=-2", "sombor:a=1,alpha=2,b=1",
     "zagreb1:c=1", "sombor:a=1,q=2", "zagreb1:a=x", "sombor:q=x",
     "zorg", "exp_extended", "custom:", "custom:x-y", "custom:1/(x-y)+1",
+    "sum_connectivity:a=nan", "platt:a=inf", "sombor:a=2,b=-inf",
 ]
 CATALOGUE_DEGREES = (1, 2, 3, 7, 12)
 
