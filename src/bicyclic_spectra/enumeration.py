@@ -11,9 +11,10 @@ augmentation over all connected graphs with m = n + 1 edges.
 
 The class key `canonical_form` reads that orderly key back from a graph's
 structure: its base (the 2-core) names a standard base, every isomorphism
-from the standard base onto the core reads the hung trees as (composition,
-shape codes), and the least reading is the key.  The generator yields its
-classes in key order, so enumeration needs no certificate and no sort.
+from it onto the core (read off the ears, as the automorphisms are: no
+search) reads the hung trees as (composition, shape codes), and the least
+reading is the key.  The generator yields its classes in key order, so
+enumeration needs no certificate and no sort.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import (Graph, base_graph, edge_masks, make_infinity, make_theta, rows_graph,
-                     union_edges)
+from .graphs import (Graph, base_graph, infinity_ears, make_infinity, make_theta, rows_graph,
+                     theta_ears, union_edges)
 # largest order enumerate_bicyclic runs at
 ORDER_BOUND = 10
 # classes per orderly_rows chunk, the exhaustive prune's batch; 512 took 0.33 MB more RSS at n <= 10
@@ -72,29 +73,35 @@ def _parent_table(size: int) -> np.ndarray:
     return np.array([walk(shape, 0, []) for shape in rooted_trees(size)], np.intp)
 
 
-def isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
-    """Every isomorphism p from g onto h, a graph of the same order (v goes to
-    p[v]), extending partial maps one vertex of g at a time: w takes v if it
-    is unused (a map carries its targets' mask), of v's degree, and its
-    neighbours among the used targets are the images of v's lower ones.  Few
-    partial maps survive when each vertex of g except a path's first has a
-    smaller-labelled neighbour, as in the standard bases."""
-    g_masks, g_deg = edge_masks(g.n, g.edges), g.degrees()
-    h_masks, h_deg = edge_masks(h.n, h.edges), h.degrees()
-    maps = [((), 0)]
-    for v in range(g.n):
-        lower = [u for u in range(v) if g_masks[v] >> u & 1]
-        targets = [w for w in range(h.n) if h_deg[w] == g_deg[v]]
-        maps = [(p + (w,), used | 1 << w) for p, used in maps
-                for image in [sum(1 << p[u] for u in lower)] for w in targets
-                if not used >> w & 1 and h_masks[w] & used == image]
-    return [p for p, _ in maps]
+def _ear_labelling(kind: int, ears) -> tuple[int, ...]:
+    """The vertices of a base (kind 0 infinity, 1 theta) in its standard
+    labelling, read off its ears as BaseGraph.ears lays them out: off a
+    core's ears, an isomorphism from the standard base onto the core."""
+    if kind == 0:
+        cp, path, cq = ears
+        return cp[:-1] + path[1:] + cq[1:-1]
+    hi, lo, mid = ears
+    return (hi[0], hi[-1]) + hi[1:-1] + lo[1:-1] + mid[1:-1]
 
 
 @lru_cache(maxsize=None)
-def _base_symmetry(base: Graph) -> tuple[tuple[int, ...], ...]:
-    """Automorphism group of a base, computed once across orders."""
-    return tuple(isomorphisms(base, base))
+def _base_symmetry(head: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Automorphism group of the base with this class-key head, sorted (the
+    identity first), as its ears laid out again: B(p,l,q) reflects C_p and C_q
+    and, when p = q, swaps them, reversing the path (order 4 or 8); P(p,l,q)
+    permutes equal-length paths and may reverse them all (order 2, 4 or 12)."""
+    kind, *params = head
+    if kind == 0:
+        p, q, l = params
+        cp, path, cq = infinity_ears(p, l, q)
+        layouts = [(a, path, b) for a in (cp, cp[::-1]) for b in (cq, cq[::-1])]
+        layouts += [(b, path[::-1], a) for a, _, b in layouts] if p == q else []
+    else:
+        ears = theta_ears(params[0], params[2], params[1])
+        layouts = [layout for layout in itertools.permutations(ears)
+                   if list(map(len, layout)) == list(map(len, ears))]
+        layouts += [tuple(ear[::-1] for ear in layout) for layout in layouts]
+    return tuple(sorted(_ear_labelling(kind, layout) for layout in layouts))
 
 
 @lru_cache(maxsize=None)
@@ -138,10 +145,10 @@ def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """
     bases = bicyclic_bases(n)
     order, kinds = (np.array(col, np.intp) for col in zip(*[(b.n, h[0]) for h, b in bases]))
-    moves = np.array([len(_base_symmetry(b)) - 1 for _, b in bases])  # [0] is the identity
+    moves = np.array([len(_base_symmetry(h)) - 1 for h, _ in bases])  # [0] is the identity
     start = np.cumsum(moves) - moves
-    perms = np.array([p + tuple(range(len(p), n)) for _, b in bases  # identity past the base
-                      for p in _base_symmetry(b)[1:]], np.intp).reshape(-1, n)
+    perms = np.array([p + tuple(range(len(p), n)) for h, _ in bases  # identity past the base
+                      for p in _base_symmetry(h)[1:]], np.intp).reshape(-1, n)
     # each base's edges, then row x + 1 ends at new vertex x
     templates = np.array([sorted(b.edges) + [(0, x) for x in range(b.n, n)] for _, b in bases],
                          np.int16)
@@ -237,27 +244,26 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     The base (kind 0 for infinity, 1 for theta, then its parameters in
     `bicyclic_bases` loop order), then the least (composition, shape codes)
     over every isomorphism iso from the standard base onto g's core: entry i
-    reads the tree hung at core vertex iso[i].  A shape's code is its nested
-    sorted tuple written in bits (each child: 1 and the child's bits; then
-    0), so codes of one size order as the shapes do in `rooted_trees`,
-    without listing them.
+    reads the tree hung at core vertex iso[i], iso being phi (read off the
+    core's ears) after an automorphism.  A shape's code is its nested sorted
+    tuple written in bits (each child: 1 and the child's bits; then 0), so
+    codes of one size order as the shapes do in `rooted_trees`.
     """
     info = base_graph(g)
     p, l, q = info.params
-    if info.kind == "infinity":
-        head, std = (0, p, q, l), make_infinity(p, l, q)
-    else:
-        head, std = (1, q, p, l), make_theta(q, l, p)
-    nbr, core = g.neighbors(), set(info.kept_vertices)
-
-    def bits(v: int, parent: int) -> str:
-        return "".join(sorted("1" + bits(w, v) for w in nbr[v]
-                              if w != parent and w not in core)) + "0"
-
-    trees = [bits(v, -1) for v in info.kept_vertices]
-    comp, codes = [len(t) // 2 for t in trees], [int(t, 2) for t in trees]
+    head = (0, p, q, l) if info.kind == "infinity" else (1, q, p, l)
+    nbr, order = g.neighbors(), list(info.kept_vertices)
+    kids = dict.fromkeys(order)  # keyed by the vertices reached so far
+    for v in order:  # breadth first out of the core, so the list grows as it is read
+        kids[v] = [w for w in nbr[v] if w not in kids]
+        order += kids[v]
+    bits = {}
+    for v in reversed(order):  # children first
+        bits[v] = "".join(sorted("1" + bits[w] for w in kids[v])) + "0"
+    phi = _ear_labelling(head[0], info.ears)
+    comp, codes = [len(bits[v]) // 2 for v in phi], [int(bits[v], 2) for v in phi]
     return head + min(tuple(comp[i] for i in iso) + tuple(codes[i] for i in iso)
-                      for iso in isomorphisms(std, info.graph))
+                      for iso in _base_symmetry(head))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ fixed index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable
 
 import numpy as np
@@ -76,9 +76,7 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
-        nbr = self.neighbors()
-        seen = {0}
-        stack = [0]
+        nbr, seen, stack = self.neighbors(), {0}, [0]
         while stack:
             u = stack.pop()
             for w in nbr[u]:
@@ -93,15 +91,6 @@ class Graph:
 
     def is_bicyclic(self) -> bool:
         return self.is_connected() and self.cyclomatic_number() == 2
-
-
-def edge_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Neighbour masks on n vertices: bit w of masks[v] is set iff vw is an edge."""
-    masks = [0] * n
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def edge_stack(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -144,25 +133,36 @@ def union_edges(rows: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def infinity_ears(p: int, l: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The ears of make_infinity(p, l, q): C_p and C_q as closed walks from
+    their junctions, and the path from C_p's junction to C_q's."""
+    path = (0, *range(p, p + l - 1))  # w_1 = 0, ..., w_l; l = 1 shares vertex 0
+    return (*range(p), 0), path, (path[-1], *range(p + l - 1, p + q + l - 2), path[-1])
+
+
+def theta_ears(p: int, l: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The p-, l- and q-paths of make_theta(p, l, q), each from x to y."""
+    inner = iter(range(2, p + l + q - 1))
+    return tuple((0, *islice(inner, length - 1), 1) for length in (p, l, q))
+
+
+def _ear_edges(ears) -> Iterable[tuple[int, int]]:
+    return chain.from_iterable(zip(ear, ear[1:]) for ear in ears)
+
+
 def make_infinity(p: int, l: int, q: int) -> Graph:
     """The infinity-graph B(p,l,q): cycles C_p and C_q joined by a path.
 
     The connecting path has length l-1; l=1 means the cycles share a single
     vertex, l=2 means they are joined by one edge.  Labeling: C_p is
-    0..p-1 (vertex 0 is the junction), then the l-2 interior path vertices,
-    then C_q.
+    0..p-1 (vertex 0 is the junction), then the l-1 path vertices past it
+    (the last is C_q's junction), then the rest of C_q.
     """
     if p < 3 or q < 3:
         raise GraphError(f"B(p,l,q) needs cycle lengths >= 3, got p={p}, q={q}")
     if l < 1:
         raise GraphError(f"B(p,l,q) needs l >= 1, got l={l}")
-    edges = [(i, (i + 1) % p) for i in range(p)]  # C_p on 0..p-1
-    path = [0] + list(range(p, p + l - 1))  # w_1 = 0, ..., w_l = u; l = 1 shares vertex 0
-    edges += zip(path, path[1:])
-    # C_q on u plus the next q-1 vertices
-    cyc = [path[-1]] + list(range(p + l - 1, p + l + q - 2))
-    edges += [(cyc[i], cyc[(i + 1) % q]) for i in range(q)]
-    return Graph.from_edges(p + q + l - 2, edges)
+    return Graph.from_edges(p + q + l - 2, _ear_edges(infinity_ears(p, l, q)))
 
 
 def make_theta(p: int, l: int, q: int) -> Graph:
@@ -178,12 +178,7 @@ def make_theta(p: int, l: int, q: int) -> Graph:
         raise GraphError(f"P(p,l,q) needs l >= 1, got l={l}")
     if l > min(p, q):
         raise GraphError(f"P(p,l,q) expects l = min, got ({p},{l},{q})")
-    edges, nxt = [], 2
-    for length in (p, l, q):
-        path = [0] + list(range(nxt, nxt + length - 1)) + [1]
-        edges += zip(path, path[1:])
-        nxt += length - 1
-    return Graph.from_edges(p + q + l - 1, edges)
+    return Graph.from_edges(p + q + l - 1, _ear_edges(theta_ears(p, l, q)))
 
 
 def attach_pendants(g: Graph, v: int, k: int) -> Graph:
@@ -192,10 +187,7 @@ def attach_pendants(g: Graph, v: int, k: int) -> Graph:
         raise GraphError(f"vertex {v} out of range")
     if k < 0:
         raise GraphError("pendant count must be >= 0")
-    edges = set(g.edges)
-    for i in range(k):
-        edges.add((v, g.n + i))
-    return Graph.from_edges(g.n + k, edges)
+    return Graph(g.n + k, g.edges | {(v, g.n + i) for i in range(k)})
 
 
 def _check_order(tag: str, n: int) -> None:
@@ -298,13 +290,16 @@ class BaseGraph:
 
     kind is "infinity" for B(p,l,q) and "theta" for P(p,l,q); params holds
     (p,l,q) normalized so that in the infinity case p <= q and in the theta
-    case l is the minimum path length and p <= q.
+    case l is the minimum path length and p <= q.  ears holds the core's ears
+    as walks in g's labels, laid out as infinity_ears(p, l, q) or
+    theta_ears(q, l, p) lay out the standard base's.
     """
 
     graph: Graph
     kind: str
     params: tuple[int, int, int]
     kept_vertices: tuple[int, ...] = field(compare=False, default=())
+    ears: tuple[tuple[int, ...], ...] = field(compare=False, default=())
 
 
 def base_graph(g: Graph) -> BaseGraph:
@@ -330,23 +325,23 @@ def base_graph(g: Graph) -> BaseGraph:
     kept = tuple(v for v in range(g.n) if nbr[v])
     idx = {v: i for i, v in enumerate(kept)}
     core = Graph(len(kept), frozenset((idx[u], idx[v]) for u in kept for v in nbr[u] if u < v))
-    cycles, paths = [], []
-    for b in kept:
-        if len(nbr[b]) < 3:
-            continue
-        for w in nbr[b]:
-            prev, cur, length = b, w, 1
-            while len(nbr[cur]) == 2:
-                prev, cur = cur, next(x for x in nbr[cur] if x != prev)
-                length += 1
-            (cycles if cur == b else paths).append(length)
-    # every ear is walked once from each end
-    cycles, paths = sorted(cycles)[::2], sorted(paths)[::2]
+    walks = [[b, w] for b in kept if len(nbr[b]) > 2 for w in nbr[b]]
+    for ear in walks:
+        while len(nbr[ear[-1]]) == 2:
+            ear.append(next(x for x in nbr[ear[-1]] if x != ear[-2]))
+    # every ear is walked once from each end: keep the lesser walk, ears by length
+    ears = sorted((tuple(e) for e in walks if e < e[::-1]), key=len)
+    cycles, paths = ([e for e in ears if (e[0] == e[-1]) == closed] for closed in (True, False))
     if len(cycles) == 2 and len(paths) <= 1:
-        l = paths[0] + 1 if paths else 1  # l = 1: the cycles share a degree-4 vertex
-        return BaseGraph(core, "infinity", (cycles[0], l, cycles[1]), kept)
+        cp, cq = cycles
+        path = paths[0] if paths else cp[:1]  # l = 1: the cycles share a degree-4 vertex
+        path = path if path[0] == cp[0] else path[::-1]
+        return BaseGraph(core, "infinity", (len(cp) - 1, len(path), len(cq) - 1), kept,
+                         (cp, path, cq))
     if len(paths) == 3:
-        return BaseGraph(core, "theta", (paths[1], paths[0], paths[2]), kept)
+        lo, mid, hi = (e if e[0] == paths[0][0] else e[::-1] for e in paths)
+        return BaseGraph(core, "theta", (len(mid) - 1, len(lo) - 1, len(hi) - 1), kept,
+                         (hi, lo, mid))
     raise GraphError("unrecognized bicyclic base")
 
 
@@ -363,8 +358,7 @@ def graph6_encode(g: Graph) -> str:
     """Header-free graph6 string; supports n <= G6_MAX_ORDER."""
     if g.n > G6_MAX_ORDER:
         raise GraphError(f"graph6 encoder limited to n <= {G6_MAX_ORDER}")
-    masks = edge_masks(g.n, g.edges)
-    bits = "".join(str(masks[j] >> i & 1) for j in range(1, g.n) for i in range(j))
+    bits = "".join("01"[(i, j) in g.edges] for j in range(1, g.n) for i in range(j))
     bits += "0" * (-len(bits) % 6)  # pad the last group of six
     if g.n <= 62:
         chars = [chr(63 + g.n)]

@@ -16,11 +16,11 @@ from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, Pol
                               PolynomialError, TransformError, TransformOutcome,
                               VerificationReport, WeightFunction, attach_pendants, base_graph,
                               canonical_form, check_pstar, enumerate_bicyclic, evaluate,
-                              evaluate_exact, graph_g1, graph_g2, spectral_radii,
-                              targeted_max_degree_family)
+                              evaluate_exact, graph_g1, graph_g2, make_infinity, make_theta,
+                              spectral_radii, targeted_max_degree_family)
 from bicyclic_spectra import enumeration
 from bicyclic_spectra.enumeration import _base_symmetry, bicyclic_bases, rooted_trees
-from bicyclic_spectra.graphs import edge_masks, graph_rows, refine_partition, rows_graph
+from bicyclic_spectra.graphs import graph_rows, refine_partition, rows_graph
 from bicyclic_spectra.verify import PENDANT_SHIFT_FRACTION
 from bicyclic_spectra.weights import WeightSpecError, _eval_custom, _evaluate_generic, _pow
 
@@ -32,6 +32,15 @@ GOLDEN_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797}
 def class_graphs(n: int, max_degree=None) -> list[Graph]:
     """The classes enumerate_bicyclic(n, max_degree) streams, each as a Graph."""
     return [rows_graph(r) for rows in enumerate_bicyclic(n, max_degree)[1] for r in rows]
+
+
+def edge_masks(n: int, edges) -> list[int]:
+    """Neighbour masks on n vertices: bit w of masks[v] is set iff vw is an edge."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -259,7 +268,7 @@ def reference_orderly_rows(n: int):
     the package's current CLASS_CHUNK: the same chunks as orderly_rows(n)."""
     flat, kinds = [], []
     for head, base in bicyclic_bases(n):
-        group, kind = _base_symmetry(base), head[0]
+        group, kind = _base_symmetry(head), head[0]
         moves = [itemgetter(*p) for p in group[1:]]  # group[0] is the identity
         edges = tuple(itertools.chain.from_iterable(sorted(base.edges)))
         for comp in reference_weak_compositions(n - base.n, base.n):
@@ -297,6 +306,31 @@ def reference_isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
         maps = [p + (w,) for p in maps for w in range(h.n) if w not in p and h_deg[w] == g_deg[v]
                 and all((g_masks[v] >> u & 1) == (h_masks[w] >> p[u] & 1) for u in range(v))]
     return maps
+
+
+def reference_class_key(g: Graph) -> tuple[int, ...]:
+    """The package's earlier class key: the standard base built as a Graph,
+    every isomorphism from it onto g's core found by reference_isomorphisms,
+    and each hung tree's shape code read by a recursive walk, one frame per
+    level (deep trees need a raised recursion limit).  The walk's children
+    are a list comprehension, which Python 3.12 inlines, so the walk nests
+    no C call per level and a raised limit suffices there too."""
+    info = base_graph(g)
+    p, l, q = info.params
+    if info.kind == "infinity":
+        head, std = (0, p, q, l), make_infinity(p, l, q)
+    else:
+        head, std = (1, q, p, l), make_theta(q, l, p)
+    nbr, core = g.neighbors(), set(info.kept_vertices)
+
+    def bits(v: int, parent: int) -> str:
+        return "".join(sorted(["1" + bits(w, v) for w in nbr[v]
+                               if w != parent and w not in core])) + "0"
+
+    trees = [bits(v, -1) for v in info.kept_vertices]
+    comp, codes = [len(t) // 2 for t in trees], [int(t, 2) for t in trees]
+    return head + min(tuple(comp[i] for i in iso) + tuple(codes[i] for i in iso)
+                      for iso in reference_isomorphisms(std, info.graph))
 
 
 def reference_exhaustive_case(n: int, f, rank: str, min_gap: float = 1e-9) -> CaseRecord:

@@ -42,6 +42,7 @@ UNREACHED = {
     "graphs.Graph.degree_sequence": "test fixtures compare degree sequences",
     "graphs.Graph.has_edge": "test fixtures probe single edges",
     # the exact layer's helpers, outside the test with `quotient` itself
+    "graphs.Graph.degrees": "the degree cells of quotient's partitions; class keys read ears",
     "graphs._blocks": "builds the registry partitions that quotient.family_quotient reads",
     "graphs.refine_partition": "the one partition refinement, run by quotient.equitable_refine",
     "weights.rational_pstar_functions": "the weights of the sign ledger, which has no subcommand",

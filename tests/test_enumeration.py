@@ -1,6 +1,6 @@
 import itertools
 import random
-from collections import Counter
+import sys
 
 import networkx as nx
 import numpy as np
@@ -22,11 +22,12 @@ from bicyclic_spectra import (
     targeted_max_degree_family,
 )
 from bicyclic_spectra import enumeration
-from bicyclic_spectra.enumeration import CLASS_CHUNK, bicyclic_bases, isomorphisms, rooted_trees
+from bicyclic_spectra.enumeration import CLASS_CHUNK, bicyclic_bases, rooted_trees
 from bicyclic_spectra.graphs import rows_graph
 from conftest import (GOLDEN_COUNTS, brute_force_bicyclic_classes, burnside_class_count,
                       class_graphs, edge_subset_classes, graph_from_certificate,
-                      reference_canonical_form, reference_enumerate_constructive,
+                      reference_canonical_form, reference_class_key,
+                      reference_enumerate_constructive,
                       reference_forest_graph, reference_isomorphisms, reference_orderly_classes,
                       reference_orderly_rows, reference_rooted_trees, reference_weak_compositions,
                       to_networkx)
@@ -288,49 +289,57 @@ class TestBases:
         assert kinds == {"infinity", "theta"}
 
     def test_automorphisms_match_brute_force(self):
-        for _, b in bicyclic_bases(7):
+        for head, b in bicyclic_bases(7):
             brute = [p for p in itertools.permutations(range(b.n))
                      if b.relabel(list(p)).edges == b.edges]
-            assert isomorphisms(b, b) == brute
+            assert enumeration._base_symmetry(head) == tuple(brute)
         # K_{2,3} = theta(2,2,2) has the largest group among the bases
-        assert len(isomorphisms(make_theta(2, 2, 2), make_theta(2, 2, 2))) == 12
+        assert len(enumeration._base_symmetry((1, 2, 2, 2))) == 12
 
-    def test_isomorphisms_match_reference_on_every_base(self):
-        # the same maps in the same order
-        for _, b in bicyclic_bases(10):
-            assert isomorphisms(b, b) == reference_isomorphisms(b, b)
+    def test_base_symmetry_matches_reference_on_every_base(self):
+        # the maps the earlier backtracking search found, in the same order
+        for head, b in bicyclic_bases(12):
+            assert enumeration._base_symmetry(head) == tuple(reference_isomorphisms(b, b))
 
-    def test_core_isomorphisms_match_reference(self, monkeypatch, rng):
-        # every isomorphism search canonical_form makes for the classes at
-        # n <= 10, and for a relabelled copy of each
-        calls = []
-
-        def recording(g, h):
-            maps = isomorphisms(g, h)
-            calls.append((g, h, maps))
-            return maps
-
-        monkeypatch.setattr(enumeration, "isomorphisms", recording)
+    def test_class_keys_match_reference(self, rng):
+        # every class at n <= 10 and a relabelled copy of each: the earlier
+        # search's key, and one key per class of the reference certificate
+        keys = {}
         for n in range(4, 11):
             for g in class_graphs(n):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                canonical_form.__wrapped__(g)
-                canonical_form.__wrapped__(g.relabel(perm))
-        assert len(calls) == 2 * 3803
-        for g, h, maps in calls:
-            assert maps == reference_isomorphisms(g, h)
+                h = g.relabel(perm)
+                key = canonical_form.__wrapped__(g)
+                assert key == canonical_form.__wrapped__(h) == reference_class_key(g)
+                assert reference_class_key(h) == key
+                keys.setdefault(key, set()).add(reference_canonical_form(g))
+                keys[key].add(reference_canonical_form(h))
+        assert len(keys) == 3803 and all(len(certs) == 1 for certs in keys.values())
 
-    def test_isomorphisms_onto_a_relabelled_copy(self, rng):
-        for _, b in bicyclic_bases(8):
+    def test_class_key_of_a_deep_hung_tree(self):
+        # a 1,200-vertex path hung on a hub of P(2,1,2): the shape codes are
+        # read without one stack frame per level
+        g = attach_pendants(make_theta(2, 1, 2), 0, 1)
+        g = Graph.from_edges(1204, list(g.edges) + [(v, v + 1) for v in range(4, 1203)])
+        key = canonical_form.__wrapped__(g)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            assert reference_class_key(g) == key
+        finally:
+            sys.setrecursionlimit(limit)
+        assert key[:8] == (1, 2, 2, 1, 0, 1200, 0, 0)  # the hub swap puts the path second
+
+    def test_ear_labelling_maps_the_base_onto_a_relabelled_copy(self, rng):
+        for head, b in bicyclic_bases(8):
             perm = list(range(b.n))
             rng.shuffle(perm)
             h = b.relabel(perm)
-            maps = isomorphisms(b, h)
-            assert len(maps) == len(isomorphisms(b, b))
+            phi = enumeration._ear_labelling(head[0], base_graph(h).ears)
+            maps = {tuple(phi[i] for i in sigma) for sigma in enumeration._base_symmetry(head)}
+            assert maps == set(reference_isomorphisms(b, h))
             assert tuple(perm) in maps
-            assert all(b.relabel(list(p)) == h for p in maps)
-        assert isomorphisms(make_infinity(3, 2, 4), make_infinity(3, 3, 3)) == []
 
 
 class TestEnumerate:
@@ -342,23 +351,17 @@ class TestEnumerate:
         assert sorted(certs) == sorted(ref)
         assert [g.edges for g in graphs] == [ref[k].edges for k in certs]
 
-    def test_base_symmetry_computed_once_per_base(self, monkeypatch):
-        calls = Counter()
-
-        def counting(g, h):
-            calls[g] += 1
-            return isomorphisms(g, h)
-
-        monkeypatch.setattr(enumeration, "isomorphisms", counting)
+    def test_base_symmetry_computed_once_per_base(self):
         enumeration._base_symmetry.cache_clear()
         try:
             counts = [sum(len(kinds) for _, kinds in enumeration.orderly_rows(n))
                       for n in range(4, 11)]
+            info = enumeration._base_symmetry.cache_info()
         finally:
             enumeration._base_symmetry.cache_clear()
         assert counts[:6] == [GOLDEN_COUNTS[n] for n in range(4, 10)] and counts[6] == 2678
-        assert set(calls) == {b for _, b in bicyclic_bases(10)}
-        assert set(calls.values()) == {1}
+        # one group per base: each head is missed once, then read from the cache
+        assert info.misses == info.currsize == len(bicyclic_bases(10)) == 66
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_stream_tags_each_class_with_its_base_kind(self, n):

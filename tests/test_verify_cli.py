@@ -31,11 +31,11 @@ from bicyclic_spectra import (
 )
 from bicyclic_spectra import cli, spectral, verify, weights
 from bicyclic_spectra.cli import main, parse_graph_argument
-from bicyclic_spectra.graphs import edge_masks, graph_rows, rows_graph
+from bicyclic_spectra.graphs import graph_rows, rows_graph
 from bicyclic_spectra.spectral import radius_brackets, spectral_radii
 from bicyclic_spectra.verify import printed_tolerance
 import conftest
-from conftest import (class_graphs, per_graph_radii, reference_exhaustive_case,
+from conftest import (class_graphs, edge_masks, per_graph_radii, reference_exhaustive_case,
                       reference_random_connected_graph, reference_verify_kelmans,
                       reference_verify_theorem41, stepwise_random_connected_graph)
 
@@ -523,17 +523,19 @@ class TestStreamingExhaustive:
     def test_graphs_built_for_three_weights(self):
         # the 2,678 classes come out as rows, and the kept classes stay rows;
         # the 66 bases, the named families, the classes a verdict reads and
-        # class keys make 91; the named families' kinds come from their keys
+        # their cores make 86 (a class key reads its standard base off the
+        # core's ears and builds none); the named families' kinds come from
+        # their keys
         assert graphs_built_in_fresh_process(
             "fs = tuple(map(parse_weight, ('zagreb1', 'hyper_zagreb', 'forgotten')))\n"
-            "assert verify._rankings(10, fs)[0] == 2678\n") == 91
+            "assert verify._rankings(10, fs)[0] == 2678\n") == 86
 
     def test_graphs_built_for_constant_one(self):
         # the weight the edge bound prunes least: the brackets keep 2 of its
         # classes, and a Graph is built only for those it keys
         assert graphs_built_in_fresh_process(
             "fs = (parse_weight('constant_one'),)\n"
-            "assert verify._rankings(10, fs)[0] == 2678\n") == 87
+            "assert verify._rankings(10, fs)[0] == 2678\n") == 82
 
     def test_enumerate_builds_no_class_graph(self):
         # the count comes from chunk lengths, and each base's kind from its
