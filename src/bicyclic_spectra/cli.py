@@ -87,6 +87,20 @@ def _emit(report: VerificationReport, args) -> int:
     return 0 if report.ok else 1
 
 
+def _dumps_key(payload: dict) -> str:
+    """json.dumps(payload, indent=2) with Python's int-to-string digit limit
+    (3.10.7 and later) lifted while it runs: a class key's shape code, an int
+    of about 2n bits, passes the default 4,300 digits by n = 7,300."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return json.dumps(payload, indent=2)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(payload, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _fail(message) -> int:
     print(f"bicyclic-spectra: error: {message}", file=sys.stderr)
     return 2
@@ -194,7 +208,7 @@ def _run(args) -> int:
         }
         if args.full_spectrum:
             payload["spectrum"] = [float(x) for x in full_spectrum(m)]
-        print(json.dumps(payload, indent=2))
+        print(_dumps_key(payload))
         return 0
     raise AssertionError("unreachable")
 

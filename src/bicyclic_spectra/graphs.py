@@ -54,24 +54,12 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degrees(), reverse=True))
-
     def neighbors(self) -> list[set[int]]:
         nbr: list[set[int]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
             nbr[u].add(v)
             nbr[v].add(u)
         return nbr
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
-
-    def relabel(self, perm: list[int]) -> "Graph":
-        """Image graph under `perm`: vertex v goes to position perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise GraphError("relabel: not a permutation")
-        return Graph.from_edges(self.n, ((perm[u], perm[v]) for u, v in self.edges))
 
     def is_connected(self) -> bool:
         if self.n == 0:

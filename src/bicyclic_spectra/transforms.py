@@ -72,7 +72,7 @@ def kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
 
     Exactly the edges {uw : w in N(u)-N[v]} become {vw}; vertex and edge
     counts are preserved.  The class changes iff some edge moves and
-    N(v)-N[u] is non-empty; otherwise the result is g itself or g relabelled
+    N(v)-N[u] is non-empty; otherwise the result equals g or g relabelled
     by the swap (u v).  The operation may disconnect the graph (flagged, not
     forbidden).  The u->v and v->u variants give isomorphic results.
     """
@@ -84,8 +84,6 @@ def kelmans(g: Graph, u: int, v: int) -> TransformOutcome:
     private, changed, isolates = reroute_stack(adj, *uv)
     moves = tuple(((u, w) if u < w else (w, u), (v, w) if v < w else (w, v))
                   for w in np.flatnonzero(private[0]).tolist())
-    if not moves:
-        return TransformOutcome(g, False, ())
     result = stack_graph(move_stack(adj, private, *uv))
     return TransformOutcome(result, bool(changed[0]), moves, bool(isolates[0]) and g.is_connected())
 

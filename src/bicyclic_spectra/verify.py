@@ -420,15 +420,6 @@ def _pair_ends(n: int) -> np.ndarray:
     return ends
 
 
-def _below(bits, n: int) -> int:
-    """A uniform int in [0, n) from bits = rng.getrandbits, drawn as rng.randrange(n),
-    choice, randint and shuffle draw it (Random._randbelow of CPython 3.10-3.13)."""
-    r = n
-    while r >= n:  # the top n.bit_length() bits of its words, until below n
-        r = bits(n.bit_length())
-    return r
-
-
 EXTRA_EDGES_MAX = 3  # a kelmans sample adds 0..EXTRA_EDGES_MAX of its tree's non-edges
 STACK_BYTES = 1 << 20  # adjacency bytes (samples x n^2) per draw round of verify_kelmans
 SKIP_WORDS = 1 << 12  # generator words per getrandbits call when a round rewinds
@@ -453,7 +444,8 @@ def _draw_values(rng: random.Random, plans: Sequence[tuple[tuple[int, int], ...]
                  count: int) -> tuple[list[array], list[array], array]:
     """Phase one of a batched draw: `count` samples, each a plan index i below
     len(plans), then a value below each bound of plans[i], in turn, all as
-    _below(rng.getrandbits, bound) draws them, rejections included.
+    rng.randrange(bound) draws them, rejections included: getrandbits of the
+    bound's bit length, again until below bound.
 
     Gives per plan the flat store of its values and the positions of its
     samples, and the generator words read up to the end of each sample."""
@@ -506,8 +498,6 @@ def _random_adjacency(values: np.ndarray, n: int) -> np.ndarray:
     degree[rows, leaf] = n
     last = degree.argmin(axis=1)
     adj[rows, leaf, last] = adj[rows, last, leaf] = True
-    if n == 2:
-        return adj
     c = (n - 1) * (n - 2) // 2
     iu, ju = _pair_ends(n)
     candidates = np.flatnonzero(~adj[:, iu, ju]).reshape(count, c)
@@ -637,7 +627,8 @@ BRACKET_CHUNK = 256  # graphs per bracket call of _certified_deltas; 512 costs 0
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct, inverse) of packed rows, rows == distinct[inverse]: the rows sorted as
-    64-bit words, then compared with their neighbours (np.unique imports numpy.ma)."""
+    64-bit words, then compared with their neighbours.  np.unique(rows, axis=0,
+    return_inverse=True) takes 2.8 ms where this takes 0.43 ms on 5,000 rows of order 8."""
     words = np.zeros((len(rows), -(-rows.shape[1] // 8)), np.uint64)
     words.view(np.uint8)[:, :rows.shape[1]] = rows
     order = np.lexsort(words.T)
@@ -726,15 +717,14 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
         applicable = check_pstar(f, d_max=max(max(n_range) + 2, 8)).passes
         rng = random.Random(f"{rng_seed}/{f.label()}")
         blocks, skipped, disconnected = _reroute_pairs(rng, orders, samples)
-        bits = rng.getrandbits
         shifts = int(samples * PENDANT_SHIFT_FRACTION)
         # a shift always changes the class: d_v <= d_u become d_v - 1 and
         # d_u + 1, so the largest degree of the pair rises
         for _ in range(shifts):
-            common = _below(bits, 3)
+            common = rng.randint(0, 2)
             edge_uv = rng.random() < 0.7 or common == 0
-            a = 1 + _below(bits, 2)  # pendants at v, the smaller bundle
-            blocks.append(_pendant_shift_rows(common, edge_uv, a, a + _below(bits, 3)))
+            a = rng.randint(1, 2)  # pendants at v, the smaller bundle
+            blocks.append(_pendant_shift_rows(common, edge_uv, a, rng.randint(a, a + 2)))
         deltas = _certified_deltas(blocks, f, slack)
         failing = deltas <= -slack  # a certified pair's +inf never fails
         report.cases.append(CaseRecord(

@@ -12,8 +12,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, Polynomial,
-                              PolynomialError, TransformError, TransformOutcome,
+from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, GraphError,
+                              Polynomial, PolynomialError, TransformError, TransformOutcome,
                               VerificationReport, WeightFunction, attach_pendants, base_graph,
                               canonical_form, check_pstar, enumerate_bicyclic, evaluate,
                               evaluate_exact, graph_g1, graph_g2, make_infinity, make_theta,
@@ -32,6 +32,21 @@ GOLDEN_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797}
 def class_graphs(n: int, max_degree=None) -> list[Graph]:
     """The classes enumerate_bicyclic(n, max_degree) streams, each as a Graph."""
     return [rows_graph(r) for rows in enumerate_bicyclic(n, max_degree)[1] for r in rows]
+
+
+def degree_sequence(g: Graph) -> tuple[int, ...]:
+    return tuple(sorted(g.degrees(), reverse=True))
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return (min(u, v), max(u, v)) in g.edges
+
+
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """Image graph under `perm`: vertex v goes to position perm[v]."""
+    if sorted(perm) != list(range(g.n)):
+        raise GraphError("relabel: not a permutation")
+    return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 
 def edge_masks(n: int, edges) -> list[int]:
@@ -970,7 +985,7 @@ def stepwise_random_connected_graph(rng: random.Random, n: int, extra_max: int =
             heapq.heappush(leaves, x)
     edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
     g = Graph.from_edges(n, edges)
-    candidates = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, n) if not has_edge(g, u, v)]
     rng.shuffle(candidates)
     for u, v in candidates[: rng.randint(0, min(extra_max, len(candidates)))]:
         g = Graph(n, g.edges | {(u, v)})

@@ -25,12 +25,12 @@ from bicyclic_spectra import enumeration
 from bicyclic_spectra.enumeration import CLASS_CHUNK, bicyclic_bases, rooted_trees
 from bicyclic_spectra.graphs import rows_graph
 from conftest import (GOLDEN_COUNTS, brute_force_bicyclic_classes, burnside_class_count,
-                      class_graphs, edge_subset_classes, graph_from_certificate,
-                      reference_canonical_form, reference_class_key,
+                      class_graphs, degree_sequence, edge_subset_classes,
+                      graph_from_certificate, reference_canonical_form, reference_class_key,
                       reference_enumerate_constructive,
                       reference_forest_graph, reference_isomorphisms, reference_orderly_classes,
                       reference_orderly_rows, reference_rooted_trees, reference_weak_compositions,
-                      to_networkx)
+                      relabel, to_networkx)
 
 KINDS = ("infinity", "theta")  # base_graph's name of each class-key head kind
 
@@ -41,7 +41,7 @@ class TestCanonicalForm:
 
     def test_invariant_under_all_relabelings(self):
         g = make_theta(2, 1, 2)
-        certs = {reference_canonical_form(g.relabel(list(p)))
+        certs = {reference_canonical_form(relabel(g, list(p)))
                  for p in itertools.permutations(range(4))}
         assert len(certs) == 1
 
@@ -61,7 +61,7 @@ class TestCanonicalForm:
             g = Graph.from_edges(n, edges)
             perm = list(range(n))
             rng.shuffle(perm)
-            h = g.relabel(perm)
+            h = relabel(g, perm)
             assert reference_canonical_form(g) == reference_canonical_form(h)
             # mutate one edge pair; certificates must agree with nx verdict
             all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -74,10 +74,10 @@ class TestCanonicalForm:
         # pendant bundles and complete bipartite sides exercise the twin-cell
         # collapse inside the backtracking search
         s1 = attach_pendants(attach_pendants(Graph.from_edges(2, [(0, 1)]), 0, 5), 1, 5)
-        s2 = s1.relabel([11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
+        s2 = relabel(s1, [11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0])
         assert reference_canonical_form(s1) == reference_canonical_form(s2)
         k34 = Graph.from_edges(7, [(i, j) for i in range(3) for j in range(3, 7)])
-        k34b = k34.relabel([6, 5, 4, 3, 2, 1, 0])
+        k34b = relabel(k34, [6, 5, 4, 3, 2, 1, 0])
         assert reference_canonical_form(k34) == reference_canonical_form(k34b)
         k25 = Graph.from_edges(7, [(i, j) for i in range(2) for j in range(2, 7)])
         assert reference_canonical_form(k34) != reference_canonical_form(k25)
@@ -91,7 +91,7 @@ class TestCanonicalForm:
             pairs = list(it.combinations(range(n), 2))
             a = Graph.from_edges(n, rng.sample(pairs, m))
             b = Graph.from_edges(n, rng.sample(pairs, m))
-            if a.degree_sequence() != b.degree_sequence():
+            if degree_sequence(a) != degree_sequence(b):
                 continue
             ours = reference_canonical_form(a) == reference_canonical_form(b)
             theirs = nx.is_isomorphic(to_networkx(a), to_networkx(b))
@@ -100,12 +100,12 @@ class TestCanonicalForm:
     def test_vertex_transitive_symmetric_branching(self):
         # no refinement progress until individualization: cycles and the cube
         c9 = Graph.from_edges(9, [(i, (i + 1) % 9) for i in range(9)])
-        rotated = c9.relabel([(i + 4) % 9 for i in range(9)])
+        rotated = relabel(c9, [(i + 4) % 9 for i in range(9)])
         assert reference_canonical_form(c9) == reference_canonical_form(rotated)
         cube = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0),
                                     (4, 5), (5, 6), (6, 7), (7, 4),
                                     (0, 4), (1, 5), (2, 6), (3, 7)])
-        shuffled = cube.relabel([5, 1, 0, 4, 6, 2, 3, 7])
+        shuffled = relabel(cube, [5, 1, 0, 4, 6, 2, 3, 7])
         assert reference_canonical_form(cube) == reference_canonical_form(shuffled)
 
     def test_certificate_round_trip(self):
@@ -120,7 +120,7 @@ class TestCanonicalForm:
 
     def test_are_isomorphic(self):
         g3 = reference_canonical_form(graph_g3(7))
-        assert g3 == reference_canonical_form(graph_g3(7).relabel([6, 5, 4, 3, 2, 1, 0]))
+        assert g3 == reference_canonical_form(relabel(graph_g3(7), [6, 5, 4, 3, 2, 1, 0]))
         assert g3 != reference_canonical_form(graph_g4(7))
 
 
@@ -132,7 +132,7 @@ def random_bicyclic(rng: random.Random, bases: list[Graph], n: int) -> Graph:
         g = attach_pendants(g, rng.randrange(g.n), 1)
     perm = list(range(n))
     rng.shuffle(perm)
-    return g.relabel(perm)
+    return relabel(g, perm)
 
 
 class TestClassKey:
@@ -148,7 +148,7 @@ class TestClassKey:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 key = canonical_form(g)
-                assert canonical_form(g.relabel(perm)) == key
+                assert canonical_form(relabel(g, perm)) == key
                 keys.add(key)
         assert len(keys) == sum(map(len, classes.values())) == 3803
 
@@ -179,7 +179,7 @@ class TestClassKey:
             for g in [random_bicyclic(rng, [b for _, b in bicyclic_bases(8)], n) for _ in range(3)]:
                 graphs += [g, random_bicyclic(rng, [g], n)]
             for g, h in itertools.combinations(graphs, 2):
-                iso = (g.degree_sequence() == h.degree_sequence()
+                iso = (degree_sequence(g) == degree_sequence(h)
                        and nx.is_isomorphic(to_networkx(g), to_networkx(h)))
                 assert (canonical_form(g) == canonical_form(h)) == iso
                 same, differ = same + iso, differ + (not iso)
@@ -291,7 +291,7 @@ class TestBases:
     def test_automorphisms_match_brute_force(self):
         for head, b in bicyclic_bases(7):
             brute = [p for p in itertools.permutations(range(b.n))
-                     if b.relabel(list(p)).edges == b.edges]
+                     if relabel(b, list(p)).edges == b.edges]
             assert enumeration._base_symmetry(head) == tuple(brute)
         # K_{2,3} = theta(2,2,2) has the largest group among the bases
         assert len(enumeration._base_symmetry((1, 2, 2, 2))) == 12
@@ -309,7 +309,7 @@ class TestBases:
             for g in class_graphs(n):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                h = g.relabel(perm)
+                h = relabel(g, perm)
                 key = canonical_form.__wrapped__(g)
                 assert key == canonical_form.__wrapped__(h) == reference_class_key(g)
                 assert reference_class_key(h) == key
@@ -335,7 +335,7 @@ class TestBases:
         for head, b in bicyclic_bases(8):
             perm = list(range(b.n))
             rng.shuffle(perm)
-            h = b.relabel(perm)
+            h = relabel(b, perm)
             phi = enumeration._ear_labelling(head[0], base_graph(h).ears)
             maps = {tuple(phi[i] for i in sigma) for sigma in enumeration._base_symmetry(head)}
             assert maps == set(reference_isomorphisms(b, h))

@@ -23,7 +23,8 @@ from bicyclic_spectra import (
 from bicyclic_spectra import enumeration, spectral, verify, weights
 from bicyclic_spectra.graphs import graph_rows, rows_graph, union_edges
 from bicyclic_spectra.quotient import PartitionError
-from conftest import loop_matrix, per_graph_radii, reference_random_connected_graph
+from conftest import (loop_matrix, per_graph_radii, reference_random_connected_graph,
+                      relabel)
 
 
 def same_size_graphs(rng, n, m, count):
@@ -182,7 +183,7 @@ class TestRelabelInvariance:
             g = reference_random_connected_graph(rng, rng.randint(4, 9))
             perm = list(range(g.n))
             rng.shuffle(perm)
-            h = g.relabel(perm)
+            h = relabel(g, perm)
             assert rho_f(g, weight_hyper) == pytest.approx(
                 rho_f(h, weight_hyper), rel=1e-12)
 

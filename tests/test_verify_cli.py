@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -799,34 +800,61 @@ class TestKelmansCampaign:
 
 
 class TestIntegerDraw:
-    """_below reads the words rng.randrange, randint, choice and shuffle
-    read, and gives the same values."""
+    """_draw_values reads the words that drawing each sample with rng.randrange
+    reads, and gives the same values."""
+
+    @staticmethod
+    def scalar(rng, plans, count):
+        """(plan index, values) of `count` samples drawn one by one."""
+        draws = []
+        for _ in range(count):
+            i = rng.randrange(len(plans))
+            draws.append((i, [rng.randrange(b) for b, _ in plans[i]]))
+        return draws
+
+    @staticmethod
+    def batched(rng, plans, count):
+        """_draw_values's samples as (plan index, values), in draw order, and its ends."""
+        stores, positions, ends = verify._draw_values(rng, plans, count)
+        draws = [None] * count
+        for i, (store, at) in enumerate(zip(stores, positions)):
+            k = len(plans[i])
+            for j, position in enumerate(at):
+                draws[position] = (i, list(store[j * k:(j + 1) * k]))
+        return draws, ends
+
+    @staticmethod
+    def plans(*bound_lists):
+        return [tuple((b, b.bit_length()) for b in bounds) for bounds in bound_lists]
 
     def test_matches_random_module(self):
+        # bounds 1..300 over three plans; a bound of 1 rejects half its draws
+        plans = self.plans(*(range(1 + k, 301, 3) for k in range(3)))
         for seed in range(100):
             rng, mine = random.Random(seed), random.Random(seed)
-            bits = mine.getrandbits
-            for n in range(1, 301):
-                assert verify._below(bits, n) == rng.randrange(n)
-                assert 1 + verify._below(bits, n) == rng.randrange(1, n + 1)
-                assert n + verify._below(bits, 3) == rng.randint(n, n + 2)
-                seq = range(n, 2 * n)
-                assert seq[verify._below(bits, n)] == rng.choice(seq)
-                shuffled, want = list(range(n % 40)), list(range(n % 40))
-                for i in range(len(shuffled) - 1, 0, -1):  # as the kelmans sampler shuffles
-                    j = verify._below(bits, i + 1)
-                    shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-                rng.shuffle(want)
-                assert shuffled == want
-                assert mine.getstate() == rng.getstate()
+            assert self.batched(mine, plans, 4)[0] == self.scalar(rng, plans, 4)
+            assert mine.getstate() == rng.getstate()
 
     def test_wide_bounds_read_several_words(self):
         # past 2**32 one draw takes more than one 32-bit word
+        plans = self.plans((2**32 + 1, 3 * 2**33 - 7), (2**63 + 2**40, 2**64))
         for seed in range(20):
             rng, mine = random.Random(seed), random.Random(seed)
-            for n in (2**32 + 1, 3 * 2**33 - 7, 2**64 + 2**40, 10**30):
-                assert verify._below(mine.getrandbits, n) == rng.randrange(n)
-                assert mine.getstate() == rng.getstate()
+            assert self.batched(mine, plans, 10)[0] == self.scalar(rng, plans, 10)
+            assert mine.getstate() == rng.getstate()
+
+    def test_ends_count_the_words_read(self):
+        # a fresh generator that skips ends[i] words stands where drawing
+        # samples 0..i one by one leaves it, rejections included
+        plans = self.plans((3, 1, 2**40 + 1, 300), (5,), (2**33 + 1, 7, 1))
+        for seed in range(50):
+            _, ends = self.batched(random.Random(seed), plans, 30)
+            ref = random.Random(seed)
+            for end in ends:
+                self.scalar(ref, plans, 1)
+                fresh = random.Random(seed)
+                fresh.getrandbits(32 * end)
+                assert fresh.getstate() == ref.getstate()
 
 
 class TestEdgeWords:
@@ -1074,6 +1102,22 @@ class TestCli:
         assert graph6_decode(c5).m == 5
         assert main(["spectral", "--graph", c5, "--f", "zagreb1"]) == 0
         assert json.loads(capsys.readouterr().out)["certificate"] is None
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int-to-string digit limit")
+    def test_spectral_prints_a_key_past_the_digit_limit(self, capsys):
+        # G1:1200's shape code has 721 digits, past a limit lowered to 640;
+        # the command lifts the limit only while it prints, then restores it
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(["spectral", "--graph", "G1:1200", "--f", "zagreb1"])
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["certificate"] == list(canonical_form(graph_g1(1200)))
 
     def test_spectral_accepts_graph6(self, capsys):
         from bicyclic_spectra import graph6_encode
