@@ -12,7 +12,6 @@ is reported, never hidden).
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import json
@@ -148,8 +147,7 @@ APPENDIX_TABLES = {
     },
 }
 
-# Extended-index comparison: bound 0.5*(n-3+1/(n-3))*sqrt(n) against
-# rho_ex(G2(n)) for n = 12..20.
+# Extended-index comparison: _table1_bound(n) against rho_ex(G2(n)) for n = 12..20.
 EXTENDED_TABLE1 = {
     "n": list(range(12, 21)),
     "bound": ["15.7809", "18.208", "20.7492", "23.3993", "26.1538",
@@ -157,6 +155,11 @@ EXTENDED_TABLE1 = {
     "rho_ex_g2": ["15.8028", "18.2277", "20.7672", "23.4160", "26.1695",
                   "29.0238", "31.9753", "35.0209", "38.1576"],
 }
+
+
+def _table1_bound(n: int) -> float:
+    """The extended index's Table 1 bound at order n."""
+    return 0.5 * (n - 3 + 1 / (n - 3)) * math.sqrt(n)
 
 
 TOLERANCE_FLOOR = 5e-4  # smallest tolerance a printed table value gets
@@ -227,7 +230,7 @@ def _run_extended_table1() -> VerificationReport:
     ext = WeightFunction("extended")
     for n, bound_printed, rho_printed in zip(
             EXTENDED_TABLE1["n"], EXTENDED_TABLE1["bound"], EXTENDED_TABLE1["rho_ex_g2"]):
-        bound = 0.5 * (n - 3 + 1 / (n - 3)) * math.sqrt(n)
+        bound = _table1_bound(n)
         rho = rho_f(graph_g2(n), ext)
         for kind, value, printed in [("bound", bound, bound_printed), ("rho_ex_g2", rho, rho_printed)]:
             tol = printed_tolerance(printed)
@@ -441,22 +444,22 @@ def _store(bound: int) -> array:
 
 
 def _draw_values(rng: random.Random, plans: Sequence[tuple[tuple[int, int], ...]],
-                 count: int) -> tuple[list[array], list[array], array]:
+                 count: int) -> tuple[list[array], np.ndarray, array]:
     """Phase one of a batched draw: `count` samples, each a plan index i below
     len(plans), then a value below each bound of plans[i], in turn, all as
     rng.randrange(bound) draws them, rejections included: getrandbits of the
     bound's bit length, again until below bound.
 
-    Gives per plan the flat store of its values and the positions of its
-    samples, and the generator words read up to the end of each sample."""
+    Gives per plan the flat store of its samples' values; pick, each sample's plan
+    index; and ends, the generator words read up to the end of each sample."""
     bits, picks = rng.getrandbits, len(plans)
     width = picks.bit_length()
     stores = [_store(max(b for b, _ in plan)) for plan in plans]
-    positions, ends = [_store(count) for _ in plans], array("q")
+    pick, ends = _store(picks), array("q")
     # words per sample without rejections
     cost = [sum((k + 31) >> 5 for _, k in ((picks, width), *plan)) for plan in plans]
     read = 0
-    for position in range(count):
+    for _ in range(count):
         i = bits(width)
         while i >= picks:
             read += (width + 31) >> 5
@@ -469,20 +472,21 @@ def _draw_values(rng: random.Random, plans: Sequence[tuple[tuple[int, int], ...]
                 r = bits(k)
             values.append(r)
         stores[i].fromlist(values)
-        positions[i].append(position)
+        pick.append(i)
         read += cost[i]
         ends.append(read)
-    return stores, positions, ends
+    return stores, np.frombuffer(pick, pick.typecode), ends
 
 
-def _random_adjacency(values: np.ndarray, n: int) -> np.ndarray:
-    """Bool adjacency stack (S, n, n) of the graphs of the kelmans samples of order n >= 2,
-    graph s from row s of values, which holds its _sample_draws(n) values: a uniform
-    random labeled tree (a Pruefer decode) plus a shuffled prefix, 0..EXTRA_EDGES_MAX
-    long, of its non-edges.
+def _random_adjacency(store: array, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(adj, u, v) of the kelmans samples of order n >= 2 whose _sample_draws(n) values
+    store holds, sample after sample: adj the bool adjacency stack (S, n, n) of their
+    graphs, each a uniform random labeled tree (a Pruefer decode) plus a shuffled
+    prefix, 0..EXTRA_EDGES_MAX long, of its non-edges; u and v the ends of each reroute.
 
     The Pruefer decode joins, value x after value x, the smallest leaf to x;
     the shuffle keeps only what its first EXTRA_EDGES_MAX places read."""
+    values = np.frombuffer(store, store.typecode).reshape(-1, len(_sample_draws(n)))
     count = len(values)
     adj = np.zeros((count, n, n), bool)
     rows = np.arange(count)
@@ -512,31 +516,8 @@ def _random_adjacency(values: np.ndarray, n: int) -> np.ndarray:
         take = extra > place
         pair = candidates[take, place]
         adj[take, iu[pair], ju[pair]] = adj[take, ju[pair], iu[pair]] = True
-    return adj
-
-
-def _draw_round(rng: random.Random, orders: Sequence[int], count: int):
-    """`count` samples of verify_kelmans, each an order index, a connected graph, u and
-    v, drawn in two phases.  One pass (_draw_values) reads every value of every
-    sample, in turn and with the scalar draws' rejections, into one flat store
-    per order; then numpy decodes each order's samples at once
-    (_random_adjacency).  These are the words that rng.choice, randrange,
-    shuffle and randint read when a sample is drawn with them.
-
-    Gives per order the positions of its samples among the `count`; ends,
-    the generator words read up to the end of each sample; and an iterator
-    that decodes, order after order, the stack (adj, u, v) of its samples,
-    in the order they were drawn."""
-    plans = [_sample_draws(n) for n in orders]
-    stores, positions, ends = _draw_values(rng, plans, count)
-    return positions, ends, map(_order_stack, orders, plans, stores)
-
-
-def _order_stack(n: int, plan: tuple[tuple[int, int], ...], store: array):
-    """(adj, u, v) of the samples of order n whose plan values are in store."""
-    values = np.frombuffer(store, store.typecode).reshape(-1, len(plan))
     u = values[:, -2].astype(np.intp)
-    return _random_adjacency(values, n), u, (u + 1 + values[:, -1]) % n
+    return adj, u, (u + 1 + values[:, -1]) % n
 
 
 def _skip_words(rng: random.Random, words: int) -> None:
@@ -553,27 +534,29 @@ def _packed_rows(adj: np.ndarray) -> np.ndarray:
 
 
 def _reroute_round(rng: random.Random, orders: Sequence[int], count: int, need: int):
-    """One round of _reroute_pairs: the class-changing reroutes among `count`
-    drawn samples, up to the need-th, as (blocks, disconnected, drawn).
+    """One round of _reroute_pairs: the class-changing reroutes among `count` samples, up to
+    the need-th, as (blocks, disconnected, drawn).  _draw_values draws the samples with the
+    words that drawing them one by one reads; then each order's samples are decoded at once
+    (_random_adjacency) and decided (reroute_stack).
 
-    rng ends just after the last sample the round keeps: one that draws past
-    the need-th change rewinds to the generator state it started from and
-    skips the words read up to that change."""
+    rng ends just after the last sample the round keeps: one that draws past the need-th
+    change rewinds to the generator state it started from and skips the words read up to it."""
     state = rng.getstate()
-    positions, ends, stacks = _draw_round(rng, orders, count)
+    stores, pick, ends = _draw_values(rng, [_sample_draws(n) for n in orders], count)
     hits, kept = np.zeros(count, bool), []
-    for at, (adj, u, v) in zip(positions, stacks):  # keep only the class-changing samples
+    for i, (n, store) in enumerate(zip(orders, stores)):  # keep only the class-changing samples
+        adj, u, v = _random_adjacency(store, n)
         private, changed, isolates = reroute_stack(adj, u, v)
-        hits[np.frombuffer(at, at.typecode)[changed]] = True
+        hits[pick == i] = changed
         take = np.flatnonzero(changed)
         kept.append((changed, adj[take], private[take], u[take], v[take], isolates[take]))
     hits = np.flatnonzero(hits)
     drawn = count if len(hits) < need else int(hits[need - 1]) + 1
-    counts = [bisect.bisect_left(at, drawn) for at in positions]
     if drawn < count:
         rng.setstate(state)
         _skip_words(rng, ends[drawn - 1])
     blocks, disconnected = [], 0
+    counts = np.bincount(pick[:drawn], minlength=len(orders))
     for n, (changed, adj, private, u, v, isolates), k in zip(orders, kept, counts):
         j = np.count_nonzero(changed[:k])  # the changes drawn before the round ends
         before = adj[:j]
@@ -690,17 +673,18 @@ def verify_kelmans(samples: int, n_range: Sequence[int], fs: Sequence[WeightFunc
     """Randomized monotonicity campaign for the two transforms.
 
     Per weight, `samples` class-changing reroutes of drawn graphs, drawn,
-    decided and moved as numpy stacks in rounds (_reroute_pairs) that read
-    the generator words drawing them one by one reads (no certificate, no
-    Graph), then PENDANT_SHIFT_FRACTION * samples pendant shifts.  Each
-    pair is checked for rho' > rho - 1e-9 (_certified_deltas), its graphs
-    packed edge rows (bit i set when the i-th vertex pair is an edge) up to
-    the eigensolver: certified brackets and one cut over all pairs leave
-    open only the pairs that could fail or hold worst_delta, and only their
-    graphs are eigensolved, so the report is the one that eigensolving
-    every graph gives, and an eigensolver failure names the first order
-    with an open pair.  n_range needs some n >= 4.  Weights without P* run
-    informatively: violations are recorded, not failed.
+    decided and moved as numpy stacks in rounds of _reroute_round, each
+    reading the generator words that drawing its samples one by one reads
+    (no certificate, no Graph), then PENDANT_SHIFT_FRACTION * samples
+    pendant shifts.  Each pair is checked for rho' > rho - 1e-9
+    (_certified_deltas), its graphs packed edge rows (bit i set when the
+    i-th vertex pair is an edge) up to the eigensolver: certified brackets
+    and one cut over all pairs leave open only the pairs that could fail or
+    hold worst_delta, and only their graphs are eigensolved, so the report
+    is the one that eigensolving every graph gives, and an eigensolver
+    failure names the first order with an open pair.  n_range needs some
+    n >= 4.  Weights without P* run informatively: violations are
+    recorded, not failed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -791,7 +775,7 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
             passed=worst < b2 and len(rows) == 9,
         ))
         if 12 <= n <= 20:
-            t1bound = 0.5 * (n - 3 + 1 / (n - 3)) * math.sqrt(n)
+            t1bound = _table1_bound(n)
             report.cases.append(CaseRecord(
                 case_id=f"theorem41/table1_comparison/n={n}",
                 inputs={"n": n},

@@ -284,6 +284,17 @@ class TestSpectralRadii:
         with pytest.raises(SpectralError, match=r"^zagreb1 at n=7: "):
             spectral.stacked_radii(rows, fs, np.array([1, 0]), 7)
 
+        def failing_stack(a):
+            if len(a) > 1:
+                raise SpectralError("symmetric eigensolver did not converge: stack")
+            return dominant(a)
+
+        # a chunk that fails while each weight's part passes alone raises its
+        # own error, naming no weight
+        monkeypatch.setattr(spectral, "_dominant_eigenpairs", failing_stack)
+        with pytest.raises(SpectralError, match=r"^symmetric eigensolver did not converge: stack$"):
+            spectral.stacked_radii(rows, fs, np.array([0, 1]), 7)
+
     def test_rho_f_is_the_one_graph_case(self, weight_forgotten):
         g = graph_g3(9)
         assert rho_f(g, weight_forgotten) == spectral_radius(build_matrix(g, weight_forgotten)).rho

@@ -169,6 +169,14 @@ class TestExtremalCampaign:
         assert case.passed is None
         assert case.computed["winner"] == "G4"  # small-order regime
 
+    def test_candidate_below_order_five_informative(self, capsys):
+        # G2, G3 and G4 start at n = 5: at n = 4 the one case is informative
+        code = main(["extremal", "--n", "4", "--f", "forgotten", "--rank", "2", "--mode", "candidate"])
+        (case,) = json.loads(capsys.readouterr().out)["cases"]
+        assert code == 0
+        assert (case["passed"], case["computed"]) == (None, {})
+        assert case["note"] == "no candidate family exists at this order"
+
     def test_candidate_above_threshold(self):
         rep = verify_extremal(range(10, 14), [Z1], rank="second", mode="candidate")
         assert rep.ok
@@ -562,6 +570,20 @@ def graphs_built_in_fresh_process(code: str) -> int:
     return int(proc.stdout.splitlines()[-1])
 
 
+def drawn_samples(rng, orders, count):
+    """(n, edges, u, v) of the `count` samples of one kelmans round, in draw order: the
+    values _draw_values draws, decoded order by order by _random_adjacency."""
+    stores, pick, _ = verify._draw_values(rng, [verify._sample_draws(n) for n in orders], count)
+    got = [None] * count
+    for i, (n, store) in enumerate(zip(orders, stores)):
+        adj, u, v = verify._random_adjacency(store, n)
+        at = np.flatnonzero(pick == i)
+        assert adj.shape == (len(at), n, n)
+        for s, a, x, y in zip(at.tolist(), adj.tolist(), u.tolist(), v.tolist()):
+            got[s] = (n, {(p, q) for p, q in itertools.combinations(range(n), 2) if a[p][q]}, x, y)
+    return got
+
+
 class TestKelmansCampaign:
     def test_deterministic_under_seed(self):
         a = verify_kelmans(40, range(4, 7), [Z1], rng_seed=11)
@@ -602,15 +624,12 @@ class TestKelmansCampaign:
             rng, ref, step = (random.Random(seed) for _ in range(3))
             for i in range(40):
                 n = 2 + (seed + i) % 27
-                _, _, stacks = verify._draw_round(rng, [n], 1)
-                (adj, u, v), = stacks
-                got = ({(p, q) for p, q in itertools.combinations(range(n), 2) if adj[0, p, q]},
-                       int(u[0]), int(v[0]))
+                ((_, edges, u, v),) = drawn_samples(rng, [n], 1)
                 for r, sampler in ((ref, reference_random_connected_graph),
                                    (step, stepwise_random_connected_graph)):
                     r.choice([n])
                     g, x = sampler(r, n), r.randrange(n)
-                    assert got == (set(g.edges), x, (x + r.randrange(1, n)) % n)
+                    assert (edges, u, v) == (set(g.edges), x, (x + r.randrange(1, n)) % n)
                 assert rng.getstate() == ref.getstate() == step.getstate()
 
     @pytest.mark.parametrize("lo,hi", [(2, 6), (4, 8), (3, 12), (17, 20), (24, 27)])
@@ -636,12 +655,7 @@ class TestKelmansCampaign:
             for orders in self.ORDER_SETS:
                 rng, ref = random.Random(seed), random.Random(seed)
                 count = 1 + seed % 37
-                positions, _, stacks = verify._draw_round(rng, orders, count)
-                got = [None] * count
-                for n, at, (adj, u, v) in zip(orders, positions, stacks):
-                    assert adj.shape == (len(at), n, n)
-                    for s, a, x, y in zip(at, adj.tolist(), u.tolist(), v.tolist()):
-                        got[s] = (n, {(p, q) for p, q in itertools.combinations(range(n), 2) if a[p][q]}, x, y)
+                got = drawn_samples(rng, orders, count)
                 want = [conftest.reference_reroute_draw(ref, orders) for _ in range(count)]
                 assert got == [(n, set(g.edges), u, v) for n, g, u, v in want]
                 assert rng.getstate() == ref.getstate()
@@ -687,6 +701,27 @@ class TestKelmansCampaign:
                     rewound += drawn < count
                     ended_unchanged += not changes[end - 1]
         assert rewound and ended_unchanged
+
+    def test_draw_limit(self, monkeypatch):
+        # when no reroute changes a class, the rounds draw 1000 samples per
+        # wanted change in all, and then the campaign gives up
+        counts = []
+
+        def unchanged(adj, u, v):
+            private, changed, isolates = reroute(adj, u, v)
+            return private, np.zeros_like(changed), isolates
+
+        def counting(rng, plans, count):
+            counts.append(count)
+            return draw(rng, plans, count)
+
+        reroute, draw = verify.reroute_stack, verify._draw_values
+        monkeypatch.setattr(verify, "reroute_stack", unchanged)
+        monkeypatch.setattr(verify, "_draw_values", counting)
+        samples = 1
+        with pytest.raises(RuntimeError, match="too few class-changing samples"):
+            verify._reroute_pairs(random.Random(1), [4, 5], samples)
+        assert sum(counts) == 1000 * samples
 
     def test_campaign_builds_graphs_only_for_pendant_shifts(self):
         # no draw becomes a Graph, and neither does a pendant shift: the 500
@@ -815,12 +850,10 @@ class TestIntegerDraw:
     @staticmethod
     def batched(rng, plans, count):
         """_draw_values's samples as (plan index, values), in draw order, and its ends."""
-        stores, positions, ends = verify._draw_values(rng, plans, count)
-        draws = [None] * count
-        for i, (store, at) in enumerate(zip(stores, positions)):
-            k = len(plans[i])
-            for j, position in enumerate(at):
-                draws[position] = (i, list(store[j * k:(j + 1) * k]))
+        stores, pick, ends = verify._draw_values(rng, plans, count)
+        values = [iter(store) for store in stores]
+        draws = [(i, [next(values[i]) for _ in plans[i]]) for i in pick.tolist()]
+        assert all(next(rest, None) is None for rest in values)  # no value left over
         return draws, ends
 
     @staticmethod
