@@ -133,7 +133,9 @@ def radius_brackets(e: np.ndarray, f: WeightFunction, n: int,
                     count: int) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) with lo[i] <= rho(A_f(G_i)), as spectral_radii gives it, <= hi[i] for `count`
     graphs G_i of order n and any sizes, no eigensolve; e holds their edges as union_edges
-    numbers them (G_i's vertex v is i * n + v).  A batch evaluate cannot weigh is left open."""
+    numbers them (G_i's vertex v is i * n + v).  G_i may be of a smaller order with its vertices
+    past that isolated: they add zero eigenvalues, so rho and the bracket hold, with the rounding
+    bound read at n.  A batch evaluate cannot weigh is left open."""
     try:
         w = _edge_weights(e, [f], n)[0]
     except WeightSpecError:  # the eigensolve of an open graph raises it

@@ -31,7 +31,8 @@ from .enumeration import (canonical_form, check_order, enumerate_bicyclic,  # no
                           max_degree_rows, orderly_rows, targeted_max_degree_family)
 from .graphs import (FAMILIES, base_graph, edge_stack, graph_g1, graph_g2,  # noqa: F401
                      graph_rows, rows_graph, union_edges)
-from .spectral import pruned_brackets, radius_brackets, rho_f, spectral_radii, stacked_radii
+from .spectral import (EIGH_CHUNK, pruned_brackets, radius_brackets, rho_f, spectral_radii,
+                       stacked_radii)
 from .transforms import kelmans, move_stack, pendant_shift, reroute_stack  # noqa: F401
 from .weights import WeightFunction, check_pstar, parse_weight
 
@@ -188,13 +189,13 @@ def _run_appendix_table(table: str) -> VerificationReport:
     spec = APPENDIX_TABLES[table]
     n = spec["n"]
     report = VerificationReport(f"tables/{table}")
-    computed: dict[tuple[str, str], float] = {}
-    for row in ("G2", "G3", "G4"):
-        g = FAMILIES[row].build(n)
+    rows, fs = ("G2", "G3", "G4"), [parse_weight(col) for col in TABLE_COLUMNS]
+    graphs = np.repeat(graph_rows([FAMILIES[row].build(n) for row in rows]), len(fs), axis=0)
+    rho = stacked_radii(graphs, fs, np.tile(np.arange(len(fs)), len(rows)), n)
+    computed = dict(zip([(row, col) for row in rows for col in TABLE_COLUMNS], rho.tolist()))
+    for row in rows:
         for col, printed in zip(TABLE_COLUMNS, spec["printed"][row]):
-            f = parse_weight(col)
-            value = rho_f(g, f)
-            computed[(row, col)] = value
+            value = computed[(row, col)]
             tol = printed_tolerance(printed)
             erratum = spec["errata"].get((row, col))
             ok, note = abs(value - float(printed)) <= tol, ""
@@ -214,7 +215,7 @@ def _run_appendix_table(table: str) -> VerificationReport:
                 note=note,
             ))
     for col in TABLE_COLUMNS:
-        winner = max(("G2", "G3", "G4"), key=lambda r: computed[(r, col)])
+        winner = max(rows, key=lambda r: computed[(r, col)])
         report.cases.append(CaseRecord(
             case_id=f"{table}/bold/{COLUMN_DISPLAY[col]}",
             inputs={"n": n, "column": col},
@@ -390,8 +391,9 @@ def _exhaustive_case(n: int, f: WeightFunction, rank: str,
 
 
 def _candidate_case(n: int, f: WeightFunction, rank: str) -> CaseRecord:
-    rhos = {tag: rho_f(FAMILIES[tag].build(n), f)
-            for tag in ("G2", "G3", "G4") if n >= FAMILIES[tag].min_n}
+    tags = [tag for tag in ("G2", "G3", "G4") if n >= FAMILIES[tag].min_n]
+    rho = spectral_radii(graph_rows([FAMILIES[tag].build(n) for tag in tags]), f, n)
+    rhos = dict(zip(tags, rho.tolist()))
     case_id = f"extremal/candidate/{f.label()}/n={n}"
     inputs = {"n": n, "weight": f.label(), "rank": rank}
     if not rhos:
@@ -739,8 +741,10 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
 
     The nine classes come as edge rows (max_degree_rows), with no Graph,
     and the family record reads only the largest rho of the nine.  One
-    radius_brackets call per order gives class i a certified (lo_i, hi_i);
-    top has the largest lo.  One spectral_radii call per order solves G1,
+    radius_brackets call per EIGH_CHUNK // 9 consecutive orders (63 graphs,
+    each at the call's largest order with its vertices past n isolated)
+    gives class i a certified (lo_i, hi_i); top has the largest lo of its
+    order.  One spectral_radii call per order, at n, solves G1,
     G2 and the classes with hi_i >= lo_top, top among them; a class left
     out cannot hold the largest rho: rho_i <= hi_i < lo_top <= rho_top.
     An open class has (-inf, inf), so it is always solved.  A batched eigh
@@ -752,36 +756,40 @@ def verify_theorem41(n_range: Sequence[int]) -> VerificationReport:
     t0 = time.perf_counter()
     ext = WeightFunction("extended")
     report = VerificationReport("theorem41")
-    for n in n_range:
-        rows = max_degree_rows(n)
-        lo, hi = radius_brackets(union_edges(rows, n), ext, n, len(rows))
-        chain = graph_rows([graph_g1(n), graph_g2(n)])
-        rho1, rho2, *family = spectral_radii(
-            np.concatenate([chain, rows[hi >= lo[np.argmax(lo)]]]), ext, n).tolist()
-        b1, b2 = (0.5 * (n - 0.9) * math.sqrt(n - shift) for shift in (3.8, 5.0))
-        worst = max(family)
-        report.cases.append(CaseRecord(
-            case_id=f"theorem41/chain/n={n}",
-            inputs={"n": n},
-            computed={"rho_ex_g1": rho1, "upper_bound": b1, "rho_ex_g2": rho2, "lower_bound": b2},
-            expected={"relation": "rho_ex(G1) > b(3.8) > rho_ex(G2) > b(5)"},
-            passed=rho1 > b1 > rho2 > b2,
-        ))
-        report.cases.append(CaseRecord(
-            case_id=f"theorem41/max_degree_n2/n={n}",
-            inputs={"n": n, "classes": len(rows)},
-            computed={"max_rho_ex": worst, "bound": b2},
-            expected={"relation": "every degree-(n-2) class below b(5)", "classes_expected": 9},
-            passed=worst < b2 and len(rows) == 9,
-        ))
-        if 12 <= n <= 20:
-            t1bound = _table1_bound(n)
+    orders, per_call = list(n_range), EIGH_CHUNK // 9
+    for start in range(0, len(orders), per_call):
+        call = orders[start:start + per_call]
+        top, classes = max(call), [max_degree_rows(n) for n in call]
+        e = np.concatenate([union_edges(rows, top) + 9 * j * top for j, rows in enumerate(classes)])
+        lo, hi = (b.reshape(len(call), 9) for b in radius_brackets(e, ext, top, 9 * len(call)))
+        for n, rows, lo_n, hi_n in zip(call, classes, lo, hi):
+            chain = graph_rows([graph_g1(n), graph_g2(n)])
+            rho1, rho2, *family = spectral_radii(
+                np.concatenate([chain, rows[hi_n >= lo_n.max()]]), ext, n).tolist()
+            b1, b2 = (0.5 * (n - 0.9) * math.sqrt(n - shift) for shift in (3.8, 5.0))
+            worst = max(family)
             report.cases.append(CaseRecord(
-                case_id=f"theorem41/table1_comparison/n={n}",
+                case_id=f"theorem41/chain/n={n}",
                 inputs={"n": n},
-                computed={"bound": t1bound, "rho_ex_g2": rho2},
-                expected={"relation": "bound < rho_ex(G2)"},
-                passed=t1bound < rho2,
+                computed={"rho_ex_g1": rho1, "upper_bound": b1, "rho_ex_g2": rho2, "lower_bound": b2},
+                expected={"relation": "rho_ex(G1) > b(3.8) > rho_ex(G2) > b(5)"},
+                passed=rho1 > b1 > rho2 > b2,
             ))
+            report.cases.append(CaseRecord(
+                case_id=f"theorem41/max_degree_n2/n={n}",
+                inputs={"n": n, "classes": len(rows)},
+                computed={"max_rho_ex": worst, "bound": b2},
+                expected={"relation": "every degree-(n-2) class below b(5)", "classes_expected": 9},
+                passed=worst < b2 and len(rows) == 9,
+            ))
+            if 12 <= n <= 20:
+                t1bound = _table1_bound(n)
+                report.cases.append(CaseRecord(
+                    case_id=f"theorem41/table1_comparison/n={n}",
+                    inputs={"n": n},
+                    computed={"bound": t1bound, "rho_ex_g2": rho2},
+                    expected={"relation": "bound < rho_ex(G2)"},
+                    passed=t1bound < rho2,
+                ))
     report.runtime_seconds = time.perf_counter() - t0
     return report

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bicyclic_spectra import (
+    FAMILIES,
     Graph,
     SpectralError,
     WeightFunction,
@@ -462,6 +463,21 @@ class TestRadiusBrackets:
                     lo, hi = self.check_mixed(graphs, f, n, np.random.default_rng(seed))
                     assert np.isfinite(lo).all() and np.isfinite(hi).all()
         assert isolated > 100
+
+    def test_padded_to_a_larger_order(self):
+        # every degree-(n-2) class and G1..G4 at n = 12..60, bracketed in one
+        # call at order 60 with vertices n..59 isolated: each bracket is
+        # certified and holds the rho solved at the graph's own order
+        fs = [parse_weight(w) for w in self.WEIGHTS]
+        stacks = [(n, np.concatenate([enumeration.max_degree_rows(n), graph_rows(
+            [FAMILIES[tag].build(n) for tag in ("G1", "G2", "G3", "G4")])])) for n in range(12, 61)]
+        e = np.concatenate([union_edges(rows, 60) + 13 * 60 * j for j, (_, rows) in enumerate(stacks)])
+        for f in fs:
+            lo, hi = spectral.radius_brackets(e, f, 60, 13 * len(stacks))
+            rho = np.concatenate([spectral_radii(rows, f, n) for n, rows in stacks])
+            spare = spectral.BRACKET_MARGIN / 2 * rho
+            assert np.isfinite(lo).all() and np.isfinite(hi).all()
+            assert np.all(lo <= rho - spare) and np.all(rho + spare <= hi)
 
     def test_mixed_sizes_in_one_batch(self):
         # every class at n = 7 and 8 shuffled with drawn graphs of other

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bicyclic_spectra import (
+    FAMILIES,
     CaseRecord,
     Graph,
     VerificationReport,
@@ -136,6 +137,16 @@ class TestTables:
                   for c in rep7.cases if "/bold/" in c.case_id}
         assert bolds7 == {"1": "G4", "x+y": "G2", "(x+y)^2": "G2", "(x+y)^3": "G2"}
 
+    @pytest.mark.parametrize("table", ["appendix_n6", "appendix_n7"])
+    def test_cells_equal_rho_f(self, table):
+        # one stacked eigensolve scores the 3 x 4 cells, each bit for bit
+        # the rho_f of its own graph and weight
+        cells = [c for c in run_table(table).cases if "rho" in c.computed]
+        assert len(cells) == 12
+        for c in cells:
+            g = FAMILIES[c.inputs["graph"]].build(c.inputs["n"])
+            assert c.computed["rho"] == rho_f(g, parse_weight(c.inputs["weight"]))
+
     def test_unknown_table(self):
         with pytest.raises(ValueError):
             run_table("appendix_n99")
@@ -176,6 +187,22 @@ class TestExtremalCampaign:
         assert code == 0
         assert (case["passed"], case["computed"]) == (None, {})
         assert case["note"] == "no candidate family exists at this order"
+
+    def test_candidate_rho_equal_rho_f(self):
+        # one eigensolve per order and weight scores the candidates that exist
+        # there, each bit for bit the rho_f of its own graph
+        fs = [parse_weight(w) for w in ("forgotten", "zagreb1", "constant_one", "sombor:a=2,b=0.5")]
+        rep = verify_extremal(range(4, 41), fs, rank="second", mode="candidate")
+        scored = 0
+        for case in rep.cases:
+            n, f = case.inputs["n"], parse_weight(case.inputs["weight"])
+            rhos = case.computed.get("rho", {})
+            assert list(rhos) == [t for t in ("G2", "G3", "G4") if n >= FAMILIES[t].min_n]
+            for tag, rho in rhos.items():
+                assert rho == rho_f(FAMILIES[tag].build(n), f)
+            scored += len(rhos)
+        assert len(rep.cases) == len(fs) * 37
+        assert scored == len(fs) * (2 + 3 * 35)  # G2 and G3 from n = 5, G4 from n = 6
 
     def test_candidate_above_threshold(self):
         rep = verify_extremal(range(10, 14), [Z1], rank="second", mode="candidate")
@@ -246,7 +273,7 @@ class TestNearTiePolicy:
         monkeypatch.setattr(verify, "_rankings", lambda n, fs: (classes, named, tied))
         case = verify_extremal([6], [Z1], rank="first").cases[0]
         assert case.passed is False and "near-tie at the top: gap 0.000e+00" in case.note
-        monkeypatch.setattr(verify, "rho_f", lambda g, f: 1.0)
+        monkeypatch.setattr(verify, "spectral_radii", lambda rows, f, n: np.ones(len(rows)))
         case = verify_extremal([10], [Z1], rank="second", mode="candidate").cases[0]
         assert case.computed["winner"] == "G2" and case.passed is False
 
@@ -972,6 +999,55 @@ class TestTheorem41Campaign:
             del report["summary"]["runtime_seconds"]
         assert got == want
         assert sizes == [3] * 49
+
+    @pytest.mark.parametrize("orders", [range(12, 61), range(15, 28), [60]])
+    def test_calls_of_seven_orders_match_one_order_calls(self, orders):
+        # the brackets of up to seven orders share one call; the report is,
+        # record for record, that of one call per order and the reference's
+        got = timeless(verify_theorem41(orders))
+        alone = [case for n in orders for case in timeless(verify_theorem41([n]))["cases"]]
+        assert got["cases"] == alone
+        assert got == timeless(reference_verify_theorem41(orders))
+
+    def test_each_order_reads_its_own_brackets(self, monkeypatch):
+        # each bracket call holds the nine classes of up to seven consecutive
+        # orders, each with its own edges at the call's largest order, so its
+        # vertices past n are isolated.  Class n % 9 of order n gets hi = inf:
+        # order n solves G1, G2, its top class and that class, no other
+        orders, seen, solved = list(range(15, 28)), [], []
+        ext = WeightFunction("extended")
+        tops = {n: np.argmax(spectral_radii(verify.max_degree_rows(n), ext, n)) for n in orders}
+
+        def bracket(e, f, top, count):
+            lo, hi = radius_brackets(e, f, top, count)
+            graph = e[:, 0] // top
+            call = []
+            for i in range(count):
+                edges = e[graph == i] - i * top
+                n, k = len(edges) - 1, i % 9
+                assert np.array_equal(edges, verify.max_degree_rows(n)[k])
+                if k == 0:
+                    call.append(n)
+                if k == n % 9:
+                    hi[i] = np.inf
+            assert top == max(call) and len(call) == min(7, len(orders) - len(seen))
+            seen.extend(call)
+            return lo, hi
+
+        def counting(rows, f, n):
+            solved.append((n, rows))
+            return spectral_radii(rows, f, n)
+
+        monkeypatch.setattr(verify, "radius_brackets", bracket)
+        monkeypatch.setattr(verify, "spectral_radii", counting)
+        got = timeless(verify_theorem41(orders))
+        assert seen == orders
+        assert got == timeless(reference_verify_theorem41(orders))
+        assert [n for n, _ in solved] == orders
+        for n, rows in solved:
+            chain = graph_rows([graph_g1(n), graph_g2(n)])
+            family = verify.max_degree_rows(n)[sorted({tops[n], n % 9})]
+            assert np.array_equal(rows, np.concatenate([chain, family]))
 
     @staticmethod
     def bracketed_run(monkeypatch, at_floor: bool, open_classes=()):
