@@ -4,10 +4,10 @@ and the class key that names a bicyclic class at any order.
 One generator: build every pendant-free base (infinity- and theta-graphs) up
 to order n and attach the rooted forests that are orderly (McKay 1998): first
 in their orbit under the base's automorphisms, one per class.  It works in
-numpy blocks of about BLOCK_BUDGET classes and compositions, and reads each
-kept composition's shape-index grid in C order, which is lexicographic order,
-so no sort is needed.  The tests check it against an independent oracle, canonical
-augmentation over all connected graphs with m = n + 1 edges.
+numpy blocks of BLOCK_BUDGET compositions and expands their kept shape-index
+grids BLOCK_BUDGET assignments at a time, in C order, which is lexicographic
+order, so no sort is needed.  The tests check it against an independent
+oracle, canonical augmentation over all connected graphs with m = n + 1 edges.
 
 The class key `canonical_form` reads that orderly key back from a graph's
 structure: its base (the 2-core) names a standard base, every isomorphism
@@ -31,10 +31,8 @@ from .graphs import (Graph, base_graph, infinity_ears, make_infinity, make_theta
                      theta_ears, union_edges)
 # largest order enumerate_bicyclic runs at
 ORDER_BOUND = 10
-# classes per orderly_rows chunk, the exhaustive prune's batch; 512 took 0.33 MB more RSS at n <= 10
-CLASS_CHUNK = 256
-# cost of an orderly_rows numpy block, 1 per composition plus its estimated classes; at
-# n = 14 on one CPU, 512 took 0.14 s at 34-35 MB peak, 1,024 0.12 s at 37 MB, 256 0.18 s
+# compositions per orderly_rows block and shape assignments per chunk; on one CPU the n <= 10
+# exhaustive pass peaks at 33.0 MB (256: 32.6 MB, 5-7% slower; 1,024: 33.8 MB, 5-6% faster)
 BLOCK_BUDGET = 512
 
 
@@ -122,12 +120,12 @@ def bicyclic_bases(max_order: int) -> list[tuple[tuple[int, ...], Graph]]:
 
 def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """One labelled graph per bicyclic class on n vertices, lazily, in
-    class-key order, in chunks (rows, kinds) of CLASS_CHUNK classes: rows[i],
-    of an int16 array (C, n + 1, 2), holds the edges (u, v), u < v, of class
-    i and kinds[i], of an intp array, its base kind (0 infinity, 1 theta, its
-    class key's head).  A class's rows are its base's edges, then row x + 1
-    joins new vertex x to its parent, the trees numbered in preorder one base
-    vertex after another.
+    class-key order, in chunks (rows, kinds) of 1 to BLOCK_BUDGET classes
+    (none for n < 4): rows[i], of an int16 array (C, n + 1, 2), holds the
+    edges (u, v), u < v, of class i and kinds[i], of an intp array, its base
+    kind (0 infinity, 1 theta, its class key's head).  A class's rows are its
+    base's edges, then row x + 1 joins new vertex x to its parent, the trees
+    numbered in preorder one base vertex after another.
 
     A forest assignment, keyed (composition, shape indices), is kept only
     when no base automorphism maps it to a smaller key (the group is closed
@@ -136,14 +134,20 @@ def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     non-isomorphic and rooted-tree shapes are canonical, so no two classes
     are isomorphic.
 
-    A block is a run of (base, composition) in key order, cut at each
-    BLOCK_BUDGET of cost.  It drops each composition that one of its images
-    undercuts, and expands the others' shape-index grids in C order, last
-    index fastest, which is lexicographic order, so the keys ascend.  Only
+    A block is a run of at most BLOCK_BUDGET (base, composition) in key
+    order.  It drops each composition that one of its images undercuts, and
+    ranks the others' shape-index grids in C order, last index fastest,
+    which is lexicographic order, so the keys ascend.  It expands them by
+    rank range, BLOCK_BUDGET assignments at a time, so one large grid spans
+    several windows, and yields each window's classes as one chunk.  Only
     the shapes of a composition that some automorphism fixes are compared
-    again, under those automorphisms.
+    again, under those automorphisms.  So every array has at most
+    BLOCK_BUDGET rows (compositions or assignments) times the group order,
+    however large one composition's grid is.
     """
     bases = bicyclic_bases(n)
+    if not bases:  # no bicyclic graph has fewer than 4 vertices
+        return
     order, kinds = (np.array(col, np.intp) for col in zip(*[(b.n, h[0]) for h, b in bases]))
     moves = np.array([len(_base_symmetry(h)) - 1 for h, _ in bases])  # [0] is the identity
     start = np.cumsum(moves) - moves
@@ -158,22 +162,16 @@ def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     comps = {b: np.zeros((math.comb(n - 1, b - 1), n), np.int8) for b in set(order.tolist())}
     for b, comp in comps.items():
         comp[:, :b] = _weak_compositions(n - b, b)
-    cum = {b: np.cumsum(np.r_[0, radices[comp + 1].prod(1)]) for b, comp in comps.items()}
 
-    def pieces() -> Iterator[tuple[float, int, int, int]]:
-        """(block, base, first, end): composition ranges and their blocks."""
-        done = 0.0
+    def pieces() -> Iterator[tuple[int, int, int, int]]:
+        """(block, base, first, end): composition ranges, BLOCK_BUDGET compositions a block."""
+        done = 0
         for i, b in enumerate(order.tolist()):
-            g, k = moves[i] + 1, len(comps[b])
-            if (done + cum[b][-2] / g + k - 1) // BLOCK_BUDGET == done // BLOCK_BUDGET:
-                yield done // BLOCK_BUDGET, i, 0, k  # the base fits in the current block
-            else:
-                ids = (done + cum[b][:-1] / g + np.arange(k)) // BLOCK_BUDGET
-                cuts = [0, *(np.flatnonzero(np.diff(ids)) + 1).tolist(), k]
-                yield from ((ids[lo], i, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
-            done += cum[b][-1] / g + k
+            k = len(comps[b])  # cut at 0, at k and at each composition that starts a block
+            cuts = sorted({0, k, *range(-done % BLOCK_BUDGET, k, BLOCK_BUDGET)})
+            yield from (((done + lo) // BLOCK_BUDGET, i, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+            done += k
 
-    rows, kind = templates[:0], kinds[:0]
     for _, block in itertools.groupby(pieces(), itemgetter(0)):
         block = list(block)
         width = max(order[i] for _, i, _, _ in block)  # the block's largest base
@@ -182,25 +180,25 @@ def orderly_rows(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         keep, fixed = _undercut(comp, start[base], moves[base], perms[:, :width])
         # span[:, v]: a kept composition's assignments to vertices v..; by rank in C order
         span = np.cumprod(np.column_stack([keep, radices[comp[:, ::-1] + 1]]), 1)[:, ::-1]
-        cls, rank = _ranges(0, span[:, 0])
-        shape = rank[:, None] % span[cls, :-1] // span[cls, 1:]
-        # again on the shape indices, under the automorphisms that fix the composition
         fixes = np.bincount(fixed[0], minlength=len(comp))
-        good, _ = _undercut(shape, (np.cumsum(fixes) - fixes)[cls], fixes[cls],
-                            perms[fixed[1], :width])
-        comp, base, shape = comp[cls[good]], base[cls[good]], shape[good]
-        # a hung tree's table row: its root is v, its other vertices count from vertex[:, v]
-        vertex = order[base][:, None] + np.cumsum(comp, 1) - comp
-        cell, at = _ranges((table_at[comp] + shape * comp).ravel(), comp.ravel())
-        local, new = parents[at], templates[base]
-        new[:, :, 0][np.arange(n + 1) > order[base][:, None]] = np.where(
-            local == 0, cell % width, vertex.ravel()[cell] + local - 1)
-        cuts = range(CLASS_CHUNK, len(kind) + len(base), CLASS_CHUNK)
-        *chunks, (rows, kind) = zip(np.split(np.concatenate([rows, new]), cuts),
-                                    np.split(np.concatenate([kind, kinds[base]]), cuts))
-        yield from chunks
-    if len(kind):
-        yield rows, kind
+        ends = np.cumsum(span[:, 0])  # the block's assignments, composition after composition
+        for first in range(0, ends[-1], BLOCK_BUDGET):  # one chunk's window of them
+            pos = np.arange(first, min(first + BLOCK_BUDGET, ends[-1]))
+            cls = np.searchsorted(ends, pos, "right")
+            # pos - ends[cls] is the rank in the grid, less span[cls, 0]: % span[cls, :-1] drops it
+            shape = (pos - ends[cls])[:, None] % span[cls, :-1] // span[cls, 1:]
+            # again on the shape indices, under the automorphisms that fix the composition
+            good, _ = _undercut(shape, (np.cumsum(fixes) - fixes)[cls], fixes[cls],
+                                perms[fixed[1], :width])
+            hung, owner, shape = comp[cls[good]], base[cls[good]], shape[good]
+            # a hung tree's table row: its root is v, its other vertices count from vertex[:, v]
+            vertex = order[owner][:, None] + np.cumsum(hung, 1) - hung
+            cell, at = _ranges((table_at[hung] + shape * hung).ravel(), hung.ravel())
+            local, rows = parents[at], templates[owner]
+            rows[:, :, 0][np.arange(n + 1) > order[owner][:, None]] = np.where(
+                local == 0, cell % width, vertex.ravel()[cell] + local - 1)
+            if len(owner):
+                yield rows, kinds[owner]
 
 
 def _ranges(first, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,6 @@ from bicyclic_spectra import (FAMILIES, CaseRecord, EnumerationError, Graph, Gra
                               canonical_form, check_pstar, enumerate_bicyclic, evaluate,
                               evaluate_exact, graph_g1, graph_g2, make_infinity, make_theta,
                               spectral_radii, targeted_max_degree_family)
-from bicyclic_spectra import enumeration
 from bicyclic_spectra.enumeration import _base_symmetry, bicyclic_bases, rooted_trees
 from bicyclic_spectra.graphs import graph_rows, refine_partition, rows_graph
 from bicyclic_spectra.verify import PENDANT_SHIFT_FRACTION
@@ -278,9 +277,10 @@ def reference_hung_trees(v: int, size: int, offset: int) -> tuple[tuple[int, ...
     return tuple(tuple(walk(shape, v, [])) for shape in rooted_trees(size))
 
 
-def reference_orderly_rows(n: int):
-    """The generator's earlier per-class loop, one Python step per class, with
-    the package's current CLASS_CHUNK: the same chunks as orderly_rows(n)."""
+def reference_orderly_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The generator's earlier per-class loop, one Python step per class: the
+    rows and kinds of every class, in one flat (rows, kinds) pair, as the
+    chunks of orderly_rows(n) concatenate to."""
     flat, kinds = [], []
     for head, base in bicyclic_bases(n):
         group, kind = _base_symmetry(head), head[0]
@@ -302,12 +302,7 @@ def reference_orderly_rows(n: int):
                         flat += edges
                         flat += itertools.chain.from_iterable(map(getitem, trees, idx))
                         kinds.append(kind)
-                        if len(kinds) == enumeration.CLASS_CHUNK:
-                            yield (np.array(flat, np.int16).reshape(-1, n + 1, 2),
-                                   np.array(kinds, np.intp))
-                            flat, kinds = [], []
-    if kinds:
-        yield np.array(flat, np.int16).reshape(-1, n + 1, 2), np.array(kinds, np.intp)
+    return np.array(flat, np.int16).reshape(-1, n + 1, 2), np.array(kinds, np.intp)
 
 
 def reference_isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:

@@ -22,7 +22,7 @@ from bicyclic_spectra import (
     targeted_max_degree_family,
 )
 from bicyclic_spectra import enumeration
-from bicyclic_spectra.enumeration import CLASS_CHUNK, bicyclic_bases, rooted_trees
+from bicyclic_spectra.enumeration import bicyclic_bases, rooted_trees
 from bicyclic_spectra.graphs import rows_graph
 from conftest import (GOLDEN_COUNTS, brute_force_bicyclic_classes, burnside_class_count,
                       class_graphs, degree_sequence, edge_subset_classes,
@@ -226,11 +226,10 @@ class TestOrderlyRows:
 
     @pytest.mark.parametrize("n", range(4, 12))
     def test_chunks(self, n):
-        # whole chunks of CLASS_CHUNK classes but the last; in each class the
-        # base's edges, then row x + 1 joins new vertex x to an earlier parent
+        # 1 to BLOCK_BUDGET classes a chunk; in each class the base's edges,
+        # then row x + 1 joins new vertex x to an earlier parent
         chunks = list(enumeration.orderly_rows(n))
-        assert [len(kinds) for _, kinds in chunks[:-1]] == [CLASS_CHUNK] * (len(chunks) - 1)
-        assert 0 < len(chunks[-1][1]) <= CLASS_CHUNK
+        assert all(0 < len(kinds) <= enumeration.BLOCK_BUDGET for _, kinds in chunks)
         for rows, kinds in chunks:
             assert rows.dtype.kind == "i" and rows.shape == (len(kinds), n + 1, 2)
             assert kinds.dtype == np.intp
@@ -243,18 +242,38 @@ class TestOrderlyRows:
                 assert (r[b + 1:, 0] < r[b + 1:, 1]).all()
 
     @pytest.mark.parametrize("budget", [None, 3])
-    @pytest.mark.parametrize("n", range(4, 13))
+    @pytest.mark.parametrize("n", range(4, 14))
     def test_same_chunks_as_the_per_class_loop(self, n, budget, monkeypatch):
-        # rows, kinds, dtypes and chunk boundaries; a budget of 3 cuts a block
-        # every few compositions, so every large base is split
+        # the same rows, kinds and dtypes, concatenated, in chunks of 1 to
+        # BLOCK_BUDGET classes; a budget of 3 cuts a block every 3
+        # compositions and a window every 3 assignments, so every large base
+        # and every grid of more than 3 shapes is split
         if budget is not None:
             monkeypatch.setattr(enumeration, "BLOCK_BUDGET", budget)
-        chunks, ref = list(enumeration.orderly_rows(n)), list(reference_orderly_rows(n))
-        assert len(chunks) == len(ref)
-        for (rows, kinds), (ref_rows, ref_kinds) in zip(chunks, ref):
-            assert rows.dtype == ref_rows.dtype == np.int16 and kinds.dtype == np.intp
-            assert rows.shape == ref_rows.shape and np.array_equal(rows, ref_rows)
-            assert np.array_equal(kinds, ref_kinds)
+        chunks, (ref_rows, ref_kinds) = list(enumeration.orderly_rows(n)), reference_orderly_rows(n)
+        assert all(0 < len(kinds) <= enumeration.BLOCK_BUDGET for _, kinds in chunks)
+        rows, kinds = map(np.concatenate, zip(*chunks))
+        assert rows.dtype == ref_rows.dtype == np.int16 and np.array_equal(rows, ref_rows)
+        assert kinds.dtype == ref_kinds.dtype == np.intp and np.array_equal(kinds, ref_kinds)
+
+    def test_a_grid_larger_than_the_budget_spans_chunks(self):
+        # at n = 13 the first theta class hangs all 9 new vertices on vertex 3
+        # of P(2,2,1), the composition (0, 0, 0, 9): 719 shapes, the rooted
+        # trees on 10 vertices, more than BLOCK_BUDGET, so over several chunks
+        assert len(rooted_trees(10)) == 719 > enumeration.BLOCK_BUDGET
+        chunks = list(enumeration.orderly_rows(13))
+        rows, kinds = map(np.concatenate, zip(*chunks))
+        first = int(np.argmax(kinds == 1))
+        grid = rows[first:first + 720]
+        assert (grid[:, :5] < 4).all()  # the base's edges
+        # every new vertex hangs below vertex 3 in the first 719 classes only
+        assert (grid[:719, 5:, 0] >= 3).all() and not (grid[719, 5:, 0] >= 3).all()
+        ends = np.cumsum([len(kinds) for _, kinds in chunks])
+        assert np.searchsorted(ends, first, "right") < np.searchsorted(ends, first + 718, "right")
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_no_chunk_below_order_4(self, n):
+        assert list(enumeration.orderly_rows(n)) == []
 
     def test_classes_are_graphs_of_the_rows(self):
         for n in range(4, 9):
