@@ -20,8 +20,8 @@ import os
 import sys
 
 from .enumeration import canonical_form, enumerate_bicyclic
-from .graphs import (FAMILIES, Graph, graph6_decode, graph6_encode, make_infinity, make_theta,
-                     rows_graph)
+from .graphs import (FAMILIES, Graph, graph6_decode, graph6_encode, graph6_rows, make_infinity,
+                     make_theta)
 from .spectral import SpectralError, build_matrix, full_spectrum, spectral_radius
 from .verify import VerificationReport, run_table, verify_extremal, verify_kelmans, verify_theorem41
 from .weights import _PARAMETERS, parse_weight
@@ -187,9 +187,8 @@ def _run(args) -> int:
         count = 0
         for rows in chunks:
             count += len(rows)
-            if args.graph6:
-                for r in rows:
-                    print(graph6_encode(rows_graph(r)))
+            if args.graph6 and len(rows):  # the degree filter leaves some chunks empty
+                print("\n".join(graph6_rows(rows, args.n)))
         print(json.dumps({"n": args.n, "method": method, "count": count}))
         return 0
     if args.command == "spectral":

@@ -342,18 +342,22 @@ def base_graph(g: Graph) -> BaseGraph:
 G6_MAX_ORDER = 258047
 
 
-def graph6_encode(g: Graph) -> str:
-    """Header-free graph6 string; supports n <= G6_MAX_ORDER."""
-    if g.n > G6_MAX_ORDER:
+def graph6_rows(rows: np.ndarray, n: int) -> list[str]:
+    """Header-free graph6 strings of the graphs of order n <= G6_MAX_ORDER whose edges
+    (u, v), u < v, are rows[i] of an int array (C, m, 2); edge (u, v) sets bit v(v-1)/2 + u."""
+    if n > G6_MAX_ORDER:
         raise GraphError(f"graph6 encoder limited to n <= {G6_MAX_ORDER}")
-    bits = "".join("01"[(i, j) in g.edges] for j in range(1, g.n) for i in range(j))
-    bits += "0" * (-len(bits) % 6)  # pad the last group of six
-    if g.n <= 62:
-        chars = [chr(63 + g.n)]
-    else:
-        chars = ["~"] + [chr(63 + ((g.n >> shift) & 63)) for shift in (12, 6, 0)]
-    chars += [chr(63 + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6)]
-    return "".join(chars)
+    bit = rows[..., 1].astype(np.intp) * (rows[..., 1] - 1) // 2 + rows[..., 0]  # int16 v(v-1) wraps
+    width = (n * (n - 1) // 2 + 5) // 6  # characters per graph; a character is 63 + six bits
+    cell = np.arange(len(rows))[:, None] * width + bit // 6
+    data = np.bincount(cell.ravel(), (32 >> bit % 6).ravel(), len(rows) * width).astype(np.uint8) + 63
+    head = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    return [head + line.tobytes().decode() for line in data.reshape(len(rows), width)]
+
+
+def graph6_encode(g: Graph) -> str:
+    """Header-free graph6 string of one graph; supports n <= G6_MAX_ORDER."""
+    return graph6_rows(graph_rows([g]), g.n)[0]
 
 
 def _graph6_values(chars: str) -> list[int]:
@@ -383,9 +387,9 @@ def graph6_decode(s: str) -> Graph:
     for val in _graph6_values(size):
         n = (n << 6) | val
     need = (n * (n - 1) // 2 + 5) // 6
-    data = data[:need]
     if len(data) != need:
-        raise GraphError("truncated graph6 string")
+        raise GraphError("truncated graph6 string" if len(data) < need else
+                         f"trailing graph6 characters {data[need:]!r} past an order-{n} graph")
     bits = [(val >> (5 - t)) & 1 for val in _graph6_values(data) for t in range(6)]
     pairs = ((i, j) for j in range(1, n) for i in range(j))  # the order the bits take
     return Graph.from_edges(n, (pair for pair, bit in zip(pairs, bits) if bit))

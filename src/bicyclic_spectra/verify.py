@@ -185,6 +185,21 @@ def run_table(table: str) -> VerificationReport:
     return report
 
 
+def _printed_cell(case_id: str, inputs: dict, computed: dict, cell: tuple, erratum=None) -> CaseRecord:
+    """The record of one printed table cell, cell = (table, row, column, printed):
+    computed's one value against the printed one within half its last place, or
+    against the recomputed reference where the printed cell is an erratum."""
+    (value,), printed, tol = computed.values(), cell[3], printed_tolerance(cell[3])
+    ok, note = abs(value - float(printed)) <= tol, ""
+    expected = dict(zip(("table", "row", "column", "printed"), cell))
+    if erratum is not None:
+        expected.update(recomputed=erratum, matches_printed=ok)
+        ok = abs(value - erratum) <= tol
+        note = (f"printed value {printed} is an erratum (inconsistent with the "
+                f"published quotient polynomial); recomputed reference {erratum}")
+    return CaseRecord(case_id, inputs, computed, expected, ok, tol, note)
+
+
 def _run_appendix_table(table: str) -> VerificationReport:
     spec = APPENDIX_TABLES[table]
     n = spec["n"]
@@ -195,25 +210,10 @@ def _run_appendix_table(table: str) -> VerificationReport:
     computed = dict(zip([(row, col) for row in rows for col in TABLE_COLUMNS], rho.tolist()))
     for row in rows:
         for col, printed in zip(TABLE_COLUMNS, spec["printed"][row]):
-            value = computed[(row, col)]
-            tol = printed_tolerance(printed)
-            erratum = spec["errata"].get((row, col))
-            ok, note = abs(value - float(printed)) <= tol, ""
-            expected = {"table": table, "row": row, "column": COLUMN_DISPLAY[col], "printed": printed}
-            if erratum is not None:
-                expected.update(recomputed=erratum, matches_printed=ok)
-                ok = abs(value - erratum) <= tol
-                note = (f"printed value {printed} is an erratum (inconsistent with the "
-                        f"published quotient polynomial); recomputed reference {erratum}")
-            report.cases.append(CaseRecord(
-                case_id=f"{table}/{row}/{COLUMN_DISPLAY[col]}",
-                inputs={"n": n, "graph": row, "weight": col},
-                computed={"rho": value},
-                expected=expected,
-                passed=ok,
-                tolerance=tol,
-                note=note,
-            ))
+            report.cases.append(_printed_cell(
+                f"{table}/{row}/{COLUMN_DISPLAY[col]}", {"n": n, "graph": row, "weight": col},
+                {"rho": computed[(row, col)]}, (table, row, COLUMN_DISPLAY[col], printed),
+                spec["errata"].get((row, col))))
     for col in TABLE_COLUMNS:
         winner = max(rows, key=lambda r: computed[(r, col)])
         report.cases.append(CaseRecord(
@@ -234,16 +234,9 @@ def _run_extended_table1() -> VerificationReport:
         bound = _table1_bound(n)
         rho = rho_f(graph_g2(n), ext)
         for kind, value, printed in [("bound", bound, bound_printed), ("rho_ex_g2", rho, rho_printed)]:
-            tol = printed_tolerance(printed)
-            report.cases.append(CaseRecord(
-                case_id=f"extended_table1/{kind}/n={n}",
-                inputs={"n": n, "quantity": kind},
-                computed={"value": value},
-                expected={"table": "extended_table1", "row": kind, "column": str(n),
-                          "printed": printed},
-                passed=abs(value - float(printed)) <= tol,
-                tolerance=tol,
-            ))
+            report.cases.append(_printed_cell(
+                f"extended_table1/{kind}/n={n}", {"n": n, "quantity": kind},
+                {"value": value}, ("extended_table1", kind, str(n), printed)))
         report.cases.append(CaseRecord(
             case_id=f"extended_table1/bound_below_rho/n={n}",
             inputs={"n": n},

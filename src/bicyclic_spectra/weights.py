@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -70,11 +71,14 @@ def _is_int(x) -> bool:
 
 
 def _pow(base: Num, expo: float) -> Num:
-    """base**expo, exact when the exponent is a (nonneg-on-zero) integer."""
+    """base**expo, exact when the exponent is a (nonneg-on-zero) integer and the power
+    stays within twice float range; beyond, a float that overflows or underflows to 0."""
     if _is_int(expo):
         e = int(expo)
         if isinstance(base, (int, Fraction)) and (base != 0 or e >= 0):
-            return base ** e
+            bits = abs(e) * (max(abs(base.numerator), base.denominator).bit_length() - 1)
+            if bits <= 2 * sys.float_info.max_exp:  # about log2 of base**e's numerator or denominator
+                return base ** e
         return float(base) ** e
     return math.pow(float(base), float(expo))  # a negative base raises ValueError, not a complex
 

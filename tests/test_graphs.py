@@ -1,6 +1,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from bicyclic_spectra import (
@@ -18,8 +19,8 @@ from bicyclic_spectra import (
     make_infinity,
     make_theta,
 )
-from bicyclic_spectra.enumeration import bicyclic_bases
-from bicyclic_spectra.graphs import G6_MAX_ORDER
+from bicyclic_spectra.enumeration import bicyclic_bases, max_degree_rows, orderly_rows
+from bicyclic_spectra.graphs import G6_MAX_ORDER, graph6_rows, graph_rows
 from conftest import degree_sequence, has_edge, relabel, to_networkx
 
 
@@ -280,6 +281,15 @@ class TestGraph6:
         with pytest.raises(GraphError, match="invalid graph6 character"):
             graph6_decode("~?A\x7f")
 
+    @pytest.mark.parametrize("text,extra", [("C}zzz", "'zzz'"), ("C}C}", "'C}'")])
+    def test_rejects_trailing_characters(self, text, extra):
+        # networkx rejects these too; the order-4 graph takes one data character
+        with pytest.raises(GraphError, match=f"trailing graph6 characters {extra} past an order-4"):
+            graph6_decode(text)
+        assert graph6_decode(text[:2]).m == 5
+        with pytest.raises(nx.NetworkXError):
+            nx.from_graph6_bytes(text.encode())
+
     @pytest.mark.parametrize("n", [1, 62, 63, 100, 300])
     def test_long_size_header_matches_networkx(self, rng, n):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.05]
@@ -292,3 +302,49 @@ class TestGraph6:
         assert sorted(back.nodes) == list(range(n))
         assert {tuple(sorted(e)) for e in back.edges} == g.edges
 
+
+
+def rows_to_networkx_graph6(rows, n):
+    """networkx's header-free graph6 line of each graph whose edges are rows[i]."""
+    out = []
+    for edges in rows.tolist():
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(edges)
+        out.append(nx.to_graph6_bytes(h, header=False).decode().strip())
+    return out
+
+
+class TestGraph6Rows:
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_every_class_matches_networkx(self, n):
+        for rows, _ in orderly_rows(n):
+            assert graph6_rows(rows, n) == rows_to_networkx_graph6(rows, n)
+
+    def test_max_degree_family_matches_networkx(self):
+        rows = max_degree_rows(12)
+        assert graph6_rows(rows, 12) == rows_to_networkx_graph6(rows, 12)
+
+    @pytest.mark.parametrize("n,line", [(0, "?"), (1, "@"), (2, "A?")])
+    def test_orders_without_edges(self, n, line):
+        assert graph6_rows(np.zeros((2, 0, 2), np.intp), n) == [line, line]
+
+    def test_long_header_at_63(self):
+        rows = graph_rows([graph_g1(63)])
+        (line,) = graph6_rows(rows, 63)
+        assert line.startswith("~??~") and [line] == rows_to_networkx_graph6(rows, 63)
+
+    def test_int16_rows_past_vertex_181(self):
+        # v(v-1)/2 for v = 299 is 44,551, past int16
+        g = graph_g1(300)
+        rows = graph_rows([g]).astype(np.int16)
+        assert graph6_rows(rows, 300) == rows_to_networkx_graph6(rows, 300) == [graph6_encode(g)]
+
+    def test_empty_chunk_gives_no_line(self):
+        assert graph6_rows(np.zeros((0, 11, 2), np.int16), 10) == []
+
+    def test_rejects_order_past_the_limit(self):
+        with pytest.raises(GraphError, match=f"graph6 encoder limited to n <= {G6_MAX_ORDER}"):
+            graph6_rows(np.zeros((1, 0, 2), np.intp), G6_MAX_ORDER + 1)
+        with pytest.raises(GraphError, match=f"graph6 encoder limited to n <= {G6_MAX_ORDER}"):
+            graph6_encode(Graph.from_edges(G6_MAX_ORDER + 1, []))

@@ -574,11 +574,13 @@ class TestStreamingExhaustive:
             "assert verify._rankings(10, fs)[0] == 2678\n") == 82
 
     def test_enumerate_builds_no_class_graph(self):
-        # the count comes from chunk lengths, and each base's kind from its
-        # class-key head: only the 66 bases are built
-        assert graphs_built_in_fresh_process(
-            "from bicyclic_spectra.cli import main\n"
-            "assert main(['enumerate', '--n', '10']) == 0\n") == 66
+        # the count comes from chunk lengths, each base's kind from its
+        # class-key head, and each graph6 line from the edge rows: only the
+        # 66 bases are built
+        for argv in ("'--n', '10'", "'--n', '10', '--graph6'"):
+            assert graphs_built_in_fresh_process(
+                "from bicyclic_spectra.cli import main\n"
+                f"assert main(['enumerate', {argv}]) == 0\n") == 66
 
 
 def graphs_built_in_fresh_process(code: str) -> int:
@@ -1144,6 +1146,14 @@ class TestCli:
         assert len(decoded) == 5
         assert all(g.is_bicyclic() for g in decoded)
 
+    @pytest.mark.parametrize("n,delta,count", [(9, 8, 2), (10, 9, 2), (10, 8, 9)])
+    def test_enumerate_graph6_skips_empty_chunks(self, n, delta, count, capsys):
+        # the degree filter leaves most chunks empty here: no blank line for them
+        assert main(["enumerate", "--n", str(n), "--max-degree", str(delta), "--graph6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == count + 1 and all(lines)
+        assert all(max(graph6_decode(line).degrees()) == delta for line in lines[:-1])
+
     def test_enumerate_max_degree(self, capsys):
         code = main(["enumerate", "--n", "7", "--max-degree", "6"])
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -1293,6 +1303,9 @@ class TestCli:
         (["spectral", "--graph", "G1:x", "--f", "zagreb1"], "invalid literal for int()"),
         (["spectral", "--graph", "B:0,0,0", "--f", "zagreb1"], "needs cycle lengths >= 3"),
         (["spectral", "--graph", "zzz", "--f", "zagreb1"], "'zzz': truncated graph6 string"),
+        (["spectral", "--graph", "C}zzz", "--f", "zagreb1"],
+         "'C}zzz': trailing graph6 characters 'zzz' past an order-4 graph"),
+        (["spectral", "--graph", "C}C}", "--f", "zagreb1"], "trailing graph6 characters 'C}'"),
         (["extremal", "--n", "9..3", "--f", "zagreb1"], "empty range '9..3'"),
         (["extremal", "--n", "9..x", "--f", "zagreb1"], "argument --n: '9..x': invalid literal"),
         (["extremal", "--n", "4..6", "--f", "zorg"], "argument --f: unknown weight kind 'zorg'"),
@@ -1316,7 +1329,8 @@ class TestCli:
         # every comparison with NaN is false, so P* would pass it
         (["extremal", "--n", "5", "--f", "sum_connectivity:a=nan"],
          "sum_connectivity parameter alpha must be finite"),
-    ], ids=["named_order", "named_int", "named_params", "graph6", "empty_range",
+    ], ids=["named_order", "named_int", "named_params", "graph6", "graph6_trailing",
+            "graph6_twice", "empty_range",
             "range_int", "weight_kind", "weight_overflow", "missing_option", "unknown_command",
             "undefined_extremal", "undefined_kelmans", "undefined_spectral",
             "undefined_custom_division", "undefined_custom_power", "undefined_custom_log",
@@ -1329,6 +1343,38 @@ class TestCli:
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert line.startswith("bicyclic-spectra: error: ") and message in line
+
+    @pytest.mark.parametrize("argv,pair", [
+        (["spectral", "--graph", "G1:13", "--f", "sum_connectivity:a=100000000"], "(1,12)"),
+        (["extremal", "--n", "5", "--f", "sum_connectivity:a=100000000"], "(1,1)"),
+        (["kelmans", "--samples", "5", "--seed", "1", "--f", "platt:a=100000000"], "(1,3)"),
+        (["spectral", "--graph", "G1:6", "--f", "sombor:a=2,b=100000000"], "(1,5)"),
+    ], ids=["spectral", "extremal", "kelmans", "sombor"])
+    def test_huge_exponent_overflows_at_once(self, argv, pair):
+        # the exact power would hold 10**8 bits and more per degree pair
+        import subprocess, sys
+        proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],
+                              capture_output=True, text=True, timeout=2)
+        assert proc.returncode == 2 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.endswith(f"overflows a float at degrees {pair}")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["spectral", "--graph", "G1:13", "--f", "sum_connectivity:a=-100000000"], 0),
+        (["extremal", "--n", "5", "--f", "sum_connectivity:a=-100000000"], 1),
+        (["kelmans", "--samples", "5", "--seed", "1", "--f", "platt:a=-100000000"], 2),
+        (["spectral", "--graph", "G1:6", "--f", "sombor:a=2,b=-100000000"], 0),
+    ], ids=["spectral", "extremal", "kelmans", "sombor"])
+    def test_huge_negative_exponent_ends_at_once(self, argv, code):
+        # the weights underflow to 0 on the float route: a zero matrix (rho 0),
+        # an all-tied class ranking that fails its gap, and platt's 0 ** -10**8
+        # undefined at degrees (1,1), as at any negative exponent
+        import subprocess, sys
+        proc = subprocess.run([sys.executable, "-m", "bicyclic_spectra", *argv],
+                              capture_output=True, text=True, timeout=2)
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        if argv[0] == "spectral":
+            assert json.loads(proc.stdout)["rho"] == 0.0
 
     @pytest.mark.parametrize("argv,label", [
         (["kelmans", "--samples", "5", "--seed", "1", "--f", "zagreb1,zagreb1"], "zagreb1"),

@@ -161,6 +161,34 @@ class TestExactRouteMatchesReference:
         assert evaluate_exact(parse_weight("custom:x^-1+y^-1"), 2, 3) == Fraction(5, 6)
         assert evaluate_exact(WeightFunction("extended"), 2, 3) == Fraction(13, 12)
 
+    @pytest.mark.parametrize("a", [3, -1, 300, 400, -400])
+    def test_powers_within_twice_float_range_stay_exact(self, a):
+        # 40**400 has 2,129 bits, past a float's 1,024: still exact, as before
+        f = parse_weight(f"sum_connectivity:a={a}")
+        for x, y in [(1, 1), (1, 12), (20, 20)]:
+            assert evaluate_exact(f, x, y) == Fraction(x + y) ** a
+
+    @pytest.mark.parametrize("spec", ["sum_connectivity:a=100000000",
+                                      "sum_connectivity:a=-100000000", "platt:a=100000000",
+                                      "sombor:a=2,b=100000000"])
+    def test_huge_integral_powers_take_the_float_route(self, spec):
+        # the exact power would hold about 10**8 * log2(13) bits per degree pair
+        f = parse_weight(spec)
+        assert evaluate_exact(f, 6, 7) is None
+        if "-" in spec:
+            assert evaluate(f, 6, 7) == 0.0  # underflows
+        else:
+            with pytest.raises(WeightSpecError, match=r"overflows a float at degrees \(6,7\)"):
+                evaluate(f, 6, 7)
+
+    def test_huge_custom_power_is_rejected_when_parsed(self):
+        with pytest.raises(WeightSpecError, match=r"non-finite at \(1,1\)"):
+            parse_weight("custom:(x+y)**100000000")
+
+    def test_unit_bases_stay_exact_at_any_power(self):
+        assert evaluate_exact(parse_weight("platt:a=100000000"), 1, 2) == 1
+        assert evaluate_exact(parse_weight("platt:a=100000001"), 1, 1) == 0
+
     @pytest.mark.parametrize("f", EXACT_ROUTE_WEIGHTS, ids=lambda f: f.label())
     def test_pstar_reports(self, f, monkeypatch):
         report = _outcome(check_pstar.__wrapped__, f, 20)
